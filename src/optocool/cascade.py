@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import KB
-from .cooling import (imprecision_variance, open_loop_thermal_variance,
-                      optimal_gain)
+from .cooling import analytic_variance, optimal_gain
 from .errors import DomainError, InfeasibleError, PowerLimitError
 from .feedback import FeedbackChain, max_dac_gain
 from .readout import FpiReadout, HliReadout
@@ -175,12 +174,6 @@ def handover_check(stage: CascadeStage, fpi: FpiReadout) -> bool:
     return fpi.capture_check(math.sqrt(stage.variance_out))
 
 
-def _analytic_floor(res: MechanicalResonator, g: float, imprecision_psd) -> float:
-    x_th0 = open_loop_thermal_variance(res)
-    x_n2 = imprecision_variance(res, imprecision_psd)
-    return (x_th0 + g * g * x_n2) / (1.0 + g)
-
-
 def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
                  res: MechanicalResonator, hli: HliReadout,
                  fpi: FpiReadout) -> CascadeSchedule:
@@ -193,8 +186,7 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     gamma = float(res.damping_rate(res.omega0))
     teff_scale = res.mass * res.omega0 ** 2 / KB
 
-    hli_psd = hli.imprecision_psd_at(res.omega0)
-    hli_psd = float(np.asarray(hli_psd))
+    hli_psd = float(hli.imprecision_psd_at(res.omega0))
     target = cfg.target_gain
     if target is None:
         target = optimal_gain(res, hli_psd).closed_form
@@ -229,7 +221,7 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     for index in range(1, cfg.max_stages + 1):
         duration = cfg.n_settle / ((1.0 + g) * gamma)
         decayed = variance_evolution(g, variance, gamma, duration)
-        floor = _analytic_floor(res, g, noise_psd)
+        floor = sum(analytic_variance(res, g, noise_psd))
         var_out = max(decayed, floor)
         stage = CascadeStage(
             index=index, gain=g, dac_gain=dac, start=t_start,

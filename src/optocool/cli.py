@@ -13,6 +13,7 @@ import io
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from . import __version__
 from .cascade import compare_single_step, plan_cascade
 from .config import ExperimentConfig, load_config
+from .constants import TWO_PI
 from .cooling import (CoolingSetup, closed_loop_variance,
                       effective_temperature, effective_temperature_floor,
                       noise_temperature, optimal_gain)
@@ -29,8 +31,6 @@ from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
 from .simulate import simulate
 from .spectrum import SpectrumRecord, write_spectrum_csv
-
-TWO_PI = 2.0 * math.pi
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
@@ -112,7 +112,8 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig, out: Path) -> None:
     fpi = cfg.fpi()
     g = cfg.get("cooling", "gain")
     omega = _gain_grid(res, g)
-    thermal = fpi.output_spectrum(res, g, omega=omega).values
+    quiet = replace(fpi, readout_noise=None)
+    thermal = quiet.output_spectrum(res, g, omega=omega).values
     readout = fpi.noise_asd(omega)
     total = np.sqrt(thermal ** 2 + readout ** 2)
     rows = zip(omega / TWO_PI, total, thermal, readout)
@@ -166,8 +167,6 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
-    from dataclasses import replace
-
     res = cfg.resonator()
     chain = cfg.chain()
     hli = cfg.hli()

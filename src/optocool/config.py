@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .cascade import CascadeConfig
+from .constants import TWO_PI
 from .errors import ConfigError
 from .feedback import Eoam, FeedbackChain, max_dac_gain
 from .readout import FpiReadout, HliReadout
 from .resonator import MechanicalResonator
 from .simulate import PRESET_QUALITIES, SimConfig, preset_resonator
-
-TWO_PI = 2.0 * math.pi
 
 # suffix -> factor, per quantity kind; angular kinds store rad/s
 _UNITS = {

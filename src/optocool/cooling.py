@@ -6,6 +6,11 @@ loop one with gamma_m replaced by (1+g) gamma_m. The price is that readout
 imprecision is fed back as a real force; balancing the two yields an optimal
 gain and a floor on the reachable effective temperature.
 
+This module is the one home of the closed-loop model: the readout output
+spectrum composes `effective_susceptibility`, and the cascade planner's
+per-stage floor is `analytic_variance`. Only the time-domain simulator keeps
+its own (viscous-equivalent) feedback rate.
+
 Variance integrals run over omega in [omega0/10, 10 omega0] with adaptive
 quadrature seeded at omega0 +- k gamma_eff; the resonance is far too narrow
 for any uniform grid.
@@ -19,14 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
-from .constants import KB
+from .constants import KB, TWO_PI
 from .errors import DomainError, NumericalError
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord
-
-TWO_PI = 2.0 * math.pi
+from .spectrum import SpectrumRecord, psd_lookup
 
 INTEGRAL_RTOL = 1.0e-6
 BAND_DECADES = (0.1, 10.0)  # integration band, multiples of omega0
@@ -54,19 +56,6 @@ def effective_susceptibility(res: MechanicalResonator, g: float, omega):
                               + 1j * (1.0 + g) * gm * omega))
 
 
-def _psd_lookup(value, what: str):
-    """Normalize a flat PSD value or SpectrumRecord into a callable of omega."""
-    if value is None:
-        return lambda omega: np.zeros_like(np.asarray(omega, dtype=float))
-    if isinstance(value, SpectrumRecord):
-        rec = value.to_psd() if value.kind == KIND_ASD else value
-        return lambda omega: rec.interp(omega)
-    value = float(value)
-    if value < 0.0:
-        raise DomainError(f"{what} must be >= 0")
-    return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
-
-
 @dataclass(frozen=True)
 class CoolingSetup:
     """Inputs of a closed-loop variance calculation.
@@ -87,12 +76,6 @@ class CoolingSetup:
             raise DomainError("gain must be >= 0")
         if self.imprecision_psd is None:
             raise DomainError("imprecision_psd is required")
-
-    def imprecision_at(self, omega):
-        return _psd_lookup(self.imprecision_psd, "imprecision_psd")(omega)
-
-    def external_at(self, omega):
-        return _psd_lookup(self.external_force_psd, "external_force_psd")(omega)
 
 
 @dataclass(frozen=True)
@@ -135,9 +118,10 @@ def closed_loop_psd(setup: CoolingSetup, omega):
         raise DomainError("omega must be > 0")
     chi2 = np.abs(effective_susceptibility(setup.res, setup.gain, omega)) ** 2
     fb2 = np.abs(derivative_feedback(setup.res, setup.gain, omega)) ** 2
-    return chi2 * (setup.res.thermal_force_psd(omega)
-                   + setup.external_at(omega)
-                   + fb2 * setup.imprecision_at(omega))
+    s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
+    s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
+    return chi2 * (setup.res.thermal_force_psd(omega) + s_ext(omega)
+                   + fb2 * s_n(omega))
 
 
 def _integrate_band(func, res, g, what: str) -> float:
@@ -162,7 +146,7 @@ def noise_temperature(res: MechanicalResonator, imprecision_psd) -> float:
 
     T_n = m omega0^2 <x_n^2> / kB with <x_n^2> = gamma_m S_xx^n(omega0) / 4.
     """
-    s_n = float(np.asarray(_psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0)))
+    s_n = float(psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0))
     if not s_n > 0.0:
         raise DomainError("imprecision PSD must be > 0 at omega0")
     gm = float(res.damping_rate(res.omega0))
@@ -176,18 +160,31 @@ def open_loop_thermal_variance(res: MechanicalResonator) -> float:
 
 def imprecision_variance(res: MechanicalResonator, imprecision_psd) -> float:
     """Apparent displacement variance of the readout, gamma_m S_n / 4, m^2."""
-    s_n = float(np.asarray(_psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0)))
+    s_n = float(psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0))
     return float(res.damping_rate(res.omega0)) * s_n / 4.0
+
+
+def analytic_variance(res: MechanicalResonator, g: float,
+                      imprecision_psd) -> tuple[float, float]:
+    """High-Q analytic thermal and feedthrough variances at gain g, m^2.
+
+    <x_th,0^2>/(1+g) and g^2 <x_n^2>/(1+g), with <x_th,0^2> = kB T / m
+    omega0^2 and <x_n^2> = gamma_m S_n(omega0)/4.
+    """
+    x_th0 = open_loop_thermal_variance(res)
+    x_n2 = imprecision_variance(res, imprecision_psd)
+    return x_th0 / (1.0 + g), g ** 2 * x_n2 / (1.0 + g)
 
 
 def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     """Closed-loop variance by numeric band integration and analytic form.
 
-    Analytic: <x^2> = <x_th,0^2>/(1+g) + g^2 <x_n^2>/(1+g) + <x_ext^2>(g)
-    with <x_th,0^2> = kB T / m omega0^2 and <x_n^2> = gamma_m S_n(omega0)/4.
+    Analytic: <x^2> = `analytic_variance` thermal + feedthrough + <x_ext^2>(g).
     The external term is integrated numerically in both routes.
     """
     res, g = setup.res, setup.gain
+    s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
+    s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
 
     def chi2(w):
         return abs(effective_susceptibility(res, g, w)) ** 2
@@ -198,15 +195,14 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     thermal_num = _integrate_band(
         lambda w: chi2(w) * float(res.thermal_force_psd(w)), res, g, "thermal")
     feed_num = _integrate_band(
-        lambda w: chi2(w) * fb2(w) * float(setup.imprecision_at(w)), res, g,
-        "feedthrough")
+        lambda w: chi2(w) * fb2(w) * float(s_n(w)), res, g, "feedthrough")
     if setup.external_force_psd is not None:
         ext = _integrate_band(
-            lambda w: chi2(w) * float(setup.external_at(w)), res, g, "external")
+            lambda w: chi2(w) * float(s_ext(w)), res, g, "external")
     else:
         ext = 0.0
 
-    s_n0 = float(np.asarray(setup.imprecision_at(res.omega0)))
+    s_n0 = float(s_n(res.omega0))
     t_n = noise_temperature(res, setup.imprecision_psd) if s_n0 > 0.0 else 0.0
     scale = res.mass * res.omega0 ** 2 / KB
 
@@ -214,10 +210,7 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     numeric = CoolingResult(total_num, thermal_num, feed_num, ext,
                             t_eff=scale * total_num, t_n=t_n)
 
-    x_th0 = open_loop_thermal_variance(res)
-    x_n2 = imprecision_variance(res, setup.imprecision_psd)
-    thermal_an = x_th0 / (1.0 + g)
-    feed_an = g ** 2 * x_n2 / (1.0 + g)
+    thermal_an, feed_an = analytic_variance(res, g, setup.imprecision_psd)
     total_an = thermal_an + feed_an + ext
     analytic = CoolingResult(total_an, thermal_an, feed_an, ext,
                              t_eff=scale * total_an, t_n=t_n)
@@ -225,7 +218,12 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
 
 
 class OptimalGain(NamedTuple):
-    """Closed-form optimal gain and the numerically minimized cross-check."""
+    """Optimal gain in its g >> 1 closed form and as the exact minimizer.
+
+    closed_form : sqrt(x_th0 / x_n2), the large-gain optimum
+    minimized   : sqrt(1 + x_th0 / x_n2) - 1, the exact minimizer of the
+                  analytic variance (x_th0 + g^2 x_n2) / (1 + g)
+    """
 
     closed_form: float
     minimized: float
@@ -235,8 +233,9 @@ def optimal_gain(res: MechanicalResonator, imprecision_psd) -> OptimalGain:
     """Gain minimizing the on-resonance displacement.
 
     Closed form sqrt(4 kB T / (m omega0^2 Gamma_m S_n)) with Gamma_m =
-    gamma_m(omega0); the companion value minimizes the analytic closed-loop
-    variance (thermal plus feedthrough) numerically.
+    gamma_m(omega0); the companion value is the exact minimizer of the
+    analytic closed-loop variance (thermal plus feedthrough), the positive
+    root of x_n2 g^2 + 2 x_n2 g - x_th0 = 0.
     """
     if not res.temperature > 0.0:
         raise DomainError("temperature must be > 0")
@@ -244,17 +243,10 @@ def optimal_gain(res: MechanicalResonator, imprecision_psd) -> OptimalGain:
     x_n2 = imprecision_variance(res, imprecision_psd)
     if not x_n2 > 0.0:
         raise DomainError("imprecision PSD must be > 0 at omega0")
-    closed_form = math.sqrt(x_th0 / x_n2)
-
-    def variance(g):
-        return (x_th0 + g * g * x_n2) / (1.0 + g)
-
-    hi = max(100.0 * closed_form, 10.0)
-    fit = minimize_scalar(variance, bounds=(0.0, hi), method="bounded",
-                          options={"xatol": max(closed_form, 1.0) * 1e-9})
-    if not fit.success:
-        raise NumericalError(f"gain minimization failed: {fit.message}")
-    return OptimalGain(closed_form=closed_form, minimized=float(fit.x))
+    ratio = x_th0 / x_n2
+    # sqrt(1 + r) - 1 written without the cancellation at small r
+    return OptimalGain(closed_form=math.sqrt(ratio),
+                       minimized=ratio / (math.sqrt(1.0 + ratio) + 1.0))
 
 
 def effective_temperature(res: MechanicalResonator, g: float, t_n: float) -> float:

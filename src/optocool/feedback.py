@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .constants import C_LIGHT
+from .constants import C_LIGHT, TWO_PI
 from .errors import DomainError, PowerLimitError
 from .resonator import MechanicalResonator
-
-TWO_PI = 2.0 * math.pi
 
 
 def actuator_gain() -> float:
@@ -52,11 +50,6 @@ class Eoam:
     def power(self, v: float) -> float:
         """Transmitted power P0 cos^2(pi V / Vpi) at drive voltage v, W."""
         return self.max_power * math.cos(math.pi * v / self.half_wave_voltage) ** 2
-
-    def power_at_bias(self, dv: float) -> float:
-        """Transmitted power for a signal dv about the bias point, W."""
-        return self.max_power * math.cos(
-            self.bias_angle + math.pi * dv / self.half_wave_voltage) ** 2
 
     def gain(self) -> float:
         """|dP/dV| at the bias point, (pi P0 / Vpi) sin(2 theta), W/V."""

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import welch
 
+from .constants import TWO_PI
 from .errors import ConfigError
-from .spectrum import KIND_PSD, TWO_PI, SpectrumRecord
+from .spectrum import KIND_PSD, SpectrumRecord
 
 HANN_ENBW_BINS = 1.5  # equivalent noise bandwidth of the Hann window
 

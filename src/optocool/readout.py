@@ -15,12 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, G_STANDARD
+from .constants import C_LIGHT, G_STANDARD, TWO_PI
+from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError, RangeError
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord
+from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup
 
-TWO_PI = 2.0 * math.pi
+
+def _squared(asd):
+    """A flat ASD squared into a PSD value; None and records pass through."""
+    if asd is None or isinstance(asd, SpectrumRecord):
+        return asd
+    return float(asd) ** 2
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,10 @@ class FpiReadout:
             raise DomainError("tuning_range must be > 0")
         if not self.finesse > 1.0:
             raise DomainError("finesse must be > 1")
+        noise = self.readout_noise
+        if (noise is not None and not isinstance(noise, SpectrumRecord)
+                and not noise >= 0.0):
+            raise DomainError("readout_noise must be >= 0")
         if self.capture_range() >= self.dynamic_range():
             raise DomainError(
                 "capture range wavelength/finesse must be below the dynamic range")
@@ -82,15 +92,8 @@ class FpiReadout:
         return rms_x < self.capture_range()
 
     def noise_asd(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        if self.readout_noise is None:
-            return np.zeros_like(omega)
-        if isinstance(self.readout_noise, SpectrumRecord):
-            rec = self.readout_noise
-            if rec.kind != KIND_ASD:
-                rec = rec.to_asd()
-            return rec.interp(omega)
-        return np.full_like(omega, float(self.readout_noise))
+        """Readout frequency noise nu_n(omega), Hz/rtHz."""
+        return np.sqrt(psd_lookup(_squared(self.readout_noise), "readout_noise")(omega))
 
     def output_spectrum(self, res: MechanicalResonator, g: float,
                         omega=None, external_accel: SpectrumRecord | None = None,
@@ -98,37 +101,23 @@ class FpiReadout:
         """ASD of the detected laser frequency, Hz/rtHz.
 
         External and thermal acceleration drive the mass through the
-        (closed-loop, for g > 0) response; the readout noise passes straight
-        through. Statistically independent terms combine as the root sum of
-        squares. With g = 0 the response keeps the full frequency-dependent
-        damping; with g > 0 the closed-loop denominator uses the
-        viscous-equivalent (1+g) omega omega0 / Q damping term.
+        closed-loop response m |chi_eff(omega)| of derivative feedback at
+        gain g (the open-loop response at g = 0); the readout noise passes
+        straight through. Statistically independent terms combine as the
+        root sum of squares.
         """
-        if g < 0.0:
-            raise DomainError("g must be >= 0")
         if omega is None:
             omega = self._default_grid(external_accel)
         omega = np.asarray(omega, dtype=float)
-        if np.any(omega <= 0.0):
-            raise DomainError("omega must be > 0")
-
-        if g == 0.0:
-            denom = (res.omega0 ** 2 - omega ** 2
-                     + 1j * res.damping_rate(omega) * omega)
-        else:
-            q = res.quality_factor()
-            denom = (res.omega0 ** 2 - omega ** 2
-                     + 1j * (1.0 + g) * omega * res.omega0 / q)
-        accel_to_freq = self.displacement_to_frequency / np.abs(denom)
+        accel_to_freq = (self.displacement_to_frequency * res.mass
+                         * np.abs(effective_susceptibility(res, g, omega)))
 
         psd = self.noise_asd(omega) ** 2
         if include_thermal:
             psd = psd + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2
         if external_accel is not None:
-            ext = external_accel
-            if ext.kind != KIND_ASD:
-                ext = ext.to_asd()
-            psd = psd + (accel_to_freq * ext.interp(omega)) ** 2
+            psd = psd + accel_to_freq ** 2 * psd_lookup(
+                external_accel, "external_accel")(omega)
         return SpectrumRecord(omega, np.sqrt(psd), KIND_ASD, "Hz/rtHz")
 
     def _default_grid(self, external_accel):
@@ -195,19 +184,9 @@ class HliReadout:
         if not self.heterodyne_frequency > 0.0:
             raise DomainError("heterodyne_frequency must be > 0")
 
-    def sample(self, x: float, noise_draw: float) -> float:
-        """Apparent position y = x + noise_draw, m; no range limit."""
-        return x + noise_draw
-
     def imprecision_psd_at(self, omega) -> np.ndarray:
         """Imprecision PSD S_xx^n at omega, m^2/Hz."""
-        omega = np.asarray(omega, dtype=float)
-        if isinstance(self.imprecision_asd, SpectrumRecord):
-            rec = self.imprecision_asd
-            if rec.kind != KIND_ASD:
-                rec = rec.to_asd()
-            return rec.interp(omega) ** 2
-        return np.full_like(omega, float(self.imprecision_asd) ** 2)
+        return psd_lookup(_squared(self.imprecision_asd), "imprecision_asd")(omega)
 
 
 class Phasemeter:

@@ -28,14 +28,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import C_LIGHT, KB
+from .constants import C_LIGHT, KB, TWO_PI
 from .errors import ConfigError, DivergenceError, DomainError
 from .feedback import FeedbackChain
 from .readout import HliReadout
 from .resonator import MechanicalResonator
 from .spectrum import SpectrumRecord
-
-TWO_PI = 2.0 * math.pi
 
 STREAM_THERMAL = 0
 STREAM_IMPRECISION = 1

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import TWO_PI
 from .errors import DomainError
-
-TWO_PI = 2.0 * np.pi
 
 KIND_ASD = "asd"
 KIND_PSD = "psd"
@@ -113,6 +112,20 @@ def _root_unit(unit: str) -> str:
     if unit.startswith("(") and unit.endswith(")^2"):
         return unit[1:-3]
     return f"sqrt({unit})"
+
+
+def psd_lookup(value, what: str):
+    """Turn None, a flat PSD value or a SpectrumRecord into a PSD of omega.
+
+    None reads as zero; a flat value must be >= 0. An ASD record is squared
+    once, here, so the returned callable interpolates in PSD.
+    """
+    if isinstance(value, SpectrumRecord):
+        return value.to_psd().interp
+    value = 0.0 if value is None else float(value)
+    if value < 0.0:
+        raise DomainError(f"{what} must be >= 0")
+    return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
 
 def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:

@@ -252,6 +252,26 @@ class TestCli:
                      "susceptibility_g100.csv", "trace.csv", "simulate.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_noise_budget_counts_readout_noise_once(self, tmp_path):
+        # far above resonance the total is the 1e3 Hz/rtHz readout floor
+        config = tmp_path / "noisy.ini"
+        config.write_text(MINIMAL.replace(
+            "tuning_range = 10 GHz\n",
+            "tuning_range = 10 GHz\nreadout_noise_asd = 1e3 Hz/rtHz\n"))
+        run_command(["--config", str(config), "--out", str(tmp_path),
+                     "noise-budget"])
+        lines = [l for l in
+                 (tmp_path / "noise_budget.csv").read_text().splitlines()
+                 if not l.startswith("#")][1:]
+        freq, total, thermal, readout = np.array(
+            [[float(c) for c in l.split(",")] for l in lines]).T
+        assert np.all(readout == 1e3)
+        np.testing.assert_allclose(total, np.hypot(thermal, readout),
+                                   rtol=1e-12)
+        top = np.argmax(freq)
+        assert thermal[top] < 1.0
+        assert total[top] == pytest.approx(1e3, rel=1e-3)
+
     def test_headers_embed_config(self, tmp_path):
         run_command(["--out", str(tmp_path), "noise-budget"])
         header = [l for l in

@@ -115,7 +115,7 @@ class TestVariance:
         out = closed_loop_variance(setup)
         for res in (out.numeric, out.analytic):
             assert res.variance == pytest.approx(
-                res.thermal + res.feedthrough + res.external, rel=1e-12)
+                res.thermal + res.feedthrough + res.external, rel=1e-12, abs=0)
             assert min(res.thermal, res.feedthrough, res.external) >= 0.0
 
     def test_analytic_vs_numeric_two_percent(self):
@@ -150,6 +150,10 @@ class TestOptimalGain:
     def test_minimizer_agrees(self, resonator):
         got = optimal_gain(resonator, HLI_PSD)
         assert got.minimized == pytest.approx(got.closed_form, rel=0.02)
+        ratio = (open_loop_thermal_variance(resonator)
+                 / imprecision_variance(resonator, HLI_PSD))
+        assert got.minimized == pytest.approx(math.sqrt(1 + ratio) - 1,
+                                              rel=1e-12, abs=0)
 
     def test_minimizer_brackets_minimum(self, resonator):
         # derivative sign change: variance rises on either side

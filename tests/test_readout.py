@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from optocool import (ConfigError, DomainError, FpiReadout, HliReadout,
-                      Phasemeter, RangeError, SpectrumRecord,
+from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
+                      HliReadout, MechanicalResonator, Phasemeter, RangeError,
+                      SpectrumRecord, closed_loop_psd,
+                      effective_susceptibility, noise_temperature,
                       phasemeter_extract)
 from optocool.simulate import stream_rng
 
@@ -105,6 +107,12 @@ class TestFpiOutputSpectrum:
         rec = noisy.output_spectrum(cold, 0.0, omega=omega)
         assert rec.values[0] == pytest.approx(5.0, rel=1e-12)
 
+    def test_negative_readout_noise_rejected(self, fpi):
+        # squaring the flat ASD into a PSD must not hide its sign
+        with pytest.raises(DomainError, match="readout_noise"):
+            FpiReadout(fpi.cavity_length, fpi.wavelength, fpi.tuning_range,
+                       fpi.finesse, readout_noise=-5.0)
+
     def test_rss_combination(self, fpi, resonator):
         omega = np.logspace(-0.5, 0.5, 11) * resonator.omega0
         noisy = FpiReadout(fpi.cavity_length, fpi.wavelength,
@@ -112,6 +120,19 @@ class TestFpiOutputSpectrum:
         thermal = fpi.output_spectrum(resonator, 0.0, omega=omega).values
         total = noisy.output_spectrum(resonator, 0.0, omega=omega).values
         assert np.allclose(total, np.sqrt(thermal ** 2 + 1e6), rtol=1e-12)
+
+    def test_closed_loop_is_effective_susceptibility(self, fpi, resonator):
+        # one closed-loop model: frequency-dependent loss, high gain
+        res = MechanicalResonator(mass=resonator.mass, omega0=resonator.omega0,
+                                  q_internal=resonator.q_internal,
+                                  loss_exponent=-1.0)
+        omega = np.logspace(-1, 1, 201) * res.omega0
+        for g in (100.0, 1e4):
+            rec = fpi.output_spectrum(res, g, omega=omega)
+            expected = (fpi.displacement_to_frequency * res.mass
+                        * np.abs(effective_susceptibility(res, g, omega))
+                        * res.thermal_accel_asd(omega))
+            np.testing.assert_allclose(rec.values, expected, rtol=1e-12)
 
     def test_no_grid_anywhere_raises(self, fpi, resonator):
         with pytest.raises(DomainError):
@@ -124,13 +145,6 @@ class TestFpiOutputSpectrum:
 
 
 class TestHli:
-    def test_sample_is_additive(self, hli):
-        assert hli.sample(1.5e-6, 0.0) == 1.5e-6
-        assert hli.sample(1.0e-6, 2.0e-9) == pytest.approx(1.0e-6 + 2.0e-9)
-        n = 3.3e-12
-        assert hli.sample(1e-7 + 2e-7, n) == pytest.approx(
-            hli.sample(1e-7, n) + 2e-7)
-
     def test_white_noise_discretization(self, hli):
         # single-sided convention: sample variance = S * fs / 2
         fs = 1000.0
@@ -144,6 +158,21 @@ class TestHli:
                              "asd", "m/rtHz")
         hli = HliReadout(wavelength=1064e-9, imprecision_asd=rec)
         assert hli.imprecision_psd_at(1.0) == pytest.approx(1e-24)
+
+    def test_shaped_noise_matches_cooling(self, resonator):
+        # readout, noise temperature and closed-loop PSD read one S_n(omega0)
+        w0 = resonator.omega0
+        rec = SpectrumRecord(np.array([0.5, 0.9, 1.3, 2.0]) * w0,
+                             np.array([4e-12, 1e-11, 2e-12, 5e-12]),
+                             "asd", "m/rtHz")
+        s_n = float(HliReadout(wavelength=1064e-9,
+                               imprecision_asd=rec).imprecision_psd_at(w0))
+        assert noise_temperature(resonator, rec) == pytest.approx(
+            noise_temperature(resonator, s_n), rel=1e-12)
+        cold = resonator.with_temperature(0.0)
+        shaped = closed_loop_psd(CoolingSetup(cold, 10.0, rec), w0)
+        flat = closed_loop_psd(CoolingSetup(cold, 10.0, s_n), w0)
+        assert shaped == pytest.approx(flat, rel=1e-12)
 
 
 class TestPhasemeter:
