@@ -8,9 +8,11 @@ temperatures; and runs single-step and cascaded cooling both analytically
 and by seeded Langevin simulation.
 """
 
+import types as _types
+
 from .cascade import (CascadeConfig, CascadeSchedule, CascadeStage,
                       SingleStepComparison, compare_single_step,
-                      handover_check, plan_cascade, variance_evolution)
+                      plan_cascade, variance_evolution)
 from .constants import C_LIGHT, KB
 from .cooling import (ClosedLoopVariance, CoolingResult, CoolingSetup,
                       OptimalGain, closed_loop_psd, closed_loop_variance,
@@ -34,23 +36,6 @@ from .spectrum import (SpectrumRecord, read_noise_csv, read_spectrum_csv,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C_LIGHT", "KB",
-    "CascadeConfig", "CascadeSchedule", "CascadeStage",
-    "ClosedLoopVariance", "ConfigError", "CoolingResult", "CoolingSetup",
-    "DivergenceError", "DomainError", "Eoam", "FeedbackChain", "FitError",
-    "FpiReadout", "HliReadout", "InfeasibleError", "MechanicalResonator",
-    "MonteCarloResult", "NumericalError", "OptimalGain", "Phasemeter",
-    "PowerLimitError", "RangeError", "RingdownFit", "SimConfig", "SimTrace",
-    "SingleStepComparison", "SpectrumRecord",
-    "actuator_gain", "closed_loop_psd", "closed_loop_variance",
-    "compare_single_step", "derivative_feedback", "effective_susceptibility",
-    "effective_temperature", "effective_temperature_floor", "estimate_psd",
-    "extract_envelope", "fit_q_from_ringdown", "handover_check",
-    "max_dac_gain", "monte_carlo_variance", "noise_temperature",
-    "optimal_gain", "phase_from_csv", "phasemeter_extract", "plan_cascade",
-    "preset_resonator",
-    "read_noise_csv", "read_spectrum_csv", "simulate",
-    "steady_state_variance", "stream_rng", "variance_evolution",
-    "write_spectrum_csv",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and not isinstance(value, _types.ModuleType)]

@@ -169,11 +169,6 @@ class CascadeSchedule:
         return self.teff_scale * self.variance_at(t)
 
 
-def handover_check(stage: CascadeStage, fpi: FpiReadout) -> bool:
-    """True iff the stage's exit rms is strictly inside the capture range."""
-    return fpi.capture_check(math.sqrt(stage.variance_out))
-
-
 def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
                  res: MechanicalResonator, hli: HliReadout,
                  fpi: FpiReadout) -> CascadeSchedule:

@@ -8,8 +8,6 @@ rerun with the same inputs is byte identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -29,8 +27,9 @@ from .errors import ConfigError
 from .feedback import actuator_gain
 from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
-from .simulate import simulate
-from .spectrum import SpectrumRecord, write_spectrum_csv
+from .simulate import simulate, steady_state_variance
+from .spectrum import (SpectrumRecord, read_rows, write_artifact,
+                       write_spectrum_csv)
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
@@ -43,36 +42,6 @@ def _header_lines(command: str, cfg: ExperimentConfig, seed=None) -> list:
         lines.append(f"seed = {seed}")
     lines.extend(cfg.echo())
     return lines
-
-
-def _write_text(path: Path, command: str, cfg: ExperimentConfig, body: list,
-                seed=None) -> None:
-    with open(path, "w") as fh:
-        for line in _header_lines(command, cfg, seed):
-            fh.write(f"# {line}\n")
-        for line in body:
-            fh.write(line + "\n")
-
-
-def _write_csv(path: Path, command: str, cfg: ExperimentConfig, columns,
-               rows, seed=None) -> None:
-    buf = io.StringIO()
-    for line in _header_lines(command, cfg, seed):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-
-
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 def _format_gain(g: float) -> str:
@@ -117,9 +86,9 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig, out: Path) -> None:
     readout = fpi.noise_asd(omega)
     total = np.sqrt(thermal ** 2 + readout ** 2)
     rows = zip(omega / TWO_PI, total, thermal, readout)
-    _write_csv(out / "noise_budget.csv", "noise-budget", cfg,
-               ["freq_hz", "total_hz_rthz", "thermal_hz_rthz",
-                "readout_hz_rthz"], rows)
+    write_artifact(out / "noise_budget.csv", _header_lines("noise-budget", cfg),
+                   rows, ["freq_hz", "total_hz_rthz", "thermal_hz_rthz",
+                          "readout_hz_rthz"])
     print(f"wrote {out / 'noise_budget.csv'}")
 
 
@@ -141,9 +110,9 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig, out: Path) -> None:
             rows.append((g, num.t_eff, num.variance, num.thermal,
                          num.feedthrough))
         path = out / f"cool_sweep_noise{asd:g}.csv"
-        _write_csv(path, f"cool sweep noise={asd:g}", cfg,
-                   ["g", "T_eff_K", "x2_m2", "thermal_m2", "feedthrough_m2"],
-                   rows)
+        write_artifact(path, _header_lines(f"cool sweep noise={asd:g}", cfg),
+                       rows, ["g", "T_eff_K", "x2_m2", "thermal_m2",
+                              "feedthrough_m2"])
         print(f"wrote {path}")
 
 
@@ -155,14 +124,15 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig, out: Path) -> None:
     floor = effective_temperature_floor(res, t_n)
     body = [
         "cool optimum",
-        f"imprecision_asd_m_rthz = {math.sqrt(s_n)!r}",
-        f"g_opt_closed_form = {got.closed_form!r}",
-        f"g_opt_numeric_minimizer = {got.minimized!r}",
-        f"noise_temperature_K = {t_n!r}",
-        f"t_eff_at_g_opt_K = {effective_temperature(res, got.closed_form, t_n)!r}",
-        f"t_eff_floor_K = {floor!r}",
+        ("imprecision_asd_m_rthz", math.sqrt(s_n)),
+        ("g_opt_closed_form", got.closed_form),
+        ("g_opt_numeric_minimizer", got.minimized),
+        ("noise_temperature_K", t_n),
+        ("t_eff_at_g_opt_K", effective_temperature(res, got.closed_form, t_n)),
+        ("t_eff_floor_K", floor),
     ]
-    _write_text(out / "cool_optimum.txt", "cool optimum", cfg, body)
+    write_artifact(out / "cool_optimum.txt",
+                   _header_lines("cool optimum", cfg), body)
     print(f"wrote {out / 'cool_optimum.txt'}")
 
 
@@ -180,39 +150,39 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
         stage_rows = [(s.index, s.gain, s.dac_gain, s.start, s.duration,
                        s.variance_out, s.t_eff_out)
                       for s in schedule.stages]
-        _write_csv(out / f"cascade_g{tag}.csv", f"cascade run g0={g0:g}", cfg,
-                   ["stage", "g", "gdac_v_per_rad", "t_start_s", "duration_s",
-                    "x2_exit_m2", "teff_exit_K"], stage_rows)
+        header = _header_lines(f"cascade run g0={g0:g}", cfg)
+        write_artifact(out / f"cascade_g{tag}.csv", header, stage_rows,
+                       ["stage", "g", "gdac_v_per_rad", "t_start_s",
+                        "duration_s", "x2_exit_m2", "teff_exit_K"])
 
         t_lo = schedule.stages[0].duration / 100.0
         times = np.logspace(math.log10(t_lo), math.log10(schedule.total_time),
                             400)
         series_rows = [(t, schedule.variance_at(t), schedule.t_eff_at(t))
                        for t in times]
-        _write_csv(out / f"cascade_g{tag}_timeseries.csv",
-                   f"cascade run g0={g0:g}", cfg,
-                   ["t_s", "x2_m2", "teff_K"], series_rows)
+        write_artifact(out / f"cascade_g{tag}_timeseries.csv", header,
+                       series_rows, ["t_s", "x2_m2", "teff_K"])
 
         comparison = compare_single_step(
             schedule.stages[-1].gain, ccfg, chain, res, hli, fpi)
         body = [
-            f"initial_gain = {g0!r}",
-            f"optical_power_W = {schedule.power!r}",
-            f"stages = {len(schedule.stages)}",
-            f"termination = {schedule.termination}",
-            f"handover_stage = {schedule.handover_stage}",
-            f"total_time_s = {schedule.total_time!r}",
-            f"final_gain = {schedule.stages[-1].gain!r}",
-            f"final_t_eff_K = {schedule.final_t_eff!r}",
-            f"single_step_power_W = {comparison.single_power!r}",
-            f"single_step_time_s = {comparison.single_time!r}",
-            f"single_step_exceeds_threshold = {comparison.single_exceeds_threshold}",
-            f"power_ratio_cascade_over_single = {comparison.power_ratio!r}",
-            f"time_ratio_cascade_over_single = {comparison.time_ratio!r}",
-            f"reciprocity_product = {comparison.reciprocity!r}",
+            ("initial_gain", g0),
+            ("optical_power_W", schedule.power),
+            ("stages", len(schedule.stages)),
+            ("termination", schedule.termination),
+            ("handover_stage", schedule.handover_stage),
+            ("total_time_s", schedule.total_time),
+            ("final_gain", schedule.stages[-1].gain),
+            ("final_t_eff_K", schedule.final_t_eff),
+            ("single_step_power_W", comparison.single_power),
+            ("single_step_time_s", comparison.single_time),
+            ("single_step_exceeds_threshold",
+             comparison.single_exceeds_threshold),
+            ("power_ratio_cascade_over_single", comparison.power_ratio),
+            ("time_ratio_cascade_over_single", comparison.time_ratio),
+            ("reciprocity_product", comparison.reciprocity),
         ]
-        _write_text(out / f"cascade_g{tag}.txt", f"cascade run g0={g0:g}",
-                    cfg, body)
+        write_artifact(out / f"cascade_g{tag}.txt", header, body)
         print(f"wrote {out / f'cascade_g{tag}.csv'} (+timeseries, summary)")
 
 
@@ -230,24 +200,22 @@ def _cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> None:
     columns.append("f_fb_newton")
     series.append(trace.feedback_force)
     rows = zip(*[s.tolist() for s in series])
-    _write_csv(out / "trace.csv", "simulate", cfg, columns, rows,
-               seed=trace.seed)
+    header = _header_lines("simulate", cfg, seed=trace.seed)
+    write_artifact(out / "trace.csv", header, rows, columns)
 
-    tail = trace.x[trace.x.size // 2:]
+    variance = steady_state_variance(trace)
     body = [
-        f"steps = {trace.x.size}",
-        f"dt_s = {float(trace.t[1] - trace.t[0])!r}",
-        f"steady_state_variance_m2 = {float(np.var(tail))!r}",
-        f"steady_state_rms_m = {float(np.std(tail))!r}",
+        ("steps", trace.x.size),
+        ("dt_s", float(trace.t[1] - trace.t[0])),
+        ("steady_state_variance_m2", variance),
+        ("steady_state_rms_m", math.sqrt(variance)),
     ]
-    _write_text(out / "simulate.txt", "simulate", cfg, body, seed=trace.seed)
+    write_artifact(out / "simulate.txt", header, body)
     print(f"wrote {out / 'trace.csv'} and {out / 'simulate.txt'}")
 
 
 def _read_trace_csv(path, column: str):
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
+    rows, _ = read_rows(path)
     if not rows:
         raise ConfigError(f"{path}: empty file")
     header = rows[0]
@@ -278,15 +246,16 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig, out: Path) -> None:
     omega0 = TWO_PI * args.frequency if args.frequency else None
     fit = fit_q_from_ringdown(t, x, omega0=omega0)
     body = [
-        f"input = {args.input}",
-        f"q = {fit.q!r}",
-        f"omega0_rad_s = {fit.omega0!r}",
-        f"decay_rate_rad_s = {fit.decay_rate!r}",
-        f"amplitude0 = {fit.amplitude0!r}",
-        f"residual_rms = {fit.residual_rms!r}",
-        f"n_points = {fit.n_points}",
+        ("input", args.input),
+        ("q", fit.q),
+        ("omega0_rad_s", fit.omega0),
+        ("decay_rate_rad_s", fit.decay_rate),
+        ("amplitude0", fit.amplitude0),
+        ("residual_rms", fit.residual_rms),
+        ("n_points", fit.n_points),
     ]
-    _write_text(out / "ringdown_fit.txt", "ringdown-fit", cfg, body)
+    write_artifact(out / "ringdown_fit.txt",
+                   _header_lines("ringdown-fit", cfg), body)
     print(f"wrote {out / 'ringdown_fit.txt'} (Q = {fit.q:.6g})")
 
 
@@ -296,17 +265,18 @@ def _cmd_chain_report(args, cfg: ExperimentConfig, out: Path) -> None:
     g = chain.gain_factor(res)
     body = [
         "composed feedback chain gains",
-        f"actuator_gain_N_per_W = {actuator_gain()!r}",
-        f"eoam_gain_W_per_V = {chain.eoam.gain()!r}",
-        f"dac_gain_V_per_rad = {chain.dac_gain!r}",
-        f"phase_per_displacement_rad_per_m = {TWO_PI / chain.wavelength!r}",
-        f"static_feedback_gain_N_per_m = {chain.static_gain()!r}",
-        f"optical_power_W = {chain.eoam.max_power!r}",
-        f"damage_threshold_W = {chain.eoam.damage_threshold!r}",
-        f"gain_factor = {g!r}",
-        f"power_for_unity_gain_W = {chain.required_power(res, 1.0)!r}",
+        ("actuator_gain_N_per_W", actuator_gain()),
+        ("eoam_gain_W_per_V", chain.eoam.gain()),
+        ("dac_gain_V_per_rad", chain.dac_gain),
+        ("phase_per_displacement_rad_per_m", TWO_PI / chain.wavelength),
+        ("static_feedback_gain_N_per_m", chain.static_gain()),
+        ("optical_power_W", chain.eoam.max_power),
+        ("damage_threshold_W", chain.eoam.damage_threshold),
+        ("gain_factor", g),
+        ("power_for_unity_gain_W", chain.required_power(res, 1.0)),
     ]
-    _write_text(out / "chain_report.txt", "chain report", cfg, body)
+    write_artifact(out / "chain_report.txt",
+                   _header_lines("chain report", cfg), body)
     print(f"wrote {out / 'chain_report.txt'}")
 
 
@@ -348,7 +318,8 @@ def _cmd_paper_report(args, cfg: ExperimentConfig, out: Path) -> None:
     for name, unit, computed, reference, ratio, flag in _paper_report_rows(cfg):
         body.append(f"{name} | {unit} | {computed!r} | {reference!r} | "
                     f"{ratio!r} | {flag}")
-    _write_text(out / "paper_report.txt", "paper-report", cfg, body)
+    write_artifact(out / "paper_report.txt",
+                   _header_lines("paper-report", cfg), body)
     print(f"wrote {out / 'paper_report.txt'}")
     for line in body:
         print(line)
@@ -359,9 +330,12 @@ def _cmd_paper_report(args, cfg: ExperimentConfig, out: Path) -> None:
 
 def _parse_float_list(text: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"non-finite value in numeric list {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,7 @@ HANN_ENBW_BINS = 1.5  # equivalent noise bandwidth of the Hann window
 
 
 def estimate_psd(x, sample_rate: float, segment_length: int,
-                 overlap: float = 0.5, unit: str = "1/Hz",
-                 detrend: bool = False) -> SpectrumRecord:
+                 overlap: float = 0.5, unit: str = "1/Hz") -> SpectrumRecord:
     """Welch-averaged single-sided PSD with a Hann window.
 
     ``overlap`` is the segment overlap fraction. The record's ``meta``
@@ -32,7 +31,7 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
     noverlap = int(overlap * segment_length)
     freqs, pxx = welch(x, fs=sample_rate, window="hann",
                        nperseg=segment_length, noverlap=noverlap,
-                       detrend=detrend and "constant", scaling="density")
+                       detrend=False, scaling="density")
     n_segments = 1 + (x.size - segment_length) // (segment_length - noverlap)
     power = float(np.trapezoid(pxx, freqs))
     second_moment = float(np.mean(x ** 2))

@@ -19,7 +19,7 @@ from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError, RangeError
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup
+from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup, read_rows
 
 
 def _squared(asd):
@@ -95,9 +95,9 @@ class FpiReadout:
         """Readout frequency noise nu_n(omega), Hz/rtHz."""
         return np.sqrt(psd_lookup(_squared(self.readout_noise), "readout_noise")(omega))
 
-    def output_spectrum(self, res: MechanicalResonator, g: float,
-                        omega=None, external_accel: SpectrumRecord | None = None,
-                        include_thermal: bool = True) -> SpectrumRecord:
+    def output_spectrum(self, res: MechanicalResonator, g: float, omega,
+                        external_accel: SpectrumRecord | None = None
+                        ) -> SpectrumRecord:
         """ASD of the detected laser frequency, Hz/rtHz.
 
         External and thermal acceleration drive the mass through the
@@ -106,34 +106,16 @@ class FpiReadout:
         straight through. Statistically independent terms combine as the
         root sum of squares.
         """
-        if omega is None:
-            omega = self._default_grid(external_accel)
         omega = np.asarray(omega, dtype=float)
         accel_to_freq = (self.displacement_to_frequency * res.mass
                          * np.abs(effective_susceptibility(res, g, omega)))
 
-        psd = self.noise_asd(omega) ** 2
-        if include_thermal:
-            psd = psd + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2
+        psd = (self.noise_asd(omega) ** 2
+               + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2)
         if external_accel is not None:
             psd = psd + accel_to_freq ** 2 * psd_lookup(
                 external_accel, "external_accel")(omega)
         return SpectrumRecord(omega, np.sqrt(psd), KIND_ASD, "Hz/rtHz")
-
-    def _default_grid(self, external_accel):
-        grids = [rec.omega for rec in (external_accel,
-                                       self.readout_noise
-                                       if isinstance(self.readout_noise, SpectrumRecord)
-                                       else None)
-                 if rec is not None]
-        if not grids:
-            raise DomainError("no frequency grid given and no gridded inputs")
-        lo = max(g[0] for g in grids)
-        hi = min(g[-1] for g in grids)
-        if lo >= hi:
-            raise DomainError("input spectra have no overlapping band")
-        base = grids[0]
-        return base[(base >= lo) & (base <= hi)]
 
     def acceleration_equivalent(self, res: MechanicalResonator) -> dict:
         """Acceleration equivalent of the dynamic range, both readings.
@@ -273,15 +255,9 @@ def phase_from_csv(path, heterodyne_frequency: float, lpf_corner: float):
     Returns (t, unwrapped phase in rad). The sample rate is taken from the
     first two timestamps; ``#`` comment lines are skipped.
     """
-    import csv
-
-    t, values = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#") or row[0] == "t_s":
-                continue
-            t.append(float(row[0]))
-            values.append(float(row[1]))
+    rows = [row for row in read_rows(path)[0] if row[0] != "t_s"]
+    t = [float(row[0]) for row in rows]
+    values = [float(row[1]) for row in rows]
     if len(t) < 2:
         raise ConfigError(f"{path}: need at least two samples")
     t = np.asarray(t)

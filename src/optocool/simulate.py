@@ -297,10 +297,14 @@ class MonteCarloResult:
     stationary: bool       # False when the steady window still drifts
 
 
+def _steady_window(trace: SimTrace) -> np.ndarray:
+    """The second half of the trace: the transient is discarded."""
+    return trace.x[trace.x.size // 2:]
+
+
 def steady_state_variance(trace: SimTrace) -> float:
-    """Variance of the second half of the trace (transient discarded)."""
-    tail = trace.x[trace.x.size // 2:]
-    return float(np.var(tail))
+    """Variance of the steady-state window of the trace."""
+    return float(np.var(_steady_window(trace)))
 
 
 def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
@@ -336,8 +340,8 @@ def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
     for k in range(n_seeds):
         trace = simulate(replace(cfg, seed=cfg.seed + k), res,
                          chain=chain, hli=hli)
-        tail = trace.x[trace.x.size // 2:]
-        variances.append(float(np.var(tail)))
+        variances.append(steady_state_variance(trace))
+        tail = _steady_window(trace)
         half = tail.size // 2
         q3_vars.append(float(np.var(tail[:half])))
         q4_vars.append(float(np.var(tail[half:])))

@@ -1,4 +1,4 @@
-"""Spectral-density carrier and CSV input/output.
+"""Spectral-density carrier and the artifact file format.
 
 Conventions used throughout the toolkit:
 
@@ -7,13 +7,22 @@ Conventions used throughout the toolkit:
   carries plain frequency in Hz (``freq_hz = omega / 2 pi``).
 * A variance is recovered from a PSD as ``integral S(omega) d omega / 2 pi``,
   i.e. densities are "per Hz" regardless of the grid being angular.
+
+Every artifact is written by `write_artifact` and read by `read_rows`, the
+only code that knows the format: a block of ``# `` header lines, then
+either ``key = value`` text lines or a CSV table under a header row. Floats
+and complex values are written by ``repr``, and a non-finite one is refused
+with a `DomainError`, so no file full of ``nan`` is ever written. Readers
+skip blank rows and rows whose first cell starts with ``#``.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -93,25 +102,7 @@ class SpectrumRecord:
         if self.kind != KIND_ASD:
             raise DomainError("only an ASD can be squared into a PSD")
         return SpectrumRecord(self.omega, self.values ** 2, KIND_PSD,
-                              _squared_unit(self.unit), dict(self.meta))
-
-    def to_asd(self) -> "SpectrumRecord":
-        if self.kind == KIND_ASD:
-            return self
-        if self.kind != KIND_PSD:
-            raise DomainError("only a PSD can be rooted into an ASD")
-        return SpectrumRecord(self.omega, np.sqrt(self.values), KIND_ASD,
-                              _root_unit(self.unit), dict(self.meta))
-
-
-def _squared_unit(unit: str) -> str:
-    return f"({unit})^2"
-
-
-def _root_unit(unit: str) -> str:
-    if unit.startswith("(") and unit.endswith(")^2"):
-        return unit[1:-3]
-    return f"sqrt({unit})"
+                              f"({self.unit})^2", dict(self.meta))
 
 
 def psd_lookup(value, what: str):
@@ -128,33 +119,76 @@ def psd_lookup(value, what: str):
     return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
 
-def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
-    """Write ``freq_hz,value,unit`` rows, preceded by ``#`` header lines."""
+def write_artifact(path, header_lines, body=(), columns=None) -> None:
+    """Write ``# `` header lines, then a CSV table or text lines.
+
+    With ``columns`` the body is table rows; without, each body item is a
+    plain line or a ``(key, value)`` pair. The file is opened only once
+    the whole of it is formatted, so a refused value writes nothing.
+    """
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["freq_hz", "value", "unit"])
-    for nu, val in zip(record.freq_hz, record.values):
-        writer.writerow([repr(float(nu)), _format_value(val), record.unit])
+    if columns is None:
+        for line in body:
+            if not isinstance(line, str):
+                key, value = line
+                line = f"{key} = {_cell(value, f'{path}: {key}')}"
+            buf.write(line + "\n")
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        where = [f"{path}: column {name}" for name in columns]
+        for row in body:
+            writer.writerow(list(map(_cell, row, where)))
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
 
-def _format_value(val):
-    if isinstance(val, complex) or np.iscomplexobj(val):
-        return repr(complex(val))
-    return repr(float(val))
+def _cell(value, where: str):
+    """One written value: floats and complex by ``repr``, finite only."""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+    elif isinstance(value, (complex, np.complexfloating)):
+        value = complex(value)
+    elif isinstance(value, np.integer):
+        return int(value)
+    else:
+        return value
+    if not cmath.isfinite(value):
+        raise DomainError(f"{where}: non-finite value {value!r}")
+    return repr(value)
+
+
+def read_rows(path):
+    """Data rows and ``#`` comment rows of an artifact, as lists of strings.
+
+    Blank rows are dropped; a row is a comment when its first cell starts
+    with ``#`` after leading whitespace.
+    """
+    rows, comments = [], []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if row:
+                (comments if row[0].lstrip().startswith("#")
+                 else rows).append(row)
+    return rows, comments
+
+
+def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
+    """Write ``freq_hz,value,unit`` rows, preceded by ``#`` header lines."""
+    rows = zip(record.freq_hz.tolist(), record.values.tolist(),
+               repeat(record.unit))
+    write_artifact(path, header_lines, rows,
+                   columns=["freq_hz", "value", "unit"])
 
 
 def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:
     """Read a ``freq_hz,value,unit`` CSV back into a record."""
-    freqs, vals, unit = [], [], ""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
+    rows, _ = read_rows(path)
     if not rows or [c.strip() for c in rows[0][:2]] != ["freq_hz", "value"]:
         raise DomainError(f"{path}: expected header 'freq_hz,value,unit'")
+    freqs, vals, unit = [], [], ""
     for row in rows[1:]:
         freqs.append(float(row[0]))
         vals.append(complex(row[1]) if kind == KIND_RESPONSE else float(row[1]))
@@ -169,23 +203,16 @@ def read_noise_csv(path, default_unit="m/rtHz") -> SpectrumRecord:
     The unit may be tagged with a ``# unit: <label>`` comment line;
     otherwise ``default_unit`` applies.
     """
-    freqs, vals = [], []
+    rows, comments = read_rows(path)
     unit = default_unit
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            first = row[0].lstrip()
-            if first.startswith("#"):
-                tag = first.lstrip("#").strip()
-                if tag.lower().startswith("unit"):
-                    unit = tag.split(":", 1)[1].strip() if ":" in tag else unit
-                continue
-            if first == "freq_hz":
-                continue
-            freqs.append(float(row[0]))
-            vals.append(float(row[1]))
-    if not freqs:
+    for row in comments:
+        tag = row[0].lstrip().lstrip("#").strip()
+        if tag.lower().startswith("unit") and ":" in tag:
+            unit = tag.split(":", 1)[1].strip()
+    rows = [row for row in rows if row[0].lstrip() != "freq_hz"]
+    if not rows:
         raise DomainError(f"{path}: no data rows")
+    freqs = [float(row[0]) for row in rows]
+    vals = [float(row[1]) for row in rows]
     return SpectrumRecord(TWO_PI * np.asarray(freqs), np.asarray(vals),
                           KIND_ASD, unit)

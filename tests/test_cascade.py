@@ -6,8 +6,8 @@ import pytest
 
 from optocool import (CascadeConfig, DomainError, InfeasibleError,
                       compare_single_step, effective_temperature,
-                      handover_check, noise_temperature, optimal_gain,
-                      plan_cascade, variance_evolution)
+                      noise_temperature, optimal_gain, plan_cascade,
+                      variance_evolution)
 
 HLI_PSD = (5e-12) ** 2
 
@@ -191,26 +191,25 @@ class TestHandoverCheck:
                                 hli, fpi)
         final = schedule.stages[-1]
         assert math.sqrt(final.variance_out) < 1e-9
-        assert handover_check(final, fpi)
+        assert final.handover
 
     def test_large_rms_fails(self, chain, resonator, hli, fpi):
         schedule = plan_cascade(paper_cascade_config(), chain, resonator,
                                 hli, fpi)
         first = schedule.stages[0]
         assert math.sqrt(first.variance_out) > 1e-6
-        assert not handover_check(first, fpi)
+        assert not first.handover
 
     def test_boundary_is_strict(self, chain, resonator, hli, fpi):
-        # shared convention with the capture check: equality does not
-        # hand over
+        # a stage hands over iff the capture check passes on its exit rms,
+        # and equality with the capture range does not hand over
         schedule = plan_cascade(paper_cascade_config(), chain, resonator,
                                 hli, fpi)
-        stage = replace(schedule.stages[0],
-                        variance_out=fpi.capture_range() ** 2)
-        assert not handover_check(stage, fpi)
-        just_below = replace(stage,
-                             variance_out=(0.999 * fpi.capture_range()) ** 2)
-        assert handover_check(just_below, fpi)
+        for stage in schedule.stages:
+            assert stage.handover == fpi.capture_check(
+                math.sqrt(stage.variance_out))
+        assert not fpi.capture_check(math.sqrt(fpi.capture_range() ** 2))
+        assert fpi.capture_check(math.sqrt((0.999 * fpi.capture_range()) ** 2))
 
 
 class TestCompareSingleStep:

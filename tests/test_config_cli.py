@@ -248,8 +248,19 @@ class TestCli:
             run_command(["--out", str(out), "cool", "optimum"])
             run_command(["--out", str(out), "susceptibility", "--gains", "100"])
             run_command(["--out", str(out), "simulate"])
+            run_command(["--out", str(out), "noise-budget"])
+            run_command(["--out", str(out), "cool", "sweep",
+                         "--gains", "1,30,3000", "--noise", "5e-12"])
+            run_command(["--out", str(out), "cascade", "run"])
+            run_command(["--out", str(out), "chain", "report"])
+            # one input for both runs: the psd header names its input path
+            run_command(["--out", str(out), "psd",
+                         "--input", str(a / "trace.csv")])
         for name in ("paper_report.txt", "cool_optimum.txt",
-                     "susceptibility_g100.csv", "trace.csv", "simulate.txt"):
+                     "susceptibility_g100.csv", "trace.csv", "simulate.txt",
+                     "noise_budget.csv", "cool_sweep_noise5e-12.csv",
+                     "cascade_g1.csv", "cascade_g1_timeseries.csv",
+                     "cascade_g1.txt", "chain_report.txt", "psd_x_m.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_noise_budget_counts_readout_noise_once(self, tmp_path):
@@ -280,3 +291,91 @@ class TestCli:
         text = "\n".join(header)
         assert "resonator.mass" in text
         assert "sim.seed" in text
+
+
+def _interleave_comments(text: str, every: int = 7) -> str:
+    """Put a blank line and an indented ``#`` comment between data rows."""
+    lines = text.splitlines(keepends=True)
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line)
+        if i % every == every - 1:
+            out.append("\n   # a note, with a comma\n")
+    return "".join(out)
+
+
+def _body(path) -> list:
+    """Artifact lines that name neither the header nor the input path."""
+    return [l for l in path.read_text().splitlines()
+            if not l.startswith(("#", "input = "))]
+
+
+class TestArtifactFormat:
+    def test_nan_gain_refused(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "susceptibility",
+                     "--gains", "nan"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config:")
+        assert "\n" not in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_infinite_mass_refused(self, tmp_path, capsys):
+        config = tmp_path / "heavy.ini"
+        config.write_text(MINIMAL.replace("mass = 2.6 g", "mass = inf g"))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "cool", "optimum"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: DomainError:")
+        assert "cool_optimum.txt" in err
+        assert "\n" not in err
+        assert not (out / "cool_optimum.txt").exists()
+
+    def test_comments_between_rows_psd(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")
+        clean, messy = tmp_path / "clean", tmp_path / "messy"
+        run_command(["--config", str(cfg_path), "--out", str(clean),
+                     "simulate"])
+        trace = clean / "trace.csv"
+        messy_trace = tmp_path / "messy_trace.csv"
+        messy_trace.write_text(_interleave_comments(trace.read_text()))
+        for out, path in ((clean, trace), (messy, messy_trace)):
+            run_command(["--config", str(cfg_path), "--out", str(out), "psd",
+                         "--input", str(path), "--segment", "1024"])
+        assert _body(clean / "psd_x_m.csv") == _body(messy / "psd_x_m.csv")
+
+    def test_comments_between_rows_ringdown(self, tmp_path, resonator):
+        gamma = float(resonator.damping_rate(resonator.omega0))
+        t = np.linspace(0, 6 / gamma, 200)
+        env = resonator.ringdown_envelope(1e-6, t)
+        text = "t_s,value\n" + "".join(
+            f"{float(ti)!r},{float(vi)!r}\n" for ti, vi in zip(t, env))
+        clean, messy = tmp_path / "clean", tmp_path / "messy"
+        for out, body in ((clean, text), (messy, _interleave_comments(text))):
+            out.mkdir()
+            (out / "decay.csv").write_text(body)
+            run_command(["--out", str(out), "ringdown-fit",
+                         "--input", str(out / "decay.csv"),
+                         "--frequency", "4.72"])
+        assert (_body(clean / "ringdown_fit.txt")
+                == _body(messy / "ringdown_fit.txt"))
+
+    def test_psd_empty_input(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("# only a comment\n\n")
+        assert main(["--out", str(tmp_path), "psd",
+                     "--input", str(path)]) == 2
+        assert "empty file" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="empty file"):
+            run_command(["--out", str(tmp_path), "psd", "--input", str(path)])
+
+    def test_psd_missing_column(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_s,x_m\n0.0,1.0\n0.1,2.0\n")
+        assert main(["--out", str(tmp_path), "psd", "--input", str(path),
+                     "--column", "y_m"]) == 2
+        assert "no column 'y_m'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="no column"):
+            run_command(["--out", str(tmp_path), "psd", "--input", str(path),
+                         "--column", "y_m"])

@@ -134,10 +134,6 @@ class TestFpiOutputSpectrum:
                         * res.thermal_accel_asd(omega))
             np.testing.assert_allclose(rec.values, expected, rtol=1e-12)
 
-    def test_no_grid_anywhere_raises(self, fpi, resonator):
-        with pytest.raises(DomainError):
-            fpi.output_spectrum(resonator, 0.0)
-
     def test_acceleration_equivalent_both_readings(self, fpi, resonator):
         eq = fpi.acceleration_equivalent(resonator)
         assert eq["as_written_g"] == pytest.approx(7.770213129790779e-9, rel=1e-9)
