@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import KB
 from .cooling import analytic_variance, optimal_gain
-from .errors import DomainError, InfeasibleError, PowerLimitError
+from .errors import DomainError, InfeasibleError
 from .feedback import FeedbackChain, max_dac_gain
 from .readout import FpiReadout, HliReadout
 from .resonator import MechanicalResonator
@@ -89,9 +89,9 @@ class CascadeConfig:
     def __post_init__(self):
         if not self.initial_gain > 0.0:
             raise DomainError("initial_gain must be > 0")
-        if self.n_settle < 1.0:
+        if not self.n_settle >= 1.0:
             raise DomainError("n_settle must be >= 1")
-        if self.safety_factor < 1.0:
+        if not self.safety_factor >= 1.0:
             raise DomainError("safety_factor must be >= 1")
         if self.termination not in (TERMINATE_GAIN, TERMINATE_HANDOVER):
             raise DomainError("termination must be 'gain' or 'handover'")
@@ -146,10 +146,6 @@ class CascadeSchedule:
     handover_stage: int | None
 
     @property
-    def final_variance(self) -> float:
-        return self.stages[-1].variance_out
-
-    @property
     def final_t_eff(self) -> float:
         return self.stages[-1].t_eff_out
 
@@ -163,7 +159,6 @@ class CascadeSchedule:
                 val = variance_evolution(stage.gain, stage.variance_in,
                                          self.gamma_m, tau)
                 return max(val, stage.variance_floor)
-        return self.final_variance
 
     def t_eff_at(self, t: float) -> float:
         return self.teff_scale * self.variance_at(t)
@@ -290,13 +285,7 @@ def compare_single_step(g_target: float, cfg: CascadeConfig,
     gamma = float(res.damping_rate(res.omega0))
     span0 = cfg.starting_span()
     dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength, span0)
-    single_chain = chain.with_dac_gain(dac0)
-    single_power = single_chain.required_power(res, g_target)
-    try:
-        single_chain.power_for_gain(res, g_target)
-        exceeds = False
-    except PowerLimitError:
-        exceeds = True
+    single_power = chain.with_dac_gain(dac0).required_power(res, g_target)
     single_time = cfg.n_settle / ((1.0 + g_target) * gamma)
 
     schedule = plan_cascade(replace(cfg, target_gain=g_target),
@@ -306,7 +295,7 @@ def compare_single_step(g_target: float, cfg: CascadeConfig,
     return SingleStepComparison(
         target_gain=g_target,
         single_power=single_power, single_time=single_time,
-        single_exceeds_threshold=exceeds,
+        single_exceeds_threshold=single_power > chain.eoam.damage_threshold,
         cascade_power=schedule.power, cascade_time=schedule.total_time,
         cascade_stages=len(schedule.stages),
         power_ratio=power_ratio, time_ratio=time_ratio,

@@ -21,8 +21,9 @@ from .cascade import compare_single_step, plan_cascade
 from .config import ExperimentConfig, load_config
 from .constants import TWO_PI
 from .cooling import (CoolingSetup, closed_loop_variance,
-                      effective_temperature, effective_temperature_floor,
-                      noise_temperature, optimal_gain)
+                      effective_susceptibility, effective_temperature,
+                      effective_temperature_floor, noise_temperature,
+                      optimal_gain)
 from .errors import ConfigError
 from .feedback import actuator_gain
 from .psd import estimate_psd
@@ -64,8 +65,6 @@ def _gain_grid(res, g: float) -> np.ndarray:
 
 def _cmd_susceptibility(args, cfg: ExperimentConfig, out: Path) -> None:
     res = cfg.resonator()
-    from .cooling import effective_susceptibility
-
     for g in _parse_float_list(args.gains):
         omega = _gain_grid(res, g)
         chi = effective_susceptibility(res, g, omega)
@@ -144,7 +143,7 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
     base = cfg.cascade_config()
     g0_list = _parse_float_list(args.g0) if args.g0 else [base.initial_gain]
     for g0 in g0_list:
-        ccfg = replace(base, initial_gain=g0, power=None)
+        ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
         tag = _format_gain(g0)
         stage_rows = [(s.index, s.gain, s.dac_gain, s.start, s.duration,

@@ -24,7 +24,8 @@ from .readout import FpiReadout, HliReadout
 from .resonator import MechanicalResonator
 from .simulate import PRESET_QUALITIES, SimConfig, preset_resonator
 
-# suffix -> factor, per quantity kind; angular kinds store rad/s
+# suffix -> factor, per quantity kind; angular kinds store rad/s. The
+# factor-1.0 suffix of each kind is its SI label in `ExperimentConfig.echo`.
 _UNITS = {
     "mass": {"kg": 1.0, "g": 1e-3, "mg": 1e-6},
     "angular_frequency": {"rad/s": 1.0, "Hz": TWO_PI, "mHz": TWO_PI * 1e-3,
@@ -42,13 +43,6 @@ _UNITS = {
     "frequency_asd": {"Hz/rtHz": 1.0},
     "force_psd": {"N^2/Hz": 1.0},
     "dac_gain": {"V/rad": 1.0},
-}
-
-_SI_LABEL = {
-    "mass": "kg", "angular_frequency": "rad/s", "plain_frequency": "Hz",
-    "length": "m", "temperature": "K", "voltage": "V", "power": "W",
-    "angle": "rad", "time": "s", "displacement_asd": "m/rtHz",
-    "frequency_asd": "Hz/rtHz", "force_psd": "N^2/Hz", "dac_gain": "V/rad",
 }
 
 _REQUIRED = object()
@@ -239,8 +233,9 @@ class ExperimentConfig:
                 val = self.values[section][key]
                 if isinstance(val, str):
                     rendered = val
-                elif spec.kind in _SI_LABEL:
-                    rendered = f"{val!r} {_SI_LABEL[spec.kind]}"
+                elif spec.kind in _UNITS:
+                    si = next(u for u, f in _UNITS[spec.kind].items() if f == 1.0)
+                    rendered = f"{val!r} {si}"
                 else:
                     rendered = repr(val)
                 lines.append(f"{section}.{key} = {rendered}")

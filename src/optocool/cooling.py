@@ -6,7 +6,9 @@ loop one with gamma_m replaced by (1+g) gamma_m. The price is that readout
 imprecision is fed back as a real force; balancing the two yields an optimal
 gain and a floor on the reachable effective temperature.
 
-This module is the one home of the closed-loop model: the readout output
+This module is the one home of the closed-loop model: `closed_loop_psd` is
+the one closed-loop spectrum, and its thermal, feedthrough and external
+parts are the integrands of `closed_loop_variance`. The readout output
 spectrum composes `effective_susceptibility`, and the cascade planner's
 per-stage floor is `analytic_variance`. Only the time-domain simulator keeps
 its own (viscous-equivalent) feedback rate.
@@ -72,7 +74,7 @@ class CoolingSetup:
     external_force_psd: float | SpectrumRecord | None = None
 
     def __post_init__(self):
-        if self.gain < 0.0:
+        if not self.gain >= 0.0:
             raise DomainError("gain must be >= 0")
         if self.imprecision_psd is None:
             raise DomainError("imprecision_psd is required")
@@ -111,17 +113,36 @@ class ClosedLoopVariance:
     analytic: CoolingResult
 
 
+def _parts(setup: CoolingSetup):
+    """S_n and the thermal, feedthrough and external parts of S_xx, m^2/Hz.
+
+    Each part is a function of omega with its density looked up once here.
+    The builtin ``abs(z) ** 2`` is deliberate: on a NumPy complex scalar,
+    ``np.abs(z) ** 2`` can differ in the last bit.
+    """
+    res, g = setup.res, setup.gain
+    s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
+    s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
+
+    def chi2(w):
+        return abs(effective_susceptibility(res, g, w)) ** 2
+
+    def thermal(w):
+        return chi2(w) * res.thermal_force_psd(w)
+
+    def feedthrough(w):
+        return chi2(w) * abs(derivative_feedback(res, g, w)) ** 2 * s_n(w)
+
+    def external(w):
+        return chi2(w) * s_ext(w)
+
+    return s_n, thermal, feedthrough, external
+
+
 def closed_loop_psd(setup: CoolingSetup, omega):
     """Closed-loop displacement PSD S_xx(omega), m^2/Hz."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise DomainError("omega must be > 0")
-    chi2 = np.abs(effective_susceptibility(setup.res, setup.gain, omega)) ** 2
-    fb2 = np.abs(derivative_feedback(setup.res, setup.gain, omega)) ** 2
-    s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
-    s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
-    return chi2 * (setup.res.thermal_force_psd(omega) + s_ext(omega)
-                   + fb2 * s_n(omega))
+    _, thermal, feedthrough, external = _parts(setup)
+    return thermal(omega) + feedthrough(omega) + external(omega)
 
 
 def _integrate_band(func, res, g, what: str) -> float:
@@ -144,13 +165,12 @@ def _integrate_band(func, res, g, what: str) -> float:
 def noise_temperature(res: MechanicalResonator, imprecision_psd) -> float:
     """Apparent temperature of the readout imprecision, K.
 
-    T_n = m omega0^2 <x_n^2> / kB with <x_n^2> = gamma_m S_xx^n(omega0) / 4.
+    T_n = m omega0^2 <x_n^2> / kB with <x_n^2> from `imprecision_variance`.
     """
-    s_n = float(psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0))
-    if not s_n > 0.0:
+    x_n2 = imprecision_variance(res, imprecision_psd)
+    if not x_n2 > 0.0:
         raise DomainError("imprecision PSD must be > 0 at omega0")
-    gm = float(res.damping_rate(res.omega0))
-    return res.mass * res.omega0 ** 2 * gm * s_n / (4.0 * KB)
+    return res.mass * res.omega0 ** 2 * x_n2 / KB
 
 
 def open_loop_thermal_variance(res: MechanicalResonator) -> float:
@@ -183,34 +203,23 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     The external term is integrated numerically in both routes.
     """
     res, g = setup.res, setup.gain
-    s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
-    s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
-
-    def chi2(w):
-        return abs(effective_susceptibility(res, g, w)) ** 2
-
-    def fb2(w):
-        return abs(derivative_feedback(res, g, w)) ** 2
-
-    thermal_num = _integrate_band(
-        lambda w: chi2(w) * float(res.thermal_force_psd(w)), res, g, "thermal")
-    feed_num = _integrate_band(
-        lambda w: chi2(w) * fb2(w) * float(s_n(w)), res, g, "feedthrough")
+    s_n, thermal, feedthrough, external = _parts(setup)
+    thermal_num = _integrate_band(thermal, res, g, "thermal")
+    feed_num = _integrate_band(feedthrough, res, g, "feedthrough")
     if setup.external_force_psd is not None:
-        ext = _integrate_band(
-            lambda w: chi2(w) * float(s_ext(w)), res, g, "external")
+        ext = _integrate_band(external, res, g, "external")
     else:
         ext = 0.0
 
     s_n0 = float(s_n(res.omega0))
-    t_n = noise_temperature(res, setup.imprecision_psd) if s_n0 > 0.0 else 0.0
+    t_n = noise_temperature(res, s_n0) if s_n0 > 0.0 else 0.0
     scale = res.mass * res.omega0 ** 2 / KB
 
     total_num = thermal_num + feed_num + ext
     numeric = CoolingResult(total_num, thermal_num, feed_num, ext,
                             t_eff=scale * total_num, t_n=t_n)
 
-    thermal_an, feed_an = analytic_variance(res, g, setup.imprecision_psd)
+    thermal_an, feed_an = analytic_variance(res, g, s_n0)
     total_an = thermal_an + feed_an + ext
     analytic = CoolingResult(total_an, thermal_an, feed_an, ext,
                              t_eff=scale * total_an, t_n=t_n)

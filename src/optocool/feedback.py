@@ -72,15 +72,10 @@ class FeedbackChain:
     wavelength: float
 
     def __post_init__(self):
-        if self.dac_gain < 0.0:
+        if not self.dac_gain >= 0.0:
             raise DomainError("dac_gain must be >= 0")
         if not self.wavelength > 0.0:
             raise DomainError("wavelength must be > 0")
-
-    @property
-    def actuator(self) -> float:
-        """Radiation-pressure actuator gain, fixed at 2/c N/W."""
-        return actuator_gain()
 
     def static_gain(self) -> float:
         """Force per unit apparent displacement at the bias point, N/m.
@@ -89,7 +84,7 @@ class FeedbackChain:
         and displacement-to-phase (2 pi / wavelength), equal to the closed
         form 4 pi^2 G_DAC P0 sin(2 theta) / (c wavelength Vpi).
         """
-        return (self.actuator * self.eoam.gain() * self.dac_gain
+        return (actuator_gain() * self.eoam.gain() * self.dac_gain
                 * TWO_PI / self.wavelength)
 
     def gain_factor(self, res: MechanicalResonator) -> float:

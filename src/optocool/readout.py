@@ -198,7 +198,7 @@ class Phasemeter:
         k = 2.0 * sample_rate
         self._b = wc / (k + wc)
         self._a1 = (wc - k) / (k + wc)
-        self._zi = None  # filter states [I, Q]
+        self._zi = (np.zeros(1), np.zeros(1))  # filter states [I, Q]
         self._n = 0      # samples consumed
         self._last_phase = None
 
@@ -210,10 +210,8 @@ class Phasemeter:
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n
         i_raw = 2.0 * samples * np.cos(phase_lo)
         q_raw = -2.0 * samples * np.sin(phase_lo)
-        i_f, zi_i = _first_order_lowpass(i_raw, self._b, self._a1,
-                                         None if self._zi is None else self._zi[0])
-        q_f, zi_q = _first_order_lowpass(q_raw, self._b, self._a1,
-                                         None if self._zi is None else self._zi[1])
+        i_f, zi_i = _first_order_lowpass(i_raw, self._b, self._a1, self._zi[0])
+        q_f, zi_q = _first_order_lowpass(q_raw, self._b, self._a1, self._zi[1])
         self._zi = (zi_i, zi_q)
         phase = np.arctan2(q_f, i_f)
         if self._last_phase is not None:
@@ -230,14 +228,12 @@ class Phasemeter:
         return self.process(samples) * self.wavelength / TWO_PI
 
 
-def _first_order_lowpass(x, b, a1, zi=None):
+def _first_order_lowpass(x, b, a1, zi):
     # y[n] = b x[n] + b x[n-1] - a1 y[n-1], direct form I with carried state
     from scipy.signal import lfilter
 
     bcoef = np.array([b, b])
     acoef = np.array([1.0, a1])
-    if zi is None:
-        zi = np.zeros(1)
     y, zf = lfilter(bcoef, acoef, x, zi=zi)
     return y, zf
 

@@ -13,7 +13,8 @@ sign convention,
     chi_m(omega) = 1 / ( m * (omega0^2 - omega^2 + i gamma_m(omega) omega) ),
 
 and the sign flip of displacement against frame acceleration lives only in
-`acceleration_transfer`.
+`acceleration_transfer`. Every frequency-domain method goes through
+`damping_rate`, the one place that validates omega (finite and > 0).
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ import numpy as np
 
 from .constants import KB
 from .errors import DomainError, FitError
-
-
-def _check_omega(omega):
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
-        raise DomainError("omega must be finite and > 0")
-    return omega
 
 
 @dataclass(frozen=True)
@@ -60,25 +54,22 @@ class MechanicalResonator:
             raise DomainError("omega0 must be > 0")
         if not self.q_internal > 0.0:
             raise DomainError("q_internal must be > 0")
-        if self.gamma_viscous < 0.0:
+        if not self.gamma_viscous >= 0.0:
             raise DomainError("gamma_viscous must be >= 0")
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:
             raise DomainError("temperature must be >= 0")
+        if not math.isfinite(self.loss_exponent):
+            raise DomainError("loss_exponent must be finite")
 
     # -- damping model -------------------------------------------------
 
-    def loss_coefficient(self, omega):
-        """phi(omega), dimensionless internal loss."""
-        omega = _check_omega(omega)
-        phi0 = 1.0 / self.q_internal
-        if self.loss_exponent == 0.0:
-            return np.broadcast_to(phi0, omega.shape).copy() if omega.ndim else phi0
-        return phi0 * (omega / self.omega0) ** self.loss_exponent
-
     def damping_rate(self, omega):
         """gamma_m(omega) = gamma_v + omega0^2 phi(omega) / omega, rad/s."""
-        omega = _check_omega(omega)
-        return self.gamma_viscous + self.omega0 ** 2 * self.loss_coefficient(omega) / omega
+        omega = np.asarray(omega, dtype=float)
+        if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
+            raise DomainError("omega must be finite and > 0")
+        phi = (1.0 / self.q_internal) * (omega / self.omega0) ** self.loss_exponent
+        return self.gamma_viscous + self.omega0 ** 2 * phi / omega
 
     def quality_factor(self) -> float:
         """Q at resonance, omega0 / gamma_m(omega0), viscous part included."""
@@ -91,7 +82,7 @@ class MechanicalResonator:
 
     def force_susceptibility(self, omega):
         """chi_m(omega), displacement per unit force, complex m/N."""
-        omega = _check_omega(omega)
+        omega = np.asarray(omega, dtype=float)
         gm = self.damping_rate(omega)
         return 1.0 / (self.mass * (self.omega0 ** 2 - omega ** 2 + 1j * gm * omega))
 
@@ -106,14 +97,10 @@ class MechanicalResonator:
 
     def thermal_accel_asd(self, omega):
         """Thermal acceleration noise floor, m s^-2 / rtHz."""
-        omega = _check_omega(omega)
-        if self.temperature == 0.0:
-            return np.zeros_like(omega) if omega.ndim else 0.0
         return np.sqrt(4.0 * KB * self.temperature / self.mass * self.damping_rate(omega))
 
     def thermal_force_psd(self, omega):
         """Thermal (Langevin) force PSD, N^2/Hz; m^2 a_th^2 by construction."""
-        omega = _check_omega(omega)
         return 4.0 * KB * self.temperature * self.mass * self.damping_rate(omega)
 
     # -- ringdown --------------------------------------------------------
@@ -139,18 +126,15 @@ class RingdownFit:
     n_points: int
 
 
-def extract_envelope(t, x, omega0=None):
+def extract_envelope(t, x, omega0):
     """Pick the absolute-value peak of each oscillation cycle.
 
-    Returns (t_peaks, amplitudes). ``omega0`` is estimated from zero
-    crossings when not given.
+    Returns (t_peaks, amplitudes); ``omega0`` sets the cycle length.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if t.shape != x.shape or t.ndim != 1:
         raise DomainError("t and x must be equal-length 1-d arrays")
-    if omega0 is None:
-        omega0 = _omega_from_zero_crossings(t, x)
     period = 2.0 * math.pi / omega0
     dt = float(np.median(np.diff(t)))
     per_cycle = max(int(round(period / dt)), 2)

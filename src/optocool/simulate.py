@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import C_LIGHT, KB, TWO_PI
+from .constants import C_LIGHT, TWO_PI
+from .cooling import open_loop_thermal_variance
 from .errors import ConfigError, DivergenceError, DomainError
 from .feedback import FeedbackChain
 from .readout import HliReadout
@@ -64,7 +65,7 @@ class SimConfig:
     duration        : s
     dt              : s; None picks 1/(100 f0)
     seed            : 64-bit stream seed
-    x0, v0          : initial state, m and m/s
+    x0              : initial position, m (the mass starts at rest)
     external        : "none", "sine", or "samples"
     ext_amplitude   : N, sine amplitude
     ext_frequency   : Hz, sine frequency
@@ -79,7 +80,6 @@ class SimConfig:
     dt: float | None = None
     seed: int = 0
     x0: float = 0.0
-    v0: float = 0.0
     external: str = "none"
     ext_amplitude: float = 0.0
     ext_frequency: float = 0.0
@@ -96,7 +96,7 @@ class SimConfig:
             raise ConfigError(f"unknown external force mode {self.external!r}")
         if self.controller not in ("off", "derivative", "chain"):
             raise ConfigError(f"unknown controller mode {self.controller!r}")
-        if self.controller == "derivative" and self.gain < 0.0:
+        if self.controller == "derivative" and not self.gain >= 0.0:
             raise ConfigError("gain must be >= 0")
         if self.external == "samples" and self.ext_samples is None:
             raise ConfigError("ext_samples required for external = 'samples'")
@@ -201,7 +201,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 
     # independent seeded streams, one draw block per stream
     if res.temperature > 0.0:
-        sigma_f = math.sqrt(4.0 * KB * res.temperature * m * gamma * fs / 2.0)
+        sigma_f = math.sqrt(res.thermal_force_psd(res.omega0) * fs / 2.0)
         f_th = stream_rng(cfg.seed, STREAM_THERMAL).standard_normal(n) * sigma_f
     else:
         f_th = np.zeros(n)
@@ -212,8 +212,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         noise_y = np.zeros(n)
     f_ext = _external_force(cfg, n, dt)
 
-    thermal_rms = (math.sqrt(KB * res.temperature / (m * w2))
-                   if res.temperature > 0 else 0.0)
+    thermal_rms = math.sqrt(open_loop_thermal_variance(res))
     drive_rms = 0.0
     if cfg.external == "sine":
         drive_rms = abs(cfg.ext_amplitude) * res.quality_factor() / (m * w2)
@@ -248,7 +247,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     noise_y_l = noise_y.tolist()
 
     x = float(cfg.x0)
-    v = float(cfg.v0)
+    v = 0.0
     f_fb = 0.0
     inv_m = 1.0 / m
     for i in range(n):

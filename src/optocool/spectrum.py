@@ -73,9 +73,6 @@ class SpectrumRecord:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.omega.size
-
     @property
     def freq_hz(self) -> np.ndarray:
         return self.omega / TWO_PI
@@ -114,7 +111,7 @@ def psd_lookup(value, what: str):
     if isinstance(value, SpectrumRecord):
         return value.to_psd().interp
     value = 0.0 if value is None else float(value)
-    if value < 0.0:
+    if not value >= 0.0:
         raise DomainError(f"{what} must be >= 0")
     return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
@@ -197,14 +194,14 @@ def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:
     return SpectrumRecord(omega, np.asarray(vals), kind, unit)
 
 
-def read_noise_csv(path, default_unit="m/rtHz") -> SpectrumRecord:
+def read_noise_csv(path) -> SpectrumRecord:
     """Import a measured noise floor from a ``freq_hz,asd`` CSV.
 
     The unit may be tagged with a ``# unit: <label>`` comment line;
-    otherwise ``default_unit`` applies.
+    otherwise it is ``m/rtHz``.
     """
     rows, comments = read_rows(path)
-    unit = default_unit
+    unit = "m/rtHz"
     for row in comments:
         tag = row[0].lstrip().lstrip("#").strip()
         if tag.lower().startswith("unit") and ":" in tag:

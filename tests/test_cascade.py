@@ -182,6 +182,10 @@ class TestPlanCascade:
         with pytest.raises(DomainError):
             CascadeConfig(initial_span=1e-4, n_settle=0.5)
         with pytest.raises(DomainError):
+            CascadeConfig(initial_span=1e-4, n_settle=math.nan)
+        with pytest.raises(DomainError):
+            CascadeConfig(initial_span=1e-4, safety_factor=math.nan)
+        with pytest.raises(DomainError):
             CascadeConfig(initial_span=1e-4, termination="sometimes")
 
 

@@ -195,6 +195,38 @@ class TestCli:
                   if not l.startswith("#")]
         assert series[0] == "t_s,x2_m2,teff_K"
 
+    def test_cascade_uses_configured_power(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[cascade]\npower = 50 mW\n")
+        run_command(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "cascade", "run"])
+        summary = (tmp_path / "cascade_g1.txt").read_text().splitlines()
+        assert "optical_power_W = 0.05" in summary
+
+    def test_cascade_infeasible_power_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[cascade]\npower = 1 uW\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "cascade", "run"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: InfeasibleError:")
+        assert "minimum power" in err
+        assert "\n" not in err
+        assert list(out.glob("cascade_g1*")) == []
+
+    def test_nan_temperature_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL.replace("temperature = 300 K",
+                                            "temperature = nan K"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "simulate"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: DomainError: temperature")
+        assert "\n" not in err
+        assert not (out / "trace.csv").exists()
+
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from optocool import (CoolingSetup, DomainError, MechanicalResonator,
-                      closed_loop_psd, closed_loop_variance,
+                      SpectrumRecord, closed_loop_psd, closed_loop_variance,
                       derivative_feedback, effective_susceptibility,
                       effective_temperature, effective_temperature_floor,
                       noise_temperature, optimal_gain)
@@ -118,6 +119,30 @@ class TestVariance:
                 res.thermal + res.feedthrough + res.external, rel=1e-12, abs=0)
             assert min(res.thermal, res.feedthrough, res.external) >= 0.0
 
+    @pytest.mark.parametrize("kind", ["flat", "shaped", "external"])
+    def test_numeric_is_band_integral_of_psd(self, resonator, kind):
+        # quad oracle on the summed spectrum, independent of the per-part
+        # integrals; g = 100 keeps the kinks of the shaped record's linear
+        # interpolation from limiting quad below rtol 1e-9
+        w0 = resonator.omega0
+        imprecision, external = HLI_PSD, None
+        if kind == "shaped":
+            f = np.logspace(math.log10(0.4), math.log10(50.0), 200)
+            imprecision = SpectrumRecord(
+                2 * math.pi * f, 5e-12 * np.sqrt(1.0 + (2.5 / f) ** 4),
+                "asd", "m/rtHz")
+        elif kind == "external":
+            external = 3e-27
+        setup = CoolingSetup(resonator, 100.0, imprecision, external)
+        gamma_eff = 101.0 * float(resonator.damping_rate(w0))
+        points = [p for p in w0 + gamma_eff * np.arange(-10, 11)
+                  if w0 / 10 < p < 10 * w0]
+        value = quad(lambda w: closed_loop_psd(setup, w), w0 / 10, 10 * w0,
+                     points=points, limit=400, epsabs=0.0, epsrel=1e-10,
+                     full_output=1)[0]
+        assert closed_loop_variance(setup).numeric.variance == pytest.approx(
+            value / (2 * math.pi), rel=1e-9, abs=0)
+
     def test_analytic_vs_numeric_two_percent(self):
         # quadrature oracle over the narrow line, Q >= 1e3, g <= g_opt
         res = MechanicalResonator(mass=2.6e-3, omega0=2 * math.pi * 4.72,
@@ -229,3 +254,7 @@ class TestTemperatures:
             effective_temperature(resonator, 1.0, -1e-5)
         with pytest.raises(DomainError):
             noise_temperature(resonator, 0.0)
+        with pytest.raises(DomainError):
+            CoolingSetup(resonator, math.nan, HLI_PSD)
+        with pytest.raises(DomainError, match="imprecision_psd"):
+            closed_loop_variance(CoolingSetup(resonator, 10.0, math.nan))

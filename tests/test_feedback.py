@@ -59,6 +59,9 @@ class TestEoam:
             Eoam(half_wave_voltage=100.0, max_power=0.2, damage_threshold=0.1)
         with pytest.raises(DomainError):
             Eoam(half_wave_voltage=100.0, max_power=1e-3, bias_angle=2.0)
+        with pytest.raises(DomainError):
+            FeedbackChain(eoam=Eoam(half_wave_voltage=100.0, max_power=1e-3),
+                          dac_gain=math.nan, wavelength=1064e-9)
 
 
 class TestStaticGain:

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from optocool import (DomainError, FitError, KB, MechanicalResonator,
+from optocool import (CoolingSetup, DomainError, FitError, KB,
+                      MechanicalResonator, closed_loop_psd,
                       fit_q_from_ringdown)
 from optocool.resonator import extract_envelope
 
@@ -49,10 +51,20 @@ class TestSusceptibility:
         prod = val * resonator.mass * resonator.omega0 ** 2
         assert prod == pytest.approx(resonator.q_internal, rel=1e-9)
 
-    def test_rejects_bad_omega(self, resonator):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                resonator.force_susceptibility(bad)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("method", [
+        "damping_rate", "force_susceptibility", "acceleration_transfer",
+        "thermal_force_psd", "thermal_accel_asd", "closed_loop_psd"])
+    def test_rejects_bad_omega(self, resonator, method, bad):
+        # damping_rate is the one omega check; every method goes through it
+        if method == "closed_loop_psd":
+            setup = CoolingSetup(resonator, 10.0, imprecision_psd=1e-24,
+                                 external_force_psd=1e-30)
+            call = functools.partial(closed_loop_psd, setup)
+        else:
+            call = getattr(resonator, method)
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 class TestAccelerationTransfer:
@@ -96,6 +108,9 @@ class TestThermalNoise:
         cold = resonator.with_temperature(0.0)
         assert cold.thermal_accel_asd(resonator.omega0) == 0.0
         assert cold.thermal_force_psd(resonator.omega0) == 0.0
+        omega = np.logspace(-1, 1, 5) * resonator.omega0
+        assert np.array_equal(cold.thermal_accel_asd(omega), np.zeros(5))
+        assert np.array_equal(cold.thermal_force_psd(omega), np.zeros(5))
 
     def test_force_psd_value(self, resonator):
         val = resonator.thermal_force_psd(resonator.omega0)
@@ -195,6 +210,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             MechanicalResonator(mass=1.0, omega0=W0, q_internal=10.0,
                                 temperature=-1.0)
+
+    @pytest.mark.parametrize("field", [
+        "gamma_viscous", "temperature", "loss_exponent"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(DomainError, match=field):
+            MechanicalResonator(mass=1.0, omega0=W0, q_internal=10.0,
+                                **{field: math.nan})
+
+    def test_infinite_q_allowed(self):
+        # the desk-scale presets are purely viscous: q_internal = inf
+        res = MechanicalResonator(mass=1.0, omega0=W0, q_internal=math.inf,
+                                  gamma_viscous=W0 / 100.0)
+        assert res.quality_factor() == pytest.approx(100.0, rel=1e-12)
 
     def test_equipartition_reference(self, resonator):
         x2 = KB * resonator.temperature / (resonator.mass * resonator.omega0 ** 2)

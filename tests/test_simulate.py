@@ -195,6 +195,8 @@ class TestValidation:
             SimConfig(duration=1.0, controller="pid")
         with pytest.raises(ConfigError):
             SimConfig(duration=1.0, external="samples")
+        with pytest.raises(ConfigError):
+            SimConfig(duration=1.0, controller="derivative", gain=math.nan)
 
 
 class TestMonteCarlo:
