@@ -51,11 +51,16 @@ class TestSusceptibility:
         prod = val * resonator.mass * resonator.omega0 ** 2
         assert prod == pytest.approx(resonator.q_internal, rel=1e-9)
 
+    def test_rejects_bad_omega(self, resonator):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                resonator.force_susceptibility(bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("method", [
         "damping_rate", "force_susceptibility", "acceleration_transfer",
         "thermal_force_psd", "thermal_accel_asd", "closed_loop_psd"])
-    def test_rejects_bad_omega(self, resonator, method, bad):
+    def test_every_method_rejects_bad_omega(self, resonator, method, bad):
         # damping_rate is the one omega check; every method goes through it
         if method == "closed_loop_psd":
             setup = CoolingSetup(resonator, 10.0, imprecision_psd=1e-24,
