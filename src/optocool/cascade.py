@@ -44,10 +44,10 @@ def variance_evolution(g: float, x2_0: float, gamma_m: float, t) -> float:
 
     <x^2(t)> = x2_0 / (1+g) * (1 + g exp(-(1+g) gamma_m t))
     """
-    if g < 0.0:
+    if not g >= 0.0:
         raise DomainError("g must be >= 0")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise DomainError("t must be >= 0")
     out = x2_0 / (1.0 + g) * (1.0 + g * np.exp(-(1.0 + g) * gamma_m * t))
     return float(out) if out.ndim == 0 else out
@@ -151,7 +151,7 @@ class CascadeSchedule:
 
     def variance_at(self, t: float) -> float:
         """Scheduled variance at absolute time t, m^2 (clamped per stage)."""
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError("t must be >= 0")
         for stage in self.stages:
             if t < stage.start + stage.duration or stage is self.stages[-1]:

@@ -7,6 +7,10 @@ frequencies convert to angular units internally; plain-frequency keys
 (corners, tuning ranges) stay in Hz. Unknown sections or keys are rejected
 and missing required keys are reported with their full path. The resolved
 SI values are echoed into every output artifact.
+
+``_SCHEMA`` is the one statement of each key, its default and its allowed
+words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
+is parsed from its schema default exactly like a value from a file.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import io
 import math
 from dataclasses import dataclass
 
-from .cascade import CascadeConfig
+from .cascade import TERMINATE_GAIN, TERMINATE_HANDOVER, CascadeConfig
 from .constants import TWO_PI
 from .errors import ConfigError
 from .feedback import Eoam, FeedbackChain, max_dac_gain
 from .readout import FpiReadout, HliReadout
 from .resonator import MechanicalResonator
-from .simulate import PRESET_QUALITIES, SimConfig, preset_resonator
+from .simulate import CONTROLLERS, PRESET_QUALITIES, SimConfig, preset_resonator
 
 # suffix -> factor, per quantity kind; angular kinds store rad/s. The
 # factor-1.0 suffix of each kind is its SI label in `ExperimentConfig.echo`.
@@ -45,144 +49,90 @@ _UNITS = {
     "dac_gain": {"V/rad": 1.0},
 }
 
-_REQUIRED = object()
+# a key whose default is one of these words accepts either; both parse to None
+_SENTINELS = ("auto", "none")
 
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str                    # a _UNITS kind, "number", "integer", or "choice"
-    default: object = _REQUIRED
+    kind: str          # a _UNITS kind, "number", "integer", or "choice"
+    default: str       # exactly as DEFAULT_CONFIG writes it
     choices: tuple = ()
-    allow_auto: bool = False     # literal "auto" resolves later
+    required: bool = False
 
 
 _SCHEMA = {
     "resonator": {
-        "mass": _Key("mass"),
-        "frequency": _Key("angular_frequency"),
-        "q_internal": _Key("number"),
-        "viscous_rate": _Key("angular_frequency", default=0.0),
-        "temperature": _Key("temperature"),
-        "loss_exponent": _Key("number", default=0.0),
+        "mass": _Key("mass", "2.6 g", required=True),
+        "frequency": _Key("angular_frequency", "4.72 Hz", required=True),
+        "q_internal": _Key("number", "4.77e5", required=True),
+        "viscous_rate": _Key("angular_frequency", "0 rad/s"),
+        "temperature": _Key("temperature", "300 K", required=True),
+        "loss_exponent": _Key("number", "0"),
     },
     "fpi": {
-        "cavity_length": _Key("length"),
-        "wavelength": _Key("length"),
-        "tuning_range": _Key("plain_frequency"),
-        "finesse": _Key("number", default=1000.0),
-        "readout_noise_asd": _Key("frequency_asd", default=0.0),
+        "cavity_length": _Key("length", "50 mm", required=True),
+        "wavelength": _Key("length", "1064 nm", required=True),
+        "tuning_range": _Key("plain_frequency", "10 GHz", required=True),
+        "finesse": _Key("number", "1000"),
+        "readout_noise_asd": _Key("frequency_asd", "0 Hz/rtHz"),
     },
     "hli": {
-        "wavelength": _Key("length"),
-        "imprecision_asd": _Key("displacement_asd"),
-        "lpf_corner": _Key("plain_frequency", default=500.0),
-        "heterodyne_frequency": _Key("plain_frequency", default=1e4),
+        "wavelength": _Key("length", "1064 nm", required=True),
+        "imprecision_asd": _Key("displacement_asd", "5e-12 m/rtHz", required=True),
+        "lpf_corner": _Key("plain_frequency", "500 Hz"),
+        "heterodyne_frequency": _Key("plain_frequency", "10 kHz"),
     },
     "chain": {
-        "half_wave_voltage": _Key("voltage"),
-        "max_power": _Key("power"),
-        "bias_angle": _Key("angle", default=math.pi / 4.0),
-        "damage_threshold": _Key("power", default=0.1),
-        "dac_gain": _Key("dac_gain", default="auto", allow_auto=True),
-        "displacement_span": _Key("length", default=200e-6),
+        "half_wave_voltage": _Key("voltage", "200 V", required=True),
+        "max_power": _Key("power", "1.16 mW", required=True),
+        "bias_angle": _Key("angle", "45 deg"),
+        "damage_threshold": _Key("power", "100 mW"),
+        "dac_gain": _Key("dac_gain", "auto"),
+        "displacement_span": _Key("length", "200 um"),
     },
     "cooling": {
-        "gain": _Key("number", default=0.0),
-        "external_force_psd": _Key("force_psd", default=0.0),
+        "gain": _Key("number", "0"),
+        "external_force_psd": _Key("force_psd", "0 N^2/Hz"),
     },
     "cascade": {
-        "initial_gain": _Key("number", default=1.0),
-        "power": _Key("power", default="auto", allow_auto=True),
-        "n_settle": _Key("number", default=7.0),
-        "safety_factor": _Key("number", default=5.0),
-        "termination": _Key("choice", default="gain",
-                            choices=("gain", "handover")),
-        "max_stages": _Key("integer", default=64),
-        "initial_span": _Key("length", default=200e-6),
-        "target_gain": _Key("number", default="auto", allow_auto=True),
-        "fpi_imprecision_asd": _Key("displacement_asd", default=0.0),
+        "initial_gain": _Key("number", "1"),
+        "power": _Key("power", "auto"),
+        "n_settle": _Key("number", "7"),
+        "safety_factor": _Key("number", "5"),
+        "termination": _Key("choice", TERMINATE_GAIN,
+                            (TERMINATE_GAIN, TERMINATE_HANDOVER)),
+        "max_stages": _Key("integer", "64"),
+        "initial_span": _Key("length", "200 um"),
+        "target_gain": _Key("number", "auto"),
+        "fpi_imprecision_asd": _Key("displacement_asd", "0 m/rtHz"),
     },
     "sim": {
-        "preset": _Key("choice", default="q100",
-                       choices=("q100", "q1e3", "q1e5", "none")),
-        "duration": _Key("time", default=300.0),
-        "dt": _Key("time", default="auto", allow_auto=True),
-        "seed": _Key("integer", default=12345),
-        "controller": _Key("choice", default="off",
-                           choices=("off", "derivative", "chain")),
-        "gain": _Key("number", default=0.0),
-        "bandpass_quality": _Key("number", default=10.0),
-        "dac_bits": _Key("integer", default="none", allow_auto=True),
-        "initial_position": _Key("length", default=0.0),
+        "preset": _Key("choice", "q100", (*PRESET_QUALITIES, "none")),
+        "duration": _Key("time", "300 s"),
+        "dt": _Key("time", "auto"),
+        "seed": _Key("integer", "12345"),
+        "controller": _Key("choice", "off", CONTROLLERS),
+        "gain": _Key("number", "0"),
+        "bandpass_quality": _Key("number", "10"),
+        "dac_bits": _Key("integer", "none"),
+        "initial_position": _Key("length", "0 m"),
     },
 }
 
-DEFAULT_CONFIG = """\
-# Default parameters: 2.6 g fused-silica flexure resonator with dual
-# optical readout and a radiation-pressure feedback chain.
-
-[resonator]
-mass = 2.6 g
-frequency = 4.72 Hz
-q_internal = 4.77e5
-viscous_rate = 0 rad/s
-temperature = 300 K
-loss_exponent = 0
-
-[fpi]
-cavity_length = 50 mm
-wavelength = 1064 nm
-tuning_range = 10 GHz
-finesse = 1000
-readout_noise_asd = 0 Hz/rtHz
-
-[hli]
-wavelength = 1064 nm
-imprecision_asd = 5e-12 m/rtHz
-lpf_corner = 500 Hz
-heterodyne_frequency = 10 kHz
-
-[chain]
-half_wave_voltage = 200 V
-max_power = 1.16 mW
-bias_angle = 45 deg
-damage_threshold = 100 mW
-dac_gain = auto
-displacement_span = 200 um
-
-[cooling]
-gain = 0
-external_force_psd = 0 N^2/Hz
-
-[cascade]
-initial_gain = 1
-power = auto
-n_settle = 7
-safety_factor = 5
-termination = gain
-max_stages = 64
-initial_span = 200 um
-target_gain = auto
-fpi_imprecision_asd = 0 m/rtHz
-
-[sim]
-preset = q100
-duration = 300 s
-dt = auto
-seed = 12345
-controller = off
-gain = 0
-bandpass_quality = 10
-dac_bits = none
-initial_position = 0 m
-"""
+DEFAULT_CONFIG = (
+    "# Default parameters: 2.6 g fused-silica flexure resonator with dual\n"
+    "# optical readout and a radiation-pressure feedback chain.\n"
+    + "".join(f"\n[{section}]\n"
+              + "".join(f"{key} = {spec.default}\n" for key, spec in keys.items())
+              for section, keys in _SCHEMA.items()))
 
 
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
     path = f"{section}.{key}"
     raw = raw.strip()
-    if spec.allow_auto and raw in ("auto", "none"):
-        return raw
+    if spec.default in _SENTINELS and raw in _SENTINELS:
+        return None
     if spec.kind == "choice":
         if raw not in spec.choices:
             raise ConfigError(
@@ -231,13 +181,13 @@ class ExperimentConfig:
         for section in _SCHEMA:
             for key, spec in _SCHEMA[section].items():
                 val = self.values[section][key]
-                if isinstance(val, str):
-                    rendered = val
+                if val is None:
+                    rendered = spec.default
                 elif spec.kind in _UNITS:
                     si = next(u for u, f in _UNITS[spec.kind].items() if f == 1.0)
                     rendered = f"{val!r} {si}"
                 else:
-                    rendered = repr(val)
+                    rendered = str(val)
                 lines.append(f"{section}.{key} = {rendered}")
         return lines
 
@@ -277,7 +227,7 @@ class ExperimentConfig:
                     max_power=c["max_power"], bias_angle=c["bias_angle"],
                     damage_threshold=c["damage_threshold"])
         dac = c["dac_gain"]
-        if isinstance(dac, str):
+        if dac is None:
             dac = max_dac_gain(c["half_wave_voltage"],
                                self.get("hli", "wavelength"),
                                c["displacement_span"])
@@ -296,12 +246,11 @@ class ExperimentConfig:
         fpi_psd = c["fpi_imprecision_asd"] ** 2 or None
         return CascadeConfig(
             initial_gain=c["initial_gain"],
-            power=None if isinstance(c["power"], str) else c["power"],
+            power=c["power"],
             n_settle=c["n_settle"], safety_factor=c["safety_factor"],
             termination=c["termination"], max_stages=c["max_stages"],
             initial_span=c["initial_span"],
-            target_gain=(None if isinstance(c["target_gain"], str)
-                         else c["target_gain"]),
+            target_gain=c["target_gain"],
             fpi_imprecision_psd=fpi_psd)
 
     def sim_resonator(self) -> MechanicalResonator:
@@ -315,12 +264,12 @@ class ExperimentConfig:
         s = self.values["sim"]
         return SimConfig(
             duration=s["duration"],
-            dt=None if isinstance(s["dt"], str) else s["dt"],
+            dt=s["dt"],
             seed=s["seed"] if seed is None else seed,
             x0=s["initial_position"],
             controller=s["controller"], gain=s["gain"],
             bandpass_quality=s["bandpass_quality"],
-            dac_bits=None if isinstance(s["dac_bits"], str) else s["dac_bits"])
+            dac_bits=s["dac_bits"])
 
 
 def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig:
@@ -342,13 +291,10 @@ def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig
     for section, keys in _SCHEMA.items():
         values[section] = {}
         for key, spec in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                values[section][key] = _parse_value(section, key, raw, spec)
-            elif spec.default is _REQUIRED:
+            if spec.required and not parser.has_option(section, key):
                 raise ConfigError(f"missing required key {section}.{key}")
-            else:
-                values[section][key] = spec.default
+            raw = parser.get(section, key, fallback=spec.default)
+            values[section][key] = _parse_value(section, key, raw, spec)
     return ExperimentConfig(values=values, source=source)
 
 

@@ -38,7 +38,7 @@ BAND_DECADES = (0.1, 10.0)  # integration band, multiples of omega0
 
 def derivative_feedback(res: MechanicalResonator, g: float, omega):
     """Derivative feedback transfer i m g gamma_m(omega) omega, N/m."""
-    if g < 0.0:
+    if not g >= 0.0:
         raise DomainError("g must be >= 0")
     omega = np.asarray(omega, dtype=float)
     return 1j * res.mass * g * res.damping_rate(omega) * omega
@@ -50,7 +50,7 @@ def effective_susceptibility(res: MechanicalResonator, g: float, omega):
     Algebraically identical to chi_m / (1 + chi_m chi_fb) with the
     derivative feedback above.
     """
-    if g < 0.0:
+    if not g >= 0.0:
         raise DomainError("g must be >= 0")
     omega = np.asarray(omega, dtype=float)
     gm = res.damping_rate(omega)
@@ -260,15 +260,15 @@ def optimal_gain(res: MechanicalResonator, imprecision_psd) -> OptimalGain:
 
 def effective_temperature(res: MechanicalResonator, g: float, t_n: float) -> float:
     """Effective test-mass temperature T/(1+g) + g^2 T_n/(1+g), K."""
-    if g < 0.0:
+    if not g >= 0.0:
         raise DomainError("g must be >= 0")
-    if t_n < 0.0:
+    if not t_n >= 0.0:
         raise DomainError("t_n must be >= 0")
     return (res.temperature + g ** 2 * t_n) / (1.0 + g)
 
 
 def effective_temperature_floor(res: MechanicalResonator, t_n: float) -> float:
     """Lowest reachable effective temperature 2 sqrt(T T_n), K."""
-    if t_n < 0.0:
+    if not t_n >= 0.0:
         raise DomainError("t_n must be >= 0")
     return 2.0 * math.sqrt(res.temperature * t_n)

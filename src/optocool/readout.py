@@ -87,7 +87,7 @@ class FpiReadout:
 
     def capture_check(self, rms_x: float) -> bool:
         """True iff rms motion is strictly inside the capture range."""
-        if rms_x < 0.0:
+        if not rms_x >= 0.0:
             raise DomainError("rms_x must be >= 0")
         return rms_x < self.capture_range()
 

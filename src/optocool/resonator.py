@@ -108,7 +108,7 @@ class MechanicalResonator:
     def ringdown_envelope(self, x0: float, t):
         """Free-decay amplitude envelope x0 exp(-gamma_m(omega0) t / 2), m."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):
             raise DomainError("t must be >= 0")
         gm = float(self.damping_rate(self.omega0))
         return x0 * np.exp(-0.5 * gm * t)

@@ -40,6 +40,7 @@ STREAM_THERMAL = 0
 STREAM_IMPRECISION = 1
 
 PRESET_QUALITIES = {"q100": 100.0, "q1e3": 1.0e3, "q1e5": 1.0e5}
+CONTROLLERS = ("off", "derivative", "chain")
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -90,11 +91,11 @@ class SimConfig:
     dac_bits: int | None = None
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ConfigError("duration must be > 0")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("duration must be finite and > 0")
         if self.external not in ("none", "sine", "samples"):
             raise ConfigError(f"unknown external force mode {self.external!r}")
-        if self.controller not in ("off", "derivative", "chain"):
+        if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller mode {self.controller!r}")
         if self.controller == "derivative" and not self.gain >= 0.0:
             raise ConfigError("gain must be >= 0")

@@ -53,8 +53,22 @@ class TestVarianceEvolution:
         with pytest.raises(DomainError):
             variance_evolution(1.0, 1e-10, 1e-4, -1.0)
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(DomainError, match="g must"):
+            variance_evolution(math.nan, 1e-10, 1e-4, 1.0)
+        with pytest.raises(DomainError, match="t must"):
+            variance_evolution(1.0, 1e-10, 1e-4, math.nan)
+        with pytest.raises(DomainError, match="t must"):
+            variance_evolution(1.0, 1e-10, 1e-4, np.array([0.0, math.nan]))
+
 
 class TestPlanCascade:
+    def test_variance_at_rejects_nan(self, chain, resonator, hli, fpi):
+        schedule = plan_cascade(paper_cascade_config(), chain, resonator,
+                                hli, fpi)
+        with pytest.raises(DomainError):
+            schedule.variance_at(math.nan)
+
     def test_paper_scenario_reaches_single_step_level(self, chain, resonator,
                                                       hli, fpi):
         cfg = paper_cascade_config()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optocool import ConfigError
 from optocool.cli import main, run_command
@@ -227,6 +229,17 @@ class TestCli:
         assert "\n" not in err
         assert not (out / "trace.csv").exists()
 
+    def test_infinite_duration_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[sim]\nduration = inf s\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "simulate"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config:")
+        assert "\n" not in err
+        assert not (out / "trace.csv").exists()
+
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")
@@ -411,3 +424,52 @@ class TestArtifactFormat:
         with pytest.raises(ConfigError, match="no column"):
             run_command(["--out", str(tmp_path), "psd", "--input", str(path),
                          "--column", "y_m"])
+
+
+def _echo_as_config(cfg):
+    """Config text holding the 'section.key = value unit' lines of echo()."""
+    sections = {}
+    for line in cfg.echo()[1:]:
+        path, value = line.split(" = ", 1)
+        section, key = path.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines)
+                   for section, lines in sections.items())
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSchemaDefaults:
+    def test_omitted_keys_equal_default_config(self):
+        assert (parse_config(MINIMAL).values
+                == parse_config(DEFAULT_CONFIG).values)
+
+    def test_sentinel_words_parse_to_none(self):
+        cfg = parse_config(MINIMAL + "\n[sim]\ndt = none\ndac_bits = auto\n")
+        assert cfg.get("sim", "dt") is None
+        assert cfg.get("sim", "dac_bits") is None
+        assert cfg.sim_config().dt is None
+        assert cfg.sim_config().dac_bits is None
+        # echoed as each key's default word
+        assert "sim.dt = auto" in cfg.echo()
+        assert "sim.dac_bits = none" in cfg.echo()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mass=_finite, frequency=_finite, span=_finite, duration=_finite,
+           dt=st.one_of(st.sampled_from(["auto", "none"]),
+                        _finite.map(lambda v: f"{v!r} ms")),
+           dac_bits=st.one_of(st.sampled_from(["auto", "none"]),
+                              st.integers(0, 64).map(str)))
+    def test_echo_round_trip(self, mass, frequency, span, duration, dt,
+                             dac_bits):
+        text = (MINIMAL.replace("mass = 2.6 g", f"mass = {mass!r} g")
+                .replace("frequency = 4.72 Hz",
+                         f"frequency = {frequency!r} Hz")
+                + f"displacement_span = {span!r} um\n"
+                + f"\n[sim]\nduration = {duration!r} min\ndt = {dt}\n"
+                + f"dac_bits = {dac_bits}\n")
+        cfg = parse_config(text)
+        again = parse_config(_echo_as_config(cfg))
+        assert again.values == cfg.values
+        assert again.echo()[1:] == cfg.echo()[1:]

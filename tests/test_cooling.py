@@ -30,6 +30,10 @@ class TestDerivativeFeedback:
         val = derivative_feedback(resonator, 2500.0, resonator.omega0)
         assert abs(val) == pytest.approx(1.1985018578448548e-2, rel=1e-9)
 
+    def test_nan_gain_rejected(self, resonator):
+        with pytest.raises(DomainError):
+            derivative_feedback(resonator, math.nan, resonator.omega0)
+
 
 class TestEffectiveSusceptibility:
     def test_open_loop_limit(self, resonator):
@@ -66,6 +70,10 @@ class TestEffectiveSusceptibility:
         lhs = abs(effective_susceptibility(res, g, res.omega0)) * (1.0 + g)
         rhs = abs(res.force_susceptibility(res.omega0))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_nan_gain_rejected(self, resonator):
+        with pytest.raises(DomainError):
+            effective_susceptibility(resonator, math.nan, resonator.omega0)
 
 
 class TestClosedLoopPsd:
@@ -258,3 +266,12 @@ class TestTemperatures:
             CoolingSetup(resonator, math.nan, HLI_PSD)
         with pytest.raises(DomainError, match="imprecision_psd"):
             closed_loop_variance(CoolingSetup(resonator, 10.0, math.nan))
+
+    @pytest.mark.parametrize("call", [
+        lambda res: effective_temperature(res, math.nan, 1e-5),
+        lambda res: effective_temperature(res, 1.0, math.nan),
+        lambda res: effective_temperature_floor(res, math.nan),
+    ], ids=["teff-gain", "teff-t_n", "floor-t_n"])
+    def test_nan_argument_rejected(self, resonator, call):
+        with pytest.raises(DomainError):
+            call(resonator)

@@ -73,6 +73,10 @@ class TestCaptureCheck:
         with pytest.raises(DomainError):
             fpi.capture_check(-1.0)
 
+    def test_nan_rms_rejected(self, fpi):
+        with pytest.raises(DomainError):
+            fpi.capture_check(math.nan)
+
 
 class TestFpiOutputSpectrum:
     def test_thermal_only_matches_transfer(self, fpi, resonator):

@@ -146,6 +146,12 @@ class TestRingdown:
         with pytest.raises(DomainError):
             resonator.ringdown_envelope(1.0, -1.0)
 
+    def test_nan_time_rejected(self, resonator):
+        with pytest.raises(DomainError):
+            resonator.ringdown_envelope(1.0, math.nan)
+        with pytest.raises(DomainError):
+            resonator.ringdown_envelope(1.0, np.array([0.0, math.nan]))
+
 
 class TestRingdownFit:
     def test_noiseless_round_trip(self, resonator):
