@@ -103,6 +103,8 @@ class CascadeConfig:
             raise DomainError("initial_span must be > 0")
         if self.initial_variance is not None and not self.initial_variance > 0.0:
             raise DomainError("initial_variance must be > 0")
+        if self.target_gain is not None and not 0.0 < self.target_gain < math.inf:
+            raise DomainError("target_gain must be finite and > 0")
 
     def starting_variance(self) -> float:
         if self.initial_variance is not None:

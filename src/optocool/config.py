@@ -55,7 +55,8 @@ _SENTINELS = ("auto", "none")
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str          # a _UNITS kind, "number", "integer", or "choice"
+    kind: str          # a _UNITS kind, "number", "gain" (finite, >= 0),
+                       # "integer", or "choice"
     default: str       # exactly as DEFAULT_CONFIG writes it
     choices: tuple = ()
     required: bool = False
@@ -92,11 +93,11 @@ _SCHEMA = {
         "displacement_span": _Key("length", "200 um"),
     },
     "cooling": {
-        "gain": _Key("number", "0"),
+        "gain": _Key("gain", "0"),
         "external_force_psd": _Key("force_psd", "0 N^2/Hz"),
     },
     "cascade": {
-        "initial_gain": _Key("number", "1"),
+        "initial_gain": _Key("gain", "1"),
         "power": _Key("power", "auto"),
         "n_settle": _Key("number", "7"),
         "safety_factor": _Key("number", "5"),
@@ -104,7 +105,7 @@ _SCHEMA = {
                             (TERMINATE_GAIN, TERMINATE_HANDOVER)),
         "max_stages": _Key("integer", "64"),
         "initial_span": _Key("length", "200 um"),
-        "target_gain": _Key("number", "auto"),
+        "target_gain": _Key("gain", "auto"),
         "fpi_imprecision_asd": _Key("displacement_asd", "0 m/rtHz"),
     },
     "sim": {
@@ -113,7 +114,7 @@ _SCHEMA = {
         "dt": _Key("time", "auto"),
         "seed": _Key("integer", "12345"),
         "controller": _Key("choice", "off", CONTROLLERS),
-        "gain": _Key("number", "0"),
+        "gain": _Key("gain", "0"),
         "bandpass_quality": _Key("number", "10"),
         "dac_bits": _Key("integer", "none"),
         "initial_position": _Key("length", "0 m"),
@@ -143,12 +144,15 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: expected an integer, got {raw!r}") from exc
-    if spec.kind == "number":
+    if spec.kind in ("number", "gain"):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{path}: expected a bare number, got {raw!r}") from exc
+        if spec.kind == "gain" and not 0.0 <= value < math.inf:
+            raise ConfigError(f"{path}: gain must be finite and >= 0, got {raw!r}")
+        return value
     units = _UNITS[spec.kind]
     parts = raw.split()
     if len(parts) != 2:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
@@ -157,7 +158,7 @@ class HliReadout:
         if not self.wavelength > 0.0:
             raise DomainError("wavelength must be > 0")
         if isinstance(self.imprecision_asd, SpectrumRecord):
-            if np.any(self.imprecision_asd.values <= 0.0):
+            if not np.all(self.imprecision_asd.values > 0.0):
                 raise DomainError("imprecision ASD must be > 0 everywhere")
         elif not self.imprecision_asd > 0.0:
             raise DomainError("imprecision ASD must be > 0")
@@ -182,23 +183,25 @@ class Phasemeter:
 
     def __init__(self, heterodyne_frequency: float, lpf_corner: float,
                  sample_rate: float, wavelength: float | None = None):
-        if sample_rate <= 4.0 * heterodyne_frequency:
+        if not 4.0 * heterodyne_frequency < sample_rate:
             raise ConfigError(
                 f"sample_rate {sample_rate:g} Hz must exceed 4 x heterodyne "
                 f"frequency ({4.0 * heterodyne_frequency:g} Hz)")
-        if lpf_corner >= heterodyne_frequency / 2.0:
+        if not 0.0 < lpf_corner < heterodyne_frequency / 2.0:
             raise ConfigError(
-                f"lpf_corner {lpf_corner:g} Hz must be below half the "
+                f"lpf_corner {lpf_corner:g} Hz must be > 0 and below half the "
                 f"heterodyne frequency ({heterodyne_frequency / 2.0:g} Hz)")
         self.f_het = heterodyne_frequency
         self.sample_rate = sample_rate
         self.wavelength = wavelength
-        # first-order low-pass via bilinear transform of wc/(s+wc)
+        # first-order low-pass via bilinear transform of wc/(s+wc):
+        # y[n] = b x[n] + b x[n-1] - a1 y[n-1]
         wc = TWO_PI * lpf_corner
         k = 2.0 * sample_rate
-        self._b = wc / (k + wc)
-        self._a1 = (wc - k) / (k + wc)
-        self._zi = (np.zeros(1), np.zeros(1))  # filter states [I, Q]
+        b = wc / (k + wc)
+        self._b = np.array([b, b])
+        self._a = np.array([1.0, (wc - k) / (k + wc)])
+        self._zi = np.zeros((2, 1))  # filter states of I and Q
         self._n = 0      # samples consumed
         self._last_phase = None
 
@@ -208,11 +211,9 @@ class Phasemeter:
         n = np.arange(self._n, self._n + samples.size)
         self._n += samples.size
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n
-        i_raw = 2.0 * samples * np.cos(phase_lo)
-        q_raw = -2.0 * samples * np.sin(phase_lo)
-        i_f, zi_i = _first_order_lowpass(i_raw, self._b, self._a1, self._zi[0])
-        q_f, zi_q = _first_order_lowpass(q_raw, self._b, self._a1, self._zi[1])
-        self._zi = (zi_i, zi_q)
+        iq_raw = np.stack((2.0 * samples * np.cos(phase_lo),
+                           -2.0 * samples * np.sin(phase_lo)))
+        (i_f, q_f), self._zi = lfilter(self._b, self._a, iq_raw, zi=self._zi)
         phase = np.arctan2(q_f, i_f)
         if self._last_phase is not None:
             phase = np.unwrap(np.concatenate(([self._last_phase], phase)))[1:]
@@ -226,16 +227,6 @@ class Phasemeter:
         if self.wavelength is None:
             raise ConfigError("wavelength required for displacement output")
         return self.process(samples) * self.wavelength / TWO_PI
-
-
-def _first_order_lowpass(x, b, a1, zi):
-    # y[n] = b x[n] + b x[n-1] - a1 y[n-1], direct form I with carried state
-    from scipy.signal import lfilter
-
-    bcoef = np.array([b, b])
-    acoef = np.array([1.0, a1])
-    y, zf = lfilter(bcoef, acoef, x, zi=zi)
-    return y, zf
 
 
 def phasemeter_extract(beat, sample_rate: float, heterodyne_frequency: float,

@@ -141,14 +141,9 @@ def extract_envelope(t, x, omega0):
     n_cycles = x.size // per_cycle
     if n_cycles < 2:
         raise FitError("series shorter than two oscillation cycles")
-    t_env = np.empty(n_cycles)
-    amp = np.empty(n_cycles)
-    for k in range(n_cycles):
-        seg = slice(k * per_cycle, (k + 1) * per_cycle)
-        idx = k * per_cycle + int(np.argmax(np.abs(x[seg])))
-        t_env[k] = t[idx]
-        amp[k] = abs(x[idx])
-    return t_env, amp
+    cycles = np.abs(x[:n_cycles * per_cycle]).reshape(n_cycles, per_cycle)
+    idx = per_cycle * np.arange(n_cycles) + np.argmax(cycles, axis=1)
+    return t[idx], np.abs(x[idx])
 
 
 def _omega_from_zero_crossings(t, x):

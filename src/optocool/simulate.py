@@ -14,11 +14,14 @@ from counter-based generators keyed by (seed, stream id), so a trace is
 bit-exact reproducible from (config, seed). Per-sample standard deviations
 follow the single-sided convention sigma^2 = S * f_s / 2.
 
-The controller path mirrors the digital loop: the velocity estimate is a
-two-sided finite difference of the apparent position followed by a
-second-order bandpass centered on the resonance (the near-resonant filter
-plus 90 degree phase shift of the real loop), applied with one sample of
-latency.
+The controller path mirrors the digital loop. The apparent position
+y_i = x_i + n_i gives the velocity estimate u_i = (y_i - y_{i-2}) / (2 dt),
+an RBJ constant-peak-gain biquad bandpass at omega0 (unity gain, zero phase:
+the near-resonant filter plus 90 degree shift of the real loop) turns it into
+vel_i, and the force set from vel_i (-m g gamma vel_i, or the chain's DAC,
+cos^2 modulator and radiation pressure) acts from step i + 1: one sample of
+latency. Warm-up: the force during step 0 is 0, vel_0 = 0 without stepping
+the bandpass, and y_{-1} = y_0, so u_1 = (y_1 - y_0) / (2 dt).
 """
 
 from __future__ import annotations
@@ -134,31 +137,6 @@ class SimTrace:
         return 1.0 / (self.t[1] - self.t[0])
 
 
-class _Bandpass:
-    """RBJ constant-peak-gain biquad bandpass: unity gain, zero phase at
-    the center frequency."""
-
-    __slots__ = ("b0", "b2", "a1", "a2", "s1", "s2")
-
-    def __init__(self, omega_center: float, dt: float, quality: float):
-        w = omega_center * dt
-        alpha = math.sin(w) / (2.0 * quality)
-        norm = 1.0 + alpha
-        self.b0 = alpha / norm
-        self.b2 = -alpha / norm
-        self.a1 = -2.0 * math.cos(w) / norm
-        self.a2 = (1.0 - alpha) / norm
-        self.s1 = 0.0
-        self.s2 = 0.0
-
-    def step(self, x: float) -> float:
-        # transposed direct form II
-        y = self.b0 * x + self.s1
-        self.s1 = -self.a1 * y + self.s2
-        self.s2 = self.b2 * x - self.a2 * y
-        return y
-
-
 def _external_force(cfg: SimConfig, n: int, dt: float) -> np.ndarray:
     if cfg.external == "none":
         return np.zeros(n)
@@ -221,17 +199,22 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 
     track_chain = cfg.controller == "chain"
     x_out = np.empty(n)
-    y_out = np.empty(n)
     f_out = np.empty(n)
     v_out = np.empty(n) if track_chain else None
     p_out = np.empty(n) if track_chain else None
 
-    # controller setup
+    # controller setup: RBJ constant-peak-gain bandpass coefficients
     use_ctrl = cfg.controller != "off"
     if use_ctrl:
-        bandpass = _Bandpass(res.omega0, dt, cfg.bandpass_quality)
+        w = res.omega0 * dt
+        alpha = math.sin(w) / (2.0 * cfg.bandpass_quality)
+        norm = 1.0 + alpha
+        b0 = alpha / norm
+        b2 = -alpha / norm
+        a1 = -2.0 * math.cos(w) / norm
+        a2 = (1.0 - alpha) / norm
+        s1 = s2 = 0.0  # transposed direct form II states
         inv_2dt = 1.0 / (2.0 * dt)
-        y1 = y2 = None
     if cfg.controller == "derivative":
         force_per_velocity = -m * cfg.gain * gamma
     elif track_chain:
@@ -243,31 +226,31 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         rp = 2.0 / C_LIGHT
         lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits else None
 
-    f_th_l = f_th.tolist()
-    f_ext_l = f_ext.tolist()
-    noise_y_l = noise_y.tolist()
+    f_in_l = (f_th + f_ext).tolist()
+    noise_y_l = noise_y.tolist() if use_ctrl else None
 
     x = float(cfg.x0)
     v = 0.0
     f_fb = 0.0
     inv_m = 1.0 / m
     for i in range(n):
-        v += dt * ((f_th_l[i] + f_ext_l[i] + f_fb) * inv_m - w2 * x - gamma * v)
+        v += dt * ((f_in_l[i] + f_fb) * inv_m - w2 * x - gamma * v)
         x += dt * v
         if not -bound < x < bound:
             raise DivergenceError(
                 f"|x| exceeded {bound:.3g} m at step {i}")
-        y = x + noise_y_l[i]
         x_out[i] = x
-        y_out[i] = y
         f_out[i] = f_fb
         if use_ctrl:
-            if y2 is None:
+            y = x + noise_y_l[i]
+            if i == 0:
                 vel = 0.0
-                y2 = y1 if y1 is not None else y
-                y1 = y
+                y1 = y2 = y
             else:
-                vel = bandpass.step((y - y2) * inv_2dt)
+                u = (y - y2) * inv_2dt
+                vel = b0 * u + s1
+                s1 = -a1 * vel + s2
+                s2 = b2 * u - a2 * vel
                 y2 = y1
                 y1 = y
             if track_chain:
@@ -282,7 +265,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
                 f_fb = force_per_velocity * vel
 
     t = dt * np.arange(n)
-    return SimTrace(t=t, x=x_out, y=y_out, feedback_force=f_out,
+    return SimTrace(t=t, x=x_out, y=x_out + noise_y, feedback_force=f_out,
                     control_voltage=v_out, power=p_out,
                     seed=cfg.seed, config=cfg)
 
@@ -334,23 +317,19 @@ def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
             f"duration {cfg.duration:g} s too short for stationarity; "
             f"need >= {min_duration:g} s at g = {g:g}")
 
-    variances = []
-    q3_vars = []
-    q4_vars = []
+    # one trace alive at a time; per seed, the variance of the steady window
+    # (steady_state_variance's value) and of its two halves
+    variances, q3, q4 = np.empty((3, n_seeds))
     for k in range(n_seeds):
-        trace = simulate(replace(cfg, seed=cfg.seed + k), res,
-                         chain=chain, hli=hli)
-        variances.append(steady_state_variance(trace))
-        tail = _steady_window(trace)
+        tail = _steady_window(simulate(replace(cfg, seed=cfg.seed + k), res,
+                                       chain=chain, hli=hli))
         half = tail.size // 2
-        q3_vars.append(float(np.var(tail[:half])))
-        q4_vars.append(float(np.var(tail[half:])))
+        variances[k] = np.var(tail)
+        q3[k] = np.var(tail[:half])
+        q4[k] = np.var(tail[half:])
 
-    variances = np.asarray(variances)
     mean = float(np.mean(variances))
     sem = float(np.std(variances, ddof=1) / math.sqrt(n_seeds))
-    q3 = np.asarray(q3_vars)
-    q4 = np.asarray(q4_vars)
     drift = abs(float(np.mean(q3) - np.mean(q4)))
     drift_sem = math.sqrt((np.var(q3, ddof=1) + np.var(q4, ddof=1)) / n_seeds)
     stationary = bool(drift <= 3.0 * drift_sem) if drift_sem > 0 else True

@@ -105,14 +105,17 @@ class SpectrumRecord:
 def psd_lookup(value, what: str):
     """Turn None, a flat PSD value or a SpectrumRecord into a PSD of omega.
 
-    None reads as zero; a flat value must be >= 0. An ASD record is squared
-    once, here, so the returned callable interpolates in PSD.
+    None reads as zero; densities must be finite and a flat value >= 0.
+    An ASD record is squared once, here, so the callable interpolates in PSD.
     """
     if isinstance(value, SpectrumRecord):
-        return value.to_psd().interp
+        psd = value.to_psd()
+        if not np.all(np.isfinite(psd.values)):
+            raise DomainError(f"{what} has a non-finite density")
+        return psd.interp
     value = 0.0 if value is None else float(value)
-    if not value >= 0.0:
-        raise DomainError(f"{what} must be >= 0")
+    if not 0.0 <= value < np.inf:
+        raise DomainError(f"{what} must be finite and >= 0")
     return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
 

@@ -203,6 +203,11 @@ class TestPlanCascade:
             CascadeConfig(initial_span=1e-4, termination="sometimes")
 
 
+    @pytest.mark.parametrize("target", [0.0, -5.0, math.nan, math.inf])
+    def test_target_gain_must_be_positive(self, target):
+        with pytest.raises(DomainError, match="target_gain"):
+            CascadeConfig(initial_span=1e-4, target_gain=target)
+
 class TestHandoverCheck:
     def test_small_rms_passes(self, chain, resonator, hli, fpi):
         schedule = plan_cascade(paper_cascade_config(), chain, resonator,

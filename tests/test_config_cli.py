@@ -97,6 +97,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="lpf_corner"):
             parse_config(low.replace("\nlpf_corner = 50 Hz\n\n", "\n\n", 1)).hli()
 
+    @pytest.mark.parametrize("raw", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("cooling", "gain"), ("cascade", "initial_gain"),
+        ("cascade", "target_gain"), ("sim", "gain")])
+    def test_bad_gain_names_key(self, section, key, raw):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+
     def test_echo_contains_every_key(self):
         cfg = parse_config(MINIMAL)
         echo = "\n".join(cfg.echo())
@@ -239,6 +247,21 @@ class TestCli:
         assert err.startswith("error: config:")
         assert "\n" not in err
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("section, key, command", [
+        ("cooling", "gain", ["noise-budget"]),
+        ("cascade", "target_gain", ["cascade", "run"])])
+    def test_negative_gain_refused(self, tmp_path, capsys, section, key,
+                                   command):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + f"\n[{section}]\n{key} = -5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config: {section}.{key}:")
+        assert "\n" not in err
+        assert list(out.glob("*")) == []
 
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

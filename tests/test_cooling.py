@@ -151,6 +151,15 @@ class TestVariance:
         assert closed_loop_variance(setup).numeric.variance == pytest.approx(
             value / (2 * math.pi), rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_record_refused(self, resonator, bad):
+        values = np.full(4, 5e-12)
+        values[3] = bad  # off resonance: only the band integral reads it
+        rec = SpectrumRecord(np.array([0.1, 0.9, 1.1, 10.0]) * resonator.omega0,
+                             values, "asd", "m/rtHz")
+        with pytest.raises(DomainError, match="imprecision_psd"):
+            closed_loop_variance(CoolingSetup(resonator, 100.0, rec))
+
     def test_analytic_vs_numeric_two_percent(self):
         # quadrature oracle over the narrow line, Q >= 1e3, g <= g_opt
         res = MechanicalResonator(mass=2.6e-3, omega0=2 * math.pi * 4.72,

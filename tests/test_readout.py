@@ -159,6 +159,18 @@ class TestHli:
         hli = HliReadout(wavelength=1064e-9, imprecision_asd=rec)
         assert hli.imprecision_psd_at(1.0) == pytest.approx(1e-24)
 
+    def test_non_finite_record_refused(self):
+        omega = np.array([1.0, 100.0])
+        nan_rec = SpectrumRecord(omega, np.array([math.nan, 3e-12]),
+                                 "asd", "m/rtHz")
+        with pytest.raises(DomainError):
+            HliReadout(wavelength=1064e-9, imprecision_asd=nan_rec)
+        inf_rec = SpectrumRecord(omega, np.array([math.inf, 3e-12]),
+                                 "asd", "m/rtHz")
+        hli = HliReadout(wavelength=1064e-9, imprecision_asd=inf_rec)
+        with pytest.raises(DomainError, match="imprecision_asd"):
+            hli.imprecision_psd_at(1.0)
+
     def test_shaped_noise_matches_cooling(self, resonator):
         # readout, noise temperature and closed-loop PSD read one S_n(omega0)
         w0 = resonator.omega0
@@ -256,6 +268,13 @@ class TestPhasemeter:
         with pytest.raises(ConfigError):
             Phasemeter(heterodyne_frequency=self.F_HET, lpf_corner=600.0,
                        sample_rate=self.FS)
+
+    @pytest.mark.parametrize("f_het, corner, fs", [
+        (1e4, -10.0, 1e5), (1e4, 0.0, 1e5), (1e4, math.nan, 1e5),
+        (1e4, 10.0, math.nan), (math.nan, 10.0, 1e5)])
+    def test_bad_filter_rejected(self, f_het, corner, fs):
+        with pytest.raises(ConfigError):
+            Phasemeter(f_het, corner, fs)
 
     def test_displacement_conversion(self):
         lam = 1064e-9

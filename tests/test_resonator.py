@@ -210,6 +210,22 @@ class TestRingdownFit:
         assert np.allclose(amp, 3e-7, rtol=2e-3)
 
 
+    def test_envelope_matches_per_cycle_argmax(self):
+        # reference: the first largest |x| of each whole cycle; the
+        # trailing partial cycle is dropped
+        per_cycle, n_cycles = 25, 40
+        x = np.round(np.random.default_rng(5).standard_normal(
+            per_cycle * n_cycles + 11), 1)
+        x[3], x[7] = 9.0, -9.0  # an exact tie in the first cycle
+        t = 0.01 * np.arange(x.size)
+        t_env, amp = extract_envelope(t, x, 2 * math.pi / (per_cycle * 0.01))
+        idx = [k * per_cycle + int(np.argmax(np.abs(x[k * per_cycle:
+                                                       (k + 1) * per_cycle])))
+               for k in range(n_cycles)]
+        assert idx[0] == 3
+        assert np.array_equal(t_env, t[idx])
+        assert np.array_equal(amp, np.abs(x[idx]))
+
 class TestValidation:
     def test_invariants(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DivergenceError, Eoam,
                       FeedbackChain, HliReadout, KB, SimConfig,
@@ -161,6 +162,59 @@ class TestChainController:
     def test_chain_requires_chain(self, q100):
         with pytest.raises(ConfigError):
             simulate(SimConfig(duration=30.0, controller="chain"), q100)
+
+
+class TestControllerOracle:
+    """The controller rebuilt from the recorded y: the velocity estimate
+    (y_i - y_{i-2}) / 2dt with y_{-1} = y_{-2} = y_0, the RBJ
+    constant-peak-gain bandpass run by lfilter, and one sample of latency."""
+
+    HLI = HliReadout(wavelength=1064e-9, imprecision_asd=1e-12)
+
+    def _velocity(self, tr, res):
+        dt = tr.t[1]
+        w = res.omega0 * dt
+        alpha = math.sin(w) / (2.0 * tr.config.bandpass_quality)
+        b = np.array([alpha, 0.0, -alpha])
+        a = np.array([1.0 + alpha, -2.0 * math.cos(w), 1.0 - alpha])
+        y_before = np.concatenate((tr.y[:1], tr.y[:1], tr.y[:-2]))
+        return lfilter(b, a, (tr.y - y_before) / (2.0 * dt))
+
+    @staticmethod
+    def _assert_matches(actual, oracle):
+        # rounding differs near zero crossings, so scale to the peak value
+        np.testing.assert_allclose(actual, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(oracle)))
+
+    def test_derivative_force(self, q100):
+        cfg = SimConfig(duration=60.0, seed=21, controller="derivative",
+                        gain=8.0, bandpass_quality=3.0)
+        tr = simulate(cfg, q100, hli=self.HLI)
+        gamma = float(q100.damping_rate(q100.omega0))
+        expected = -q100.mass * cfg.gain * gamma * self._velocity(tr, q100)
+        assert tr.feedback_force[0] == 0.0
+        self._assert_matches(tr.feedback_force[1:], expected[:-1])
+
+    def test_chain_voltage(self, q100):
+        chain = TestChainController()._chain(q100, 5.0)
+        cfg = SimConfig(duration=60.0, seed=22, controller="chain")
+        tr = simulate(cfg, q100, chain=chain, hli=self.HLI)
+        per_velocity = chain.dac_gain * TWO_PI / chain.wavelength / q100.omega0
+        self._assert_matches(tr.control_voltage,
+                             per_velocity * self._velocity(tr, q100))
+
+    def test_quantized_chain_voltage(self, q100):
+        # a DAC gain large enough that the voltages span many LSBs
+        chain = TestChainController()._chain(q100, 150.0)
+        cfg = SimConfig(duration=60.0, seed=23, controller="chain", dac_bits=8)
+        tr = simulate(cfg, q100, chain=chain, hli=self.HLI)
+        lsb = chain.eoam.half_wave_voltage / 2 ** 8
+        per_velocity = chain.dac_gain * TWO_PI / chain.wavelength / q100.omega0
+        oracle = per_velocity * self._velocity(tr, q100)
+        steps = tr.control_voltage / lsb
+        assert np.max(np.abs(steps)) > 10.0
+        assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-9)
+        assert np.all(np.abs(tr.control_voltage - oracle) <= 0.5 * lsb * (1 + 1e-9))
 
 
 class TestValidation:

@@ -5,6 +5,7 @@ import pytest
 
 from optocool import ConfigError, DomainError, SpectrumRecord, phase_from_csv
 from optocool.spectrum import read_noise_csv, read_spectrum_csv, write_spectrum_csv
+from optocool.spectrum import psd_lookup
 
 
 def _record(kind="asd"):
@@ -140,3 +141,18 @@ def test_non_finite_value_not_written(tmp_path):
     with pytest.raises(DomainError, match="spec.csv: column value"):
         write_spectrum_csv(rec, path)
     assert not path.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_psd_lookup_refuses_non_finite_density(bad):
+    # 1e200 is a finite ASD whose square overflows
+    omega = 2 * math.pi * np.array([0.1, 1.0, 10.0])
+    rec = SpectrumRecord(omega, np.array([1.0, bad, 1.0]), "asd", "m/rtHz")
+    with pytest.raises(DomainError, match="external_accel"):
+        psd_lookup(rec, "external_accel")
+
+
+def test_psd_lookup_refuses_infinite_flat_density():
+    with pytest.raises(DomainError, match="imprecision_psd"):
+        psd_lookup(math.inf, "imprecision_psd")
