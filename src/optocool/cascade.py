@@ -65,8 +65,7 @@ class CascadeConfig:
     termination         : "gain" (run to target_gain) or "handover" (stop
                           once rms falls inside the Fabry-Perot capture range)
     max_stages          : hard stage cap
-    initial_span        : starting peak-to-peak displacement, m
-    initial_variance    : starting variance, m^2 (alternative to the span)
+    initial_span        : starting peak-to-peak displacement, m (required)
     target_gain         : final gain; None means the optimal gain for the
                           long-range readout's imprecision
     fpi_imprecision_psd : optional displacement imprecision of the
@@ -82,7 +81,6 @@ class CascadeConfig:
     termination: str = TERMINATE_GAIN
     max_stages: int = 64
     initial_span: float | None = None
-    initial_variance: float | None = None
     target_gain: float | None = None
     fpi_imprecision_psd: float | None = None
 
@@ -97,25 +95,10 @@ class CascadeConfig:
             raise DomainError("termination must be 'gain' or 'handover'")
         if self.max_stages < 1:
             raise DomainError("max_stages must be >= 1")
-        if (self.initial_span is None) == (self.initial_variance is None):
-            raise DomainError("give exactly one of initial_span / initial_variance")
-        if self.initial_span is not None and not self.initial_span > 0.0:
+        if self.initial_span is None or not self.initial_span > 0.0:
             raise DomainError("initial_span must be > 0")
-        if self.initial_variance is not None and not self.initial_variance > 0.0:
-            raise DomainError("initial_variance must be > 0")
         if self.target_gain is not None and not 0.0 < self.target_gain < math.inf:
             raise DomainError("target_gain must be finite and > 0")
-
-    def starting_variance(self) -> float:
-        if self.initial_variance is not None:
-            return self.initial_variance
-        rms = self.initial_span / (2.0 * self.safety_factor)
-        return rms * rms
-
-    def starting_span(self) -> float:
-        if self.initial_span is not None:
-            return self.initial_span
-        return 2.0 * self.safety_factor * math.sqrt(self.initial_variance)
 
 
 @dataclass(frozen=True)
@@ -183,22 +166,20 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     if target is None:
         target = optimal_gain(res, hli_psd).closed_form
 
-    span0 = cfg.starting_span()
-    dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength, span0)
-    if cfg.power is None:
-        power = chain.with_dac_gain(dac0).power_for_gain(res, cfg.initial_gain)
-    else:
-        power = cfg.power
-        reachable = chain.with_dac_gain(dac0).with_power(power).gain_factor(res)
-        if reachable * _REL_TOL < cfg.initial_gain:
-            minimum = chain.with_dac_gain(dac0).required_power(res, cfg.initial_gain)
-            raise InfeasibleError(
-                f"g0 = {cfg.initial_gain:g} is not reachable at P0 = "
-                f"{power:.4g} W with the initial span {span0:.4g} m; "
-                f"minimum power is {minimum:.4g} W")
+    capped = chain.with_dac_gain(max_dac_gain(
+        chain.eoam.half_wave_voltage, chain.wavelength, cfg.initial_span))
+    power = cfg.power
+    if power is None:
+        power = capped.power_for_gain(res, cfg.initial_gain)
+    powered = chain.with_power(power)  # the modulator refuses P0 out of range
+    minimum = capped.required_power(res, cfg.initial_gain)
+    if power * _REL_TOL < minimum:
+        raise InfeasibleError(
+            f"g0 = {cfg.initial_gain:g} is not reachable at P0 = "
+            f"{power:.4g} W with the initial span {cfg.initial_span:.4g} m; "
+            f"minimum power is {minimum:.4g} W")
 
     # trim the first stage's digital gain so it runs at exactly g0
-    powered = chain.with_power(power)
     gain_per_dac = powered.with_dac_gain(1.0).gain_factor(res)
     g = cfg.initial_gain
     dac = g / gain_per_dac
@@ -207,7 +188,8 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     switched = False
 
     stages = []
-    variance = cfg.starting_variance()
+    rms = cfg.initial_span / (2.0 * cfg.safety_factor)
+    variance = rms * rms
     t_start = 0.0
     termination = REASON_MAX_STAGES
     for index in range(1, cfg.max_stages + 1):
@@ -285,8 +267,8 @@ def compare_single_step(g_target: float, cfg: CascadeConfig,
                         hli: HliReadout, fpi: FpiReadout) -> SingleStepComparison:
     """Compare one-step cooling at ``g_target`` against the cascade."""
     gamma = float(res.damping_rate(res.omega0))
-    span0 = cfg.starting_span()
-    dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength, span0)
+    dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength,
+                        cfg.initial_span)
     single_power = chain.with_dac_gain(dac0).required_power(res, g_target)
     single_time = cfg.n_settle / ((1.0 + g_target) * gamma)
 

@@ -55,8 +55,8 @@ _SENTINELS = ("auto", "none")
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str          # a _UNITS kind, "number", "gain" (finite, >= 0),
-                       # "integer", or "choice"
+    kind: str          # a _UNITS kind, "number", "gain", "integer", or
+                       # "choice"; gains and noise densities are finite, >= 0
     default: str       # exactly as DEFAULT_CONFIG writes it
     choices: tuple = ()
     required: bool = False
@@ -150,23 +150,25 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
         except ValueError as exc:
             raise ConfigError(
                 f"{path}: expected a bare number, got {raw!r}") from exc
-        if spec.kind == "gain" and not 0.0 <= value < math.inf:
-            raise ConfigError(f"{path}: gain must be finite and >= 0, got {raw!r}")
-        return value
-    units = _UNITS[spec.kind]
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ConfigError(
-            f"{path}: expected '<number> <unit>' with unit in "
-            f"{sorted(units)}, got {raw!r}")
-    num, suffix = parts
-    if suffix not in units:
-        raise ConfigError(
-            f"{path}: unit {suffix!r} not allowed; use one of {sorted(units)}")
-    try:
-        return float(num) * units[suffix]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad number {num!r}") from exc
+    else:
+        units = _UNITS[spec.kind]
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ConfigError(
+                f"{path}: expected '<number> <unit>' with unit in "
+                f"{sorted(units)}, got {raw!r}")
+        num, suffix = parts
+        if suffix not in units:
+            raise ConfigError(
+                f"{path}: unit {suffix!r} not allowed; use one of {sorted(units)}")
+        try:
+            value = float(num) * units[suffix]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad number {num!r}") from exc
+    if (spec.kind in ("gain", "displacement_asd", "frequency_asd", "force_psd")
+            and not 0.0 <= value < math.inf):
+        raise ConfigError(f"{path}: {spec.kind} must be finite and >= 0, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -92,16 +92,13 @@ class FeedbackChain:
         return self.static_gain() * res.quality_factor() / (res.mass * res.omega0 ** 2)
 
     def required_power(self, res: MechanicalResonator, g_target: float) -> float:
-        """Optical power P0 that would realize ``g_target``, W (no limit check)."""
+        """P0 realizing ``g_target``, W; g is linear in P0 (no limit check)."""
         if not g_target > 0.0:
             raise DomainError("g_target must be > 0")
-        if self.dac_gain == 0.0:
-            raise DomainError("dac_gain must be > 0 to solve for power")
-        reference = replace(self, eoam=replace(self.eoam, max_power=self.eoam.damage_threshold))
-        g_at_threshold = reference.gain_factor(res)
-        if g_at_threshold == 0.0:
-            raise DomainError("chain has zero transduction (sin 2 theta = 0)")
-        return self.eoam.damage_threshold * g_target / g_at_threshold
+        g = self.gain_factor(res)
+        if g == 0.0:
+            raise DomainError("zero transduction: dac_gain = 0 or sin 2 theta = 0")
+        return self.eoam.max_power * g_target / g
 
     def power_for_gain(self, res: MechanicalResonator, g_target: float) -> float:
         """Like ``required_power`` but refuses powers above the damage threshold."""

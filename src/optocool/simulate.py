@@ -31,10 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import C_LIGHT, TWO_PI
+from .constants import TWO_PI
 from .cooling import open_loop_thermal_variance
 from .errors import ConfigError, DivergenceError, DomainError
-from .feedback import FeedbackChain
+from .feedback import FeedbackChain, actuator_gain
 from .readout import HliReadout
 from .resonator import MechanicalResonator
 from .spectrum import SpectrumRecord
@@ -223,7 +223,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         vpi = chain.eoam.half_wave_voltage
         theta = chain.eoam.bias_angle
         p0 = chain.eoam.max_power
-        rp = 2.0 / C_LIGHT
+        rp = actuator_gain()
         lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits else None
 
     f_in_l = (f_th + f_ext).tolist()

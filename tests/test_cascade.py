@@ -116,13 +116,26 @@ class TestPlanCascade:
         # already at the optimal gain and close enough to equilibrium that
         # one settling block reaches the floor
         g_opt = optimal_gain(resonator, HLI_PSD).closed_form
-        cfg = CascadeConfig(initial_gain=g_opt, initial_variance=1e-21)
+        # a span of 10 sqrt(1e-21) m starts at variance 1e-21 m^2
+        cfg = CascadeConfig(initial_gain=g_opt,
+                            initial_span=10.0 * math.sqrt(1e-21))
         schedule = plan_cascade(cfg, sturdy_chain, resonator, hli, fpi)
         assert len(schedule.stages) == 1
         gamma = schedule.gamma_m
         assert schedule.total_time == pytest.approx(
             7.0 / ((1 + g_opt) * gamma), rel=1e-12)
         assert schedule.termination == "reached_target_gain"
+
+    def test_imprecision_floor_termination(self, chain, resonator, hli, fpi):
+        # a small start span caps the DAC gain high, but the feedthrough
+        # floor stops the span from shrinking before the target gain
+        cfg = CascadeConfig(initial_gain=1.0, initial_span=1e-8)
+        schedule = plan_cascade(cfg, chain, resonator, hli, fpi)
+        assert schedule.termination == "imprecision_floor"
+        gains = [s.gain for s in schedule.stages]
+        assert all(b >= a for a, b in zip(gains, gains[1:]))
+        last = schedule.stages[-1]
+        assert last.variance_out == last.variance_floor
 
     def test_infeasible_power_reports_minimum(self, chain, resonator, hli, fpi):
         cfg = paper_cascade_config(power=1e-6)
@@ -189,8 +202,6 @@ class TestPlanCascade:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CascadeConfig(initial_gain=0.0, initial_span=1e-4)
-        with pytest.raises(DomainError):
-            CascadeConfig(initial_span=1e-4, initial_variance=1e-10)
         with pytest.raises(DomainError):
             CascadeConfig(initial_gain=1.0)
         with pytest.raises(DomainError):

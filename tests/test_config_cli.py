@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,19 @@ from optocool import ConfigError
 from optocool.cli import main, run_command
 from optocool.config import DEFAULT_CONFIG, load_config, parse_config
 from optocool.spectrum import read_spectrum_csv
+
+# the four noise-density keys, each with its unit
+DENSITY_KEYS = [("hli", "imprecision_asd", "m/rtHz"),
+                ("cascade", "fpi_imprecision_asd", "m/rtHz"),
+                ("cooling", "external_force_psd", "N^2/Hz"),
+                ("fpi", "readout_noise_asd", "Hz/rtHz")]
+
+
+def _default_with(key: str, value: str) -> str:
+    """DEFAULT_CONFIG with the one line of ``key`` set to ``value``."""
+    return re.sub(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG,
+                  count=1, flags=re.M)
+
 
 MINIMAL = """\
 [resonator]
@@ -104,6 +118,17 @@ class TestConfigParsing:
     def test_bad_gain_names_key(self, section, key, raw):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("number", ["-5e-12", "nan", "inf"])
+    @pytest.mark.parametrize("section, key, unit", DENSITY_KEYS)
+    def test_bad_density_names_key(self, section, key, unit, number):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(_default_with(key, f"{number} {unit}"))
+
+    def test_zero_density_accepted(self):
+        for section, key, unit in DENSITY_KEYS:
+            cfg = parse_config(_default_with(key, f"0 {unit}"))
+            assert cfg.get(section, key) == 0.0
 
     def test_echo_contains_every_key(self):
         cfg = parse_config(MINIMAL)
@@ -263,6 +288,36 @@ class TestCli:
         assert "\n" not in err
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("imprecision_asd", "-5e-12 m/rtHz", ["cool", "optimum"]),
+        ("fpi_imprecision_asd", "-2e-13 m/rtHz", ["cascade", "run"]),
+        ("external_force_psd", "-1e-30 N^2/Hz",
+         ["cool", "sweep", "--gains", "1,10"]),
+        ("readout_noise_asd", "-3 Hz/rtHz", ["noise-budget"])])
+    def test_negative_density_refused(self, tmp_path, capsys, key, value,
+                                      command):
+        # with handover termination the cascade reads the FPI imprecision
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(key, value).replace(
+            "termination = gain", "termination = handover"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: ")
+        assert f".{key}:" in err
+        assert "\n" not in err
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("noise", ["-5e-12", "5e-12,-5e-12"])
+    def test_negative_sweep_noise_refused(self, tmp_path, capsys, noise):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cool", "sweep", "--gains", "1,10",
+                     f"--noise={noise}"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: --noise")
+        assert list(out.glob("*")) == []
+
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")
@@ -275,6 +330,22 @@ class TestCli:
                      "psd", "--input", str(tmp_path / "trace.csv"),
                      "--column", "x_m", "--segment", "1024"])
         rec = read_spectrum_csv(tmp_path / "psd_x_m.csv", kind="psd")
+        assert rec.values.size > 100
+
+    def test_simulate_chain_controller_columns(self, tmp_path):
+        # the chain controller adds the modulator drive and optical power
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 20 s\nseed = 7\n"
+                            "controller = chain\n")
+        run_command(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "simulate"])
+        rows = [l for l in (tmp_path / "trace.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[0] == "t_s,x_m,y_m,v_volt,p_watt,f_fb_newton"
+        run_command(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "psd", "--input", str(tmp_path / "trace.csv"),
+                     "--column", "p_watt", "--segment", "1024"])
+        rec = read_spectrum_csv(tmp_path / "psd_p_watt.csv", kind="psd")
         assert rec.values.size > 100
 
     def test_seed_override_changes_trace(self, tmp_path):

@@ -264,6 +264,17 @@ class TestTemperatures:
         second = np.diff(teff, 2)
         assert np.all(second > 0.0)
 
+    @pytest.mark.parametrize("s_n", [(2e-13) ** 2, HLI_PSD, (1e-10) ** 2])
+    def test_agrees_with_analytic_variance(self, resonator, s_n):
+        # two statements of one model: (T + g^2 T_n)/(1+g) in kelvin and
+        # the analytic variance scaled by m omega0^2 / kB
+        t_n = noise_temperature(resonator, s_n)
+        for g in np.logspace(0.0, 5.0, 11):
+            analytic = closed_loop_variance(
+                CoolingSetup(resonator, g, imprecision_psd=s_n)).analytic
+            assert effective_temperature(resonator, g, t_n) == pytest.approx(
+                analytic.t_eff, rel=1e-12)
+
     def test_input_validation(self, resonator):
         with pytest.raises(DomainError):
             effective_temperature(resonator, -1.0, 1e-5)

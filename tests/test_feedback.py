@@ -158,6 +158,15 @@ class TestPowerForGain:
         with pytest.raises(DomainError):
             chain.required_power(resonator, 0.0)
 
+    def test_zero_transduction_rejected(self, chain, resonator):
+        unbiased = Eoam(half_wave_voltage=200.0, max_power=1.16e-3,
+                        bias_angle=0.0)
+        for dead in (chain.with_dac_gain(0.0),
+                     FeedbackChain(eoam=unbiased, dac_gain=chain.dac_gain,
+                                   wavelength=chain.wavelength)):
+            with pytest.raises(DomainError, match="zero transduction"):
+                dead.required_power(resonator, 1.0)
+
 
 class TestMaxDacGain:
     def test_reference_value(self):
