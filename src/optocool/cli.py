@@ -99,8 +99,11 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig, out: Path) -> None:
         gains = np.logspace(0, 5, 51).tolist()
     noises = (_parse_float_list(args.noise) if args.noise
               else [cfg.get("hli", "imprecision_asd")])
-    if any(asd < 0.0 for asd in noises):
-        raise ConfigError(f"--noise: an ASD must be >= 0, got {args.noise!r}")
+    bad = [asd for asd in noises if not (asd >= 0.0 and math.isfinite(asd * asd))]
+    if bad:
+        key = "--noise" if args.noise else "hli.imprecision_asd"
+        raise ConfigError(f"{key}: an ASD must be >= 0 with a finite square, "
+                          f"got {bad[0]!r}")
     external = cfg.external_force_psd()
     for asd in noises:
         rows = []

@@ -217,7 +217,7 @@ class ExperimentConfig:
     def hli(self) -> HliReadout:
         h = self.values["hli"]
         hli = HliReadout(wavelength=h["wavelength"],
-                         imprecision_asd=h["imprecision_asd"],
+                         imprecision_asd=self._imprecision_asd(),
                          lpf_corner=h["lpf_corner"],
                          heterodyne_frequency=h["heterodyne_frequency"])
         corner_ratio = hli.lpf_corner / (self.get("resonator", "frequency") / TWO_PI)
@@ -240,8 +240,14 @@ class ExperimentConfig:
         return FeedbackChain(eoam=eoam, dac_gain=dac,
                              wavelength=self.get("hli", "wavelength"))
 
+    def _imprecision_asd(self) -> float:
+        asd = self.get("hli", "imprecision_asd")
+        if not asd > 0.0:
+            raise ConfigError(f"hli.imprecision_asd: must be > 0, got {asd!r}")
+        return asd
+
     def imprecision_psd(self) -> float:
-        return self.get("hli", "imprecision_asd") ** 2
+        return self._imprecision_asd() ** 2
 
     def external_force_psd(self):
         val = self.get("cooling", "external_force_psd")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import welch
 
 from .constants import TWO_PI
 from .errors import ConfigError
@@ -29,6 +28,8 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
     if not 0.0 <= overlap < 1.0:
         raise ConfigError("overlap fraction must be in [0, 1)")
     noverlap = int(overlap * segment_length)
+    # imported here so that `import optocool` loads no scipy
+    from scipy.signal import welch
     freqs, pxx = welch(x, fs=sample_rate, window="hann",
                        nperseg=segment_length, noverlap=noverlap,
                        detrend=False, scaling="density")

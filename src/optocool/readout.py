@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
@@ -213,6 +212,8 @@ class Phasemeter:
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n
         iq_raw = np.stack((2.0 * samples * np.cos(phase_lo),
                            -2.0 * samples * np.sin(phase_lo)))
+        # imported here so that `import optocool` loads no scipy
+        from scipy.signal import lfilter
         (i_f, q_f), self._zi = lfilter(self._b, self._a, iq_raw, zi=self._zi)
         phase = np.arctan2(q_f, i_f)
         if self._last_phase is not None:

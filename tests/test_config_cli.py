@@ -318,6 +318,38 @@ class TestCli:
         assert err.startswith("error: config: --noise")
         assert list(out.glob("*")) == []
 
+    def test_overflowing_sweep_noise_refused(self, tmp_path, capsys):
+        # 1e200 squares to inf; the 5e-12 file must not be written first
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cool", "sweep", "--gains", "1,10",
+                     "--noise=5e-12,1e200"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: --noise")
+        assert list(out.glob("*")) == []
+
+    def test_overflowing_configured_noise_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("imprecision_asd", "1e200 m/rtHz"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "cool",
+                     "sweep", "--gains", "1,10"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: hli.imprecision_asd:")
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", [["cool", "optimum"], ["paper-report"],
+                                         ["cascade", "run"]])
+    def test_zero_hli_imprecision_refused(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("imprecision_asd", "0 m/rtHz"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: hli.imprecision_asd:")
+        assert "\n" not in err
+        assert list(out.glob("*")) == []
+
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")
