@@ -1,5 +1,10 @@
 """Command-line harness: config loading, dispatch, artifact generation.
 
+Each ``_cmd_*`` command yields ``(file name, header lines, body, columns)``
+artifacts and touches no file or stdout. `run_command` formats them all,
+then creates the out directory, writes them all and prints one ``wrote
+<path>`` line per file, so a command that fails writes nothing.
+
 Every artifact (CSV or structured text) starts with ``#`` header lines
 carrying the command, the fully resolved configuration, and the seed, so a
 rerun with the same inputs is byte identical.
@@ -29,8 +34,8 @@ from .feedback import actuator_gain
 from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
 from .simulate import simulate, steady_state_variance
-from .spectrum import (SpectrumRecord, read_rows, write_artifact,
-                       write_spectrum_csv)
+from .spectrum import (SpectrumRecord, format_artifact, read_rows,
+                       spectrum_table)
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
@@ -63,19 +68,18 @@ def _gain_grid(res, g: float) -> np.ndarray:
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_susceptibility(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_susceptibility(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     for g in _parse_float_list(args.gains):
         omega = _gain_grid(res, g)
         chi = effective_susceptibility(res, g, omega)
         rec = SpectrumRecord(omega, chi, "response", "m/N")
-        path = out / f"susceptibility_g{_format_gain(g)}.csv"
-        write_spectrum_csv(rec, path,
-                           _header_lines(f"susceptibility g={g:g}", cfg))
-        print(f"wrote {path}")
+        yield (f"susceptibility_g{_format_gain(g)}.csv",
+               _header_lines(f"susceptibility g={g:g}", cfg),
+               *spectrum_table(rec))
 
 
-def _cmd_noise_budget(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_noise_budget(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     fpi = cfg.fpi()
     g = cfg.get("cooling", "gain")
@@ -85,13 +89,11 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig, out: Path) -> None:
     readout = fpi.noise_asd(omega)
     total = np.sqrt(thermal ** 2 + readout ** 2)
     rows = zip(omega / TWO_PI, total, thermal, readout)
-    write_artifact(out / "noise_budget.csv", _header_lines("noise-budget", cfg),
-                   rows, ["freq_hz", "total_hz_rthz", "thermal_hz_rthz",
-                          "readout_hz_rthz"])
-    print(f"wrote {out / 'noise_budget.csv'}")
+    yield ("noise_budget.csv", _header_lines("noise-budget", cfg), rows,
+           ["freq_hz", "total_hz_rthz", "thermal_hz_rthz", "readout_hz_rthz"])
 
 
-def _cmd_cool_sweep(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_cool_sweep(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     if args.gains:
         gains = _parse_float_list(args.gains)
@@ -113,14 +115,12 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig, out: Path) -> None:
             num = closed_loop_variance(setup).numeric
             rows.append((g, num.t_eff, num.variance, num.thermal,
                          num.feedthrough))
-        path = out / f"cool_sweep_noise{asd:g}.csv"
-        write_artifact(path, _header_lines(f"cool sweep noise={asd:g}", cfg),
-                       rows, ["g", "T_eff_K", "x2_m2", "thermal_m2",
-                              "feedthrough_m2"])
-        print(f"wrote {path}")
+        yield (f"cool_sweep_noise{asd:g}.csv",
+               _header_lines(f"cool sweep noise={asd:g}", cfg), rows,
+               ["g", "T_eff_K", "x2_m2", "thermal_m2", "feedthrough_m2"])
 
 
-def _cmd_cool_optimum(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_cool_optimum(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     s_n = cfg.imprecision_psd()
     got = optimal_gain(res, s_n)
@@ -135,12 +135,10 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig, out: Path) -> None:
         ("t_eff_at_g_opt_K", effective_temperature(res, got.closed_form, t_n)),
         ("t_eff_floor_K", floor),
     ]
-    write_artifact(out / "cool_optimum.txt",
-                   _header_lines("cool optimum", cfg), body)
-    print(f"wrote {out / 'cool_optimum.txt'}")
+    yield "cool_optimum.txt", _header_lines("cool optimum", cfg), body, None
 
 
-def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_cascade_run(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
     hli = cfg.hli()
@@ -155,17 +153,17 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
                        s.variance_out, s.t_eff_out)
                       for s in schedule.stages]
         header = _header_lines(f"cascade run g0={g0:g}", cfg)
-        write_artifact(out / f"cascade_g{tag}.csv", header, stage_rows,
-                       ["stage", "g", "gdac_v_per_rad", "t_start_s",
-                        "duration_s", "x2_exit_m2", "teff_exit_K"])
+        yield (f"cascade_g{tag}.csv", header, stage_rows,
+               ["stage", "g", "gdac_v_per_rad", "t_start_s",
+                "duration_s", "x2_exit_m2", "teff_exit_K"])
 
         t_lo = schedule.stages[0].duration / 100.0
         times = np.logspace(math.log10(t_lo), math.log10(schedule.total_time),
                             400)
         series_rows = [(t, schedule.variance_at(t), schedule.t_eff_at(t))
                        for t in times]
-        write_artifact(out / f"cascade_g{tag}_timeseries.csv", header,
-                       series_rows, ["t_s", "x2_m2", "teff_K"])
+        yield (f"cascade_g{tag}_timeseries.csv", header, series_rows,
+               ["t_s", "x2_m2", "teff_K"])
 
         comparison = compare_single_step(
             schedule.stages[-1].gain, ccfg, chain, res, hli, fpi)
@@ -186,11 +184,10 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig, out: Path) -> None:
             ("time_ratio_cascade_over_single", comparison.time_ratio),
             ("reciprocity_product", comparison.reciprocity),
         ]
-        write_artifact(out / f"cascade_g{tag}.txt", header, body)
-        print(f"wrote {out / f'cascade_g{tag}.csv'} (+timeseries, summary)")
+        yield f"cascade_g{tag}.txt", header, body, None
 
 
-def _cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_simulate(args, cfg: ExperimentConfig):
     res = cfg.sim_resonator()
     sim_cfg = cfg.sim_config(seed=args.seed)
     chain = cfg.chain() if sim_cfg.controller == "chain" else None
@@ -205,7 +202,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> None:
     series.append(trace.feedback_force)
     rows = zip(*[s.tolist() for s in series])
     header = _header_lines("simulate", cfg, seed=trace.seed)
-    write_artifact(out / "trace.csv", header, rows, columns)
+    yield "trace.csv", header, rows, columns
 
     variance = steady_state_variance(trace)
     body = [
@@ -214,8 +211,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> None:
         ("steady_state_variance_m2", variance),
         ("steady_state_rms_m", math.sqrt(variance)),
     ]
-    write_artifact(out / "simulate.txt", header, body)
-    print(f"wrote {out / 'trace.csv'} and {out / 'simulate.txt'}")
+    yield "simulate.txt", header, body, None
 
 
 def _read_trace_csv(path, column: str):
@@ -227,25 +223,31 @@ def _read_trace_csv(path, column: str):
         raise ConfigError(
             f"{path}: no column {column!r}; available: {header}")
     c_idx = header.index(column)
-    t = np.array([float(r[0]) for r in rows[1:]])
-    x = np.array([float(r[c_idx]) for r in rows[1:]])
+    try:
+        t = np.array([float(r[0]) for r in rows[1:]])
+        x = np.array([float(r[c_idx]) for r in rows[1:]])
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path}: bad or missing cell ({exc})") from exc
     return t, x
 
 
-def _cmd_psd(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_psd(args, cfg: ExperimentConfig):
     t, x = _read_trace_csv(args.input, args.column)
-    fs = 1.0 / float(t[1] - t[0])
-    rec = estimate_psd(x, fs, args.segment, overlap=args.overlap,
-                       unit=f"({args.column})^2/Hz")
-    path = out / f"psd_{args.column}.csv"
-    write_spectrum_csv(rec, path, _header_lines(
-        f"psd input={args.input} column={args.column} "
-        f"segment={args.segment}", cfg))
-    print(f"wrote {path} (parseval ratio "
-          f"{rec.meta['parseval_ratio']:.4f}, {rec.meta['segments']} segments)")
+    if t.size < 2:
+        raise ConfigError(f"{args.input}: {t.size} data rows, need at least 2")
+    if not t[1] > t[0]:
+        raise ConfigError(f"{args.input}: t_s must increase, got {t[0]!r} "
+                          f"then {t[1]!r}")
+    rec = estimate_psd(x, 1.0 / float(t[1] - t[0]), args.segment,
+                       overlap=args.overlap, unit=f"({args.column})^2/Hz")
+    header = _header_lines(f"psd input={args.input} column={args.column} "
+                           f"segment={args.segment}", cfg)
+    header += [f"segments = {rec.meta['segments']}",
+               f"parseval_ratio = {rec.meta['parseval_ratio']!r}"]
+    yield f"psd_{args.column}.csv", header, *spectrum_table(rec)
 
 
-def _cmd_ringdown_fit(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
     t, x = _read_trace_csv(args.input, args.column)
     omega0 = TWO_PI * args.frequency if args.frequency else None
     fit = fit_q_from_ringdown(t, x, omega0=omega0)
@@ -258,12 +260,10 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig, out: Path) -> None:
         ("residual_rms", fit.residual_rms),
         ("n_points", fit.n_points),
     ]
-    write_artifact(out / "ringdown_fit.txt",
-                   _header_lines("ringdown-fit", cfg), body)
-    print(f"wrote {out / 'ringdown_fit.txt'} (Q = {fit.q:.6g})")
+    yield "ringdown_fit.txt", _header_lines("ringdown-fit", cfg), body, None
 
 
-def _cmd_chain_report(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_chain_report(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
     g = chain.gain_factor(res)
@@ -279,9 +279,7 @@ def _cmd_chain_report(args, cfg: ExperimentConfig, out: Path) -> None:
         ("gain_factor", g),
         ("power_for_unity_gain_W", chain.required_power(res, 1.0)),
     ]
-    write_artifact(out / "chain_report.txt",
-                   _header_lines("chain report", cfg), body)
-    print(f"wrote {out / 'chain_report.txt'}")
+    yield "chain_report.txt", _header_lines("chain report", cfg), body, None
 
 
 def _paper_report_rows(cfg: ExperimentConfig) -> list:
@@ -317,16 +315,12 @@ def _paper_report_rows(cfg: ExperimentConfig) -> list:
     return out
 
 
-def _cmd_paper_report(args, cfg: ExperimentConfig, out: Path) -> None:
+def _cmd_paper_report(args, cfg: ExperimentConfig):
     body = ["quantity | unit | computed | reference | ratio | flag"]
     for name, unit, computed, reference, ratio, flag in _paper_report_rows(cfg):
         body.append(f"{name} | {unit} | {computed!r} | {reference!r} | "
                     f"{ratio!r} | {flag}")
-    write_artifact(out / "paper_report.txt",
-                   _header_lines("paper-report", cfg), body)
-    print(f"wrote {out / 'paper_report.txt'}")
-    for line in body:
-        print(line)
+    yield "paper_report.txt", _header_lines("paper-report", cfg), body, None
 
 
 # -- dispatch ------------------------------------------------------------
@@ -415,8 +409,13 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
     out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "optocool_out")
+    texts = {out / name: format_artifact(out / name, header, body, columns)
+             for name, header, body, columns in args.func(args, cfg)}
     out.mkdir(parents=True, exist_ok=True)
-    args.func(args, cfg, out)
+    for path, text in texts.items():
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -201,6 +201,9 @@ class ExperimentConfig:
 
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]
+        if r["q_internal"] == math.inf and r["viscous_rate"] == 0.0:
+            raise ConfigError("resonator.q_internal: an infinite Q needs "
+                              "viscous_rate > 0, or nothing damps the mass")
         return MechanicalResonator(
             mass=r["mass"], omega0=r["frequency"],
             q_internal=r["q_internal"], gamma_viscous=r["viscous_rate"],

@@ -21,6 +21,8 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
     close to 1 for well-resolved spectra).
     """
     x = np.asarray(x, dtype=float)
+    if segment_length < 2:
+        raise ConfigError(f"segment length must be >= 2, got {segment_length}")
     if x.size < 2 * segment_length:
         raise ConfigError(
             f"series length {x.size} must be at least twice the segment "

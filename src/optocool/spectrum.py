@@ -8,12 +8,12 @@ Conventions used throughout the toolkit:
 * A variance is recovered from a PSD as ``integral S(omega) d omega / 2 pi``,
   i.e. densities are "per Hz" regardless of the grid being angular.
 
-Every artifact is written by `write_artifact` and read by `read_rows`, the
-only code that knows the format: a block of ``# `` header lines, then
-either ``key = value`` text lines or a CSV table under a header row. Floats
-and complex values are written by ``repr``, and a non-finite one is refused
-with a `DomainError`, so no file full of ``nan`` is ever written. Readers
-skip blank rows and rows whose first cell starts with ``#``.
+Every artifact is formatted by `format_artifact` and read by `read_rows`,
+the only code that knows the format; the CLI driver and `write_spectrum_csv`
+write the text. An artifact is ``# `` header lines, then ``key = value``
+lines or a CSV table. Floats and complex values are written by ``repr``,
+and a non-finite one is refused with a `DomainError`, so no file full of
+``nan`` is ever written. Readers skip blank rows and ``#`` comment rows.
 """
 
 from __future__ import annotations
@@ -119,12 +119,12 @@ def psd_lookup(value, what: str):
     return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
 
-def write_artifact(path, header_lines, body=(), columns=None) -> None:
-    """Write ``# `` header lines, then a CSV table or text lines.
+def format_artifact(where, header_lines, body, columns) -> str:
+    """Text of ``# `` header lines, then a CSV table or text lines.
 
-    With ``columns`` the body is table rows; without, each body item is a
-    plain line or a ``(key, value)`` pair. The file is opened only once
-    the whole of it is formatted, so a refused value writes nothing.
+    With ``columns`` the body is table rows; with ``None``, each body item
+    is a plain line or a ``(key, value)`` pair. ``where`` (the file's path)
+    prefixes the message of a refused non-finite value.
     """
     buf = io.StringIO()
     for line in header_lines:
@@ -133,16 +133,15 @@ def write_artifact(path, header_lines, body=(), columns=None) -> None:
         for line in body:
             if not isinstance(line, str):
                 key, value = line
-                line = f"{key} = {_cell(value, f'{path}: {key}')}"
+                line = f"{key} = {_cell(value, f'{where}: {key}')}"
             buf.write(line + "\n")
     else:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        where = [f"{path}: column {name}" for name in columns]
+        labels = [f"{where}: column {name}" for name in columns]
         for row in body:
-            writer.writerow(list(map(_cell, row, where)))
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+            writer.writerow(list(map(_cell, row, labels)))
+    return buf.getvalue()
 
 
 def _cell(value, where: str):
@@ -175,12 +174,17 @@ def read_rows(path):
     return rows, comments
 
 
+def spectrum_table(record: SpectrumRecord):
+    """``(rows, columns)`` of a record's ``freq_hz,value,unit`` table."""
+    return (zip(record.freq_hz.tolist(), record.values.tolist(),
+                repeat(record.unit)), ["freq_hz", "value", "unit"])
+
+
 def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
     """Write ``freq_hz,value,unit`` rows, preceded by ``#`` header lines."""
-    rows = zip(record.freq_hz.tolist(), record.values.tolist(),
-               repeat(record.unit))
-    write_artifact(path, header_lines, rows,
-                   columns=["freq_hz", "value", "unit"])
+    text = format_artifact(path, header_lines, *spectrum_table(record))
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:

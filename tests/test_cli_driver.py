@@ -1,0 +1,150 @@
+"""The CLI driver: commands yield artifacts, `run_command` writes all or none."""
+
+import math
+import re
+
+import pytest
+
+from optocool.cli import main
+from optocool.config import DEFAULT_CONFIG
+from optocool.spectrum import read_rows, read_spectrum_csv
+
+
+def _config(tmp_path, **lines):
+    """DEFAULT_CONFIG with each ``key = value`` line replaced, as a file."""
+    text = DEFAULT_CONFIG
+    for key, value in lines.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1,
+                      flags=re.M)
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    return path
+
+
+def _trace(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    return path
+
+
+def _sine_trace(scale=1.0):
+    return "t_s,x_m\n" + "".join(
+        f"{0.1 * i!r},{scale * math.sin(0.7 * i)!r}\n" for i in range(64))
+
+
+class TestAllOrNothing:
+    def test_failing_list_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cascade", "run",
+                     "--g0", "1,1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: PowerLimitError: g = 1000")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failing_list_leaves_existing_directory_empty(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--out", str(out), "cascade", "run",
+                     "--g0", "1,1000"]) == 1
+        assert list(out.iterdir()) == []
+
+    def test_one_wrote_line_per_file_in_yield_order(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cascade", "run",
+                     "--g0", "1,0.5"]) == 0
+        names = [f"cascade_g{tag}{suffix}" for tag in ("1", "0.5")
+                 for suffix in (".csv", "_timeseries.csv", ".txt")]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+class TestPsdHeader:
+    def test_header_carries_segments_and_parseval_ratio(self, tmp_path):
+        trace = _trace(tmp_path, _sine_trace())
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", "16"]) == 0
+        path = out / "psd_x_m.csv"
+        _, comments = read_rows(path)
+        tags = dict(row[0].lstrip("# ").split(" = ", 1) for row in comments
+                    if row[0].startswith(("# segments", "# parseval_ratio")))
+        assert int(tags["segments"]) == 7
+        assert float(tags["parseval_ratio"]) == pytest.approx(1.0, abs=0.2)
+        assert read_spectrum_csv(path, kind="psd").values.size == 8
+
+    def test_all_zero_column_has_nan_ratio(self, tmp_path):
+        trace = _trace(tmp_path, _sine_trace(scale=0.0))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", "16"]) == 0
+        assert "# parseval_ratio = nan\n" in (out / "psd_x_m.csv").read_text()
+
+
+LOSSLESS_COMMANDS = [
+    (["chain", "report"], "q100"), (["cool", "optimum"], "q100"),
+    (["paper-report"], "q100"), (["cascade", "run"], "q100"),
+    (["cool", "sweep", "--gains", "1,10"], "q100"),
+    (["susceptibility"], "q100"), (["noise-budget"], "q100"),
+    (["simulate"], "q100"), (["simulate"], "none")]
+
+
+class TestLosslessResonator:
+    @pytest.mark.parametrize(
+        "command, preset", LOSSLESS_COMMANDS,
+        ids=[" ".join(argv[:2]) + f" preset={preset}"
+             for argv, preset in LOSSLESS_COMMANDS])
+    def test_refused(self, tmp_path, capsys, command, preset):
+        cfg = _config(tmp_path, q_internal="inf", preset=preset)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config: resonator.q_internal:")
+        assert "\n" not in err
+        assert not out.exists()
+
+    def test_viscous_damping_allowed(self, tmp_path):
+        cfg = _config(tmp_path, q_internal="inf", viscous_rate="1 mHz")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "cool", "optimum"]) == 0
+        assert (out / "cool_optimum.txt").exists()
+
+
+class TestBadTraceInput:
+    @pytest.mark.parametrize("text, message", [
+        ("t_s,x_m\n0.0,1.0\n", "1 data rows"),
+        ("t_s,x_m\n", "0 data rows"),
+        ("t_s,x_m\n0.0,1.0\n0.0,2.0\n", "t_s must increase"),
+        ("t_s,x_m\n0.0,1.0\n0.1,abc\n", "bad or missing cell"),
+        ("t_s,x_m\n0.0,1.0\n0.1\n", "bad or missing cell"),
+    ], ids=["one-row", "header-only", "equal-times", "non-numeric",
+            "missing-cell"])
+    def test_psd_names_the_file(self, tmp_path, capsys, text, message):
+        trace = _trace(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config: {trace}: ")
+        assert message in err
+        assert not out.exists()
+
+    def test_ringdown_fit_names_the_file(self, tmp_path, capsys):
+        trace = _trace(tmp_path, "t_s,value\n0.0,1.0\n0.1,abc\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ringdown-fit",
+                     "--input", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: {trace}: bad or missing cell")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("segment", ["0", "-5", "1"])
+    def test_short_segment_refused(self, tmp_path, capsys, segment):
+        trace = _trace(tmp_path, _sine_trace())
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", segment]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: config: segment length must be >= 2, got {segment}")
+        assert not out.exists()

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import optocool
 
@@ -23,3 +25,45 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _calls(node, name):
+    """Calls of the bare name ``name`` under ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == name]
+
+
+def _opens_for_writing(call):
+    """Whether an ``open`` call may write: any mode but a literal read mode."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and "r" in mode.value
+                and "+" not in mode.value)
+
+
+def test_only_the_driver_writes_files():
+    # a command that writes or prints its own output could leave half of
+    # it behind when a later item fails; run_command writes all or none
+    src = Path(optocool.__file__).parent
+    writers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in _functions(tree):
+            if path.stem == "cli" and fn.name.startswith("_cmd_"):
+                assert _calls(fn, "print") == [], fn.name
+                assert _calls(fn, "open") == [], fn.name
+            if any(map(_opens_for_writing, _calls(fn, "open"))):
+                writers.add(f"{path.stem}.{fn.name}")
+            writers.update(
+                f"{path.stem}.{fn.name}" for call in ast.walk(fn)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("write_text", "write_bytes"))
+    assert writers == {"cli.run_command", "spectrum.write_spectrum_csv"}
