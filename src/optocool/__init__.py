@@ -20,8 +20,7 @@ from .cooling import (ClosedLoopVariance, CoolingResult, CoolingSetup,
                       effective_temperature, effective_temperature_floor,
                       noise_temperature, optimal_gain)
 from .errors import (ConfigError, DivergenceError, DomainError, FitError,
-                     InfeasibleError, NumericalError, PowerLimitError,
-                     RangeError)
+                     InfeasibleError, NumericalError, PowerLimitError)
 from .feedback import Eoam, FeedbackChain, actuator_gain, max_dac_gain
 from .psd import estimate_psd
 from .readout import (FpiReadout, HliReadout, Phasemeter, phase_from_csv,

@@ -34,7 +34,7 @@ from .feedback import actuator_gain
 from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
 from .simulate import simulate, steady_state_variance
-from .spectrum import (SpectrumRecord, format_artifact, read_rows,
+from .spectrum import (SpectrumRecord, format_artifact, read_columns,
                        spectrum_table)
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
@@ -214,30 +214,8 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
     yield "simulate.txt", header, body, None
 
 
-def _read_trace_csv(path, column: str):
-    rows, _ = read_rows(path)
-    if not rows:
-        raise ConfigError(f"{path}: empty file")
-    header = rows[0]
-    if column not in header:
-        raise ConfigError(
-            f"{path}: no column {column!r}; available: {header}")
-    c_idx = header.index(column)
-    try:
-        t = np.array([float(r[0]) for r in rows[1:]])
-        x = np.array([float(r[c_idx]) for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad or missing cell ({exc})") from exc
-    return t, x
-
-
 def _cmd_psd(args, cfg: ExperimentConfig):
-    t, x = _read_trace_csv(args.input, args.column)
-    if t.size < 2:
-        raise ConfigError(f"{args.input}: {t.size} data rows, need at least 2")
-    if not t[1] > t[0]:
-        raise ConfigError(f"{args.input}: t_s must increase, got {t[0]!r} "
-                          f"then {t[1]!r}")
+    (t, x), _ = read_columns(args.input, ("t_s", args.column))
     rec = estimate_psd(x, 1.0 / float(t[1] - t[0]), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(f"psd input={args.input} column={args.column} "
@@ -248,7 +226,7 @@ def _cmd_psd(args, cfg: ExperimentConfig):
 
 
 def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
-    t, x = _read_trace_csv(args.input, args.column)
+    (t, x), _ = read_columns(args.input, ("t_s", args.column))
     omega0 = TWO_PI * args.frequency if args.frequency else None
     fit = fit_q_from_ringdown(t, x, omega0=omega0)
     body = [

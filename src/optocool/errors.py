@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument is outside the physical domain of an operation."""
 
 
-class RangeError(ValueError):
-    """A displacement exceeds the dynamic range of a readout."""
-
-
 class PowerLimitError(ValueError):
     """A required optical power exceeds the modulator damage threshold."""
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup, read_rows
+from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup, read_columns
 
 
 def _squared(asd):
@@ -76,14 +76,6 @@ class FpiReadout:
     def capture_range(self) -> float:
         """Linear-regime displacement bound wavelength/finesse, m."""
         return self.wavelength / self.finesse
-
-    def freq_from_displacement(self, x: float) -> float:
-        """Laser frequency shift for displacement x, Hz."""
-        if abs(x) >= self.dynamic_range():
-            raise RangeError(
-                f"|x| = {abs(x):.4g} m exceeds the dynamic range "
-                f"{self.dynamic_range():.4g} m")
-        return x * self.displacement_to_frequency
 
     def capture_check(self, rms_x: float) -> bool:
         """True iff rms motion is strictly inside the capture range."""
@@ -241,14 +233,8 @@ def phase_from_csv(path, heterodyne_frequency: float, lpf_corner: float):
     """Run the phasemeter on a raw ``t_s,value`` sample CSV.
 
     Returns (t, unwrapped phase in rad). The sample rate is taken from the
-    first two timestamps; ``#`` comment lines are skipped.
+    first two timestamps.
     """
-    rows = [row for row in read_rows(path)[0] if row[0] != "t_s"]
-    t = [float(row[0]) for row in rows]
-    values = [float(row[1]) for row in rows]
-    if len(t) < 2:
-        raise ConfigError(f"{path}: need at least two samples")
-    t = np.asarray(t)
-    sample_rate = 1.0 / (t[1] - t[0])
-    return t, phasemeter_extract(np.asarray(values), sample_rate,
+    (t, values), _ = read_columns(path, ("t_s", "value"))
+    return t, phasemeter_extract(values, 1.0 / (t[1] - t[0]),
                                  heterodyne_frequency, lpf_corner)

@@ -8,12 +8,15 @@ Conventions used throughout the toolkit:
 * A variance is recovered from a PSD as ``integral S(omega) d omega / 2 pi``,
   i.e. densities are "per Hz" regardless of the grid being angular.
 
-Every artifact is formatted by `format_artifact` and read by `read_rows`,
-the only code that knows the format; the CLI driver and `write_spectrum_csv`
-write the text. An artifact is ``# `` header lines, then ``key = value``
-lines or a CSV table. Floats and complex values are written by ``repr``,
-and a non-finite one is refused with a `DomainError`, so no file full of
-``nan`` is ever written. Readers skip blank rows and ``#`` comment rows.
+Every artifact is formatted by `format_artifact`; the CLI driver and
+`write_spectrum_csv` write the text. An artifact is ``# `` header lines,
+then ``key = value`` lines or a CSV table. Floats and complex values are
+written by ``repr``, and a non-finite one is refused with a `DomainError`,
+so no file full of ``nan`` is ever written.
+
+Every input CSV is read by `read_columns`, the only code that turns cells
+into numbers. Its header is the first row that is neither blank nor a ``#``
+comment, and a malformed file is refused with a `ConfigError` naming it.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ import csv
 import io
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 KIND_ASD = "asd"
 KIND_PSD = "psd"
@@ -174,6 +178,46 @@ def read_rows(path):
     return rows, comments
 
 
+def read_columns(path, names, types=None):
+    """The named columns of an input CSV, and its ``#`` comment rows.
+
+    The header must name every column, and at least two data rows must
+    follow, each with a cell of the column's type (float, or its ``types``
+    entry: complex or str) in every named column. Numeric cells must be
+    finite and the first column (``t_s`` or ``freq_hz``) must strictly
+    increase; anything else is a `ConfigError` naming the file.
+    """
+    rows, comments = read_rows(path)
+    if not rows:
+        raise ConfigError(f"{path}: empty file")
+    header, data = [cell.strip() for cell in rows[0]], rows[1:]
+    for name in names:
+        if name not in header:
+            raise ConfigError(
+                f"{path}: no column {name!r}; available: {header}")
+    if len(data) < 2:
+        raise ConfigError(f"{path}: {len(data)} data rows, need at least 2")
+    columns = []
+    for name, cell_type in zip(names, types or repeat(float)):
+        cells = map(itemgetter(header.index(name)), data)
+        try:
+            column = list(map(cell_type, cells))
+            if cell_type is not str:
+                column = np.array(column, dtype=cell_type)
+                if not np.isfinite(column).all():
+                    raise ValueError("non-finite value")
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}: bad or missing cell in column "
+                              f"{name!r} ({exc})") from exc
+        columns.append(column)
+    t = columns[0]
+    i = np.argmin(np.diff(t) > 0.0)  # the first step that does not rise
+    if not t[i + 1] > t[i]:
+        raise ConfigError(f"{path}: {names[0]} must increase, got "
+                          f"{float(t[i])!r} then {float(t[i + 1])!r}")
+    return columns, comments
+
+
 def spectrum_table(record: SpectrumRecord):
     """``(rows, columns)`` of a record's ``freq_hz,value,unit`` table."""
     return (zip(record.freq_hz.tolist(), record.values.tolist(),
@@ -188,17 +232,14 @@ def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
 
 
 def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:
-    """Read a ``freq_hz,value,unit`` CSV back into a record."""
-    rows, _ = read_rows(path)
-    if not rows or [c.strip() for c in rows[0][:2]] != ["freq_hz", "value"]:
-        raise DomainError(f"{path}: expected header 'freq_hz,value,unit'")
-    freqs, vals, unit = [], [], ""
-    for row in rows[1:]:
-        freqs.append(float(row[0]))
-        vals.append(complex(row[1]) if kind == KIND_RESPONSE else float(row[1]))
-        unit = row[2] if len(row) > 2 else unit
-    omega = TWO_PI * np.asarray(freqs)
-    return SpectrumRecord(omega, np.asarray(vals), kind, unit)
+    """Read a ``freq_hz,value,unit`` CSV back into a record.
+
+    Values are complex for kind ``"response"``; the unit is the last row's.
+    """
+    value_type = complex if kind == KIND_RESPONSE else float
+    (freqs, vals, units), _ = read_columns(
+        path, ("freq_hz", "value", "unit"), (float, value_type, str))
+    return SpectrumRecord(TWO_PI * freqs, vals, kind, units[-1])
 
 
 def read_noise_csv(path) -> SpectrumRecord:
@@ -207,16 +248,10 @@ def read_noise_csv(path) -> SpectrumRecord:
     The unit may be tagged with a ``# unit: <label>`` comment line;
     otherwise it is ``m/rtHz``.
     """
-    rows, comments = read_rows(path)
+    (freqs, vals), comments = read_columns(path, ("freq_hz", "asd"))
     unit = "m/rtHz"
     for row in comments:
         tag = row[0].lstrip().lstrip("#").strip()
         if tag.lower().startswith("unit") and ":" in tag:
             unit = tag.split(":", 1)[1].strip()
-    rows = [row for row in rows if row[0].lstrip() != "freq_hz"]
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    freqs = [float(row[0]) for row in rows]
-    vals = [float(row[1]) for row in rows]
-    return SpectrumRecord(TWO_PI * np.asarray(freqs), np.asarray(vals),
-                          KIND_ASD, unit)
+    return SpectrumRecord(TWO_PI * freqs, vals, KIND_ASD, unit)

@@ -139,6 +139,22 @@ class TestBadTraceInput:
             f"error: config: {trace}: bad or missing cell")
         assert not out.exists()
 
+    @pytest.mark.parametrize("times, message", [
+        ([0.0] * 30, "t_s must increase, got 0.0 then 0.0"),
+        ([3.0 - 0.1 * i for i in range(30)],
+         "t_s must increase, got 3.0 then 2.9"),
+    ], ids=["constant-times", "decreasing-times"])
+    def test_ringdown_fit_refuses_unordered_times(self, tmp_path, capsys,
+                                                  times, message):
+        trace = _trace(tmp_path, "t_s,value\n" + "".join(
+            f"{t!r},{math.exp(-0.1 * i)!r}\n" for i, t in enumerate(times)))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ringdown-fit", "--input", str(trace),
+                     "--frequency", "4.72"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: {trace}: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("segment", ["0", "-5", "1"])
     def test_short_segment_refused(self, tmp_path, capsys, segment):
         trace = _trace(tmp_path, _sine_trace())

@@ -67,3 +67,29 @@ def test_only_the_driver_writes_files():
                 and isinstance(call.func, ast.Attribute)
                 and call.func.attr in ("write_text", "write_bytes"))
     assert writers == {"cli.run_command", "spectrum.write_spectrum_csv"}
+
+
+def test_only_spectrum_parses_input_files():
+    # one reader decides the input format and what it refuses; a second
+    # parser would accept what it refuses
+    src = Path(optocool.__file__).parent
+    readers, parsers = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in _functions(tree):
+            name = f"{path.stem}.{fn.name}"
+            if not all(map(_opens_for_writing, _calls(fn, "open"))):
+                readers.add(name)
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func
+                attr = (callee.attr if isinstance(callee, ast.Attribute)
+                        else getattr(callee, "id", None))
+                if attr in ("read_text", "read_bytes", "loadtxt",
+                            "genfromtxt", "fromfile", "read_csv"):
+                    readers.add(name)
+                if attr in ("read_rows", "reader", "DictReader"):
+                    parsers.add(name)
+    assert readers == {"spectrum.read_rows", "config.load_config"}
+    assert parsers == {"spectrum.read_rows", "spectrum.read_columns"}

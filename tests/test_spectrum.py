@@ -116,22 +116,64 @@ def test_phase_csv_skips_comments(tmp_path):
 def test_spectrum_csv_bad_header(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("# header\nfrequency,value,unit\n1.0,2.0,m\n")
-    with pytest.raises(DomainError, match="expected header"):
+    with pytest.raises(ConfigError, match="no column 'freq_hz'"):
         read_spectrum_csv(path)
 
 
 def test_noise_csv_without_data(tmp_path):
     path = tmp_path / "floor.csv"
     path.write_text("# unit: Hz/rtHz\nfreq_hz,asd\n\n")
-    with pytest.raises(DomainError, match="no data rows"):
+    with pytest.raises(ConfigError, match="0 data rows"):
         read_noise_csv(path)
 
 
 def test_phase_csv_needs_two_samples(tmp_path):
     path = tmp_path / "beat.csv"
     path.write_text("# one sample\nt_s,value\n0.0,1.0\n")
-    with pytest.raises(ConfigError, match="two samples"):
+    with pytest.raises(ConfigError, match="1 data rows, need at least 2"):
         phase_from_csv(path, 1e4, 20.0)
+
+
+@pytest.mark.parametrize("times, message", [
+    ("0.0,0.0,0.0", "t_s must increase, got 0.0 then 0.0"),
+    ("0.0,-1e-05,-2e-05", "t_s must increase, got 0.0 then -1e-05"),
+], ids=["equal", "decreasing"])
+def test_phase_csv_refuses_unordered_times(tmp_path, times, message):
+    path = tmp_path / "beat.csv"
+    path.write_text("t_s,value\n" + "".join(
+        f"{t},1.0\n" for t in times.split(",")))
+    with pytest.raises(ConfigError) as info:
+        phase_from_csv(path, 1e4, 20.0)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# each reader's file up to the value cell of its last row, and what follows it
+_READERS = {
+    "spectrum": ("freq_hz,value,unit\n1.0,2.0,m\n2.0", ",m", "value",
+                 read_spectrum_csv),
+    "noise": ("# unit: Hz/rtHz\nfreq_hz,asd\n1.0,2e-13\n2.0", "", "asd",
+              read_noise_csv),
+    "beat": ("t_s,value\n0.0,1.0\n1e-05", "", "value",
+             lambda path: phase_from_csv(path, 1e4, 20.0)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@pytest.mark.parametrize("cell, reason", [
+    (",abc", "could not convert string to float: 'abc'"),
+    (",", "could not convert string to float: ''"),
+    ("", "list index out of range"),
+    (",nan", "non-finite value"),
+    (",-inf", "non-finite value"),
+], ids=["non-numeric", "empty", "short-row", "nan", "inf"])
+def test_readers_refuse_bad_cells(tmp_path, reader, cell, reason):
+    head, tail, column, read = _READERS[reader]
+    path = tmp_path / "input.csv"
+    path.write_text(head + cell + (tail if cell else "") + "\n")
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value) == (
+        f"{path}: bad or missing cell in column {column!r} ({reason})")
 
 
 def test_non_finite_value_not_written(tmp_path):
