@@ -70,7 +70,7 @@ def _gain_grid(res, g: float) -> np.ndarray:
 
 def _cmd_susceptibility(args, cfg: ExperimentConfig):
     res = cfg.resonator()
-    for g in _parse_float_list(args.gains):
+    for g in _parse_float_list(args.gains, "--gains"):
         omega = _gain_grid(res, g)
         chi = effective_susceptibility(res, g, omega)
         rec = SpectrumRecord(omega, chi, "response", "m/N")
@@ -96,15 +96,15 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig):
 def _cmd_cool_sweep(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     if args.gains:
-        gains = _parse_float_list(args.gains)
+        gains = _parse_float_list(args.gains, "--gains")
     else:
         gains = np.logspace(0, 5, 51).tolist()
-    noises = (_parse_float_list(args.noise) if args.noise
+    noises = (_parse_float_list(args.noise, "--noise") if args.noise
               else [cfg.get("hli", "imprecision_asd")])
-    bad = [asd for asd in noises if not (asd >= 0.0 and math.isfinite(asd * asd))]
+    bad = [asd for asd in noises if not math.isfinite(asd * asd)]
     if bad:
         key = "--noise" if args.noise else "hli.imprecision_asd"
-        raise ConfigError(f"{key}: an ASD must be >= 0 with a finite square, "
+        raise ConfigError(f"{key}: an ASD must have a finite square, "
                           f"got {bad[0]!r}")
     external = cfg.external_force_psd()
     for asd in noises:
@@ -144,7 +144,8 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     hli = cfg.hli()
     fpi = cfg.fpi()
     base = cfg.cascade_config()
-    g0_list = _parse_float_list(args.g0) if args.g0 else [base.initial_gain]
+    g0_list = (_parse_float_list(args.g0, "--g0") if args.g0
+               else [base.initial_gain])
     for g0 in g0_list:
         ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
@@ -304,13 +305,13 @@ def _cmd_paper_report(args, cfg: ExperimentConfig):
 # -- dispatch ------------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list:
+def _parse_float_list(text: str, option: str) -> list:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"non-finite value in numeric list {text!r}")
+        raise ConfigError(f"{option}: bad numeric list {text!r}") from exc
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ConfigError(f"{option}: values must be finite and >= 0: {text!r}")
     return values
 
 

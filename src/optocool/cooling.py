@@ -6,9 +6,10 @@ loop one with gamma_m replaced by (1+g) gamma_m. The price is that readout
 imprecision is fed back as a real force; balancing the two yields an optimal
 gain and a floor on the reachable effective temperature.
 
-This module is the one home of the closed-loop model: `closed_loop_psd` is
-the one closed-loop spectrum, and its thermal, feedthrough and external
-parts are the integrands of `closed_loop_variance`. The readout output
+This module is the one home of the closed-loop model: one function gives the
+thermal, feedthrough and external parts of the closed-loop spectrum as rows;
+`closed_loop_psd` is their sum and `closed_loop_variance` integrates all
+three in one pass, so they share one evaluation per node. The readout output
 spectrum composes `effective_susceptibility`, and the cascade planner's
 per-stage floor is `analytic_variance`. Only the time-domain simulator keeps
 its own (viscous-equivalent) feedback rate.
@@ -119,35 +120,28 @@ class ClosedLoopVariance:
 
 
 def _parts(setup: CoolingSetup):
-    """S_n and the thermal, feedthrough and external parts of S_xx, m^2/Hz.
+    """S_n and parts(omega), the thermal, feedthrough and external rows of S_xx.
 
-    Each part is a function of omega with its density looked up once here.
-    The builtin ``abs(z) ** 2`` is deliberate: on a NumPy complex scalar,
-    ``np.abs(z) ** 2`` can differ in the last bit.
+    The rows, m^2/Hz, share one |chi_eff|^2 per omega, and each density is
+    looked up once here. The builtin ``abs(z) ** 2`` is deliberate: on a
+    NumPy complex scalar, ``np.abs(z) ** 2`` can differ in the last bit.
     """
     res, g = setup.res, setup.gain
     s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
     s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
 
-    def chi2(w):
-        return abs(effective_susceptibility(res, g, w)) ** 2
+    def parts(w):
+        chi2 = abs(effective_susceptibility(res, g, w)) ** 2
+        feedback2 = abs(derivative_feedback(res, g, w)) ** 2
+        return np.stack((chi2 * res.thermal_force_psd(w),
+                         chi2 * feedback2 * s_n(w), chi2 * s_ext(w)))
 
-    def thermal(w):
-        return chi2(w) * res.thermal_force_psd(w)
-
-    def feedthrough(w):
-        return chi2(w) * abs(derivative_feedback(res, g, w)) ** 2 * s_n(w)
-
-    def external(w):
-        return chi2(w) * s_ext(w)
-
-    return s_n, thermal, feedthrough, external
+    return s_n, parts
 
 
 def closed_loop_psd(setup: CoolingSetup, omega):
     """Closed-loop displacement PSD S_xx(omega), m^2/Hz."""
-    _, thermal, feedthrough, external = _parts(setup)
-    return thermal(omega) + feedthrough(omega) + external(omega)
+    return np.sum(_parts(setup)[1](omega), axis=0)
 
 
 def _band_edges(setup: CoolingSetup) -> np.ndarray:
@@ -165,18 +159,21 @@ def _band_edges(setup: CoolingSetup) -> np.ndarray:
     return np.unique(edges[(edges >= lo) & (edges <= hi)])
 
 
-def _integrate_band(func, edges, what: str) -> float:
-    """Integrate func(omega)/(2 pi) over the panels between edges."""
+def _integrate_band(parts, edges) -> list:
+    """Integrals of each row of parts(omega)/(2 pi) over the panels."""
     half = 0.5 * np.diff(edges)[:, None]
-    values = func(edges[:-1, None] + half * (1.0 + _NODES)) * half
-    i16 = float(np.sum(values[:, :16] * _W16))
-    i8 = float(np.sum(values[:, 16:] * _W8))
-    if not abs(i16 - i8) <= INTEGRAL_RTOL * abs(i16):
-        raise NumericalError(
-            f"{what} integral did not reach rtol {INTEGRAL_RTOL:g}: "
-            f"value {i16 / TWO_PI:.6g}, error estimate "
-            f"{abs(i16 - i8) / TWO_PI:.3g}")
-    return i16 / TWO_PI
+    values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
+    integrals = []
+    for what, row in zip(("thermal", "feedthrough", "external"), values):
+        i16 = float(np.sum(row[:, :16] * _W16))
+        i8 = float(np.sum(row[:, 16:] * _W8))
+        if not abs(i16 - i8) <= INTEGRAL_RTOL * abs(i16):
+            raise NumericalError(
+                f"{what} integral did not reach rtol {INTEGRAL_RTOL:g}: "
+                f"value {i16 / TWO_PI:.6g}, error estimate "
+                f"{abs(i16 - i8) / TWO_PI:.3g}")
+        integrals.append(i16 / TWO_PI)
+    return integrals
 
 
 def noise_temperature(res: MechanicalResonator, imprecision_psd) -> float:
@@ -220,28 +217,20 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     The external term is integrated numerically in both routes.
     """
     res, g = setup.res, setup.gain
-    s_n, thermal, feedthrough, external = _parts(setup)
-    edges = _band_edges(setup)
-    thermal_num = _integrate_band(thermal, edges, "thermal")
-    feed_num = _integrate_band(feedthrough, edges, "feedthrough")
-    if setup.external_force_psd is not None:
-        ext = _integrate_band(external, edges, "external")
-    else:
-        ext = 0.0
+    s_n, parts = _parts(setup)
+    thermal_num, feed_num, ext = _integrate_band(parts, _band_edges(setup))
 
     s_n0 = float(s_n(res.omega0))
     t_n = noise_temperature(res, s_n0) if s_n0 > 0.0 else 0.0
     scale = res.mass * res.omega0 ** 2 / KB
 
-    total_num = thermal_num + feed_num + ext
-    numeric = CoolingResult(total_num, thermal_num, feed_num, ext,
-                            t_eff=scale * total_num, t_n=t_n)
+    def result(thermal, feedthrough):
+        total = thermal + feedthrough + ext
+        return CoolingResult(total, thermal, feedthrough, ext,
+                             t_eff=scale * total, t_n=t_n)
 
-    thermal_an, feed_an = analytic_variance(res, g, s_n0)
-    total_an = thermal_an + feed_an + ext
-    analytic = CoolingResult(total_an, thermal_an, feed_an, ext,
-                             t_eff=scale * total_an, t_n=t_n)
-    return ClosedLoopVariance(numeric=numeric, analytic=analytic)
+    return ClosedLoopVariance(numeric=result(thermal_num, feed_num),
+                              analytic=result(*analytic_variance(res, g, s_n0)))
 
 
 class OptimalGain(NamedTuple):

@@ -102,11 +102,10 @@ class FpiReadout:
         accel_to_freq = (self.displacement_to_frequency * res.mass
                          * np.abs(effective_susceptibility(res, g, omega)))
 
+        s_ext = psd_lookup(external_accel, "external_accel")(omega)
         psd = (self.noise_asd(omega) ** 2
-               + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2)
-        if external_accel is not None:
-            psd = psd + accel_to_freq ** 2 * psd_lookup(
-                external_accel, "external_accel")(omega)
+               + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2
+               + accel_to_freq ** 2 * s_ext)
         return SpectrumRecord(omega, np.sqrt(psd), KIND_ASD, "Hz/rtHz")
 
     def acceleration_equivalent(self, res: MechanicalResonator) -> dict:

@@ -104,8 +104,10 @@ class SimConfig:
             raise ConfigError("gain must be >= 0")
         if self.external == "samples" and self.ext_samples is None:
             raise ConfigError("ext_samples required for external = 'samples'")
-        if not self.bandpass_quality > 0.0:
-            raise ConfigError("bandpass_quality must be > 0")
+        if not 0.0 < self.bandpass_quality < math.inf:
+            raise ConfigError("bandpass_quality must be finite and > 0")
+        if self.dac_bits is not None and not self.dac_bits >= 1:
+            raise ConfigError(f"dac_bits must be >= 1, got {self.dac_bits}")
 
     def resolve_dt(self, res: MechanicalResonator) -> float:
         f0 = res.omega0 / TWO_PI
@@ -224,7 +226,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         theta = chain.eoam.bias_angle
         p0 = chain.eoam.max_power
         rp = actuator_gain()
-        lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits else None
+        lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits is not None else None
 
     f_in_l = (f_th + f_ext).tolist()
     noise_y_l = noise_y.tolist() if use_ctrl else None

@@ -239,7 +239,7 @@ def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:
     value_type = complex if kind == KIND_RESPONSE else float
     (freqs, vals, units), _ = read_columns(
         path, ("freq_hz", "value", "unit"), (float, value_type, str))
-    return SpectrumRecord(TWO_PI * freqs, vals, kind, units[-1])
+    return _file_record(path, freqs, vals, kind, units[-1])
 
 
 def read_noise_csv(path) -> SpectrumRecord:
@@ -254,4 +254,12 @@ def read_noise_csv(path) -> SpectrumRecord:
         tag = row[0].lstrip().lstrip("#").strip()
         if tag.lower().startswith("unit") and ":" in tag:
             unit = tag.split(":", 1)[1].strip()
-    return SpectrumRecord(TWO_PI * freqs, vals, KIND_ASD, unit)
+    return _file_record(path, freqs, vals, KIND_ASD, unit)
+
+
+def _file_record(path, freqs, values, kind, unit) -> SpectrumRecord:
+    """A record of a file's columns; a refusal is a `ConfigError` naming it."""
+    try:
+        return SpectrumRecord(TWO_PI * freqs, values, kind, unit)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

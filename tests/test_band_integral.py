@@ -75,10 +75,10 @@ def test_variance_matches_oracle(log_q, log_g, viscous, loss_exponent, log_s_n,
 
 def test_one_panel_raises_naming_the_part(resonator):
     setup = CoolingSetup(resonator, 100.0, 2.5e-23)
-    _, thermal, _, _ = _parts(setup)
+    _, parts = _parts(setup)
     edges = np.array([0.1, 10.0]) * resonator.omega0
     with pytest.raises(NumericalError, match="thermal"):
-        _integrate_band(thermal, edges, "thermal")
+        _integrate_band(parts, edges)
 
 
 def test_lossless_resonator_refused():

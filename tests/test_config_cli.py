@@ -318,6 +318,33 @@ class TestCli:
         assert err.startswith("error: config: --noise")
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("option, command", [
+        ("--gains", ["susceptibility", "--gains", "0,-1"]),
+        ("--gains", ["cool", "sweep", "--gains", "1,-1"]),
+        ("--g0", ["cascade", "run", "--g0", "1,-0.5"])])
+    def test_negative_gain_list_refused(self, tmp_path, capsys, option,
+                                        command):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config: {option}: ")
+        assert "\n" not in err
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("line", ["bandpass_quality = inf", "dac_bits = 0",
+                                      "dac_bits = -3"])
+    def test_feedback_disabling_sim_key_refused(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\n"
+                            f"controller = chain\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "simulate"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config: {line.split()[0]} must be")
+        assert "\n" not in err
+        assert list(out.glob("*")) == []
+
     def test_overflowing_sweep_noise_refused(self, tmp_path, capsys):
         # 1e200 squares to inf; the 5e-12 file must not be written first
         out = tmp_path / "out"

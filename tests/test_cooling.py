@@ -9,6 +9,7 @@ from optocool import (CoolingSetup, DomainError, MechanicalResonator,
                       derivative_feedback, effective_susceptibility,
                       effective_temperature, effective_temperature_floor,
                       noise_temperature, optimal_gain)
+from optocool import cooling
 from optocool.cooling import (imprecision_variance,
                               open_loop_thermal_variance)
 
@@ -126,6 +127,19 @@ class TestVariance:
             assert res.variance == pytest.approx(
                 res.thermal + res.feedthrough + res.external, rel=1e-12, abs=0)
             assert min(res.thermal, res.feedthrough, res.external) >= 0.0
+
+    def test_one_susceptibility_evaluation_per_call(self, resonator,
+                                                    monkeypatch):
+        # the thermal, feedthrough and external parts share one |chi_eff|^2
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return effective_susceptibility(*args)
+
+        monkeypatch.setattr(cooling, "effective_susceptibility", counted)
+        closed_loop_variance(CoolingSetup(resonator, 50.0, HLI_PSD, 1e-30))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["flat", "shaped", "external"])
     def test_numeric_is_band_integral_of_psd(self, resonator, kind):

@@ -242,6 +242,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="flat"):
             simulate(SimConfig(duration=30.0), q100, hli=hli)
 
+    @pytest.mark.parametrize("quality", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_bandpass_quality_refused(self, quality):
+        # an infinite quality would zero the bandpass and switch feedback off
+        with pytest.raises(ConfigError, match="bandpass_quality must be"):
+            SimConfig(duration=1.0, controller="derivative", gain=10.0,
+                      bandpass_quality=quality)
+
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_dac_bits_below_one_refused(self, bits):
+        # a DAC has at least one bit; at -3 its 8 Vpi step rounds every
+        # control voltage to 0
+        with pytest.raises(ConfigError, match="dac_bits must be >= 1"):
+            SimConfig(duration=1.0, controller="chain", dac_bits=bits)
+
     def test_bad_modes_rejected(self):
         with pytest.raises(ConfigError):
             SimConfig(duration=1.0, external="wind")

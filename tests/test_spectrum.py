@@ -176,6 +176,21 @@ def test_readers_refuse_bad_cells(tmp_path, reader, cell, reason):
         f"{path}: bad or missing cell in column {column!r} ({reason})")
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (read_spectrum_csv, "freq_hz,value,unit\n0.0,2.0,m\n1.0,2.0,m\n",
+     "frequencies must be finite and > 0"),
+    (read_noise_csv, "freq_hz,asd\n1.0,2e-13\n10.0,-1e-13\n",
+     "asd values must be non-negative"),
+], ids=["spectrum-zero-frequency", "noise-negative-density"])
+def test_readers_name_the_file_of_a_refused_record(tmp_path, read, text,
+                                                   message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_non_finite_value_not_written(tmp_path):
     omega = 2 * math.pi * np.array([1.0, 2.0, 3.0])
     rec = SpectrumRecord(omega, np.array([1.0, float("nan"), 2.0]), "psd", "x")
