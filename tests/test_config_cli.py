@@ -273,6 +273,21 @@ class TestCli:
         assert "\n" not in err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("controller = derivative\ngain = 2000\nbandpass_quality = 0.3\n",
+         "derivative loop unstable at gain = 2000, bandpass_quality = 0.3: "
+         "spectral radius 1.01786 >= 1"),
+        ("initial_position = nan m\n", "x0 must be finite, got nan")])
+    def test_bad_sim_run_refused(self, tmp_path, capsys, lines, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\n" + lines)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "simulate"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: config: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, command", [
         ("cooling", "gain", ["noise-budget"]),
         ("cascade", "target_gain", ["cascade", "run"])])

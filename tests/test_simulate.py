@@ -10,6 +10,7 @@ from optocool import (ConfigError, CoolingSetup, DivergenceError, Eoam,
                       SpectrumRecord, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
+from optocool.simulate import stream_rng
 
 TWO_PI = 2 * math.pi
 
@@ -338,3 +339,150 @@ class TestMonteCarlo:
     def test_duration_guard(self, q100):
         with pytest.raises(ConfigError, match="stationarity"):
             monte_carlo_variance(SimConfig(duration=10.0), q100, 10)
+
+
+def _stepped_loop(cfg, res, hli):
+    """The off/derivative loop stepped sample by sample, as simulate ran it
+    before the block recursion: returns (x, feedback_force)."""
+    dt = cfg.resolve_dt(res)
+    n = int(round(cfg.duration / dt))
+    m = res.mass
+    w2 = res.omega0 ** 2
+    gamma = float(res.damping_rate(res.omega0))
+    fs = 1.0 / dt
+    sigma_f = math.sqrt(res.thermal_force_psd(res.omega0) * fs / 2.0)
+    f_in = stream_rng(cfg.seed, 0).standard_normal(n) * sigma_f
+    if cfg.external == "sine":
+        f_in = f_in + cfg.ext_amplitude * np.sin(
+            TWO_PI * cfg.ext_frequency * dt * np.arange(n))
+    elif cfg.external == "samples":
+        f_in = f_in + np.asarray(cfg.ext_samples[:n], dtype=float)
+    sigma_y = math.sqrt(hli.imprecision_asd ** 2 * fs / 2.0)
+    noise_y = stream_rng(cfg.seed, 1).standard_normal(n) * sigma_y
+
+    use_ctrl = cfg.controller != "off"
+    w = res.omega0 * dt
+    alpha = math.sin(w) / (2.0 * cfg.bandpass_quality)
+    norm = 1.0 + alpha
+    b0 = alpha / norm
+    b2 = -alpha / norm
+    a1 = -2.0 * math.cos(w) / norm
+    a2 = (1.0 - alpha) / norm
+    s1 = s2 = 0.0
+    inv_2dt = 1.0 / (2.0 * dt)
+    force_per_velocity = -m * cfg.gain * gamma
+
+    x_out = np.empty(n)
+    f_out = np.empty(n)
+    f_in_l = f_in.tolist()
+    noise_y_l = noise_y.tolist()
+    x = float(cfg.x0)
+    v = 0.0
+    f_fb = 0.0
+    inv_m = 1.0 / m
+    for i in range(n):
+        v += dt * ((f_in_l[i] + f_fb) * inv_m - w2 * x - gamma * v)
+        x += dt * v
+        x_out[i] = x
+        f_out[i] = f_fb
+        if use_ctrl:
+            y = x + noise_y_l[i]
+            if i == 0:
+                vel = 0.0
+                y1 = y2 = y
+            else:
+                u = (y - y2) * inv_2dt
+                vel = b0 * u + s1
+                s1 = -a1 * vel + s2
+                s2 = b2 * u - a2 * vel
+                y2 = y1
+                y1 = y
+            f_fb = force_per_velocity * vel
+    return x_out, f_out
+
+
+class TestBlockRecursion:
+    """The block recursion of off/derivative against the stepped loop."""
+
+    HLI = HliReadout(wavelength=1064e-9, imprecision_asd=1e-11)
+
+    def _cfg(self, res, per_period, duration, gain, quality, drive):
+        f0 = f0_of(res)
+        dt = 1.0 / (per_period * f0)
+        n = int(round(duration / dt))
+        samples = 1e-10 * np.random.default_rng(5).standard_normal(n)
+        return SimConfig(duration=duration, dt=dt, seed=31, x0=2e-9,
+                         external=drive, ext_amplitude=1e-11,
+                         ext_frequency=0.9 * f0, ext_samples=samples,
+                         controller="derivative" if gain else "off",
+                         gain=gain, bandpass_quality=quality)
+
+    def _assert_agrees(self, cfg, res, rel):
+        tr = simulate(cfg, res, hli=self.HLI)
+        x_ref, f_ref = _stepped_loop(cfg, res, self.HLI)
+        for got, ref in ((tr.x, x_ref), (tr.feedback_force, f_ref)):
+            rms = math.sqrt(float(np.mean(ref ** 2)))
+            assert np.max(np.abs(got - ref)) <= rel * rms
+
+    @pytest.mark.parametrize("drive", ["sine", "samples"])
+    @pytest.mark.parametrize("gain", [0.0, 15.0, 1000.0])
+    @pytest.mark.parametrize("quality", [0.3, 10.0])
+    @pytest.mark.parametrize("per_period", [100, 200])
+    def test_matches_stepped_loop(self, q100, per_period, quality, gain,
+                                  drive):
+        cfg = self._cfg(q100, per_period, 30.0, gain, quality, drive)
+        self._assert_agrees(cfg, q100, 1e-10)
+
+    @pytest.mark.parametrize("gain", [0.0, 15.0])
+    def test_matches_stepped_loop_finely_sampled(self, q100, gain):
+        cfg = self._cfg(q100, 5000, 5.0, gain, 0.3, "sine")
+        self._assert_agrees(cfg, q100, 1e-7)
+
+    def test_monte_carlo_seeds_are_simulate_runs(self, q100):
+        cfg = SimConfig(duration=10.0, seed=700, controller="derivative",
+                        gain=15.0, bandpass_quality=0.3)
+        mc = monte_carlo_variance(cfg, q100, 10, hli=self.HLI)
+        for k in range(10):
+            tr = simulate(replace(cfg, seed=700 + k), q100, hli=self.HLI)
+            assert mc.per_seed[k] == steady_state_variance(tr)
+
+
+class TestLoopStability:
+    # at the default 100 samples per period, the q100 loop with a 0.3
+    # bandpass goes unstable between g = 1500 and 1700, with a 10 bandpass
+    # between g = 1100 and 1200
+    @pytest.mark.parametrize("quality, gain", [(0.3, 1500.0), (10.0, 1100.0)])
+    def test_stable_high_gain_runs(self, q100, quality, gain):
+        cfg = SimConfig(duration=30.0, seed=41, controller="derivative",
+                        gain=gain, bandpass_quality=quality)
+        tr = simulate(cfg, q100)
+        assert np.all(np.isfinite(tr.x))
+
+    @pytest.mark.parametrize("quality, gain, radius", [
+        (0.3, 2000.0, "1.01786"), (10.0, 1200.0, "1.00014")])
+    def test_unstable_loop_refused(self, q100, quality, gain, radius):
+        cfg = SimConfig(duration=30.0, seed=41, controller="derivative",
+                        gain=gain, bandpass_quality=quality)
+        with pytest.raises(ConfigError) as info:
+            simulate(cfg, q100)
+        msg = str(info.value)
+        assert f"gain = {gain:g}" in msg
+        assert f"bandpass_quality = {quality:g}" in msg
+        assert f"spectral radius {radius}" in msg
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field, value", [
+        ("x0", math.nan), ("x0", math.inf), ("ext_amplitude", math.inf),
+        ("ext_amplitude", math.nan), ("ext_frequency", math.nan),
+        ("ext_frequency", -math.inf)])
+    def test_scalar_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SimConfig(duration=30.0, external="sine", **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_samples_refused(self, value):
+        samples = np.zeros(20000)
+        samples[123] = value
+        with pytest.raises(ConfigError, match="^ext_samples must be finite"):
+            SimConfig(duration=30.0, external="samples", ext_samples=samples)
