@@ -11,8 +11,13 @@ Conventions used throughout the toolkit:
 Every artifact is formatted by `format_artifact`; the CLI driver and
 `write_spectrum_csv` write the text. An artifact is ``# `` header lines,
 then ``key = value`` lines or a CSV table. Floats and complex values are
-written by ``repr``, and a non-finite one is refused with a `DomainError`,
-so no file full of ``nan`` is ever written.
+written by ``repr``, and a non-finite one is refused with a `DomainError`
+naming the file, the column (or key) and the value of the first one in
+row order, so no file full of ``nan`` is ever written. A table is formatted
+column by column in blocks of `ROW_BLOCK` rows: an all-float or all-complex
+column gets one finite check and one ``repr`` pass, other cells are written
+as `csv.writer` writes them, and a row whose length is not the number of
+columns is refused.
 
 Every input CSV is read by `read_columns`, the only code that turns cells
 into numbers. Its header is the first row that is neither blank nor a ``#``
@@ -24,8 +29,9 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -37,6 +43,9 @@ KIND_ASD = "asd"
 KIND_PSD = "psd"
 KIND_RESPONSE = "response"
 _KINDS = (KIND_ASD, KIND_PSD, KIND_RESPONSE)
+
+ROW_BLOCK = 4096  # table rows per join: bounds the transposed copy's memory
+_SPECIAL = re.compile(r'[,"\r\n]')  # cells that csv may quote
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +137,7 @@ def format_artifact(where, header_lines, body, columns) -> str:
 
     With ``columns`` the body is table rows; with ``None``, each body item
     is a plain line or a ``(key, value)`` pair. ``where`` (the file's path)
-    prefixes the message of a refused non-finite value.
+    prefixes the message of a refused non-finite value or ragged row.
     """
     buf = io.StringIO()
     for line in header_lines:
@@ -140,12 +149,76 @@ def format_artifact(where, header_lines, body, columns) -> str:
                 line = f"{key} = {_cell(value, f'{where}: {key}')}"
             buf.write(line + "\n")
     else:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        buf.write(_lines([[_text(name)] for name in columns]))
         labels = [f"{where}: column {name}" for name in columns]
-        for row in body:
-            writer.writerow(list(map(_cell, row, labels)))
+        rows = iter(body)
+        while block := list(islice(rows, ROW_BLOCK)):
+            buf.write(_table_block(block, labels, where))
     return buf.getvalue()
+
+
+def _table_block(block, labels, where):
+    """CSV lines of a block of rows, formatted column by column.
+
+    A row whose length is not the number of columns is refused, and so is a
+    non-finite cell, with the message `_cell` gives the first in row order.
+    """
+    width = len(labels)
+    try:
+        cells = list(zip(*block, strict=True))
+    except ValueError:
+        cells = None
+    if cells is None or len(cells) != width:
+        row = next(row for row in block if len(row) != width)
+        raise DomainError(f"{where}: a row of {len(row)} cells under "
+                          f"{width} columns")
+    texts = list(map(_column, cells))
+    if None in texts:
+        for row in block:
+            list(map(_cell, row, labels))  # raises at the first bad cell
+    return _lines(texts)
+
+
+def _column(cells):
+    """Texts of one column's cells, or None if one is a non-finite number.
+
+    An all-float or all-complex column is checked by one `np.isfinite` and
+    written by ``repr``; any other column goes through `_cell` and `_text`.
+    """
+    kinds = set(map(type, cells))
+    if kinds <= {float, np.float64}:
+        values = np.array(cells, dtype=float)
+    elif kinds <= {complex, np.complex128}:
+        values = np.array(cells, dtype=complex)
+    else:
+        try:
+            return [_text(_cell(cell, "")) for cell in cells]
+        except DomainError:
+            return None
+    if not np.isfinite(values).all():
+        return None
+    return list(map(repr, values.tolist()))
+
+
+def _text(value) -> str:
+    """A cell as `csv.writer` writes it with its default minimal quoting.
+
+    A cell holding a delimiter, quote or line break is written by `csv`
+    itself, so its quoting rules are not restated here.
+    """
+    text = "" if value is None else str(value)
+    if _SPECIAL.search(text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        text = buf.getvalue()[:-1]
+    return text
+
+
+def _lines(columns) -> str:
+    """CSV lines of text columns; one empty cell alone is ``""`` as in csv."""
+    if len(columns) == 1:
+        columns = [[text or '""' for text in columns[0]]]
+    return "".join([",".join(row) + "\n" for row in zip(*columns)])
 
 
 def _cell(value, where: str):
