@@ -2,8 +2,9 @@
 
 Each ``_cmd_*`` command yields ``(file name, header lines, body, columns)``
 artifacts and touches no file or stdout. `run_command` formats them all,
-then creates the out directory, writes them all and prints one ``wrote
-<path>`` line per file, so a command that fails writes nothing.
+then creates the out directory, writes each under a temporary name there,
+renames them all and prints one ``wrote <path>`` line per file, so a command
+that fails writes nothing, and a write that fails leaves no temporary file.
 
 Every artifact (CSV or structured text) starts with ``#`` header lines
 carrying the command, the fully resolved configuration, and the seed, so a
@@ -35,7 +36,7 @@ from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
 from .simulate import simulate, steady_state_variance
 from .spectrum import (SpectrumRecord, format_artifact, read_columns,
-                       spectrum_table)
+                       spectrum_table, uniform_rate)
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
@@ -217,7 +218,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
 
 def _cmd_psd(args, cfg: ExperimentConfig):
     (t, x), _ = read_columns(args.input, ("t_s", args.column))
-    rec = estimate_psd(x, 1.0 / float(t[1] - t[0]), args.segment,
+    rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(f"psd input={args.input} column={args.column} "
                            f"segment={args.segment}", cfg)
@@ -391,9 +392,18 @@ def run_command(argv) -> int:
     texts = {out / name: format_artifact(out / name, header, body, columns)
              for name, header, body, columns in args.func(args, cfg)}
     out.mkdir(parents=True, exist_ok=True)
-    for path, text in texts.items():
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    temps = {}
+    try:
+        for path, text in texts.items():
+            temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temps[path], "w", newline="") as fh:
+                fh.write(text)
+        for path, temp in temps.items():
+            temp.replace(path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    for path in texts:
         print(f"wrote {path}")
     return 0
 

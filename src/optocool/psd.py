@@ -1,4 +1,7 @@
-"""Welch power spectral density estimation (single-sided)."""
+"""Welch power spectral density estimation (single-sided), in NumPy, and
+`lifted_response`, the block recursion of a linear time-invariant system
+that runs both the simulator's linear loop and the phasemeter's filters.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +12,8 @@ from .errors import ConfigError
 from .spectrum import KIND_PSD, SpectrumRecord
 
 HANN_ENBW_BINS = 1.5  # equivalent noise bandwidth of the Hann window
+_BLOCK = 64  # steps per block of lifted_response
+_STACK = 8   # blocks per BLAS product, see _stacked_matmul
 
 
 def estimate_psd(x, sample_rate: float, segment_length: int,
@@ -29,19 +34,74 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
             f"length {segment_length}")
     if not 0.0 <= overlap < 1.0:
         raise ConfigError("overlap fraction must be in [0, 1)")
-    noverlap = int(overlap * segment_length)
-    # imported here so that `import optocool` loads no scipy
-    from scipy.signal import welch
-    freqs, pxx = welch(x, fs=sample_rate, window="hann",
-                       nperseg=segment_length, noverlap=noverlap,
-                       detrend=False, scaling="density")
-    n_segments = 1 + (x.size - segment_length) // (segment_length - noverlap)
+    step = segment_length - int(overlap * segment_length)
+    window = np.hanning(segment_length + 1)[:-1]  # periodic Hann
+    segments = np.lib.stride_tricks.sliding_window_view(
+        x, segment_length)[::step]
+    spectra = np.fft.rfft(segments * window, axis=1)
+    pxx = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    pxx /= sample_rate * np.sum(window ** 2)
+    pxx[1:(segment_length + 1) // 2] *= 2.0  # all but DC and Nyquist
+    freqs = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
     power = float(np.trapezoid(pxx, freqs))
     second_moment = float(np.mean(x ** 2))
     meta = {
-        "segments": n_segments,
+        "segments": len(segments),
         "enbw_bins": HANN_ENBW_BINS,
         "parseval_ratio": power / second_moment if second_moment > 0 else float("nan"),
     }
     keep = freqs > 0.0
     return SpectrumRecord(TWO_PI * freqs[keep], pxx[keep], KIND_PSD, unit, meta)
+
+
+def _stacked_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, as one product per _STACK rows.
+
+    Each product then stays below the size at which OpenBLAS hands it to
+    worker threads. On 2 CPUs the threaded product made a 40,000-step run
+    no faster, and the workers' buffers stayed resident: about 7 MB of peak
+    RSS for the process.
+    """
+    stacks = rows.reshape(-1, _STACK, rows.shape[1])
+    return (stacks @ matrix).reshape(rows.shape[0], matrix.shape[1])
+
+
+def lifted_response(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                    z0: np.ndarray, w: tuple | np.ndarray) -> np.ndarray:
+    """Rows C z_1 .. C z_N of z_{i+1} = A z_i + B w_{i+1}, w one series per
+    input.
+
+    Blocks of _BLOCK steps, the inputs zero-padded to whole stacks of
+    blocks: one matmul gives every block's forced response and its end-state
+    increment, a loop over the block boundaries carries the state with A^L,
+    and a second matmul adds each block's free response.
+    """
+    size = _BLOCK
+    n_in, n = len(w), len(w[0])
+    n_out, nz = c.shape
+    blocks = _STACK * -(-n // (size * _STACK))
+    powers = [np.eye(nz)]
+    for _ in range(size):
+        powers.append(a @ powers[-1])
+    powers = np.array(powers)
+    free = (c @ powers[1:]).reshape(n_out * size, nz)
+    impulse = c @ powers[:size] @ b                   # (L, outputs, inputs)
+    lag = np.arange(size)[:, None] - np.arange(size)[None, :]
+    forced = np.where((lag >= 0)[:, None, :, None],
+                      impulse[np.maximum(lag, 0)].transpose(0, 2, 1, 3), 0.0)
+    carry = (powers[size - 1::-1] @ b).transpose(1, 0, 2).reshape(nz, -1)
+    kernel = np.concatenate((forced.reshape(n_out * size, -1), carry)).T
+
+    padded = np.zeros((blocks * size, n_in))
+    for j, series in enumerate(w):
+        padded[:n, j] = series
+    response = _stacked_matmul(padded.reshape(blocks, n_in * size), kernel)
+    a_block = powers[size]
+    starts = np.empty((blocks, nz))
+    z = z0
+    for k, step in enumerate(response[:, n_out * size:]):
+        starts[k] = z
+        z = a_block @ z + step
+    out = _stacked_matmul(starts, free.T)
+    out += response[:, :n_out * size]
+    return out.reshape(blocks * size, n_out)[:n]

@@ -18,8 +18,10 @@ import numpy as np
 from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError
+from .psd import lifted_response
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup, read_columns
+from .spectrum import (KIND_ASD, SpectrumRecord, psd_lookup, read_columns,
+                       uniform_rate)
 
 
 def _squared(asd):
@@ -165,10 +167,12 @@ class HliReadout:
 class Phasemeter:
     """Streaming I/Q phasemeter for a heterodyne beat note.
 
-    Demodulates at the heterodyne frequency, low-passes I and Q with a
-    first-order IIR (bilinear transform design), takes the four-quadrant
-    angle and unwraps it across calls. One instance per stream; the filter
-    state is not shareable.
+    Demodulates at the heterodyne frequency, low-passes I and Q with the
+    bilinear transform of wc/(s + wc), y[n] = p y[n-1] + b (x[n] + x[n-1]),
+    takes the four-quadrant angle and unwraps it across calls. Both filters
+    run as one 4-state system (y_I, x_I, y_Q, x_Q) through
+    `psd.lifted_response`, whose state between calls is each filter's last
+    output and input. One instance per stream; the state is not shareable.
     """
 
     def __init__(self, heterodyne_frequency: float, lpf_corner: float,
@@ -184,14 +188,13 @@ class Phasemeter:
         self.f_het = heterodyne_frequency
         self.sample_rate = sample_rate
         self.wavelength = wavelength
-        # first-order low-pass via bilinear transform of wc/(s+wc):
-        # y[n] = b x[n] + b x[n-1] - a1 y[n-1]
         wc = TWO_PI * lpf_corner
         k = 2.0 * sample_rate
         b = wc / (k + wc)
-        self._b = np.array([b, b])
-        self._a = np.array([1.0, (wc - k) / (k + wc)])
-        self._zi = np.zeros((2, 1))  # filter states of I and Q
+        p = (k - wc) / (k + wc)
+        self._filter = (np.kron(np.eye(2), [[p, b], [0.0, 0.0]]),
+                        np.kron(np.eye(2), [[b], [1.0]]), np.eye(4)[::2])
+        self._z = np.zeros(4)
         self._n = 0      # samples consumed
         self._last_phase = None
 
@@ -203,9 +206,8 @@ class Phasemeter:
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n
         iq_raw = np.stack((2.0 * samples * np.cos(phase_lo),
                            -2.0 * samples * np.sin(phase_lo)))
-        # imported here so that `import optocool` loads no scipy
-        from scipy.signal import lfilter
-        (i_f, q_f), self._zi = lfilter(self._b, self._a, iq_raw, zi=self._zi)
+        i_f, q_f = lifted_response(*self._filter, self._z, iq_raw).T
+        self._z = np.array([i_f[-1], iq_raw[0, -1], q_f[-1], iq_raw[1, -1]])
         phase = np.arctan2(q_f, i_f)
         if self._last_phase is not None:
             phase = np.unwrap(np.concatenate(([self._last_phase], phase)))[1:]
@@ -221,19 +223,12 @@ class Phasemeter:
         return self.process(samples) * self.wavelength / TWO_PI
 
 
-def phasemeter_extract(beat, sample_rate: float, heterodyne_frequency: float,
-                       lpf_corner: float) -> np.ndarray:
-    """One-shot phase extraction from a beat series, rad (unwrapped)."""
-    pm = Phasemeter(heterodyne_frequency, lpf_corner, sample_rate)
-    return pm.process(beat)
-
-
 def phase_from_csv(path, heterodyne_frequency: float, lpf_corner: float):
     """Run the phasemeter on a raw ``t_s,value`` sample CSV.
 
-    Returns (t, unwrapped phase in rad). The sample rate is taken from the
-    first two timestamps.
+    Returns (t, unwrapped phase in rad). The times must be evenly spaced;
+    the sample rate is taken from the first two.
     """
     (t, values), _ = read_columns(path, ("t_s", "value"))
-    return t, phasemeter_extract(values, 1.0 / (t[1] - t[0]),
-                                 heterodyne_frequency, lpf_corner)
+    pm = Phasemeter(heterodyne_frequency, lpf_corner, uniform_rate(path, t))
+    return t, pm.process(values)

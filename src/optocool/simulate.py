@@ -27,14 +27,12 @@ Semi-implicit Euler stays the defining recursion; only its evaluation
 differs by controller. With the ``off`` and ``derivative`` controllers the
 step is linear, z_{i+1} = A z_i + B [f_in, n]_{i+1}, over the loop's own
 variables (x, v, y_i, y_{i-1}, the two bandpass states and the latched
-force; ``off`` is the same map with zero gain). It is evaluated in blocks of
-64 steps (the lifted state-space form of Franklin, Powell & Workman,
-*Digital Control of Dynamic Systems*): the block's impulse-response matrix,
-built from powers of A, gives x and the force of every step by matmul, and
-the state is carried from block to block by A^64. A derivative loop whose A
-has spectral radius >= 1 is refused before the first step. The ``chain``
-controller, whose DAC rounding and cos^2 modulator are nonlinear, is stepped
-sample by sample.
+force; ``off`` is the same map with zero gain), and `psd.lifted_response`
+evaluates it in blocks of 64 steps by matrix products (the lifted
+state-space form of Franklin, Powell & Workman, *Digital Control of Dynamic
+Systems*). A derivative loop whose A has spectral radius >= 1 is refused
+before the first step. The ``chain`` controller, whose DAC rounding and
+cos^2 modulator are nonlinear, is stepped sample by sample.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from .constants import TWO_PI
 from .cooling import open_loop_thermal_variance
 from .errors import ConfigError, DivergenceError, DomainError
 from .feedback import FeedbackChain, actuator_gain
+from .psd import lifted_response
 from .readout import HliReadout
 from .resonator import MechanicalResonator
 from .spectrum import SpectrumRecord
@@ -57,8 +56,6 @@ STREAM_IMPRECISION = 1
 
 PRESET_QUALITIES = {"q100": 100.0, "q1e3": 1.0e3, "q1e5": 1.0e5}
 CONTROLLERS = ("off", "derivative", "chain")
-_BLOCK = 64  # steps per block of the linear (off, derivative) recursion
-_STACK = 8   # blocks per BLAS product, see _stacked_matmul
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -217,59 +214,6 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
     return step[:, :7], step[:, 7:]
 
 
-def _stacked_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """rows @ matrix, as one product per _STACK rows.
-
-    Each product then stays below the size at which OpenBLAS hands it to
-    worker threads. On 2 CPUs the threaded product made a 40,000-step run
-    no faster, and the workers' buffers stayed resident: about 7 MB of peak
-    RSS for the process.
-    """
-    stacks = rows.reshape(-1, _STACK, rows.shape[1])
-    return (stacks @ matrix).reshape(rows.shape[0], matrix.shape[1])
-
-
-def _block_response(a: np.ndarray, b: np.ndarray, z0: np.ndarray,
-                    f_in: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """x and F of z_1 .. z_N for z_{i+1} = A z_i + B [f_in, noise]_{i+1}.
-
-    Blocks of _BLOCK steps, the inputs zero-padded to whole stacks of
-    blocks: one matmul gives every block's forced response and its end-state
-    increment, a loop over the block boundaries carries the state with A^L,
-    and a second matmul adds each block's free response.
-    """
-    size = _BLOCK
-    n = f_in.size
-    blocks = _STACK * -(-n // (size * _STACK))
-    nz = a.shape[0]
-    out_rows = [0, nz - 1]
-    powers = [np.eye(nz)]
-    for _ in range(size):
-        powers.append(a @ powers[-1])
-    powers = np.array(powers)
-    free = powers[1:, out_rows, :].reshape(2 * size, nz)
-    impulse = powers[:size, out_rows, :] @ b              # (L, 2, 2)
-    lag = np.arange(size)[:, None] - np.arange(size)[None, :]
-    forced = np.where((lag >= 0)[:, None, :, None],
-                      impulse[np.maximum(lag, 0)].transpose(0, 2, 1, 3), 0.0)
-    carry = (powers[size - 1::-1] @ b).transpose(1, 0, 2).reshape(nz, 2 * size)
-    kernel = np.concatenate((forced.reshape(2 * size, 2 * size), carry)).T
-
-    w = np.zeros((blocks * size, 2))
-    w[:n, 0] = f_in
-    w[:n, 1] = noise
-    response = _stacked_matmul(w.reshape(blocks, 2 * size), kernel)
-    a_block = powers[size]
-    starts = np.empty((blocks, nz))
-    z = z0
-    for k, step in enumerate(response[:, 2 * size:]):
-        starts[k] = z
-        z = a_block @ z + step
-    out = _stacked_matmul(starts, free.T)
-    out += response[:, :2 * size]
-    return out.reshape(blocks * size, 2)[:n]
-
-
 def simulate(cfg: SimConfig, res: MechanicalResonator,
              chain: FeedbackChain | None = None,
              hli: HliReadout | None = None) -> SimTrace:
@@ -328,7 +272,8 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         z0 = (a @ np.array([cfg.x0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
               + b @ np.array([f_in[0], noise_y[0]]))
         z0[3:] = z0[2], 0.0, 0.0, 0.0  # warm-up: y_{-1} = y_0, vel_0 = 0
-        out = _block_response(a, b, z0, f_in[1:], noise_y[1:])
+        out = lifted_response(a, b, np.eye(7)[[0, 6]], z0,
+                              (f_in[1:], noise_y[1:]))
         x_out = np.concatenate(([z0[0]], out[:, 0]))
         f_out = np.concatenate(([0.0, z0[-1]], out[:-1, 1]))
         v_out = p_out = None

@@ -22,6 +22,7 @@ columns is refused.
 Every input CSV is read by `read_columns`, the only code that turns cells
 into numbers. Its header is the first row that is neither blank nor a ``#``
 comment, and a malformed file is refused with a `ConfigError` naming it.
+`uniform_rate` refuses a time column whose steps are not even.
 """
 
 from __future__ import annotations
@@ -289,6 +290,22 @@ def read_columns(path, names, types=None):
         raise ConfigError(f"{path}: {names[0]} must increase, got "
                           f"{float(t[i])!r} then {float(t[i + 1])!r}")
     return columns, comments
+
+
+def uniform_rate(path, t) -> float:
+    """Sample rate 1/(t[1] - t[0]) of a time column read from ``path``.
+
+    A step that differs from the first by more than 1e-6 of it is a
+    `ConfigError` naming the file: a Welch spectrum or a phasemeter run on
+    irregular samples would have a wrong frequency axis.
+    """
+    steps = np.diff(t)
+    i = int(np.argmax(np.abs(steps - steps[0])))
+    if abs(steps[i] - steps[0]) > 1e-6 * steps[0]:
+        raise ConfigError(
+            f"{path}: t_s must be evenly spaced, step {i} is "
+            f"{float(steps[i])!r} against {float(steps[0])!r}")
+    return 1.0 / float(steps[0])
 
 
 def spectrum_table(record: SpectrumRecord):

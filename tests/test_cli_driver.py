@@ -1,13 +1,18 @@
 """The CLI driver: commands yield artifacts, `run_command` writes all or none."""
 
+import errno
 import math
 import re
 
+import numpy as np
 import pytest
 
+from optocool import cli
 from optocool.cli import main
 from optocool.config import DEFAULT_CONFIG
-from optocool.spectrum import read_rows, read_spectrum_csv
+from optocool.simulate import stream_rng
+from optocool.spectrum import (read_columns, read_rows, read_spectrum_csv,
+                               uniform_rate)
 
 
 def _config(tmp_path, **lines):
@@ -58,6 +63,26 @@ class TestAllOrNothing:
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / name}" for name in names]
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys,
+                                         monkeypatch):
+        opened = []
+
+        def open_failing_second(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(path)
+            if len(opened) == 2:
+                fh.close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_failing_second, raising=False)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cascade", "run", "--g0", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: OSError: ")
+        assert len(opened) == 2
+        assert all(path.parent == out for path in opened)
+        assert list(out.iterdir()) == []
 
 
 class TestPsdHeader:
@@ -154,6 +179,29 @@ class TestBadTraceInput:
         assert capsys.readouterr().err == (
             f"error: config: {trace}: {message}\n")
         assert not out.exists()
+
+    def test_psd_refuses_irregular_times(self, tmp_path, capsys):
+        t = np.sort(stream_rng(11, 0).uniform(0.0, 50.0, 5000))
+        trace = _trace(tmp_path, "t_s,x_m\n" + "".join(
+            f"{float(ti)!r},{math.sin(ti)!r}\n" for ti in t))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", "256"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: config: {trace}: t_s must be evenly spaced, step ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_simulate_trace_times_accepted(self, tmp_path):
+        # t = dt * i written by repr: its steps differ from dt by ulps
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate"]) == 0
+        (t,), _ = read_columns(out / "trace.csv", ("t_s",))
+        assert np.ptp(np.diff(t)) > 0.0
+        assert uniform_rate(out / "trace.csv", t) == 1.0 / (t[1] - t[0])
+        assert main(["--out", str(out), "psd", "--input",
+                     str(out / "trace.csv")]) == 0
 
     @pytest.mark.parametrize("segment", ["0", "-5", "1"])
     def test_short_segment_refused(self, tmp_path, capsys, segment):

@@ -27,6 +27,50 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only; the package runs on numpy alone
+    src = Path(optocool.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == set()
+
+
+def test_runs_without_scipy(tmp_path):
+    # with scipy unimportable, the simulator, Welch, the phasemeter and the
+    # psd command still run
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from optocool import Phasemeter, SimConfig, estimate_psd, simulate
+from optocool.cli import main
+from optocool.config import load_config
+res = load_config(None).sim_resonator()
+trace = simulate(SimConfig(duration=30.0, controller="derivative", gain=15.0),
+                 res)
+estimate_psd(trace.x, trace.sample_rate, 1024)
+beat = np.cos(2.0 * np.pi * 1000.0 * np.arange(4000) / 20000.0)
+Phasemeter(1000.0, 20.0, 20000.0).process(beat)
+out = {str(tmp_path)!r}
+assert main(["--out", out, "simulate"]) == 0
+assert main(["--out", out, "psd", "--input", out + "/trace.csv"]) == 0
+print("ok")
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "ok"
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]

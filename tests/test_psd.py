@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import welch
 
 from optocool import ConfigError, SimConfig, estimate_psd, preset_resonator, simulate
 from optocool.simulate import stream_rng
@@ -79,3 +82,23 @@ class TestValidation:
         assert rec.kind == "psd"
         assert np.all(rec.omega > 0.0)
         assert rec.unit == "1/Hz"
+
+
+class TestWelchOracle:
+    """The NumPy Welch estimate against scipy.signal.welch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(segment=st.integers(2, 300), extra=st.integers(0, 3000),
+           overlap=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy(self, segment, extra, overlap, seed):
+        fs = 37.5
+        x = stream_rng(seed, 0).standard_normal(2 * segment + extra)
+        rec = estimate_psd(x, fs, segment, overlap=overlap)
+        freqs, pxx = welch(x, fs=fs, window="hann", nperseg=segment,
+                           noverlap=int(overlap * segment), detrend=False,
+                           scaling="density")
+        assert np.array_equal(rec.omega, TWO_PI * freqs[1:])
+        assert np.max(np.abs(rec.values - pxx[1:])) <= 1e-13 * np.max(pxx)
+        step = segment - int(overlap * segment)
+        assert rec.meta["segments"] == 1 + (x.size - segment) // step

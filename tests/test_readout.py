@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
                       HliReadout, MechanicalResonator, Phasemeter,
                       SpectrumRecord, closed_loop_psd,
-                      effective_susceptibility, noise_temperature,
-                      phasemeter_extract)
+                      effective_susceptibility, noise_temperature)
 from optocool.simulate import stream_rng
 
 TWO_PI = 2 * math.pi
@@ -199,15 +199,15 @@ class TestPhasemeter:
         n = int(30 * tau * self.FS)
         t = np.arange(n) / self.FS
         beat = np.cos(TWO_PI * self.F_HET * t + 0.7)
-        phase = phasemeter_extract(beat, self.FS, self.F_HET, corner)
+        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
         settled = phase[int(10 * tau * self.FS):]
         assert np.mean(settled) == pytest.approx(0.7, abs=1e-3)
 
     def test_zero_phase(self):
         corner = 20.0
         n = 40_000
-        phase = phasemeter_extract(self._beat(0.0, n), self.FS,
-                                   self.F_HET, corner)
+        phase = Phasemeter(self.F_HET, corner, self.FS).process(
+            self._beat(0.0, n))
         assert abs(np.mean(phase[n // 2:])) < 1e-3
 
     def test_slow_ramp_slope(self):
@@ -218,7 +218,7 @@ class TestPhasemeter:
         t = np.arange(n) / self.FS
         ramp = TWO_PI * 0.1 * t
         beat = np.cos(TWO_PI * self.F_HET * t + ramp)
-        phase = phasemeter_extract(beat, self.FS, self.F_HET, corner)
+        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
         sel = t > 1.0
         slope = np.polyfit(t[sel], phase[sel], 1)[0]
         assert slope == pytest.approx(TWO_PI * 0.1, rel=5e-3)
@@ -226,8 +226,8 @@ class TestPhasemeter:
     def test_amplitude_invariance(self):
         n = 10_000
         beat = self._beat(0.3, n)
-        a = phasemeter_extract(beat, self.FS, self.F_HET, 50.0)
-        b = phasemeter_extract(7.5 * beat, self.FS, self.F_HET, 50.0)
+        a = Phasemeter(self.F_HET, 50.0, self.FS).process(beat)
+        b = Phasemeter(self.F_HET, 50.0, self.FS).process(7.5 * beat)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_unwrap_many_turns(self):
@@ -239,7 +239,7 @@ class TestPhasemeter:
         n = int(duration * self.FS)
         t = np.arange(n) / self.FS
         beat = np.cos(TWO_PI * self.F_HET * t + TWO_PI * slope_hz * t)
-        phase = phasemeter_extract(beat, self.FS, self.F_HET, corner)
+        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
         window = int(0.05 * self.FS)  # integer count of 2 f_het cycles
         i1 = int(1.0 * self.FS)
         i2 = i1 + int(n_turns / slope_hz * self.FS)
@@ -251,11 +251,30 @@ class TestPhasemeter:
     def test_streaming_matches_one_shot(self):
         n = 30_000
         beat = self._beat(1.1, n)
-        whole = phasemeter_extract(beat, self.FS, self.F_HET, 40.0)
+        whole = Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
         pm = Phasemeter(self.F_HET, 40.0, self.FS)
         chunked = np.concatenate([pm.process(beat[:7000]),
                                   pm.process(beat[7000:])])
         assert np.allclose(whole, chunked, atol=1e-12)
+
+    def test_uneven_chunks_match_lfilter(self):
+        # oracle: one lfilter pass over the demodulated I and Q
+        corner = 40.0
+        n = 30_000
+        beat = self._beat(1.1, n) + 0.3 * stream_rng(4, 0).standard_normal(n)
+        phase_lo = TWO_PI * self.F_HET / self.FS * np.arange(n)
+        wc = TWO_PI * corner
+        k = 2.0 * self.FS
+        i_f, q_f = lfilter([wc / (k + wc)] * 2, [1.0, (wc - k) / (k + wc)],
+                           [2.0 * beat * np.cos(phase_lo),
+                            -2.0 * beat * np.sin(phase_lo)])
+        ref = np.unwrap(np.arctan2(q_f, i_f))
+        pm = Phasemeter(self.F_HET, corner, self.FS)
+        cuts = [0, 1, 2, 65, 700, 7001, 7002, 19_999, n]
+        got = np.concatenate([pm.process(beat[start:stop])
+                              for start, stop in zip(cuts, cuts[1:])])
+        rms = math.sqrt(float(np.mean(ref ** 2)))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * rms
 
     def test_nyquist_precondition(self):
         with pytest.raises(ConfigError):
@@ -291,3 +310,12 @@ class TestPhasemeter:
         t_out, phase = phase_from_csv(path, self.F_HET, 20.0)
         assert t_out.size == n
         assert np.mean(phase[n // 2:]) == pytest.approx(0.3, abs=1e-3)
+
+    def test_phase_from_csv_refuses_irregular_times(self, tmp_path):
+        from optocool import phase_from_csv
+        t = np.sort(stream_rng(5, 0).uniform(0.0, 1.0, 500))
+        path = tmp_path / "beat.csv"
+        path.write_text("t_s,value\n" + "".join(
+            f"{float(ti)!r},{math.cos(ti)!r}\n" for ti in t))
+        with pytest.raises(ConfigError, match=f"{path}: t_s must be evenly"):
+            phase_from_csv(path, self.F_HET, 20.0)

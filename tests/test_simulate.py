@@ -3,14 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DivergenceError, Eoam,
-                      FeedbackChain, HliReadout, KB, SimConfig,
-                      SpectrumRecord, closed_loop_variance,
+                      FeedbackChain, HliReadout, KB, MechanicalResonator,
+                      SimConfig, SpectrumRecord, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
-from optocool.simulate import stream_rng
+from optocool.simulate import _linear_step, stream_rng
 
 TWO_PI = 2 * math.pi
 
@@ -437,6 +439,21 @@ class TestBlockRecursion:
     def test_matches_stepped_loop_finely_sampled(self, q100, gain):
         cfg = self._cfg(q100, 5000, 5.0, gain, 0.3, "sine")
         self._assert_agrees(cfg, q100, 1e-7)
+
+    @settings(max_examples=50, deadline=None)
+    # below g ~ 1e-150 the force's squares underflow and its rms reads 0
+    @given(gain=st.just(0.0) | st.floats(1e-3, 2000.0),
+           quality=st.floats(0.2, 20.0))
+    def test_matches_stepped_loop_any_stable_loop(self, gain, quality):
+        res = preset_resonator(MechanicalResonator(
+            mass=2.6e-3, omega0=TWO_PI * 4.72, q_internal=4.77e5,
+            temperature=300.0), 100.0)
+        cfg = self._cfg(res, 100, 5.0, gain, quality, "samples")
+        dt = cfg.resolve_dt(res)
+        gamma = float(res.damping_rate(res.omega0))
+        a, _ = _linear_step(res, cfg, dt, -res.mass * gain * gamma)
+        assume(np.max(np.abs(np.linalg.eigvals(a))) < 1.0)
+        self._assert_agrees(cfg, res, 1e-10)
 
     def test_monte_carlo_seeds_are_simulate_runs(self, q100):
         cfg = SimConfig(duration=10.0, seed=700, controller="derivative",
