@@ -1,6 +1,8 @@
 """Welch power spectral density estimation (single-sided), in NumPy, and
 `lifted_response`, the block recursion of a linear time-invariant system
 that runs both the simulator's linear loop and the phasemeter's filters.
+It carries the state across its blocks by a doubling scan (Blelloch,
+"Prefix sums and their applications", 1990) in ceil(log2 blocks) products.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from .errors import ConfigError
 from .spectrum import KIND_PSD, SpectrumRecord
 
 HANN_ENBW_BINS = 1.5  # equivalent noise bandwidth of the Hann window
-_BLOCK = 64  # steps per block of lifted_response
-_STACK = 8   # blocks per BLAS product, see _stacked_matmul
+_BLOCK = 32  # steps per block of lifted_response
+_STACK = 8   # blocks per forced- or free-response product, see _stacked_matmul
+_SERIAL_MNK = 2 ** 18  # m*n*k of the largest scan product, see _stacked_matmul
 
 
 def estimate_psd(x, sample_rate: float, segment_length: int,
@@ -60,7 +63,10 @@ def _stacked_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     Each product then stays below the size at which OpenBLAS hands it to
     worker threads. On 2 CPUs the threaded product made a 40,000-step run
     no faster, and the workers' buffers stayed resident: about 7 MB of peak
-    RSS for the process.
+    RSS for the process. OpenBLAS threads a product by its m*n*k (on 2
+    CPUs a (rows x 7)(7 x 7) product ran threaded from 10,700 rows on,
+    m*n*k = 2^19), so the scan in `lifted_response` cuts its products to at
+    most _SERIAL_MNK = 2^18 multiply-adds instead.
     """
     stacks = rows.reshape(-1, _STACK, rows.shape[1])
     return (stacks @ matrix).reshape(rows.shape[0], matrix.shape[1])
@@ -71,14 +77,17 @@ def lifted_response(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """Rows C z_1 .. C z_N of z_{i+1} = A z_i + B w_{i+1}, w one series per
     input.
 
-    Blocks of _BLOCK steps, the inputs zero-padded to whole stacks of
+    Blocks of L = _BLOCK steps, the inputs zero-padded to whole stacks of
     blocks: one matmul gives every block's forced response and its end-state
-    increment, a loop over the block boundaries carries the state with A^L,
-    and a second matmul adds each block's free response.
+    increment e_k, a doubling scan solves s_{k+1} = A^L s_k + e_k for the
+    block start states, and a second matmul adds each block's free
+    response. Empty series give an empty (0, outputs) array.
     """
     size = _BLOCK
     n_in, n = len(w), len(w[0])
     n_out, nz = c.shape
+    if n == 0:
+        return np.empty((0, n_out))
     blocks = _STACK * -(-n // (size * _STACK))
     powers = [np.eye(nz)]
     for _ in range(size):
@@ -96,12 +105,30 @@ def lifted_response(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     for j, series in enumerate(w):
         padded[:n, j] = series
     response = _stacked_matmul(padded.reshape(blocks, n_in * size), kernel)
-    a_block = powers[size]
-    starts = np.empty((blocks, nz))
-    z = z0
-    for k, step in enumerate(response[:, n_out * size:]):
-        starts[k] = z
-        z = a_block @ z + step
+    del padded  # not held through the scan: it lowers the peak memory
+    # Hillis-Steele scan: after the pass with stride d and J = A^{L d},
+    # column k holds sum_{j > k-2d} A^{L(k-j)} e_j, with e_0 += A^L z0, so
+    # at the end column k is the end state s_{k+1} of block k
+    ends = response[:, n_out * size:].T.copy()
+    jump = powers[size]
+    ends[:, 0] += jump @ z0
+    # J is squared in np.longdouble (80-bit on x86-64): squared in float64,
+    # its rounding grows through a non-normal loop matrix, and the q100
+    # derivative traces of TestBlockRecursion drifted from the stepped loop
+    # by 6.5e-11 of their rms instead of 2.6e-12
+    square = jump.astype(np.longdouble)
+    chunk = max(1, _SERIAL_MNK // jump.size)  # columns per product
+    stride = 1
+    while stride < blocks:
+        # e_k += J e_{k-stride}, a chunk at a time from the last column
+        # down, so each product reads only columns not yet updated
+        for hi in range(blocks, stride, -chunk):
+            lo = max(stride, hi - chunk)
+            ends[:, lo:hi] += jump @ ends[:, lo - stride:hi - stride]
+        square = square @ square
+        jump = square.astype(float)
+        stride *= 2
+    starts = np.concatenate((z0[None], ends[:, :-1].T))
     out = _stacked_matmul(starts, free.T)
     out += response[:, :n_out * size]
     return out.reshape(blocks * size, n_out)[:n]

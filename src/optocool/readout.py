@@ -199,8 +199,14 @@ class Phasemeter:
         self._last_phase = None
 
     def process(self, samples) -> np.ndarray:
-        """Consume beat samples, return the unwrapped phase series, rad."""
+        """Consume beat samples, return the unwrapped phase series, rad.
+
+        An empty chunk returns an empty series and leaves the state as it
+        was.
+        """
         samples = np.asarray(samples, dtype=float)
+        if samples.size == 0:
+            return np.empty(0)
         n = np.arange(self._n, self._n + samples.size)
         self._n += samples.size
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n

@@ -28,11 +28,12 @@ differs by controller. With the ``off`` and ``derivative`` controllers the
 step is linear, z_{i+1} = A z_i + B [f_in, n]_{i+1}, over the loop's own
 variables (x, v, y_i, y_{i-1}, the two bandpass states and the latched
 force; ``off`` is the same map with zero gain), and `psd.lifted_response`
-evaluates it in blocks of 64 steps by matrix products (the lifted
+evaluates it in blocks of 32 steps by matrix products (the lifted
 state-space form of Franklin, Powell & Workman, *Digital Control of Dynamic
-Systems*). A derivative loop whose A has spectral radius >= 1 is refused
-before the first step. The ``chain`` controller, whose DAC rounding and
-cos^2 modulator are nonlinear, is stepped sample by sample.
+Systems*), carrying the state across the blocks by a doubling scan. A
+derivative loop whose A has spectral radius >= 1 is refused before the
+first step. The ``chain`` controller, whose DAC rounding and cos^2
+modulator are nonlinear, is stepped sample by sample.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ STREAM_IMPRECISION = 1
 
 PRESET_QUALITIES = {"q100": 100.0, "q1e3": 1.0e3, "q1e5": 1.0e5}
 CONTROLLERS = ("off", "derivative", "chain")
+_CHAIN_STORE = 4096  # chain steps per store of the listed values to the trace
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -300,47 +302,66 @@ def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
     b0, b2, a1, a2 = _bandpass(res, cfg, dt)
     inv_2dt = 1.0 / (2.0 * dt)
     phase_per_velocity = TWO_PI / chain.wavelength / res.omega0
-    dac_gain = chain.dac_gain
     vpi = chain.eoam.half_wave_voltage
     theta = chain.eoam.bias_angle
     p0 = chain.eoam.max_power
     rp = actuator_gain()
     lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits is not None else None
 
-    x_out, f_out, v_out, p_out = np.empty((4, n))
     f_in_l = f_in.tolist()
     noise_y_l = noise_y.tolist()
+    inv_m = 1.0 / m
+    neg_a1 = -a1
+    volt_per_velocity = chain.dac_gain * phase_per_velocity
+    cos, pi = math.cos, math.pi
     x = float(cfg.x0)
     v = 0.0
     f_fb = 0.0
     s1 = s2 = 0.0  # transposed direct form II states
-    inv_m = 1.0 / m
-    for i in range(n):
-        v += dt * ((f_in_l[i] + f_fb) * inv_m - w2 * x - gamma * v)
-        x += dt * v
-        if not -bound < x < bound:
-            raise DivergenceError(
-                f"|x| exceeded {bound:.3g} m at step {i}")
-        x_out[i] = x
-        f_out[i] = f_fb
-        y = x + noise_y_l[i]
-        if i == 0:
-            vel = 0.0
-            y1 = y2 = y
-        else:
+    # step 0 (warm-up): no force yet, vel_0 = 0 without stepping the
+    # bandpass, y_{-1} = y_0
+    v += dt * ((f_in_l[0] + f_fb) * inv_m - w2 * x - gamma * v)
+    x += dt * v
+    if not -bound < x < bound:
+        raise DivergenceError(f"|x| exceeded {bound:.3g} m at step 0")
+    y1 = y2 = x + noise_y_l[0]
+    vel = 0.0
+    volt = volt_per_velocity * vel
+    if lsb is not None:
+        volt = round(volt / lsb) * lsb
+    power = p0 * cos(theta + pi * volt / vpi) ** 2
+    x_out, v_out, p_out = np.empty((3, n))
+    x_out[0], v_out[0], p_out[0] = x, volt, power
+    # steps go to lists, one array store per _CHAIN_STORE steps: a list
+    # append is cheaper than an array item store, and the lists' float
+    # objects stay few
+    for lo in range(1, n, _CHAIN_STORE):
+        hi = min(n, lo + _CHAIN_STORE)
+        xs, volts, powers = [], [], []
+        for i in range(lo, hi):
+            f_fb = rp * power
+            v += dt * ((f_in_l[i] + f_fb) * inv_m - w2 * x - gamma * v)
+            x += dt * v
+            if not -bound < x < bound:
+                raise DivergenceError(
+                    f"|x| exceeded {bound:.3g} m at step {i}")
+            xs.append(x)
+            y = x + noise_y_l[i]
             u = (y - y2) * inv_2dt
             vel = b0 * u + s1
-            s1 = -a1 * vel + s2
+            s1 = neg_a1 * vel + s2
             s2 = b2 * u - a2 * vel
             y2 = y1
             y1 = y
-        volt = dac_gain * phase_per_velocity * vel
-        if lsb is not None:
-            volt = round(volt / lsb) * lsb
-        power = p0 * math.cos(theta + math.pi * volt / vpi) ** 2
-        v_out[i] = volt
-        p_out[i] = power
-        f_fb = rp * power
+            volt = volt_per_velocity * vel
+            if lsb is not None:
+                volt = round(volt / lsb) * lsb
+            power = p0 * cos(theta + pi * volt / vpi) ** 2
+            volts.append(volt)
+            powers.append(power)
+        x_out[lo:hi], v_out[lo:hi], p_out[lo:hi] = xs, volts, powers
+    # the force set at step i acts during step i + 1
+    f_out = np.concatenate(([0.0], rp * p_out[:-1]))
     return x_out, f_out, v_out, p_out
 
 

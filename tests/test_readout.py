@@ -276,6 +276,20 @@ class TestPhasemeter:
         rms = math.sqrt(float(np.mean(ref ** 2)))
         assert np.max(np.abs(got - ref)) <= 1e-12 * rms
 
+    @pytest.mark.parametrize("cut", [0, 3001], ids=["first", "between"])
+    def test_empty_chunk(self, cut):
+        beat = self._beat(1.1, 10_000)
+        whole = Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
+        pm = Phasemeter(self.F_HET, 40.0, self.FS)
+        head = pm.process(beat[:cut])
+        state = (pm._z.copy(), pm._n, pm._last_phase)
+        empty = pm.process([])
+        assert empty.shape == (0,)
+        assert np.array_equal(pm._z, state[0])
+        assert (pm._n, pm._last_phase) == state[1:]
+        chunked = np.concatenate([head, empty, pm.process(beat[cut:])])
+        assert np.allclose(whole, chunked, atol=1e-12)
+
     def test_nyquist_precondition(self):
         with pytest.raises(ConfigError):
             Phasemeter(heterodyne_frequency=6000.0, lpf_corner=10.0,
