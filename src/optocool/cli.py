@@ -1,7 +1,8 @@
 """Command-line harness: config loading, dispatch, artifact generation.
 
-Each ``_cmd_*`` command yields ``(file name, header lines, body, columns)``
-artifacts and touches no file or stdout. `run_command` formats them all,
+Each ``_cmd_*`` command yields ``(file name, header lines, body)``
+artifacts and touches no file or stdout; a table's body is a dict of its
+columns, as `format_artifact` takes it. `run_command` formats them all,
 then creates the out directory, writes each under a temporary name there,
 renames them all and prints one ``wrote <path>`` line per file, so a command
 that fails writes nothing, and a write that fails leaves no temporary file.
@@ -42,6 +43,10 @@ OUT_DIR_ENV = "OPTOCOOL_OUT"
 
 MATCH_TOLERANCE = 0.10  # relative deviation separating MATCH from DEVIATION
 
+_STAGE_COLUMNS = {"stage": "index", "g": "gain", "gdac_v_per_rad": "dac_gain",
+                  "t_start_s": "start", "duration_s": "duration",
+                  "x2_exit_m2": "variance_out", "teff_exit_K": "t_eff_out"}
+
 
 def _header_lines(command: str, cfg: ExperimentConfig, seed=None) -> list:
     lines = [f"optocool {__version__} {command}"]
@@ -77,7 +82,7 @@ def _cmd_susceptibility(args, cfg: ExperimentConfig):
         rec = SpectrumRecord(omega, chi, "response", "m/N")
         yield (f"susceptibility_g{_format_gain(g)}.csv",
                _header_lines(f"susceptibility g={g:g}", cfg),
-               *spectrum_table(rec))
+               spectrum_table(rec))
 
 
 def _cmd_noise_budget(args, cfg: ExperimentConfig):
@@ -89,9 +94,9 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig):
     thermal = quiet.output_spectrum(res, g, omega=omega).values
     readout = fpi.noise_asd(omega)
     total = np.sqrt(thermal ** 2 + readout ** 2)
-    rows = zip(omega / TWO_PI, total, thermal, readout)
-    yield ("noise_budget.csv", _header_lines("noise-budget", cfg), rows,
-           ["freq_hz", "total_hz_rthz", "thermal_hz_rthz", "readout_hz_rthz"])
+    yield ("noise_budget.csv", _header_lines("noise-budget", cfg),
+           {"freq_hz": omega / TWO_PI, "total_hz_rthz": total,
+            "thermal_hz_rthz": thermal, "readout_hz_rthz": readout})
 
 
 def _cmd_cool_sweep(args, cfg: ExperimentConfig):
@@ -109,16 +114,15 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
                           f"got {bad[0]!r}")
     external = cfg.external_force_psd()
     for asd in noises:
-        rows = []
-        for g in gains:
-            setup = CoolingSetup(res, g, imprecision_psd=asd ** 2,
-                                 external_force_psd=external)
-            num = closed_loop_variance(setup).numeric
-            rows.append((g, num.t_eff, num.variance, num.thermal,
-                         num.feedthrough))
+        nums = [closed_loop_variance(CoolingSetup(
+            res, g, imprecision_psd=asd ** 2,
+            external_force_psd=external)).numeric for g in gains]
         yield (f"cool_sweep_noise{asd:g}.csv",
-               _header_lines(f"cool sweep noise={asd:g}", cfg), rows,
-               ["g", "T_eff_K", "x2_m2", "thermal_m2", "feedthrough_m2"])
+               _header_lines(f"cool sweep noise={asd:g}", cfg),
+               {"g": gains, "T_eff_K": [num.t_eff for num in nums],
+                "x2_m2": [num.variance for num in nums],
+                "thermal_m2": [num.thermal for num in nums],
+                "feedthrough_m2": [num.feedthrough for num in nums]})
 
 
 def _cmd_cool_optimum(args, cfg: ExperimentConfig):
@@ -136,7 +140,7 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig):
         ("t_eff_at_g_opt_K", effective_temperature(res, got.closed_form, t_n)),
         ("t_eff_floor_K", floor),
     ]
-    yield "cool_optimum.txt", _header_lines("cool optimum", cfg), body, None
+    yield "cool_optimum.txt", _header_lines("cool optimum", cfg), body
 
 
 def _cmd_cascade_run(args, cfg: ExperimentConfig):
@@ -151,21 +155,18 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
         ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
         tag = _format_gain(g0)
-        stage_rows = [(s.index, s.gain, s.dac_gain, s.start, s.duration,
-                       s.variance_out, s.t_eff_out)
-                      for s in schedule.stages]
         header = _header_lines(f"cascade run g0={g0:g}", cfg)
-        yield (f"cascade_g{tag}.csv", header, stage_rows,
-               ["stage", "g", "gdac_v_per_rad", "t_start_s",
-                "duration_s", "x2_exit_m2", "teff_exit_K"])
+        yield (f"cascade_g{tag}.csv", header,
+               {name: [getattr(s, field) for s in schedule.stages]
+                for name, field in _STAGE_COLUMNS.items()})
 
         t_lo = schedule.stages[0].duration / 100.0
         times = np.logspace(math.log10(t_lo), math.log10(schedule.total_time),
                             400)
-        series_rows = [(t, schedule.variance_at(t), schedule.t_eff_at(t))
-                       for t in times]
-        yield (f"cascade_g{tag}_timeseries.csv", header, series_rows,
-               ["t_s", "x2_m2", "teff_K"])
+        yield (f"cascade_g{tag}_timeseries.csv", header,
+               {"t_s": times,
+                "x2_m2": [schedule.variance_at(t) for t in times],
+                "teff_K": [schedule.t_eff_at(t) for t in times]})
 
         comparison = compare_single_step(
             schedule.stages[-1].gain, ccfg, chain, res, hli, fpi)
@@ -186,7 +187,7 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
             ("time_ratio_cascade_over_single", comparison.time_ratio),
             ("reciprocity_product", comparison.reciprocity),
         ]
-        yield f"cascade_g{tag}.txt", header, body, None
+        yield f"cascade_g{tag}.txt", header, body
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig):
@@ -195,16 +196,12 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
     chain = cfg.chain() if sim_cfg.controller == "chain" else None
     trace = simulate(sim_cfg, res, chain=chain, hli=cfg.hli())
 
-    columns = ["t_s", "x_m", "y_m"]
-    series = [trace.t, trace.x, trace.y]
+    table = {"t_s": trace.t, "x_m": trace.x, "y_m": trace.y}
     if trace.control_voltage is not None:
-        columns += ["v_volt", "p_watt"]
-        series += [trace.control_voltage, trace.power]
-    columns.append("f_fb_newton")
-    series.append(trace.feedback_force)
-    rows = zip(*[s.tolist() for s in series])
+        table.update(v_volt=trace.control_voltage, p_watt=trace.power)
+    table["f_fb_newton"] = trace.feedback_force
     header = _header_lines("simulate", cfg, seed=trace.seed)
-    yield "trace.csv", header, rows, columns
+    yield "trace.csv", header, table
 
     variance = steady_state_variance(trace)
     body = [
@@ -213,7 +210,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
         ("steady_state_variance_m2", variance),
         ("steady_state_rms_m", math.sqrt(variance)),
     ]
-    yield "simulate.txt", header, body, None
+    yield "simulate.txt", header, body
 
 
 def _cmd_psd(args, cfg: ExperimentConfig):
@@ -224,12 +221,15 @@ def _cmd_psd(args, cfg: ExperimentConfig):
                            f"segment={args.segment}", cfg)
     header += [f"segments = {rec.meta['segments']}",
                f"parseval_ratio = {rec.meta['parseval_ratio']!r}"]
-    yield f"psd_{args.column}.csv", header, *spectrum_table(rec)
+    yield f"psd_{args.column}.csv", header, spectrum_table(rec)
 
 
 def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
+    hint = args.frequency
+    if hint is not None and not 0.0 < hint < math.inf:
+        raise ConfigError(f"--frequency must be finite and > 0, got {hint!r}")
     (t, x), _ = read_columns(args.input, ("t_s", args.column))
-    omega0 = TWO_PI * args.frequency if args.frequency else None
+    omega0 = TWO_PI * hint if hint is not None else None
     fit = fit_q_from_ringdown(t, x, omega0=omega0)
     body = [
         ("input", args.input),
@@ -240,7 +240,7 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
         ("residual_rms", fit.residual_rms),
         ("n_points", fit.n_points),
     ]
-    yield "ringdown_fit.txt", _header_lines("ringdown-fit", cfg), body, None
+    yield "ringdown_fit.txt", _header_lines("ringdown-fit", cfg), body
 
 
 def _cmd_chain_report(args, cfg: ExperimentConfig):
@@ -259,7 +259,7 @@ def _cmd_chain_report(args, cfg: ExperimentConfig):
         ("gain_factor", g),
         ("power_for_unity_gain_W", chain.required_power(res, 1.0)),
     ]
-    yield "chain_report.txt", _header_lines("chain report", cfg), body, None
+    yield "chain_report.txt", _header_lines("chain report", cfg), body
 
 
 def _paper_report_rows(cfg: ExperimentConfig) -> list:
@@ -300,7 +300,7 @@ def _cmd_paper_report(args, cfg: ExperimentConfig):
     for name, unit, computed, reference, ratio, flag in _paper_report_rows(cfg):
         body.append(f"{name} | {unit} | {computed!r} | {reference!r} | "
                     f"{ratio!r} | {flag}")
-    yield "paper_report.txt", _header_lines("paper-report", cfg), body, None
+    yield "paper_report.txt", _header_lines("paper-report", cfg), body
 
 
 # -- dispatch ------------------------------------------------------------
@@ -389,8 +389,8 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
     out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "optocool_out")
-    texts = {out / name: format_artifact(out / name, header, body, columns)
-             for name, header, body, columns in args.func(args, cfg)}
+    texts = {out / name: format_artifact(out / name, header, body)
+             for name, header, body in args.func(args, cfg)}
     out.mkdir(parents=True, exist_ok=True)
     temps = {}
     try:

@@ -110,6 +110,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
             raise ConfigError("duration must be finite and > 0")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.external not in ("none", "sine", "samples"):
             raise ConfigError(f"unknown external force mode {self.external!r}")
         if self.controller not in CONTROLLERS:

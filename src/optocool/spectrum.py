@@ -13,15 +13,16 @@ Every artifact is formatted by `format_artifact`; the CLI driver and
 then ``key = value`` lines or a CSV table. Floats and complex values are
 written by ``repr``, and a non-finite one is refused with a `DomainError`
 naming the file, the column (or key) and the value of the first one in
-row order, so no file full of ``nan`` is ever written. A table is formatted
-column by column in blocks of `ROW_BLOCK` rows: an all-float or all-complex
-column gets one finite check and one ``repr`` pass, other cells are written
-as `csv.writer` writes them, and a row whose length is not the number of
-columns is refused.
+row order, so no file full of ``nan`` is ever written. A table is a dict of
+columns, formatted in blocks of `ROW_BLOCK` rows: a float or complex array
+or an all-float or all-complex list gets one finite check and one ``repr``
+pass, other cells are written as `csv.writer` writes them, and columns of
+unequal length are refused.
 
 Every input CSV is read by `read_columns`, the only code that turns cells
 into numbers. Its header is the first row that is neither blank nor a ``#``
-comment, and a malformed file is refused with a `ConfigError` naming it.
+comment, and a missing or malformed file is refused with a `ConfigError`
+naming it.
 `uniform_rate` refuses a time column whose steps are not even.
 """
 
@@ -32,7 +33,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -45,7 +46,7 @@ KIND_PSD = "psd"
 KIND_RESPONSE = "response"
 _KINDS = (KIND_ASD, KIND_PSD, KIND_RESPONSE)
 
-ROW_BLOCK = 4096  # table rows per join: bounds the transposed copy's memory
+ROW_BLOCK = 4096  # table rows per join: bounds the cell texts' memory
 _SPECIAL = re.compile(r'[,"\r\n]')  # cells that csv may quote
 
 
@@ -133,64 +134,52 @@ def psd_lookup(value, what: str):
     return lambda omega: np.full_like(np.asarray(omega, dtype=float), value)
 
 
-def format_artifact(where, header_lines, body, columns) -> str:
+def format_artifact(where, header_lines, body) -> str:
     """Text of ``# `` header lines, then a CSV table or text lines.
 
-    With ``columns`` the body is table rows; with ``None``, each body item
-    is a plain line or a ``(key, value)`` pair. ``where`` (the file's path)
-    prefixes the message of a refused non-finite value or ragged row.
+    A dict body is a table, ``{column name: cells}`` with each column's
+    cells an ndarray or a list; any other body is text, each item a plain
+    line or a ``(key, value)`` pair. ``where`` (the file's path) prefixes
+    the message of a refused non-finite value or unequal column lengths.
     """
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    if columns is None:
+    if not isinstance(body, dict):
         for line in body:
             if not isinstance(line, str):
                 key, value = line
                 line = f"{key} = {_cell(value, f'{where}: {key}')}"
             buf.write(line + "\n")
-    else:
-        buf.write(_lines([[_text(name)] for name in columns]))
-        labels = [f"{where}: column {name}" for name in columns]
-        rows = iter(body)
-        while block := list(islice(rows, ROW_BLOCK)):
-            buf.write(_table_block(block, labels, where))
+        return buf.getvalue()
+    lengths = {name: len(cells) for name, cells in body.items()}
+    if len(set(lengths.values())) > 1:
+        raise DomainError(f"{where}: columns of unequal length {lengths}")
+    buf.write(_lines([[_text(name)] for name in body]))
+    labels = [f"{where}: column {name}" for name in body]
+    for start in range(0, max(lengths.values(), default=0), ROW_BLOCK):
+        block = [cells[start:start + ROW_BLOCK] for cells in body.values()]
+        texts = list(map(_column, block))
+        if None in texts:
+            for row in zip(*block):
+                list(map(_cell, row, labels))  # raises at the first bad cell
+        buf.write(_lines(texts))
     return buf.getvalue()
-
-
-def _table_block(block, labels, where):
-    """CSV lines of a block of rows, formatted column by column.
-
-    A row whose length is not the number of columns is refused, and so is a
-    non-finite cell, with the message `_cell` gives the first in row order.
-    """
-    width = len(labels)
-    try:
-        cells = list(zip(*block, strict=True))
-    except ValueError:
-        cells = None
-    if cells is None or len(cells) != width:
-        row = next(row for row in block if len(row) != width)
-        raise DomainError(f"{where}: a row of {len(row)} cells under "
-                          f"{width} columns")
-    texts = list(map(_column, cells))
-    if None in texts:
-        for row in block:
-            list(map(_cell, row, labels))  # raises at the first bad cell
-    return _lines(texts)
 
 
 def _column(cells):
     """Texts of one column's cells, or None if one is a non-finite number.
 
-    An all-float or all-complex column is checked by one `np.isfinite` and
-    written by ``repr``; any other column goes through `_cell` and `_text`.
+    A float64 or complex128 ndarray, or a list of all-float or all-complex
+    cells, is checked by one `np.isfinite` and written by ``repr``; any
+    other column goes through `_cell` and `_text`.
     """
-    kinds = set(map(type, cells))
+    kinds = ({cells.dtype.type} if isinstance(cells, np.ndarray)
+             else set(map(type, cells)))
     if kinds <= {float, np.float64}:
-        values = np.array(cells, dtype=float)
+        values = np.asarray(cells, dtype=float)
     elif kinds <= {complex, np.complex128}:
-        values = np.array(cells, dtype=complex)
+        values = np.asarray(cells, dtype=complex)
     else:
         try:
             return [_text(_cell(cell, "")) for cell in cells]
@@ -241,14 +230,18 @@ def read_rows(path):
     """Data rows and ``#`` comment rows of an artifact, as lists of strings.
 
     Blank rows are dropped; a row is a comment when its first cell starts
-    with ``#`` after leading whitespace.
+    with ``#`` after leading whitespace. A file that cannot be read is a
+    `ConfigError` naming it.
     """
     rows, comments = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                (comments if row[0].lstrip().startswith("#")
-                 else rows).append(row)
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if row:
+                    (comments if row[0].lstrip().startswith("#")
+                     else rows).append(row)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     return rows, comments
 
 
@@ -308,15 +301,15 @@ def uniform_rate(path, t) -> float:
     return 1.0 / float(steps[0])
 
 
-def spectrum_table(record: SpectrumRecord):
-    """``(rows, columns)`` of a record's ``freq_hz,value,unit`` table."""
-    return (zip(record.freq_hz.tolist(), record.values.tolist(),
-                repeat(record.unit)), ["freq_hz", "value", "unit"])
+def spectrum_table(record: SpectrumRecord) -> dict:
+    """A record's ``freq_hz,value,unit`` table, as columns."""
+    return {"freq_hz": record.freq_hz, "value": record.values,
+            "unit": [record.unit] * record.values.size}
 
 
 def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
     """Write ``freq_hz,value,unit`` rows, preceded by ``#`` header lines."""
-    text = format_artifact(path, header_lines, *spectrum_table(record))
+    text = format_artifact(path, header_lines, spectrum_table(record))
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

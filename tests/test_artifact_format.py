@@ -1,9 +1,10 @@
 """Artifact text: `format_artifact` against the cell-by-cell csv writer.
 
 The oracle below is the formatter as it was before tables were written
-column by column: every cell through `_oracle_cell`, every row through
-`csv.writer`. Tables must come out byte for byte the same, and a refused
-value must be refused with the same message.
+column by column: every cell through `_oracle_cell`, every row of the
+table's columns, zipped, through `csv.writer`. Tables must come out byte
+for byte the same, and a refused value must be refused with the same
+message.
 """
 
 import cmath
@@ -41,11 +42,11 @@ def _oracle_cell(value, where):
     return repr(value)
 
 
-def _oracle(where, header_lines, body, columns):
+def _oracle(where, header_lines, body):
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    if columns is None:
+    if not isinstance(body, dict):
         for line in body:
             if not isinstance(line, str):
                 key, value = line
@@ -53,21 +54,21 @@ def _oracle(where, header_lines, body, columns):
             buf.write(line + "\n")
     else:
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        labels = [f"{where}: column {name}" for name in columns]
-        for row in body:
+        writer.writerow(body)
+        labels = [f"{where}: column {name}" for name in body]
+        for row in zip(*body.values()):
             writer.writerow(list(map(_oracle_cell, row, labels)))
     return buf.getvalue()
 
 
-def _outcome(format_, body, columns):
+def _outcome(format_, table):
     """The text's lines, or the type and message of the refusal.
 
     Lines, not one string: pytest explains a mismatch of two long strings
     by a diff that takes minutes, of two lists by their first difference.
     """
     try:
-        text = format_(WHERE, ["optocool test"], list(body), columns)
+        text = format_(WHERE, ["optocool test"], table)
     except DomainError as exc:
         return type(exc), str(exc)
     return text.splitlines(keepends=True)
@@ -100,95 +101,112 @@ def _other_cells():
 
 @st.composite
 def _tables(draw):
-    """Rows of 1-4 columns; each column all float, all complex, or mixed."""
+    """``(name, cells, dtype)`` of 1-4 equal-length columns.
+
+    Each column is all float, all complex, or mixed; ``dtype`` is the array
+    type a float or complex column is built as, or None for a list.
+    """
     finite = draw(st.booleans())
     kinds = {"float": _float_cells(finite), "complex": _complex_cells(finite),
              "other": _other_cells()}
     kinds["mixed"] = st.one_of(*kinds.values())
-    cells = [kinds[name] for name in draw(st.lists(
-        st.sampled_from(sorted(kinds)), min_size=1, max_size=4))]
-    rows = draw(st.lists(st.tuples(*cells), max_size=12))
-    columns = draw(st.lists(_TEXT, min_size=len(cells),
-                            max_size=len(cells)))
-    return rows, columns
+    picked = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                           max_size=4))
+    n = draw(st.integers(0, 12))
+    names = draw(st.lists(_TEXT, min_size=len(picked), max_size=len(picked),
+                          unique=True))
+    dtypes = {"float": float, "complex": complex}
+    return [(name, draw(st.lists(kinds[kind], min_size=n, max_size=n)),
+             draw(st.sampled_from([None, dtypes.get(kind)])))
+            for name, kind in zip(names, picked)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tables(), st.sampled_from([1, 1, 1, ROW_BLOCK // 3 + 1]))
-def test_table_matches_oracle(table, repeat):
+def test_table_matches_oracle(columns, repeat):
     """``repeat`` > 1 makes a body of several blocks out of a few rows."""
-    rows, columns = table
-    rows = rows * repeat
-    assert (_outcome(format_artifact, rows, columns)
-            == _outcome(_oracle, rows, columns))
+    table = {name: cells * repeat if dtype is None
+             else np.array(cells * repeat, dtype=dtype)
+             for name, cells, dtype in columns}
+    assert (_outcome(format_artifact, table)
+            == _outcome(_oracle, table))
 
 
-@pytest.mark.parametrize("rows, columns, text", [
-    ([("",)], [""], '""\n""\n'),
-    ([("", "")], ["", ""], ",\n,\n"),
-    ([], ["t_s", "x_m"], "t_s,x_m\n"),
-    ([(-0.0,), (5e-324,), (1e16,), (1e-5,)], ["x"],
+@pytest.mark.parametrize("table, text", [
+    ({"": [""]}, '""\n""\n'),
+    ({"a": [""], "b": [""]}, "a,b\n,\n"),
+    ({"t_s": [], "x_m": np.array([])}, "t_s,x_m\n"),
+    ({"x": np.array([-0.0, 5e-324, 1e16, 1e-5])},
      "x\n-0.0\n5e-324\n1e+16\n1e-05\n"),
-    ([('a,"b"', "x\ny")], ["u", "v"], 'u,v\n"a,""b""","x\ny"\n'),
+    ({"u": ['a,"b"'], "v": ["x\ny"]}, 'u,v\n"a,""b""","x\ny"\n'),
 ], ids=["lone-empty-cell", "two-empty-cells", "empty-body", "floats",
         "quoted-text"])
-def test_edge_tables(rows, columns, text):
+def test_edge_tables(table, text):
     expected = ("# optocool test\n" + text).splitlines(keepends=True)
-    assert _outcome(format_artifact, rows, columns) == expected
-    assert _outcome(_oracle, rows, columns) == expected
+    assert _outcome(format_artifact, table) == expected
+    assert _outcome(_oracle, table) == expected
 
 
 # -- traffic: every command's real output formats as the oracle does -------
 
-def _short_config(tmp_path):
+def _short_config(tmp_path, controller="off"):
     """The default config with a 25 s simulate that rings down from 100 um."""
-    path = tmp_path / "short.ini"
-    text = re.sub(r"^duration = .*$", "duration = 25 s", DEFAULT_CONFIG,
-                  count=1, flags=re.M)
-    text = re.sub(r"^initial_position = .*$", "initial_position = 100 um",
-                  text, count=1, flags=re.M)
+    path = tmp_path / f"short_{controller}.ini"
+    text = DEFAULT_CONFIG
+    for key, value in (("duration", "25 s"), ("initial_position", "100 um"),
+                       ("controller", controller)):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1,
+                      flags=re.M)
     path.write_text(text)
     return str(path)
 
 
 def test_every_command_formats_as_oracle(tmp_path):
     config = _short_config(tmp_path)
+    chain = _short_config(tmp_path, controller="chain")
     trace = tmp_path / "trace.csv"
-    argvs = [
+    runs = [(config, argv) for argv in [
         ["susceptibility"], ["noise-budget"],
         ["cool", "sweep", "--noise", "2e-13,5e-12"], ["cool", "optimum"],
         ["cascade", "run", "--g0", "1,0.5"], ["simulate"],
         ["psd", "--input", str(trace), "--segment", "1024"],
         ["ringdown-fit", "--input", str(trace), "--column", "x_m"],
         ["chain", "report"], ["paper-report"],
-    ]
-    commands = set()
-    for argv in argvs:
-        args = cli.build_parser().parse_args(["--config", config] + argv)
+    ]] + [(chain, ["simulate"]),
+          (chain, ["psd", "--input", str(trace), "--column", "p_watt",
+                   "--segment", "1024"])]
+    commands, traces = set(), []
+    for path, argv in runs:
+        args = cli.build_parser().parse_args(["--config", path] + argv)
         commands.add(args.func.__name__)
         cfg = load_config(args.config)
-        for name, header, body, columns in args.func(args, cfg):
-            body = list(body)
-            text = format_artifact(tmp_path / name, header, body, columns)
-            want = _oracle(tmp_path / name, header, body, columns)
+        for name, header, body in args.func(args, cfg):
+            text = format_artifact(tmp_path / name, header, body)
+            want = _oracle(tmp_path / name, header, body)
             assert text.splitlines(True) == want.splitlines(True)
             if name == "trace.csv":
                 trace.write_text(text)
+                traces.append(list(body))
     assert commands == {name for name, _ in inspect.getmembers(cli)
                         if name.startswith("_cmd_")}
+    assert traces == [["t_s", "x_m", "y_m", "f_fb_newton"],
+                      ["t_s", "x_m", "y_m", "v_volt", "p_watt",
+                       "f_fb_newton"]]
 
 
 # -- refusals -------------------------------------------------------------
 
-def _float_table(n, bad=()):
-    """``n`` rows of (float, complex, float); ``bad`` maps (row, col) -> value."""
-    rows = [[0.5 * i, complex(i, -i), 1e-3 * i] for i in range(n)]
-    for (i, j), value in dict(bad).items():
-        rows[i][j] = value
-    return [tuple(row) for row in rows]
-
-
 COLUMNS = ["t_s", "z", "x_m"]
+
+
+def _float_table(n, bad=()):
+    """``n`` rows of a float array, a complex list and a float array
+    (`COLUMNS`); ``bad`` maps (row, col) -> value."""
+    i = np.arange(n)
+    cells = [0.5 * i, [complex(k, -k) for k in range(n)], 1e-3 * i]
+    for (row, col), value in dict(bad).items():
+        cells[col][row] = value
+    return dict(zip(COLUMNS, cells))
 
 
 @pytest.mark.parametrize("col, value, shown", [
@@ -201,11 +219,11 @@ COLUMNS = ["t_s", "z", "x_m"]
 @pytest.mark.parametrize("row", [3, ROW_BLOCK + 5], ids=["first-block",
                                                         "second-block"])
 def test_non_finite_cell_refused(row, col, value, shown):
-    rows = _float_table(ROW_BLOCK + 20, {(row, col): value})
+    table = _float_table(ROW_BLOCK + 20, {(row, col): value})
     expected = (DomainError,
                 f"{WHERE}: column {COLUMNS[col]}: non-finite value {shown}")
-    assert _outcome(format_artifact, rows, COLUMNS) == expected
-    assert _outcome(_oracle, rows, COLUMNS) == expected
+    assert _outcome(format_artifact, table) == expected
+    assert _outcome(_oracle, table) == expected
 
 
 @pytest.mark.parametrize("bad, column", [
@@ -215,32 +233,43 @@ def test_non_finite_cell_refused(row, col, value, shown):
     ({(7, 2): math.nan, (ROW_BLOCK + 1, 0): math.inf}, "x_m"),
 ], ids=["later-column-earlier-row", "same-row", "different-blocks"])
 def test_first_bad_cell_in_row_order_is_named(bad, column):
-    rows = _float_table(2 * ROW_BLOCK + 3, bad)
-    got = _outcome(format_artifact, rows, COLUMNS)
-    assert got == _outcome(_oracle, rows, COLUMNS)
+    table = _float_table(2 * ROW_BLOCK + 3, bad)
+    got = _outcome(format_artifact, table)
+    assert got == _outcome(_oracle, table)
     assert got[1].startswith(f"{WHERE}: column {column}: non-finite value")
 
 
-@pytest.mark.parametrize("row, cells", [
-    (0, (1.0, 2.0)), (5, (1.0, 2.0, 3.0, 4.0)), (ROW_BLOCK + 1, ()),
-    (ROW_BLOCK, (1.0,)),
-])
-def test_ragged_row_refused(row, cells):
-    """The cell-by-cell writer wrote such a row as it was, or cut it short."""
-    rows = _float_table(ROW_BLOCK + 4)
-    rows[row] = cells
-    assert _outcome(format_artifact, rows, COLUMNS) == (
-        DomainError, f"{WHERE}: a row of {len(cells)} cells under 3 columns")
+def _chain_report_yields(monkeypatch, table):
+    """Make ``chain report`` yield a text artifact, then ``table``."""
+    def cmd(args, cfg):
+        yield "good.txt", ["h"], [("a", 1.0)]
+        yield "bad.csv", ["h"], table
+
+    monkeypatch.setattr(cli, "_cmd_chain_report", cmd)
+
+
+@pytest.mark.parametrize("col, length", [
+    (0, 0), (1, ROW_BLOCK + 5), (2, ROW_BLOCK + 3), (2, 1),
+], ids=["empty-first", "longer-middle", "one-short-last", "one-cell-last"])
+def test_unequal_columns_refused(tmp_path, capsys, monkeypatch, col, length):
+    """The row-by-row writer cut such a table at its shortest column."""
+    table = _float_table(ROW_BLOCK + 4)
+    table[COLUMNS[col]] = _float_table(length)[COLUMNS[col]]
+    lengths = {name: len(cells) for name, cells in table.items()}
+    assert _outcome(format_artifact, table) == (
+        DomainError, f"{WHERE}: columns of unequal length {lengths}")
+    _chain_report_yields(monkeypatch, table)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "chain", "report"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: DomainError: {out / 'bad.csv'}: columns of unequal length "
+        f"{lengths}\n")
+    assert not out.exists()
 
 
 def test_refused_table_writes_nothing(tmp_path, capsys, monkeypatch):
-    def cmd(args, cfg):
-        yield "good.txt", ["h"], [("a", 1.0)], None
-        yield "bad.csv", ["h"], _float_table(
-            ROW_BLOCK + 9, {(ROW_BLOCK + 8, 1): complex(0.0, math.nan)}), \
-            COLUMNS
-
-    monkeypatch.setattr(cli, "_cmd_chain_report", cmd)
+    _chain_report_yields(monkeypatch, _float_table(
+        ROW_BLOCK + 9, {(ROW_BLOCK + 8, 1): complex(0.0, math.nan)}))
     out = tmp_path / "out"
     assert cli.main(["--out", str(out), "chain", "report"]) == 1
     captured = capsys.readouterr()
@@ -254,18 +283,17 @@ def test_refused_table_writes_nothing(tmp_path, capsys, monkeypatch):
 
 def test_formatting_a_long_trace_holds_one_block():
     """Peak traced memory of a default-length 4-column trace stays near its
-    text: transposing the whole table at once would hold every cell's text
-    as well."""
+    text: formatting each column whole, not a block at a time, would hold
+    every cell's text as well."""
     n = 141_601
-    series = [np.arange(n) * 1e-3] + [
-        np.sin(np.arange(n) * k) * 1e-7 for k in (0.1, 0.2, 0.3)]
-    columns = [s.tolist() for s in series]
+    table = {"t_s": np.arange(n) * 1e-3} | {
+        name: np.sin(np.arange(n) * k) * 1e-7
+        for name, k in (("x_m", 0.1), ("y_m", 0.2), ("f", 0.3))}
     tracemalloc.start()
     try:
-        rows = zip(*columns)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        text = format_artifact(WHERE, [], rows, ["t_s", "x_m", "y_m", "f"])
+        text = format_artifact(WHERE, [], table)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

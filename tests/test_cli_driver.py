@@ -212,3 +212,41 @@ class TestBadTraceInput:
         assert capsys.readouterr().err.strip() == (
             f"error: config: segment length must be >= 2, got {segment}")
         assert not out.exists()
+
+
+class TestRefusedValues:
+    """Bad option, key and path values: exit 2 with one line, no out dir."""
+
+    def _refused(self, capsys, argv, out, message):
+        assert main(["--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, shown", [
+        ("0 s", "0.0"), ("-1 s", "-1.0"), ("nan s", "nan"), ("inf s", "inf"),
+    ])
+    def test_bad_sim_dt(self, tmp_path, capsys, value, shown):
+        cfg = _config(tmp_path, dt=value)
+        self._refused(capsys, ["--config", str(cfg), "simulate"],
+                      tmp_path / "out",
+                      f"dt must be finite and > 0, got {shown}")
+
+    @pytest.mark.parametrize("value, shown", [
+        ("-4.72", "-4.72"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
+    ])
+    def test_bad_ringdown_frequency(self, tmp_path, capsys, value, shown):
+        # -4.72 fitted a negative q, nan failed on int(nan), 0 read as no hint
+        trace = _trace(tmp_path, "t_s,value\n" + "".join(
+            f"{0.1 * i!r},{math.exp(-0.1 * i) * math.cos(3.0 * i)!r}\n"
+            for i in range(64)))
+        self._refused(capsys, ["ringdown-fit", "--input", str(trace),
+                               "--frequency", value], tmp_path / "out",
+                      f"--frequency must be finite and > 0, got {shown}")
+
+    @pytest.mark.parametrize("command", [["psd"], ["ringdown-fit"]],
+                             ids=["psd", "ringdown-fit"])
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        self._refused(capsys, command + ["--input", str(missing)],
+                      tmp_path / "out",
+                      f"{missing}: No such file or directory")

@@ -252,6 +252,12 @@ class TestValidation:
             SimConfig(duration=1.0, controller="derivative", gain=10.0,
                       bandpass_quality=quality)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_bad_dt_refused(self, dt):
+        # these failed later: 0 by ZeroDivisionError, nan and -1 by ValueError
+        with pytest.raises(ConfigError, match=r"^dt must be finite and > 0"):
+            SimConfig(duration=1.0, dt=dt)
+
     @pytest.mark.parametrize("bits", [0, -3])
     def test_dac_bits_below_one_refused(self, bits):
         # a DAC has at least one bit; at -3 its 8 Vpi step rounds every
