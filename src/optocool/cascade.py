@@ -145,9 +145,6 @@ class CascadeSchedule:
                                          self.gamma_m, tau)
                 return max(val, stage.variance_floor)
 
-    def t_eff_at(self, t: float) -> float:
-        return self.teff_scale * self.variance_at(t)
-
 
 def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
                  res: MechanicalResonator, hli: HliReadout,

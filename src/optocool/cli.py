@@ -101,15 +101,16 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig):
 
 def _cmd_cool_sweep(args, cfg: ExperimentConfig):
     res = cfg.resonator()
-    if args.gains:
+    if args.gains is not None:
         gains = _parse_float_list(args.gains, "--gains")
     else:
         gains = np.logspace(0, 5, 51).tolist()
-    noises = (_parse_float_list(args.noise, "--noise") if args.noise
-              else [cfg.get("hli", "imprecision_asd")])
+    if args.noise is not None:
+        key, noises = "--noise", _parse_float_list(args.noise, "--noise")
+    else:
+        key, noises = "hli.imprecision_asd", [cfg.get("hli", "imprecision_asd")]
     bad = [asd for asd in noises if not math.isfinite(asd * asd)]
     if bad:
-        key = "--noise" if args.noise else "hli.imprecision_asd"
         raise ConfigError(f"{key}: an ASD must have a finite square, "
                           f"got {bad[0]!r}")
     external = cfg.external_force_psd()
@@ -117,12 +118,12 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
         nums = [closed_loop_variance(CoolingSetup(
             res, g, imprecision_psd=asd ** 2,
             external_force_psd=external)).numeric for g in gains]
+        t_eff, x2, thermal, feedthrough = np.array(
+            [(n.t_eff, n.variance, n.thermal, n.feedthrough) for n in nums]).T
         yield (f"cool_sweep_noise{asd:g}.csv",
                _header_lines(f"cool sweep noise={asd:g}", cfg),
-               {"g": gains, "T_eff_K": [num.t_eff for num in nums],
-                "x2_m2": [num.variance for num in nums],
-                "thermal_m2": [num.thermal for num in nums],
-                "feedthrough_m2": [num.feedthrough for num in nums]})
+               {"g": np.array(gains), "T_eff_K": t_eff, "x2_m2": x2,
+                "thermal_m2": thermal, "feedthrough_m2": feedthrough})
 
 
 def _cmd_cool_optimum(args, cfg: ExperimentConfig):
@@ -149,7 +150,7 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     hli = cfg.hli()
     fpi = cfg.fpi()
     base = cfg.cascade_config()
-    g0_list = (_parse_float_list(args.g0, "--g0") if args.g0
+    g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
     for g0 in g0_list:
         ccfg = replace(base, initial_gain=g0)
@@ -157,16 +158,15 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
         tag = _format_gain(g0)
         header = _header_lines(f"cascade run g0={g0:g}", cfg)
         yield (f"cascade_g{tag}.csv", header,
-               {name: [getattr(s, field) for s in schedule.stages]
+               {name: np.array([getattr(s, field) for s in schedule.stages])
                 for name, field in _STAGE_COLUMNS.items()})
 
         t_lo = schedule.stages[0].duration / 100.0
         times = np.logspace(math.log10(t_lo), math.log10(schedule.total_time),
                             400)
+        x2 = np.array([schedule.variance_at(t) for t in times])
         yield (f"cascade_g{tag}_timeseries.csv", header,
-               {"t_s": times,
-                "x2_m2": [schedule.variance_at(t) for t in times],
-                "teff_K": [schedule.t_eff_at(t) for t in times]})
+               {"t_s": times, "x2_m2": x2, "teff_K": schedule.teff_scale * x2})
 
         comparison = compare_single_step(
             schedule.stages[-1].gain, ccfg, chain, res, hli, fpi)
@@ -311,6 +311,8 @@ def _parse_float_list(text: str, option: str) -> list:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"{option}: bad numeric list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{option}: empty list {text!r}")
     if not all(0.0 <= v < math.inf for v in values):
         raise ConfigError(f"{option}: values must be finite and >= 0: {text!r}")
     return values

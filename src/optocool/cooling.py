@@ -95,7 +95,6 @@ class CoolingResult:
     feedthrough : imprecision fed back as force, m^2
     external    : external-force contribution, m^2
     t_eff       : m omega0^2 variance / kB, K
-    t_n         : noise temperature of the imprecision, K
     """
 
     variance: float
@@ -103,7 +102,6 @@ class CoolingResult:
     feedthrough: float
     external: float
     t_eff: float
-    t_n: float
 
 
 @dataclass(frozen=True)
@@ -221,13 +219,12 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     thermal_num, feed_num, ext = _integrate_band(parts, _band_edges(setup))
 
     s_n0 = float(s_n(res.omega0))
-    t_n = noise_temperature(res, s_n0) if s_n0 > 0.0 else 0.0
     scale = res.mass * res.omega0 ** 2 / KB
 
     def result(thermal, feedthrough):
         total = thermal + feedthrough + ext
         return CoolingResult(total, thermal, feedthrough, ext,
-                             t_eff=scale * total, t_n=t_n)
+                             t_eff=scale * total)
 
     return ClosedLoopVariance(numeric=result(thermal_num, feed_num),
                               analytic=result(*analytic_variance(res, g, s_n0)))

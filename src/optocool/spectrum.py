@@ -14,15 +14,15 @@ then ``key = value`` lines or a CSV table. Floats and complex values are
 written by ``repr``, and a non-finite one is refused with a `DomainError`
 naming the file, the column (or key) and the value of the first one in
 row order, so no file full of ``nan`` is ever written. A table is a dict of
-columns, formatted in blocks of `ROW_BLOCK` rows: a float or complex array
-or an all-float or all-complex list gets one finite check and one ``repr``
-pass, other cells are written as `csv.writer` writes them, and columns of
-unequal length are refused.
+columns, formatted in blocks of `ROW_BLOCK` rows: a float64 or complex128
+array gets one finite check and one ``repr`` pass, any other column (a
+list, an integer array) is written cell by cell as `csv.writer` writes it,
+and columns of unequal length are refused.
 
 Every input CSV is read by `read_columns`, the only code that turns cells
 into numbers. Its header is the first row that is neither blank nor a ``#``
-comment, and a missing or malformed file is refused with a `ConfigError`
-naming it.
+comment, and a missing, undecodable or malformed file is refused with a
+`ConfigError` naming it.
 `uniform_rate` refuses a time column whose steps are not even.
 """
 
@@ -170,24 +170,18 @@ def format_artifact(where, header_lines, body) -> str:
 def _column(cells):
     """Texts of one column's cells, or None if one is a non-finite number.
 
-    A float64 or complex128 ndarray, or a list of all-float or all-complex
-    cells, is checked by one `np.isfinite` and written by ``repr``; any
-    other column goes through `_cell` and `_text`.
+    A float64 or complex128 ndarray is checked by one `np.isfinite` and
+    written by ``repr``; any other column goes through `_cell` and `_text`.
     """
-    kinds = ({cells.dtype.type} if isinstance(cells, np.ndarray)
-             else set(map(type, cells)))
-    if kinds <= {float, np.float64}:
-        values = np.asarray(cells, dtype=float)
-    elif kinds <= {complex, np.complex128}:
-        values = np.asarray(cells, dtype=complex)
-    else:
+    if not (isinstance(cells, np.ndarray)
+            and cells.dtype.type in (np.float64, np.complex128)):
         try:
             return [_text(_cell(cell, "")) for cell in cells]
         except DomainError:
             return None
-    if not np.isfinite(values).all():
+    if not np.isfinite(cells).all():
         return None
-    return list(map(repr, values.tolist()))
+    return list(map(repr, cells.tolist()))
 
 
 def _text(value) -> str:
@@ -230,8 +224,8 @@ def read_rows(path):
     """Data rows and ``#`` comment rows of an artifact, as lists of strings.
 
     Blank rows are dropped; a row is a comment when its first cell starts
-    with ``#`` after leading whitespace. A file that cannot be read is a
-    `ConfigError` naming it.
+    with ``#`` after leading whitespace. A file that cannot be read or
+    decoded is a `ConfigError` naming it.
     """
     rows, comments = [], []
     try:
@@ -242,6 +236,9 @@ def read_rows(path):
                      else rows).append(row)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not {exc.encoding} text: {exc.reason} "
+                          f"at byte {exc.start}") from exc
     return rows, comments
 
 

@@ -1,7 +1,9 @@
 """The CLI driver: commands yield artifacts, `run_command` writes all or none."""
 
 import errno
+import inspect
 import math
+import numbers
 import re
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 
 from optocool import cli
 from optocool.cli import main
-from optocool.config import DEFAULT_CONFIG
+from optocool.config import DEFAULT_CONFIG, load_config
 from optocool.simulate import stream_rng
-from optocool.spectrum import (read_columns, read_rows, read_spectrum_csv,
-                               uniform_rate)
+from optocool.spectrum import (format_artifact, read_columns, read_rows,
+                               read_spectrum_csv, uniform_rate)
 
 
 def _config(tmp_path, **lines):
@@ -250,3 +252,64 @@ class TestRefusedValues:
         self._refused(capsys, command + ["--input", str(missing)],
                       tmp_path / "out",
                       f"{missing}: No such file or directory")
+
+    @pytest.mark.parametrize("command", [["psd"], ["ringdown-fit"]],
+                             ids=["psd", "ringdown-fit"])
+    def test_undecodable_input_file(self, tmp_path, capsys, command):
+        # a UTF-16 file starts with the bytes 0xff 0xfe
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("t_s,x_m,value\n0.0,1.0,1.0\n".encode("utf-16"))
+        self._refused(capsys, command + ["--input", str(path)],
+                      tmp_path / "out",
+                      f"{path}: not utf-8 text: invalid start byte at byte 0")
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(DEFAULT_CONFIG.encode("utf-16"))
+        self._refused(capsys, ["--config", str(path), "chain", "report"],
+                      tmp_path / "out",
+                      f"cannot read config {path}: 'utf-8' codec can't "
+                      "decode byte 0xff in position 0: invalid start byte")
+
+    @pytest.mark.parametrize("text", ["", ","], ids=["blank", "comma"])
+    @pytest.mark.parametrize("option, command", [
+        ("--gains", ["susceptibility"]), ("--gains", ["cool", "sweep"]),
+        ("--noise", ["cool", "sweep"]), ("--g0", ["cascade", "run"])],
+        ids=["susceptibility", "sweep-gains", "sweep-noise", "cascade"])
+    def test_empty_list_option(self, tmp_path, capsys, option, command,
+                               text):
+        self._refused(capsys, command + [option, text], tmp_path / "out",
+                      f"{option}: empty list {text!r}")
+
+
+def test_every_numeric_column_is_an_array(tmp_path):
+    # a float64 or complex128 array is the formatter's one-pass column;
+    # a list of numbers would be written cell by cell
+    cfg = load_config(_config(tmp_path, duration="25 s",
+                              initial_position="100 um"))
+    trace = tmp_path / "trace.csv"
+    runs = [["susceptibility"], ["noise-budget"],
+            ["cool", "sweep", "--noise", "2e-13,5e-12"], ["cool", "optimum"],
+            ["cascade", "run", "--g0", "1,0.5"], ["simulate"],
+            ["psd", "--input", str(trace), "--segment", "1024"],
+            ["ringdown-fit", "--input", str(trace), "--column", "x_m"],
+            ["chain", "report"], ["paper-report"]]
+    commands, arrays = set(), []
+    for argv in runs:
+        args = cli.build_parser().parse_args(argv)
+        commands.add(args.func.__name__)
+        for name, header, body in args.func(args, cfg):
+            if name == "trace.csv":
+                trace.write_text(format_artifact(trace, header, body))
+            if not isinstance(body, dict):
+                continue
+            for column, cells in body.items():
+                if isinstance(cells, np.ndarray):
+                    arrays.append((name, column, cells.dtype.kind))
+                else:
+                    assert not any(isinstance(cell, numbers.Number)
+                                   for cell in cells), (name, column)
+    assert commands == {name for name, _ in inspect.getmembers(cli)
+                        if name.startswith("_cmd_")}
+    assert ("cascade_g1.csv", "stage", "i") in arrays
+    assert {kind for _, _, kind in arrays} == {"i", "f", "c"}
