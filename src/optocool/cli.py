@@ -6,6 +6,11 @@ columns, as `format_artifact` takes it. `run_command` formats them all,
 then creates the out directory, writes each under a temporary name there,
 renames them all and prints one ``wrote <path>`` line per file, so a command
 that fails writes nothing, and a write that fails leaves no temporary file.
+A command that yields one file name twice is refused the same way.
+
+`build_parser` builds the parser once per process, and it dispatches by
+name: the ``_cmd_*`` function is looked up on this module when the command
+runs, so rebinding one (a test's stand-in, a tracer's wrapper) takes effect.
 
 Every artifact (CSV or structured text) starts with ``#`` header lines
 carrying the command, the fully resolved configuration, and the seed, so a
@@ -15,6 +20,7 @@ rerun with the same inputs is byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -318,6 +324,16 @@ def _parse_float_list(text: str, option: str) -> list:
     return values
 
 
+def _by_name(name: str):
+    """A command that runs this module's ``name`` as bound at call time."""
+    def command(args, cfg):
+        return globals()[name](args, cfg)
+
+    command.__name__ = name
+    return command
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optocool",
@@ -336,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop susceptibility curves")
     p.add_argument("--gains", default="0,2500,5000,10000",
                    help="comma list of gain factors")
-    p.set_defaults(func=_cmd_susceptibility)
+    p.set_defaults(func=_by_name("_cmd_susceptibility"))
 
     p = sub.add_parser("noise-budget",
                        help="frequency-readout noise decomposition")
-    p.set_defaults(func=_cmd_noise_budget)
+    p.set_defaults(func=_by_name("_cmd_noise_budget"))
 
     p = sub.add_parser("cool", help="cooling analysis")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -348,42 +364,42 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gains", default=None, help="comma list of gains")
     ps.add_argument("--noise", default=None,
                     help="comma list of imprecision ASDs, m/rtHz")
-    ps.set_defaults(func=_cmd_cool_sweep)
+    ps.set_defaults(func=_by_name("_cmd_cool_sweep"))
     po = csub.add_parser("optimum", help="optimal gain summary")
-    po.set_defaults(func=_cmd_cool_optimum)
+    po.set_defaults(func=_by_name("_cmd_cool_optimum"))
 
     p = sub.add_parser("cascade", help="cascaded cooling")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pr = csub.add_parser("run", help="plan a cascade schedule")
     pr.add_argument("--g0", default=None,
                     help="comma list of initial gain factors")
-    pr.set_defaults(func=_cmd_cascade_run)
+    pr.set_defaults(func=_by_name("_cmd_cascade_run"))
 
     p = sub.add_parser("simulate", help="time-domain loop simulation")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_by_name("_cmd_simulate"))
 
     p = sub.add_parser("psd", help="Welch PSD of a trace column")
     p.add_argument("--input", required=True, help="trace CSV path")
     p.add_argument("--column", default="x_m")
     p.add_argument("--segment", type=int, default=4096)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.set_defaults(func=_cmd_psd)
+    p.set_defaults(func=_by_name("_cmd_psd"))
 
     p = sub.add_parser("ringdown-fit", help="fit Q from a decay record")
     p.add_argument("--input", required=True, help="CSV with t_s,value rows")
     p.add_argument("--column", default="value")
     p.add_argument("--frequency", type=float, default=None,
                    help="resonance frequency hint, Hz")
-    p.set_defaults(func=_cmd_ringdown_fit)
+    p.set_defaults(func=_by_name("_cmd_ringdown_fit"))
 
     p = sub.add_parser("chain", help="feedback chain")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pc = csub.add_parser("report", help="composed gains with units")
-    pc.set_defaults(func=_cmd_chain_report)
+    pc.set_defaults(func=_by_name("_cmd_chain_report"))
 
     p = sub.add_parser("paper-report",
                        help="computed values against published references")
-    p.set_defaults(func=_cmd_paper_report)
+    p.set_defaults(func=_by_name("_cmd_paper_report"))
     return parser
 
 
@@ -391,8 +407,15 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
     out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "optocool_out")
-    texts = {out / name: format_artifact(out / name, header, body)
-             for name, header, body in args.func(args, cfg)}
+    texts = {}
+    for name, header, body in args.func(args, cfg):
+        path = out / name
+        if path in texts:
+            command = " ".join(filter(None, (
+                args.command, getattr(args, "subcommand", None))))
+            raise ConfigError(f"{path}: {command!r} makes it twice; list "
+                              "values equal to 6 digits share a file name")
+        texts[path] = format_artifact(path, header, body)
     out.mkdir(parents=True, exist_ok=True)
     temps = {}
     try:

@@ -42,24 +42,30 @@ _X8, _W8 = np.polynomial.legendre.leggauss(8)
 _NODES = np.concatenate((_X16, _X8))
 
 
-def derivative_feedback(res: MechanicalResonator, g: float, omega):
-    """Derivative feedback transfer i m g gamma_m(omega) omega, N/m."""
-    if not g >= 0.0:
-        raise DomainError("g must be >= 0")
-    omega = np.asarray(omega, dtype=float)
-    return 1j * res.mass * g * res.damping_rate(omega) * omega
+def derivative_feedback(res: MechanicalResonator, g: float, omega, gm=None):
+    """Derivative feedback transfer i m g gamma_m(omega) omega, N/m.
 
-
-def effective_susceptibility(res: MechanicalResonator, g: float, omega):
-    """Closed-loop susceptibility with effective damping (1+g) gamma_m, m/N.
-
-    Algebraically identical to chi_m / (1 + chi_m chi_fb) with the
-    derivative feedback above.
+    ``gm`` is ``res.damping_rate(omega)`` when the caller has it already.
     """
     if not g >= 0.0:
         raise DomainError("g must be >= 0")
     omega = np.asarray(omega, dtype=float)
-    gm = res.damping_rate(omega)
+    gm = res.damping_rate(omega) if gm is None else gm
+    return 1j * res.mass * g * gm * omega
+
+
+def effective_susceptibility(res: MechanicalResonator, g: float, omega,
+                             gm=None):
+    """Closed-loop susceptibility with effective damping (1+g) gamma_m, m/N.
+
+    Algebraically identical to chi_m / (1 + chi_m chi_fb) with the
+    derivative feedback above. ``gm`` is ``res.damping_rate(omega)`` when
+    the caller has it already.
+    """
+    if not g >= 0.0:
+        raise DomainError("g must be >= 0")
+    omega = np.asarray(omega, dtype=float)
+    gm = res.damping_rate(omega) if gm is None else gm
     return 1.0 / (res.mass * (res.omega0 ** 2 - omega ** 2
                               + 1j * (1.0 + g) * gm * omega))
 
@@ -120,18 +126,20 @@ class ClosedLoopVariance:
 def _parts(setup: CoolingSetup):
     """S_n and parts(omega), the thermal, feedthrough and external rows of S_xx.
 
-    The rows, m^2/Hz, share one |chi_eff|^2 per omega, and each density is
-    looked up once here. The builtin ``abs(z) ** 2`` is deliberate: on a
-    NumPy complex scalar, ``np.abs(z) ** 2`` can differ in the last bit.
+    The rows, m^2/Hz, share one gamma_m and one |chi_eff|^2 per omega, and
+    each density is looked up once here. The builtin ``abs(z) ** 2`` is
+    deliberate: on a NumPy complex scalar, ``np.abs(z) ** 2`` can differ in
+    the last bit.
     """
     res, g = setup.res, setup.gain
     s_n = psd_lookup(setup.imprecision_psd, "imprecision_psd")
     s_ext = psd_lookup(setup.external_force_psd, "external_force_psd")
 
     def parts(w):
-        chi2 = abs(effective_susceptibility(res, g, w)) ** 2
-        feedback2 = abs(derivative_feedback(res, g, w)) ** 2
-        return np.stack((chi2 * res.thermal_force_psd(w),
+        gm = res.damping_rate(w)
+        chi2 = abs(effective_susceptibility(res, g, w, gm)) ** 2
+        feedback2 = abs(derivative_feedback(res, g, w, gm)) ** 2
+        return np.stack((chi2 * res.thermal_force_psd(w, gm),
                          chi2 * feedback2 * s_n(w), chi2 * s_ext(w)))
 
     return s_n, parts

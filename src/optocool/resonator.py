@@ -99,9 +99,13 @@ class MechanicalResonator:
         """Thermal acceleration noise floor, m s^-2 / rtHz."""
         return np.sqrt(4.0 * KB * self.temperature / self.mass * self.damping_rate(omega))
 
-    def thermal_force_psd(self, omega):
-        """Thermal (Langevin) force PSD, N^2/Hz; m^2 a_th^2 by construction."""
-        return 4.0 * KB * self.temperature * self.mass * self.damping_rate(omega)
+    def thermal_force_psd(self, omega, gm=None):
+        """Thermal (Langevin) force PSD, N^2/Hz; m^2 a_th^2 by construction.
+
+        ``gm`` is ``damping_rate(omega)`` when the caller has it already.
+        """
+        gm = self.damping_rate(omega) if gm is None else gm
+        return 4.0 * KB * self.temperature * self.mass * gm
 
     # -- ringdown --------------------------------------------------------
 

@@ -22,7 +22,11 @@ and columns of unequal length are refused.
 Every input CSV is read by `read_columns`, the only code that turns cells
 into numbers. Its header is the first row that is neither blank nor a ``#``
 comment, and a missing, undecodable or malformed file is refused with a
-`ConfigError` naming it.
+`ConfigError` naming it. Float columns are parsed in one C pass,
+`_read_floats` (`np.loadtxt` over the rows after the header, rounding as
+`float` does); a file that pass might read otherwise than the cell-by-cell
+reader, or that it would refuse, goes to the cell-by-cell reader, which
+alone decides every refusal and its message.
 `uniform_rate` refuses a time column whose steps are not even.
 """
 
@@ -31,8 +35,11 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import os
 import re
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 
@@ -171,12 +178,16 @@ def _column(cells):
     """Texts of one column's cells, or None if one is a non-finite number.
 
     A float64 or complex128 ndarray is checked by one `np.isfinite` and
-    written by ``repr``; any other column goes through `_cell` and `_text`.
+    written by ``repr``; any other column goes through `_cell` and `_text`,
+    each distinct ``str`` cell (a spectrum's repeated unit) once. Numbers
+    are never keys: ``0.0 == -0.0 == False`` would share one text.
     """
     if not (isinstance(cells, np.ndarray)
             and cells.dtype.type in (np.float64, np.complex128)):
+        texts = {s: _text(s) for s in {c for c in cells if type(c) is str}}
         try:
-            return [_text(_cell(cell, "")) for cell in cells]
+            return [texts[cell] if type(cell) is str
+                    else _text(_cell(cell, "")) for cell in cells]
         except DomainError:
             return None
     if not np.isfinite(cells).all():
@@ -251,6 +262,10 @@ def read_columns(path, names, types=None):
     finite and the first column (``t_s`` or ``freq_hz``) must strictly
     increase; anything else is a `ConfigError` naming the file.
     """
+    if set(types or [float]) == {float}:
+        read = _read_floats(path, names)
+        if read is not None:
+            return read
     rows, comments = read_rows(path)
     if not rows:
         raise ConfigError(f"{path}: empty file")
@@ -280,6 +295,56 @@ def read_columns(path, names, types=None):
         raise ConfigError(f"{path}: {names[0]} must increase, got "
                           f"{float(t[i])!r} then {float(t[i + 1])!r}")
     return columns, comments
+
+
+def _read_floats(path, names):
+    """`read_columns` of float columns by one `np.loadtxt` pass, or None.
+
+    None hands the file to the cell-by-cell reader, which alone decides
+    each refusal and its message. That happens for a file that is not a
+    regular file (a pipe cannot be read twice), that holds a ``"`` anywhere
+    (csv quoting can join lines or cells that this pass splits) or a line
+    that may hold a cell longer than `csv.field_size_limit`, or that has a
+    ``#`` row after the header (the first column is parsed too, so such a
+    row fails), a cell numpy does not parse (``1_0``, which `float` takes),
+    a short row, a non-finite value, fewer than two rows or a first column
+    that does not increase. On any other file both readers split the same
+    cells and round them alike, so the arrays are bit-identical.
+    """
+    if not os.path.isfile(path):
+        return None
+    comments = []
+    try:
+        with open(path, "rb") as fh:
+            # a line long enough for a cell over csv's limit holds a whole
+            # chunk of half that limit with no line break in it
+            size = csv.field_size_limit() // 2
+            for chunk in iter(partial(fh.read, size), b""):
+                if b'"' in chunk or not (b"\n" in chunk or b"\r" in chunk):
+                    return None
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if row and not row[0].lstrip().startswith("#"):
+                    break
+                if row:
+                    comments.append(row)
+            else:
+                return None
+            header = [cell.strip() for cell in row]
+            indices = [header.index(name) for name in names]
+            usecols = list(dict.fromkeys([0, *indices]))
+            with warnings.catch_warnings():  # "no data": refused below
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(fh, delimiter=",", comments=None,
+                                  usecols=usecols, ndmin=2)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if len(data) < 2 or not np.isfinite(data).all():
+        return None
+    columns = np.ascontiguousarray(data.T)[list(map(usecols.index, indices))]
+    if not (np.diff(columns[0]) > 0.0).all():
+        return None
+    return list(columns), comments
 
 
 def uniform_rate(path, t) -> float:

@@ -281,6 +281,74 @@ class TestRefusedValues:
         self._refused(capsys, command + [option, text], tmp_path / "out",
                       f"{option}: empty list {text!r}")
 
+    @pytest.mark.parametrize("command, name", [
+        (["cool", "sweep", "--gains", "1,10",
+          "--noise", "1e-12,1.0000001e-12"], "cool_sweep_noise1e-12.csv"),
+        (["cascade", "run", "--g0", "1,1"], "cascade_g1.csv"),
+        (["susceptibility", "--gains", "2500,2500.0001"],
+         "susceptibility_g2500.csv"),
+    ], ids=["sweep-noise", "cascade-g0", "susceptibility-gains"])
+    def test_repeated_artifact_name(self, tmp_path, capsys, command, name):
+        # file names format list values with :g, so a later artifact of
+        # the same name would replace an earlier one without a word
+        out = tmp_path / "out"
+        shown = " ".join(arg for arg in command[:2] if arg.isalpha())
+        self._refused(capsys, command, out,
+                      f"{out / name}: {shown!r} makes it twice; list values "
+                      "equal to 6 digits share a file name")
+
+
+DEFAULT_FILES = [
+    (["susceptibility"], ["susceptibility_g0.csv", "susceptibility_g2500.csv",
+                          "susceptibility_g5000.csv",
+                          "susceptibility_g10000.csv"]),
+    (["noise-budget"], ["noise_budget.csv"]),
+    (["cool", "sweep"], ["cool_sweep_noise5e-12.csv"]),
+    (["cool", "optimum"], ["cool_optimum.txt"]),
+    (["cascade", "run"], ["cascade_g1.csv", "cascade_g1_timeseries.csv",
+                          "cascade_g1.txt"]),
+    (["simulate"], ["trace.csv", "simulate.txt"]),
+    (["psd", "--input", "TRACE"], ["psd_x_m.csv"]),
+    (["ringdown-fit", "--input", "TRACE", "--column", "x_m"],
+     ["ringdown_fit.txt"]),
+    (["chain", "report"], ["chain_report.txt"]),
+    (["paper-report"], ["paper_report.txt"]),
+]
+
+
+def test_default_commands_write_their_files(tmp_path, capsys):
+    cfg = _config(tmp_path, duration="25 s", initial_position="100 um")
+    trace = str(tmp_path / "simulate" / "trace.csv")
+    for argv, names in DEFAULT_FILES:
+        out = tmp_path / "-".join(a for a in argv[:2] if a[0] != "-")
+        argv = [trace if arg == "TRACE" else arg for arg in argv]
+        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def _header(self, path):
+        return [row[0] for row in read_rows(path)[1]]
+
+    def test_no_option_leaks_into_the_next_call(self, tmp_path):
+        cfg = _config(tmp_path, duration="25 s")
+        out = tmp_path / "out"
+        run = ["--config", str(cfg), "--out", str(out)]
+        trace = str(out / "trace.csv")
+        assert main(run + ["--seed", "7", "simulate"]) == 0
+        assert "# seed = 7" in self._header(out / "trace.csv")
+        assert main(run + ["simulate"]) == 0
+        assert "# seed = 12345" in self._header(out / "trace.csv")
+        for argv, segment in ((["--segment", "1024"], 1024), ([], 4096)):
+            assert main(run + ["psd", "--input", trace] + argv) == 0
+            assert any(line.endswith(f" segment={segment}")
+                       for line in self._header(out / "psd_x_m.csv"))
+
 
 def test_every_numeric_column_is_an_array(tmp_path):
     # a float64 or complex128 array is the formatter's one-pass column;

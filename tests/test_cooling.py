@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,33 @@ class TestVariance:
         monkeypatch.setattr(cooling, "effective_susceptibility", counted)
         closed_loop_variance(CoolingSetup(resonator, 50.0, HLI_PSD, 1e-30))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("viscous, exponent", [(0.0, 0.0), (1e-3, 0.5)],
+                             ids=["structural", "viscous-and-exponent"])
+    @pytest.mark.parametrize("g, shaped, external", [
+        (0.0, False, None), (50.0, True, 3e-27), (3.4e4, False, 1e-30)])
+    def test_rows_are_the_public_functions_bit_for_bit(
+            self, resonator, viscous, exponent, g, shaped, external):
+        # the rows share one gamma_m per node array; each public function
+        # evaluates its own, and the rows must not move by a bit
+        res = replace(resonator, gamma_viscous=viscous,
+                      loss_exponent=exponent)
+        imprecision = HLI_PSD
+        if shaped:
+            f = np.logspace(math.log10(0.4), math.log10(50.0), 200)
+            imprecision = SpectrumRecord(
+                2 * math.pi * f, 5e-12 * np.sqrt(1.0 + (2.5 / f) ** 4),
+                "asd", "m/rtHz")
+        setup = CoolingSetup(res, g, imprecision, external)
+        w0 = res.omega0
+        omega = np.geomspace(w0 / 10, 10 * w0, 4001).reshape(-1, 1)
+        chi2 = abs(effective_susceptibility(res, g, omega)) ** 2
+        feedback2 = abs(derivative_feedback(res, g, omega)) ** 2
+        s_n = cooling.psd_lookup(imprecision, "imprecision_psd")(omega)
+        s_ext = cooling.psd_lookup(external, "external_force_psd")(omega)
+        want = np.stack((chi2 * res.thermal_force_psd(omega),
+                         chi2 * feedback2 * s_n, chi2 * s_ext))
+        assert cooling._parts(setup)[1](omega).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["flat", "shaped", "external"])
     def test_numeric_is_band_integral_of_psd(self, resonator, kind):

@@ -135,5 +135,7 @@ def test_only_spectrum_parses_input_files():
                     readers.add(name)
                 if attr in ("read_rows", "reader", "DictReader"):
                     parsers.add(name)
-    assert readers == {"spectrum.read_rows", "config.load_config"}
-    assert parsers == {"spectrum.read_rows", "spectrum.read_columns"}
+    assert readers == {"spectrum.read_rows", "spectrum._read_floats",
+                       "config.load_config"}
+    assert parsers == {"spectrum.read_rows", "spectrum.read_columns",
+                       "spectrum._read_floats"}

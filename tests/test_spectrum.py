@@ -1,11 +1,16 @@
+import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optocool import ConfigError, DomainError, SpectrumRecord, phase_from_csv
+from optocool import spectrum
 from optocool.spectrum import read_noise_csv, read_spectrum_csv, write_spectrum_csv
-from optocool.spectrum import psd_lookup
+from optocool.spectrum import format_artifact, psd_lookup, read_columns
 
 
 def _record(kind="asd"):
@@ -213,3 +218,97 @@ def test_psd_lookup_refuses_non_finite_density(bad):
 def test_psd_lookup_refuses_infinite_flat_density():
     with pytest.raises(DomainError, match="imprecision_psd"):
         psd_lookup(math.inf, "imprecision_psd")
+
+
+# -- the C pass of read_columns against the cell-by-cell reader -----------
+
+NAMES = ("t_s", "x_m")
+
+
+def _read(path, c_pass=True):
+    """read_columns' columns as bit patterns and its comment rows, or the
+    type and message of its refusal; ``c_pass=False`` reads cell by cell."""
+    with mock.patch.object(spectrum, "_read_floats",
+                           spectrum._read_floats if c_pass else
+                           lambda path, names: None):
+        try:
+            columns, comments = read_columns(path, NAMES)
+        except (ConfigError, csv.Error) as exc:
+            return type(exc), str(exc)
+    return [column.view(np.int64).tolist() for column in columns], comments
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+          -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=2, max_size=40, unique=True).map(sorted),
+       values=st.lists(st.one_of(st.sampled_from(_EDGES),
+                                 st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+                       min_size=40, max_size=40),
+       header=st.lists(st.text(st.characters(
+           blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+           max_size=20), max_size=4))
+def test_written_float_table_reads_back_bit_identical(tmp_path_factory, t,
+                                                      values, header):
+    path = tmp_path_factory.mktemp("table") / "trace.csv"
+    table = {"t_s": np.array(t), "x_m": np.array(values[:len(t)])}
+    path.write_text(format_artifact(path, header, table), encoding="utf-8")
+    got = _read(path)
+    assert got[0] == [column.view(np.int64).tolist()
+                      for column in table.values()]
+    assert got == _read(path, c_pass=False)
+    # with no quote in the header, the C pass reads the file itself
+    quoted = any('"' in line for line in header)
+    assert (spectrum._read_floats(path, NAMES) is None) == quoted
+
+
+@pytest.mark.parametrize("text, c_pass", [
+    ("# a\nt_s,x_m\n0.0,1.0\n# mid\n1.0,2.0\n  # indented\n2.0,3.0\n",
+     False),
+    ("\nt_s,x_m\n\n0.0,1.0\n\n1.0,2.0\n\n", True),
+    ("t_s,x_m\n0.0,1.0\n   \n1.0,2.0\n", False),
+    ("# c\r\nt_s,x_m\r\n0.0,1.0\r\n\r\n1.0,2.0\r\n", True),
+    ("t_s,x_m\r0.0,1.0\r1.0,2.0\r", True),
+    ('t_s,x_m\n0.0,"1.0"\n1.0,2.0\n', False),
+    ("t_s,x_m\n0.0,1#0\n1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,1.0\n1.0\n", False),
+    ("x_m,note,t_s,y\n1.0,a,0.0,5\n2.0,b,1.0,6,7\n", True),
+    ("t_s,x_m\n0.0,1_0\n1.0,2.0\n", False),
+    (" t_s , x_m \n 0.0 , 1.0 \n\t1.0,\xa02.0\t\n", True),
+    ('t_s,x_m,note\n0.0,1.0,"a\n2.0,3.0,b"\n1.0,2.0,c\n', False),
+    ("n,t_s,x_m\n1,0.0,1.0\n#2,0.5,9.0\n3,1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,\u0661\n1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,nan\n1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,1e999\n1.0,2.0\n", False),
+    ("t_s,x_m\n1.0,1.0\n0.0,2.0\n", False),
+    ("t_s,x_m\n0.0,1.0\n", False),
+    ("t_s,x_m\n", False),
+    ("t_s,y_m\n0.0,1.0\n1.0,2.0\n", False),
+    ("", False),
+    ("t_s,x_m,note\n0.0,1.0,a\n1.0,2.0," + "n" * 140_000 + "\n2.0,3.0,c\n",
+     False),
+    ("t_s,x_m\n0.0,1.0\n1.0,0." + "0" * 140_000 + "1\n2.0,3.0\n", False),
+], ids=["interleaved-comments", "blank-rows", "whitespace-row", "crlf",
+        "cr", "quoted-number", "hash-in-cell", "short-row",
+        "extra-columns-any-order", "underscore", "space-padded",
+        "quoted-line-break", "comment-row-after-numeric-first-column",
+        "arabic-indic-digit", "nan", "overflow", "decreasing", "one-row",
+        "header-only", "missing-column", "empty", "over-long-text-cell",
+        "over-long-number"])
+def test_messy_input_reads_as_cell_by_cell(tmp_path, text, c_pass):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read(path) == _read(path, c_pass=False)
+    assert (spectrum._read_floats(path, NAMES) is not None) == c_pass
+
+
+def test_undecodable_input_refused_as_cell_by_cell(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes("t_s,x_m\n0.0,1.0\n1.0,2.0\n".encode("utf-16"))
+    assert spectrum._read_floats(path, NAMES) is None
+    assert _read(path) == _read(path, c_pass=False)
+    assert _read(path)[1].startswith(f"{path}: not utf-8 text")
