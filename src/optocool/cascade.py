@@ -11,11 +11,14 @@ Stage-advance rule: a stage runs for ``n_settle`` e-folds of its closed-loop
 variance decay; the next span estimate is 2 * safety_factor * rms so the
 modulator drive stays within the half-wave voltage against amplitude
 fluctuations. The scheduled variance never drops below the analytic
-imprecision-feedthrough floor for the stage's gain.
+imprecision-feedthrough floor for the stage's gain. `variance_at` finds
+a time's stage by bisection over the stage end times and spends one `exp`.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -49,8 +52,13 @@ def variance_evolution(g: float, x2_0: float, gamma_m: float, t) -> float:
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t must be >= 0")
-    out = x2_0 / (1.0 + g) * (1.0 + g * np.exp(-(1.0 + g) * gamma_m * t))
+    out = _relaxation(g, x2_0, gamma_m, t)
     return float(out) if out.ndim == 0 else out
+
+
+def _relaxation(g, x2_0, gamma_m, t):
+    """`variance_evolution`'s law, unchecked; one `np.exp` of ``t``."""
+    return x2_0 / (1.0 + g) * (1.0 + g * np.exp(-(1.0 + g) * gamma_m * t))
 
 
 @dataclass(frozen=True)
@@ -134,16 +142,20 @@ class CascadeSchedule:
     def final_t_eff(self) -> float:
         return self.stages[-1].t_eff_out
 
+    @functools.cached_property
+    def _stage_ends(self) -> list:
+        return [stage.start + stage.duration for stage in self.stages]
+
     def variance_at(self, t: float) -> float:
-        """Scheduled variance at absolute time t, m^2 (clamped per stage)."""
+        """Scheduled variance at absolute time t, m^2 (clamped per stage): the
+        stage found by bisection over the stage ends, one `exp` per call."""
         if not t >= 0.0:
             raise DomainError("t must be >= 0")
-        for stage in self.stages:
-            if t < stage.start + stage.duration or stage is self.stages[-1]:
-                tau = min(max(t - stage.start, 0.0), stage.duration)
-                val = variance_evolution(stage.gain, stage.variance_in,
-                                         self.gamma_m, tau)
-                return max(val, stage.variance_floor)
+        stage = self.stages[min(bisect.bisect_right(self._stage_ends, t),
+                                len(self.stages) - 1)]
+        tau = min(max(t - stage.start, 0.0), stage.duration)
+        return max(float(_relaxation(stage.gain, stage.variance_in,
+                                     self.gamma_m, tau)), stage.variance_floor)
 
 
 def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
@@ -155,7 +167,7 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     initial gain at the initial span's digital-gain cap; the message reports
     the minimum power.
     """
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     teff_scale = res.mass * res.omega0 ** 2 / KB
 
     hli_psd = float(hli.imprecision_psd_at(res.omega0))
@@ -263,7 +275,7 @@ def compare_single_step(g_target: float, cfg: CascadeConfig,
                         chain: FeedbackChain, res: MechanicalResonator,
                         hli: HliReadout, fpi: FpiReadout) -> SingleStepComparison:
     """Compare one-step cooling at ``g_target`` against the cascade."""
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength,
                         cfg.initial_span)
     single_power = chain.with_dac_gain(dac0).required_power(res, g_target)

@@ -69,7 +69,7 @@ def _format_gain(g: float) -> str:
 def _gain_grid(res, g: float) -> np.ndarray:
     """Log band plus a linear window resolving the closed-loop line."""
     w0 = res.omega0
-    gamma_eff = (1.0 + g) * float(res.damping_rate(w0))
+    gamma_eff = (1.0 + g) * res.gamma0
     broad = np.logspace(math.log10(w0 / 10), math.log10(10 * w0), 1001)
     half = min(12.0 * gamma_eff, 0.5 * w0)
     narrow = np.linspace(w0 - half, w0 + half, 1001)
@@ -158,6 +158,8 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     base = cfg.cascade_config()
     g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
+    if 0.0 in g0_list:
+        raise ConfigError(f"--g0: initial gains must be > 0: {args.g0!r}")
     for g0 in g0_list:
         ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
@@ -280,7 +282,7 @@ def _paper_report_rows(cfg: ExperimentConfig) -> list:
     p_opt = chain.required_power(res, g_opt)
     a_th = float(res.thermal_accel_asd(res.omega0))
     delta_l = fpi.dynamic_range()
-    gamma_m = float(res.damping_rate(res.omega0))
+    gamma_m = res.gamma0
     equivalent = fpi.acceleration_equivalent(res)
 
     rows = [

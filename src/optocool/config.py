@@ -258,6 +258,9 @@ class ExperimentConfig:
 
     def cascade_config(self) -> CascadeConfig:
         c = self.values["cascade"]
+        if not c["initial_gain"] > 0.0:
+            raise ConfigError("cascade.initial_gain: must be > 0, got "
+                              f"{c['initial_gain']!r}")
         fpi_psd = c["fpi_imprecision_asd"] ** 2 or None
         return CascadeConfig(
             initial_gain=c["initial_gain"],

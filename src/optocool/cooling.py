@@ -154,7 +154,7 @@ def _band_edges(setup: CoolingSetup) -> np.ndarray:
     """Panel edges over the analysis band around omega0, rad/s."""
     res, w0 = setup.res, setup.res.omega0
     lo, hi = BAND_DECADES[0] * w0, BAND_DECADES[1] * w0
-    gamma_eff = (1.0 + setup.gain) * float(res.damping_rate(w0))
+    gamma_eff = (1.0 + setup.gain) * res.gamma0
     if not gamma_eff > 0.0:
         raise DomainError("damping rate at omega0 must be > 0")
     steps = gamma_eff * 2.0 ** np.arange(-4, math.log2((hi - lo) / gamma_eff))
@@ -201,7 +201,7 @@ def open_loop_thermal_variance(res: MechanicalResonator) -> float:
 def imprecision_variance(res: MechanicalResonator, imprecision_psd) -> float:
     """Apparent displacement variance of the readout, gamma_m S_n / 4, m^2."""
     s_n = float(psd_lookup(imprecision_psd, "imprecision_psd")(res.omega0))
-    return float(res.damping_rate(res.omega0)) * s_n / 4.0
+    return res.gamma0 * s_n / 4.0
 
 
 def analytic_variance(res: MechanicalResonator, g: float,

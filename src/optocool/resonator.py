@@ -14,11 +14,13 @@ sign convention,
 
 and the sign flip of displacement against frame acceleration lives only in
 `acceleration_transfer`. Every frequency-domain method goes through
-`damping_rate`, the one place that validates omega (finite and > 0).
+`damping_rate`, the one place that validates omega (finite and > 0);
+`gamma0` is its value at omega0, computed once per resonator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -71,9 +73,14 @@ class MechanicalResonator:
         phi = (1.0 / self.q_internal) * (omega / self.omega0) ** self.loss_exponent
         return self.gamma_viscous + self.omega0 ** 2 * phi / omega
 
+    @functools.cached_property
+    def gamma0(self) -> float:
+        """gamma_m(omega0) as a float, rad/s; computed once per instance."""
+        return float(self.damping_rate(self.omega0))
+
     def quality_factor(self) -> float:
         """Q at resonance, omega0 / gamma_m(omega0), viscous part included."""
-        return self.omega0 / float(self.damping_rate(self.omega0))
+        return self.omega0 / self.gamma0
 
     def with_temperature(self, temperature: float) -> "MechanicalResonator":
         return replace(self, temperature=temperature)
@@ -114,8 +121,7 @@ class MechanicalResonator:
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0.0):
             raise DomainError("t must be >= 0")
-        gm = float(self.damping_rate(self.omega0))
-        return x0 * np.exp(-0.5 * gm * t)
+        return x0 * np.exp(-0.5 * self.gamma0 * t)
 
 
 @dataclass(frozen=True)

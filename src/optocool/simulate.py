@@ -205,7 +205,7 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
     """
     m = res.mass
     w2 = res.omega0 ** 2
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     b0, b2, a1, a2 = _bandpass(res, cfg, dt)
     x, v, y1, y2, s1, s2, f_fb, f_in, noise = np.eye(9)
     v = v + dt * ((f_in + f_fb) / m - w2 * x - gamma * v)
@@ -232,7 +232,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     n = int(round(cfg.duration / dt))
     m = res.mass
     w2 = res.omega0 ** 2
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     fs = 1.0 / dt
 
     if cfg.controller == "chain" and chain is None:
@@ -300,7 +300,7 @@ def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
     n = f_in.size
     m = res.mass
     w2 = res.omega0 ** 2
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     b0, b2, a1, a2 = _bandpass(res, cfg, dt)
     inv_2dt = 1.0 / (2.0 * dt)
     phase_per_velocity = TWO_PI / chain.wavelength / res.omega0
@@ -401,7 +401,7 @@ def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
     """
     if n_seeds < 10:
         raise ConfigError("n_seeds must be >= 10")
-    gamma = float(res.damping_rate(res.omega0))
+    gamma = res.gamma0
     if cfg.controller == "derivative":
         g = cfg.gain
     elif cfg.controller == "chain":

@@ -235,8 +235,9 @@ def read_rows(path):
     """Data rows and ``#`` comment rows of an artifact, as lists of strings.
 
     Blank rows are dropped; a row is a comment when its first cell starts
-    with ``#`` after leading whitespace. A file that cannot be read or
-    decoded is a `ConfigError` naming it.
+    with ``#`` after leading whitespace. A file that cannot be read, decoded
+    or split by `csv` (a cell over `csv.field_size_limit`) is a
+    `ConfigError` naming it.
     """
     rows, comments = [], []
     try:
@@ -250,6 +251,8 @@ def read_rows(path):
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not {exc.encoding} text: {exc.reason} "
                           f"at byte {exc.start}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return rows, comments
 
 

@@ -199,6 +199,37 @@ class TestPlanCascade:
         vals = [schedule.variance_at(ti) for ti in t]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"initial_gain": 0.5},
+        {"termination": "handover", "fpi_imprecision_psd": (2e-13) ** 2}],
+        ids=["default", "g0-0.5", "handover-fpi"])
+    def test_variance_at_bit_for_bit(self, chain, resonator, hli, fpi,
+                                     overrides):
+        # reference: the first stage ending after t, else the last stage,
+        # through the checked variance_evolution
+        schedule = plan_cascade(paper_cascade_config(**overrides), chain,
+                                resonator, hli, fpi)
+        stages = schedule.stages
+
+        def reference(t):
+            stage = next((s for s in stages if t < s.start + s.duration),
+                         stages[-1])
+            tau = min(max(t - stage.start, 0.0), stage.duration)
+            return max(variance_evolution(stage.gain, stage.variance_in,
+                                          schedule.gamma_m, tau),
+                       stage.variance_floor)
+
+        # the times `cascade run` samples, then every stage start and end
+        times = list(np.logspace(math.log10(stages[0].duration / 100.0),
+                                 math.log10(schedule.total_time), 400))
+        for s in stages:
+            end = s.start + s.duration
+            times += [s.start, end, end * (1 + 1e-12), end * (1 - 1e-12)]
+        times += [0.0, 2.0 * schedule.total_time]
+        got = [schedule.variance_at(t) for t in times]
+        assert all(type(v) is float for v in got)
+        assert got == [reference(t) for t in times]
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CascadeConfig(initial_gain=0.0, initial_span=1e-4)

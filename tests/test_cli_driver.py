@@ -1,5 +1,6 @@
 """The CLI driver: commands yield artifacts, `run_command` writes all or none."""
 
+import csv
 import errno
 import inspect
 import math
@@ -262,6 +263,30 @@ class TestRefusedValues:
         self._refused(capsys, command + ["--input", str(path)],
                       tmp_path / "out",
                       f"{path}: not utf-8 text: invalid start byte at byte 0")
+
+    @pytest.mark.parametrize("command", [["psd"], ["ringdown-fit"]],
+                             ids=["psd", "ringdown-fit"])
+    def test_cell_over_csv_field_limit(self, tmp_path, capsys, command):
+        # csv refuses the cell even in a column the command does not read
+        limit = csv.field_size_limit()
+        path = _trace(tmp_path, "t_s,x_m,value,note\n" + "".join(
+            f"{0.1 * i!r},{math.sin(0.7 * i)!r},{math.exp(-0.1 * i)!r},"
+            f"{'n' * 140_000 if i == 5 else 'ok'}\n" for i in range(64)))
+        self._refused(capsys, command + ["--input", str(path)],
+                      tmp_path / "out",
+                      f"{path}: field larger than field limit ({limit})")
+
+    @pytest.mark.parametrize("g0", ["0", "1,0", "-0"])
+    def test_zero_g0_refused(self, tmp_path, capsys, g0):
+        self._refused(capsys, ["cascade", "run", "--g0", g0],
+                      tmp_path / "out",
+                      f"--g0: initial gains must be > 0: {g0!r}")
+
+    def test_zero_configured_initial_gain_refused(self, tmp_path, capsys):
+        cfg = _config(tmp_path, initial_gain="0")
+        self._refused(capsys, ["--config", str(cfg), "cascade", "run"],
+                      tmp_path / "out",
+                      "cascade.initial_gain: must be > 0, got 0.0")
 
     def test_undecodable_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"

@@ -1,12 +1,15 @@
+import collections
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from optocool import (CoolingSetup, DomainError, FitError, KB,
+from optocool import (CascadeConfig, CoolingSetup, DomainError, FitError, KB,
                       MechanicalResonator, closed_loop_psd,
-                      fit_q_from_ringdown)
+                      closed_loop_variance, compare_single_step,
+                      fit_q_from_ringdown, plan_cascade)
 from optocool.resonator import extract_envelope
 
 W0 = 2 * math.pi * 4.72
@@ -266,3 +269,40 @@ class TestValidation:
                                   gamma_viscous=0.5)
         assert res.damping_rate(W0) == pytest.approx(0.5 + W0 / 1e6)
         assert res.quality_factor() == pytest.approx(W0 / (0.5 + W0 / 1e6))
+
+
+class TestGamma0:
+    @pytest.mark.parametrize("viscous, exponent", [
+        (0.0, 0.0), (1e-3, 0.0), (1e-3, 0.5)],
+        ids=["structural", "viscous", "viscous-and-exponent"])
+    def test_is_damping_rate_at_omega0_bit_for_bit(self, resonator, viscous,
+                                                   exponent):
+        res = replace(resonator, gamma_viscous=viscous, loss_exponent=exponent)
+        assert type(res.gamma0) is float
+        moved = replace(res, omega0=2.0 * res.omega0, q_internal=1e3)
+        cold = res.with_temperature(4.0)
+        for r in (res, moved, cold):
+            assert r.gamma0 == float(r.damping_rate(r.omega0))
+        # a replaced resonator computes its own value, not the cached one
+        assert moved.gamma0 != res.gamma0
+        assert cold.gamma0 == res.gamma0
+
+    def test_scalar_damping_rate_once_per_instance(self, resonator, chain,
+                                                   hli, fpi, monkeypatch):
+        # gamma_m(omega0) is a constant of the resonator: the cascade and
+        # cooling layers read it from the cache, not from damping_rate
+        calls = collections.Counter()
+        damping_rate = MechanicalResonator.damping_rate
+
+        def counted(self, omega):
+            if np.ndim(omega) == 0:
+                calls[id(self)] += 1
+            return damping_rate(self, omega)
+
+        monkeypatch.setattr(MechanicalResonator, "damping_rate", counted)
+        cfg = CascadeConfig(initial_gain=1.0, initial_span=200e-6)
+        plan_cascade(cfg, chain, resonator, hli, fpi)
+        compare_single_step(50.0, cfg, chain, resonator, hli, fpi)
+        closed_loop_variance(CoolingSetup(resonator, 50.0, (5e-12) ** 2, 1e-30))
+        assert calls[id(resonator)] == 1
+        assert max(calls.values()) == 1
