@@ -23,14 +23,13 @@ from .errors import (ConfigError, DivergenceError, DomainError, FitError,
                      InfeasibleError, NumericalError, PowerLimitError)
 from .feedback import Eoam, FeedbackChain, actuator_gain, max_dac_gain
 from .psd import estimate_psd
-from .readout import FpiReadout, HliReadout, Phasemeter, phase_from_csv
+from .readout import FpiReadout, HliReadout, Phasemeter
 from .resonator import (MechanicalResonator, RingdownFit, extract_envelope,
                         fit_q_from_ringdown)
 from .simulate import (MonteCarloResult, SimConfig, SimTrace,
                        monte_carlo_variance, preset_resonator, simulate,
                        steady_state_variance, stream_rng)
-from .spectrum import (SpectrumRecord, read_noise_csv, read_spectrum_csv,
-                       write_spectrum_csv)
+from .spectrum import SpectrumRecord
 
 __version__ = "0.1.0"
 

@@ -80,6 +80,9 @@ class CascadeConfig:
                           Fabry-Perot readout, m^2/Hz; with termination
                           "handover" the cascade then continues on the new
                           readout to its recomputed optimal gain
+
+    A refused value raises ``DomainError("<field> <reason>")``; each checked
+    field has the name of its ``[cascade]`` config key.
     """
 
     initial_gain: float = 1.0
@@ -95,6 +98,8 @@ class CascadeConfig:
     def __post_init__(self):
         if not self.initial_gain > 0.0:
             raise DomainError("initial_gain must be > 0")
+        if self.power is not None and not self.power > 0.0:
+            raise DomainError("power must be > 0")
         if not self.n_settle >= 1.0:
             raise DomainError("n_settle must be >= 1")
         if not self.safety_factor >= 1.0:

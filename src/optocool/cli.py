@@ -42,8 +42,8 @@ from .feedback import actuator_gain
 from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
 from .simulate import simulate, steady_state_variance
-from .spectrum import (SpectrumRecord, format_artifact, read_columns,
-                       spectrum_table, uniform_rate)
+from .spectrum import (format_artifact, read_columns, spectrum_table,
+                       uniform_rate)
 
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
@@ -85,10 +85,10 @@ def _cmd_susceptibility(args, cfg: ExperimentConfig):
     for g in _parse_float_list(args.gains, "--gains"):
         omega = _gain_grid(res, g)
         chi = effective_susceptibility(res, g, omega)
-        rec = SpectrumRecord(omega, chi, "response", "m/N")
         yield (f"susceptibility_g{_format_gain(g)}.csv",
                _header_lines(f"susceptibility g={g:g}", cfg),
-               spectrum_table(rec))
+               {"freq_hz": omega / TWO_PI, "value": chi,
+                "unit": ["m/N"] * chi.size})
 
 
 def _cmd_noise_budget(args, cfg: ExperimentConfig):
@@ -222,7 +222,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
 
 
 def _cmd_psd(args, cfg: ExperimentConfig):
-    (t, x), _ = read_columns(args.input, ("t_s", args.column))
+    t, x = read_columns(args.input, ("t_s", args.column))
     rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(f"psd input={args.input} column={args.column} "
@@ -236,7 +236,7 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
     hint = args.frequency
     if hint is not None and not 0.0 < hint < math.inf:
         raise ConfigError(f"--frequency must be finite and > 0, got {hint!r}")
-    (t, x), _ = read_columns(args.input, ("t_s", args.column))
+    t, x = read_columns(args.input, ("t_s", args.column))
     omega0 = TWO_PI * hint if hint is not None else None
     fit = fit_q_from_ringdown(t, x, omega0=omega0)
     body = [

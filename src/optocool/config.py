@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cascade import TERMINATE_GAIN, TERMINATE_HANDOVER, CascadeConfig
 from .constants import TWO_PI
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .feedback import Eoam, FeedbackChain, max_dac_gain
 from .readout import FpiReadout, HliReadout
 from .resonator import MechanicalResonator
@@ -258,18 +258,20 @@ class ExperimentConfig:
 
     def cascade_config(self) -> CascadeConfig:
         c = self.values["cascade"]
-        if not c["initial_gain"] > 0.0:
-            raise ConfigError("cascade.initial_gain: must be > 0, got "
-                              f"{c['initial_gain']!r}")
         fpi_psd = c["fpi_imprecision_asd"] ** 2 or None
-        return CascadeConfig(
-            initial_gain=c["initial_gain"],
-            power=c["power"],
-            n_settle=c["n_settle"], safety_factor=c["safety_factor"],
-            termination=c["termination"], max_stages=c["max_stages"],
-            initial_span=c["initial_span"],
-            target_gain=c["target_gain"],
-            fpi_imprecision_psd=fpi_psd)
+        try:
+            return CascadeConfig(
+                initial_gain=c["initial_gain"],
+                power=c["power"],
+                n_settle=c["n_settle"], safety_factor=c["safety_factor"],
+                termination=c["termination"], max_stages=c["max_stages"],
+                initial_span=c["initial_span"],
+                target_gain=c["target_gain"],
+                fpi_imprecision_psd=fpi_psd)
+        except DomainError as exc:  # "<field> <reason>", field = config key
+            key, reason = str(exc).split(" ", 1)
+            raise ConfigError(
+                f"cascade.{key}: {reason}, got {c[key]!r}") from exc
 
     def sim_resonator(self) -> MechanicalResonator:
         res = self.resonator()

@@ -5,7 +5,9 @@ The Fabry-Perot readout converts cavity length change into laser frequency
 shift through nu = x * c / (wavelength * cavity_length); its dynamic range
 is set by the laser tuning range and its capture range by wavelength/finesse.
 The heterodyne interferometer is the long-range readout: apparent position
-is true position plus an imprecision draw, with no range limit.
+is true position plus an imprecision draw, with no range limit. Its
+`Phasemeter` takes beat samples in memory, chunk by chunk; no file is read
+here.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError
 from .psd import lifted_response
 from .resonator import MechanicalResonator
-from .spectrum import (KIND_ASD, SpectrumRecord, psd_lookup, read_columns,
-                       uniform_rate)
+from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup
 
 
 def _squared(asd):
@@ -228,13 +229,3 @@ class Phasemeter:
             raise ConfigError("wavelength required for displacement output")
         return self.process(samples) * self.wavelength / TWO_PI
 
-
-def phase_from_csv(path, heterodyne_frequency: float, lpf_corner: float):
-    """Run the phasemeter on a raw ``t_s,value`` sample CSV.
-
-    Returns (t, unwrapped phase in rad). The times must be evenly spaced;
-    the sample rate is taken from the first two.
-    """
-    (t, values), _ = read_columns(path, ("t_s", "value"))
-    pm = Phasemeter(heterodyne_frequency, lpf_corner, uniform_rate(path, t))
-    return t, pm.process(values)

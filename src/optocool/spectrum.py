@@ -8,25 +8,25 @@ Conventions used throughout the toolkit:
 * A variance is recovered from a PSD as ``integral S(omega) d omega / 2 pi``,
   i.e. densities are "per Hz" regardless of the grid being angular.
 
-Every artifact is formatted by `format_artifact`; the CLI driver and
-`write_spectrum_csv` write the text. An artifact is ``# `` header lines,
-then ``key = value`` lines or a CSV table. Floats and complex values are
-written by ``repr``, and a non-finite one is refused with a `DomainError`
-naming the file, the column (or key) and the value of the first one in
-row order, so no file full of ``nan`` is ever written. A table is a dict of
-columns, formatted in blocks of `ROW_BLOCK` rows: a float64 or complex128
-array gets one finite check and one ``repr`` pass, any other column (a
-list, an integer array) is written cell by cell as `csv.writer` writes it,
-and columns of unequal length are refused.
+Every artifact is formatted by `format_artifact` and written by
+`cli.run_command`. An artifact is ``# `` header lines, then ``key = value``
+lines or a CSV table. Floats and complex values are written by ``repr``,
+and a non-finite one is refused with a `DomainError` naming the file, the
+column (or key) and the value of the first one in row order, so no file
+full of ``nan`` is ever written. A table is a dict of columns, formatted in
+blocks of `ROW_BLOCK` rows: a float64 or complex128 array gets one finite
+check and one ``repr`` pass, any other column (a list, an integer array) is
+written cell by cell as `csv.writer` writes it, and columns of unequal
+length are refused.
 
-Every input CSV is read by `read_columns`, the only code that turns cells
-into numbers. Its header is the first row that is neither blank nor a ``#``
-comment, and a missing, undecodable or malformed file is refused with a
-`ConfigError` naming it. Float columns are parsed in one C pass,
-`_read_floats` (`np.loadtxt` over the rows after the header, rounding as
-`float` does); a file that pass might read otherwise than the cell-by-cell
-reader, or that it would refuse, goes to the cell-by-cell reader, which
-alone decides every refusal and its message.
+The one input the CLI reads is a sampled trace, and `read_columns` is the
+only code that turns its cells into numbers. Its header is the first row
+that is neither blank nor a ``#`` comment, and a missing, undecodable or
+malformed file is refused with a `ConfigError` naming it. Float columns are
+parsed in one C pass, `_read_floats` (`np.loadtxt` over the rows after the
+header, rounding as `float` does); a file that pass might read otherwise
+than the cell-by-cell reader, or that it would refuse, goes to the
+cell-by-cell reader, which alone decides every refusal and its message.
 `uniform_rate` refuses a time column whose steps are not even.
 """
 
@@ -40,7 +40,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -50,8 +49,7 @@ from .errors import ConfigError, DomainError
 
 KIND_ASD = "asd"
 KIND_PSD = "psd"
-KIND_RESPONSE = "response"
-_KINDS = (KIND_ASD, KIND_PSD, KIND_RESPONSE)
+_KINDS = (KIND_ASD, KIND_PSD)
 
 ROW_BLOCK = 4096  # table rows per join: bounds the cell texts' memory
 _SPECIAL = re.compile(r'[,"\r\n]')  # cells that csv may quote
@@ -59,11 +57,11 @@ _SPECIAL = re.compile(r'[,"\r\n]')  # cells that csv may quote
 
 @dataclass(frozen=True, eq=False)
 class SpectrumRecord:
-    """Samples of a spectral density or complex response on an angular grid.
+    """Samples of a spectral density on an angular grid.
 
     omega   : strictly increasing angular frequencies, rad/s, all > 0
-    values  : non-negative reals for kind "asd"/"psd", complex for "response"
-    kind    : one of "asd", "psd", "response"
+    values  : non-negative reals
+    kind    : "asd" or "psd"
     unit    : unit label of the values, e.g. "m/rtHz"
     meta    : free-form diagnostics attached by producers (not serialized)
     """
@@ -78,10 +76,7 @@ class SpectrumRecord:
         omega = np.asarray(self.omega, dtype=float)
         if self.kind not in _KINDS:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
-        if self.kind == KIND_RESPONSE:
-            values = np.asarray(self.values, dtype=complex)
-        else:
-            values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or omega.size == 0:
             raise DomainError("frequency grid must be a non-empty 1-d array")
         if values.shape != omega.shape:
@@ -90,7 +85,7 @@ class SpectrumRecord:
             raise DomainError("frequencies must be finite and > 0")
         if np.any(np.diff(omega) <= 0.0):
             raise DomainError("frequencies must be strictly increasing")
-        if self.kind != KIND_RESPONSE and np.any(values < 0.0):
+        if np.any(values < 0.0):
             raise DomainError(f"{self.kind} values must be non-negative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
@@ -109,17 +104,11 @@ class SpectrumRecord:
                     float(np.min(omega)), float(np.max(omega)),
                     self.omega[0], self.omega[-1])
             )
-        if self.kind == KIND_RESPONSE:
-            re = np.interp(omega, self.omega, self.values.real)
-            im = np.interp(omega, self.omega, self.values.imag)
-            return re + 1j * im
         return np.interp(omega, self.omega, self.values)
 
     def to_psd(self) -> "SpectrumRecord":
         if self.kind == KIND_PSD:
             return self
-        if self.kind != KIND_ASD:
-            raise DomainError("only an ASD can be squared into a PSD")
         return SpectrumRecord(self.omega, self.values ** 2, KIND_PSD,
                               f"({self.unit})^2", dict(self.meta))
 
@@ -232,20 +221,17 @@ def _cell(value, where: str):
 
 
 def read_rows(path):
-    """Data rows and ``#`` comment rows of an artifact, as lists of strings.
+    """Data rows of an artifact, as lists of strings.
 
-    Blank rows are dropped; a row is a comment when its first cell starts
-    with ``#`` after leading whitespace. A file that cannot be read, decoded
-    or split by `csv` (a cell over `csv.field_size_limit`) is a
-    `ConfigError` naming it.
+    Blank rows and comment rows are dropped; a row is a comment when its
+    first cell starts with ``#`` after leading whitespace. A file that
+    cannot be read, decoded or split by `csv` (a cell over
+    `csv.field_size_limit`) is a `ConfigError` naming it.
     """
-    rows, comments = [], []
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row:
-                    (comments if row[0].lstrip().startswith("#")
-                     else rows).append(row)
+            return [row for row in csv.reader(fh)
+                    if row and not row[0].lstrip().startswith("#")]
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -253,23 +239,20 @@ def read_rows(path):
                           f"at byte {exc.start}") from exc
     except csv.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return rows, comments
 
 
-def read_columns(path, names, types=None):
-    """The named columns of an input CSV, and its ``#`` comment rows.
+def read_columns(path, names):
+    """The named float columns of an input CSV, as arrays.
 
     The header must name every column, and at least two data rows must
-    follow, each with a cell of the column's type (float, or its ``types``
-    entry: complex or str) in every named column. Numeric cells must be
-    finite and the first column (``t_s`` or ``freq_hz``) must strictly
-    increase; anything else is a `ConfigError` naming the file.
+    follow, each with a finite number in every named column. The first
+    column (``t_s``) must strictly increase; anything else is a
+    `ConfigError` naming the file.
     """
-    if set(types or [float]) == {float}:
-        read = _read_floats(path, names)
-        if read is not None:
-            return read
-    rows, comments = read_rows(path)
+    columns = _read_floats(path, names)
+    if columns is not None:
+        return columns
+    rows = read_rows(path)
     if not rows:
         raise ConfigError(f"{path}: empty file")
     header, data = [cell.strip() for cell in rows[0]], rows[1:]
@@ -280,14 +263,12 @@ def read_columns(path, names, types=None):
     if len(data) < 2:
         raise ConfigError(f"{path}: {len(data)} data rows, need at least 2")
     columns = []
-    for name, cell_type in zip(names, types or repeat(float)):
+    for name in names:
         cells = map(itemgetter(header.index(name)), data)
         try:
-            column = list(map(cell_type, cells))
-            if cell_type is not str:
-                column = np.array(column, dtype=cell_type)
-                if not np.isfinite(column).all():
-                    raise ValueError("non-finite value")
+            column = np.array(list(map(float, cells)))
+            if not np.isfinite(column).all():
+                raise ValueError("non-finite value")
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: bad or missing cell in column "
                               f"{name!r} ({exc})") from exc
@@ -297,7 +278,7 @@ def read_columns(path, names, types=None):
     if not t[i + 1] > t[i]:
         raise ConfigError(f"{path}: {names[0]} must increase, got "
                           f"{float(t[i])!r} then {float(t[i + 1])!r}")
-    return columns, comments
+    return columns
 
 
 def _read_floats(path, names):
@@ -316,7 +297,6 @@ def _read_floats(path, names):
     """
     if not os.path.isfile(path):
         return None
-    comments = []
     try:
         with open(path, "rb") as fh:
             # a line long enough for a cell over csv's limit holds a whole
@@ -329,8 +309,6 @@ def _read_floats(path, names):
             for row in csv.reader(fh):
                 if row and not row[0].lstrip().startswith("#"):
                     break
-                if row:
-                    comments.append(row)
             else:
                 return None
             header = [cell.strip() for cell in row]
@@ -347,15 +325,15 @@ def _read_floats(path, names):
     columns = np.ascontiguousarray(data.T)[list(map(usecols.index, indices))]
     if not (np.diff(columns[0]) > 0.0).all():
         return None
-    return list(columns), comments
+    return list(columns)
 
 
 def uniform_rate(path, t) -> float:
     """Sample rate 1/(t[1] - t[0]) of a time column read from ``path``.
 
     A step that differs from the first by more than 1e-6 of it is a
-    `ConfigError` naming the file: a Welch spectrum or a phasemeter run on
-    irregular samples would have a wrong frequency axis.
+    `ConfigError` naming the file: a Welch spectrum of irregular samples
+    would have a wrong frequency axis.
     """
     steps = np.diff(t)
     i = int(np.argmax(np.abs(steps - steps[0])))
@@ -370,44 +348,3 @@ def spectrum_table(record: SpectrumRecord) -> dict:
     """A record's ``freq_hz,value,unit`` table, as columns."""
     return {"freq_hz": record.freq_hz, "value": record.values,
             "unit": [record.unit] * record.values.size}
-
-
-def write_spectrum_csv(record: SpectrumRecord, path, header_lines=()) -> None:
-    """Write ``freq_hz,value,unit`` rows, preceded by ``#`` header lines."""
-    text = format_artifact(path, header_lines, spectrum_table(record))
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-def read_spectrum_csv(path, kind=KIND_ASD) -> SpectrumRecord:
-    """Read a ``freq_hz,value,unit`` CSV back into a record.
-
-    Values are complex for kind ``"response"``; the unit is the last row's.
-    """
-    value_type = complex if kind == KIND_RESPONSE else float
-    (freqs, vals, units), _ = read_columns(
-        path, ("freq_hz", "value", "unit"), (float, value_type, str))
-    return _file_record(path, freqs, vals, kind, units[-1])
-
-
-def read_noise_csv(path) -> SpectrumRecord:
-    """Import a measured noise floor from a ``freq_hz,asd`` CSV.
-
-    The unit may be tagged with a ``# unit: <label>`` comment line;
-    otherwise it is ``m/rtHz``.
-    """
-    (freqs, vals), comments = read_columns(path, ("freq_hz", "asd"))
-    unit = "m/rtHz"
-    for row in comments:
-        tag = row[0].lstrip().lstrip("#").strip()
-        if tag.lower().startswith("unit") and ":" in tag:
-            unit = tag.split(":", 1)[1].strip()
-    return _file_record(path, freqs, vals, KIND_ASD, unit)
-
-
-def _file_record(path, freqs, values, kind, unit) -> SpectrumRecord:
-    """A record of a file's columns; a refusal is a `ConfigError` naming it."""
-    try:
-        return SpectrumRecord(TWO_PI * freqs, values, kind, unit)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

@@ -243,6 +243,8 @@ class TestPlanCascade:
             CascadeConfig(initial_span=1e-4, safety_factor=math.nan)
         with pytest.raises(DomainError):
             CascadeConfig(initial_span=1e-4, termination="sometimes")
+        with pytest.raises(DomainError, match="power must be > 0"):
+            CascadeConfig(initial_span=1e-4, power=0.0)
 
 
     @pytest.mark.parametrize("target", [0.0, -5.0, math.nan, math.inf])

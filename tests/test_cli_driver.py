@@ -14,8 +14,7 @@ from optocool import cli
 from optocool.cli import main
 from optocool.config import DEFAULT_CONFIG, load_config
 from optocool.simulate import stream_rng
-from optocool.spectrum import (format_artifact, read_columns, read_rows,
-                               read_spectrum_csv, uniform_rate)
+from optocool.spectrum import format_artifact, read_columns, uniform_rate
 
 
 def _config(tmp_path, **lines):
@@ -95,12 +94,13 @@ class TestPsdHeader:
         assert main(["--out", str(out), "psd", "--input", str(trace),
                      "--segment", "16"]) == 0
         path = out / "psd_x_m.csv"
-        _, comments = read_rows(path)
-        tags = dict(row[0].lstrip("# ").split(" = ", 1) for row in comments
-                    if row[0].startswith(("# segments", "# parseval_ratio")))
+        tags = dict(line[2:].split(" = ", 1)
+                    for line in path.read_text().splitlines()
+                    if line.startswith(("# segments", "# parseval_ratio")))
         assert int(tags["segments"]) == 7
         assert float(tags["parseval_ratio"]) == pytest.approx(1.0, abs=0.2)
-        assert read_spectrum_csv(path, kind="psd").values.size == 8
+        _, value = read_columns(path, ("freq_hz", "value"))
+        assert value.size == 8
 
     def test_all_zero_column_has_nan_ratio(self, tmp_path):
         trace = _trace(tmp_path, _sine_trace(scale=0.0))
@@ -200,7 +200,7 @@ class TestBadTraceInput:
         # t = dt * i written by repr: its steps differ from dt by ulps
         out = tmp_path / "out"
         assert main(["--out", str(out), "simulate"]) == 0
-        (t,), _ = read_columns(out / "trace.csv", ("t_s",))
+        (t,) = read_columns(out / "trace.csv", ("t_s",))
         assert np.ptp(np.diff(t)) > 0.0
         assert uniform_rate(out / "trace.csv", t) == 1.0 / (t[1] - t[0])
         assert main(["--out", str(out), "psd", "--input",
@@ -288,6 +288,22 @@ class TestRefusedValues:
                       tmp_path / "out",
                       "cascade.initial_gain: must be > 0, got 0.0")
 
+    @pytest.mark.parametrize("key, value, reason, shown", [
+        ("target_gain", "0", "must be finite and > 0", "0.0"),
+        ("n_settle", "0.5", "must be >= 1", "0.5"),
+        ("n_settle", "nan", "must be >= 1", "nan"),
+        ("max_stages", "0", "must be >= 1", "0"),
+        ("safety_factor", "0.5", "must be >= 1", "0.5"),
+        ("initial_span", "0 m", "must be > 0", "0.0"),
+        ("power", "0 W", "must be > 0", "0.0"),
+    ], ids=["target_gain", "n_settle", "n_settle-nan", "max_stages",
+            "safety_factor", "initial_span", "power"])
+    def test_bad_cascade_value(self, tmp_path, capsys, key, value, reason,
+                               shown):
+        cfg = _config(tmp_path, **{key: value})
+        self._refused(capsys, ["--config", str(cfg), "cascade", "run"],
+                      tmp_path / "out", f"cascade.{key}: {reason}, got {shown}")
+
     def test_undecodable_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_bytes(DEFAULT_CONFIG.encode("utf-16"))
@@ -358,7 +374,8 @@ class TestCachedParser:
         assert cli.build_parser() is cli.build_parser()
 
     def _header(self, path):
-        return [row[0] for row in read_rows(path)[1]]
+        return [line for line in path.read_text().splitlines()
+                if line.startswith("#")]
 
     def test_no_option_leaks_into_the_next_call(self, tmp_path):
         cfg = _config(tmp_path, duration="25 s")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from optocool import ConfigError
 from optocool.cli import main, run_command
 from optocool.config import DEFAULT_CONFIG, load_config, parse_config
-from optocool.spectrum import read_spectrum_csv
+from optocool.spectrum import read_columns, read_rows
 
 # the four noise-density keys, each with its unit
 DENSITY_KEYS = [("hli", "imprecision_asd", "m/rtHz"),
@@ -197,13 +197,19 @@ class TestCli:
     def test_susceptibility_artifacts(self, tmp_path):
         run_command(["--out", str(tmp_path), "susceptibility",
                      "--gains", "0,2500"])
-        open_loop = read_spectrum_csv(tmp_path / "susceptibility_g0.csv",
-                                      kind="response")
-        cooled = read_spectrum_csv(tmp_path / "susceptibility_g2500.csv",
-                                   kind="response")
-        w0 = 2 * math.pi * 4.72
-        peak_open = np.abs(open_loop.interp(w0))
-        peak_cooled = np.abs(cooled.interp(w0))
+        f0 = 4.72
+
+        def peak(name):
+            header, *rows = read_rows(tmp_path / name)
+            assert header == ["freq_hz", "value", "unit"]
+            freq = np.array([float(row[0]) for row in rows])
+            chi = np.array([complex(row[1]) for row in rows])
+            assert {row[2] for row in rows} == {"m/N"}
+            return abs(np.interp(f0, freq, chi.real)
+                       + 1j * np.interp(f0, freq, chi.imag))
+
+        peak_open = peak("susceptibility_g0.csv")
+        peak_cooled = peak("susceptibility_g2500.csv")
         assert peak_cooled / peak_open == pytest.approx(1 / 2501, rel=1e-3)
 
     def test_cool_sweep_columns(self, tmp_path):
@@ -403,8 +409,9 @@ class TestCli:
         run_command(["--config", str(cfg_path), "--out", str(tmp_path),
                      "psd", "--input", str(tmp_path / "trace.csv"),
                      "--column", "x_m", "--segment", "1024"])
-        rec = read_spectrum_csv(tmp_path / "psd_x_m.csv", kind="psd")
-        assert rec.values.size > 100
+        _, value = read_columns(tmp_path / "psd_x_m.csv",
+                                ("freq_hz", "value"))
+        assert value.size > 100
 
     def test_simulate_chain_controller_columns(self, tmp_path):
         # the chain controller adds the modulator drive and optical power
@@ -419,8 +426,9 @@ class TestCli:
         run_command(["--config", str(cfg_path), "--out", str(tmp_path),
                      "psd", "--input", str(tmp_path / "trace.csv"),
                      "--column", "p_watt", "--segment", "1024"])
-        rec = read_spectrum_csv(tmp_path / "psd_p_watt.csv", kind="psd")
-        assert rec.values.size > 100
+        _, value = read_columns(tmp_path / "psd_p_watt.csv",
+                                ("freq_hz", "value"))
+        assert value.size > 100
 
     def test_seed_override_changes_trace(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

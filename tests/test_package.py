@@ -110,7 +110,7 @@ def test_only_the_driver_writes_files():
                 if isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Attribute)
                 and call.func.attr in ("write_text", "write_bytes"))
-    assert writers == {"cli.run_command", "spectrum.write_spectrum_csv"}
+    assert writers == {"cli.run_command"}
 
 
 def test_only_spectrum_parses_input_files():

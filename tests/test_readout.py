@@ -312,24 +312,3 @@ class TestPhasemeter:
         disp = pm.displacement(self._beat(0.7, n))
         assert np.mean(disp[n // 2:]) == pytest.approx(
             0.7 * lam / TWO_PI, rel=2e-3)
-
-    def test_phase_from_csv(self, tmp_path):
-        from optocool import phase_from_csv
-        n = 40_000
-        t = np.arange(n) / self.FS
-        beat = np.cos(TWO_PI * self.F_HET * t + 0.3)
-        path = tmp_path / "beat.csv"
-        path.write_text("t_s,value\n" + "".join(
-            f"{float(ti)!r},{float(vi)!r}\n" for ti, vi in zip(t, beat)))
-        t_out, phase = phase_from_csv(path, self.F_HET, 20.0)
-        assert t_out.size == n
-        assert np.mean(phase[n // 2:]) == pytest.approx(0.3, abs=1e-3)
-
-    def test_phase_from_csv_refuses_irregular_times(self, tmp_path):
-        from optocool import phase_from_csv
-        t = np.sort(stream_rng(5, 0).uniform(0.0, 1.0, 500))
-        path = tmp_path / "beat.csv"
-        path.write_text("t_s,value\n" + "".join(
-            f"{float(ti)!r},{math.cos(ti)!r}\n" for ti in t))
-        with pytest.raises(ConfigError, match=f"{path}: t_s must be evenly"):
-            phase_from_csv(path, self.F_HET, 20.0)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optocool import ConfigError, DomainError, SpectrumRecord, phase_from_csv
+from optocool import ConfigError, DomainError, SpectrumRecord
 from optocool import spectrum
-from optocool.spectrum import read_noise_csv, read_spectrum_csv, write_spectrum_csv
-from optocool.spectrum import format_artifact, psd_lookup, read_columns
+from optocool.spectrum import (format_artifact, psd_lookup, read_columns,
+                               spectrum_table)
 
 
 def _record(kind="asd"):
@@ -53,54 +53,10 @@ def test_interp_outside_band_raises():
         rec.interp(2 * math.pi * 1e4)
 
 
-def test_csv_round_trip(tmp_path):
-    rec = _record()
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(rec, path, header_lines=["seed = 7"])
-    text = path.read_text()
-    assert text.startswith("# seed = 7\nfreq_hz,value,unit\n")
-    back = read_spectrum_csv(path, kind="asd")
-    assert np.allclose(back.omega, rec.omega)
-    assert np.allclose(back.values, rec.values)
-    assert back.unit == "m/rtHz"
-
-
-def test_noise_csv_import(tmp_path):
-    path = tmp_path / "floor.csv"
-    path.write_text("# unit: Hz/rtHz\nfreq_hz,asd\n1.0,2e-13\n10.0,1e-13\n")
-    rec = read_noise_csv(path)
-    assert rec.unit == "Hz/rtHz"
-    assert rec.values[0] == pytest.approx(2e-13)
-    assert rec.omega[0] == pytest.approx(2 * math.pi)
-
-
 def _interleave_comments(text: str) -> str:
     """Put a blank line and an indented ``#`` comment after every data row."""
     return "".join(line + "\n   # a note, with a comma\n"
                    for line in text.splitlines(keepends=True))
-
-
-def test_csv_round_trip_skips_comments(tmp_path):
-    rec = _record()
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(rec, path, header_lines=["seed = 7"])
-    messy = tmp_path / "messy.csv"
-    messy.write_text(_interleave_comments(path.read_text()))
-    a, b = read_spectrum_csv(path), read_spectrum_csv(messy)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.values, b.values)
-    assert a.unit == b.unit
-
-
-def test_noise_csv_skips_comments(tmp_path):
-    text = "# unit: Hz/rtHz\nfreq_hz,asd\n1.0,2e-13\n10.0,1e-13\n"
-    clean, messy = tmp_path / "clean.csv", tmp_path / "messy.csv"
-    clean.write_text(text)
-    messy.write_text(_interleave_comments(text))
-    a, b = read_noise_csv(clean), read_noise_csv(messy)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.values, b.values)
-    assert a.unit == b.unit == "Hz/rtHz"
 
 
 def test_phase_csv_skips_comments(tmp_path):
@@ -112,31 +68,32 @@ def test_phase_csv_skips_comments(tmp_path):
     clean, messy = tmp_path / "clean.csv", tmp_path / "messy.csv"
     clean.write_text(text)
     messy.write_text(_interleave_comments(text))
-    t_a, phase_a = phase_from_csv(clean, f_het, 20.0)
-    t_b, phase_b = phase_from_csv(messy, f_het, 20.0)
+    t_a, beat_a = read_columns(clean, ("t_s", "value"))
+    t_b, beat_b = read_columns(messy, ("t_s", "value"))
+    assert np.array_equal(t_a, t) and np.array_equal(beat_a, beat)
     assert np.array_equal(t_a, t_b)
-    assert np.array_equal(phase_a, phase_b)
+    assert np.array_equal(beat_a, beat_b)
 
 
 def test_spectrum_csv_bad_header(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("# header\nfrequency,value,unit\n1.0,2.0,m\n")
     with pytest.raises(ConfigError, match="no column 'freq_hz'"):
-        read_spectrum_csv(path)
+        read_columns(path, ("freq_hz", "value"))
 
 
 def test_noise_csv_without_data(tmp_path):
     path = tmp_path / "floor.csv"
     path.write_text("# unit: Hz/rtHz\nfreq_hz,asd\n\n")
     with pytest.raises(ConfigError, match="0 data rows"):
-        read_noise_csv(path)
+        read_columns(path, ("freq_hz", "asd"))
 
 
 def test_phase_csv_needs_two_samples(tmp_path):
     path = tmp_path / "beat.csv"
     path.write_text("# one sample\nt_s,value\n0.0,1.0\n")
     with pytest.raises(ConfigError, match="1 data rows, need at least 2"):
-        phase_from_csv(path, 1e4, 20.0)
+        read_columns(path, ("t_s", "value"))
 
 
 @pytest.mark.parametrize("times, message", [
@@ -148,22 +105,23 @@ def test_phase_csv_refuses_unordered_times(tmp_path, times, message):
     path.write_text("t_s,value\n" + "".join(
         f"{t},1.0\n" for t in times.split(",")))
     with pytest.raises(ConfigError) as info:
-        phase_from_csv(path, 1e4, 20.0)
+        read_columns(path, ("t_s", "value"))
     assert str(info.value) == f"{path}: {message}"
 
 
-# each reader's file up to the value cell of its last row, and what follows it
-_READERS = {
-    "spectrum": ("freq_hz,value,unit\n1.0,2.0,m\n2.0", ",m", "value",
-                 read_spectrum_csv),
-    "noise": ("# unit: Hz/rtHz\nfreq_hz,asd\n1.0,2e-13\n2.0", "", "asd",
-              read_noise_csv),
-    "beat": ("t_s,value\n0.0,1.0\n1e-05", "", "value",
-             lambda path: phase_from_csv(path, 1e4, 20.0)),
+# three input layouts, each up to the value cell of its last row, what
+# follows that cell, and the columns read: a text column after the value,
+# a comment row before the header, and two columns
+_LAYOUTS = {
+    "spectrum": ("freq_hz,value,unit\n1.0,2.0,m\n2.0", ",m",
+                 ("freq_hz", "value")),
+    "noise": ("# unit: Hz/rtHz\nfreq_hz,asd\n1.0,2e-13\n2.0", "",
+              ("freq_hz", "asd")),
+    "beat": ("t_s,value\n0.0,1.0\n1e-05", "", ("t_s", "value")),
 }
 
 
-@pytest.mark.parametrize("reader", list(_READERS))
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
 @pytest.mark.parametrize("cell, reason", [
     (",abc", "could not convert string to float: 'abc'"),
     (",", "could not convert string to float: ''"),
@@ -171,29 +129,14 @@ _READERS = {
     (",nan", "non-finite value"),
     (",-inf", "non-finite value"),
 ], ids=["non-numeric", "empty", "short-row", "nan", "inf"])
-def test_readers_refuse_bad_cells(tmp_path, reader, cell, reason):
-    head, tail, column, read = _READERS[reader]
+def test_readers_refuse_bad_cells(tmp_path, layout, cell, reason):
+    head, tail, names = _LAYOUTS[layout]
     path = tmp_path / "input.csv"
     path.write_text(head + cell + (tail if cell else "") + "\n")
     with pytest.raises(ConfigError) as info:
-        read(path)
+        read_columns(path, names)
     assert str(info.value) == (
-        f"{path}: bad or missing cell in column {column!r} ({reason})")
-
-
-@pytest.mark.parametrize("read, text, message", [
-    (read_spectrum_csv, "freq_hz,value,unit\n0.0,2.0,m\n1.0,2.0,m\n",
-     "frequencies must be finite and > 0"),
-    (read_noise_csv, "freq_hz,asd\n1.0,2e-13\n10.0,-1e-13\n",
-     "asd values must be non-negative"),
-], ids=["spectrum-zero-frequency", "noise-negative-density"])
-def test_readers_name_the_file_of_a_refused_record(tmp_path, read, text,
-                                                   message):
-    path = tmp_path / "input.csv"
-    path.write_text(text)
-    with pytest.raises(ConfigError) as info:
-        read(path)
-    assert str(info.value) == f"{path}: {message}"
+        f"{path}: bad or missing cell in column {names[1]!r} ({reason})")
 
 
 def test_non_finite_value_not_written(tmp_path):
@@ -201,8 +144,7 @@ def test_non_finite_value_not_written(tmp_path):
     rec = SpectrumRecord(omega, np.array([1.0, float("nan"), 2.0]), "psd", "x")
     path = tmp_path / "spec.csv"
     with pytest.raises(DomainError, match="spec.csv: column value"):
-        write_spectrum_csv(rec, path)
-    assert not path.exists()
+        format_artifact(path, [], spectrum_table(rec))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -226,16 +168,16 @@ NAMES = ("t_s", "x_m")
 
 
 def _read(path, c_pass=True):
-    """read_columns' columns as bit patterns and its comment rows, or the
-    type and message of its refusal; ``c_pass=False`` reads cell by cell."""
+    """read_columns' columns as bit patterns, or the type and message of
+    its refusal; ``c_pass=False`` reads cell by cell."""
     with mock.patch.object(spectrum, "_read_floats",
                            spectrum._read_floats if c_pass else
                            lambda path, names: None):
         try:
-            columns, comments = read_columns(path, NAMES)
+            columns = read_columns(path, NAMES)
         except (ConfigError, csv.Error) as exc:
             return type(exc), str(exc)
-    return [column.view(np.int64).tolist() for column in columns], comments
+    return [column.view(np.int64).tolist() for column in columns]
 
 
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
@@ -258,8 +200,8 @@ def test_written_float_table_reads_back_bit_identical(tmp_path_factory, t,
     table = {"t_s": np.array(t), "x_m": np.array(values[:len(t)])}
     path.write_text(format_artifact(path, header, table), encoding="utf-8")
     got = _read(path)
-    assert got[0] == [column.view(np.int64).tolist()
-                      for column in table.values()]
+    assert got == [column.view(np.int64).tolist()
+                   for column in table.values()]
     assert got == _read(path, c_pass=False)
     # with no quote in the header, the C pass reads the file itself
     quoted = any('"' in line for line in header)
