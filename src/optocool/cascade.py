@@ -112,6 +112,10 @@ class CascadeConfig:
             raise DomainError("initial_span must be > 0")
         if self.target_gain is not None and not 0.0 < self.target_gain < math.inf:
             raise DomainError("target_gain must be finite and > 0")
+        # the range checks above let only +inf through as a non-finite value
+        for name in ("power", "n_settle", "safety_factor", "initial_span"):
+            if getattr(self, name) == math.inf:
+                raise DomainError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

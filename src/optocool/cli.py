@@ -208,7 +208,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
     if trace.control_voltage is not None:
         table.update(v_volt=trace.control_voltage, p_watt=trace.power)
     table["f_fb_newton"] = trace.feedback_force
-    header = _header_lines("simulate", cfg, seed=trace.seed)
+    header = _header_lines("simulate", cfg, seed=sim_cfg.seed)
     yield "trace.csv", header, table
 
     variance = steady_state_variance(trace)

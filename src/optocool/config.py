@@ -260,7 +260,7 @@ class ExperimentConfig:
         c = self.values["cascade"]
         fpi_psd = c["fpi_imprecision_asd"] ** 2 or None
         try:
-            return CascadeConfig(
+            cascade = CascadeConfig(
                 initial_gain=c["initial_gain"],
                 power=c["power"],
                 n_settle=c["n_settle"], safety_factor=c["safety_factor"],
@@ -272,6 +272,13 @@ class ExperimentConfig:
             key, reason = str(exc).split(" ", 1)
             raise ConfigError(
                 f"cascade.{key}: {reason}, got {c[key]!r}") from exc
+        # the planner re-powers the chain's modulator at cascade.power
+        threshold = self.get("chain", "damage_threshold")
+        if cascade.power is not None and cascade.power > threshold:
+            raise ConfigError(
+                "cascade.power: must be <= chain.damage_threshold = "
+                f"{threshold!r}, got {cascade.power!r}")
+        return cascade
 
     def sim_resonator(self) -> MechanicalResonator:
         res = self.resonator()

@@ -84,10 +84,7 @@ class SimConfig:
     dt              : s; None picks 1/(100 f0)
     seed            : 64-bit stream seed
     x0              : initial position, m (the mass starts at rest)
-    external        : "none", "sine", or "samples"
-    ext_amplitude   : N, sine amplitude
-    ext_frequency   : Hz, sine frequency
-    ext_samples     : imported force series, N (external = "samples")
+    ext_samples     : external force on each step, N; None means no drive
     controller      : "off", "derivative", or "chain"
     gain            : unitless g of the derivative controller
     bandpass_quality: quality of the velocity-estimate bandpass
@@ -98,9 +95,6 @@ class SimConfig:
     dt: float | None = None
     seed: int = 0
     x0: float = 0.0
-    external: str = "none"
-    ext_amplitude: float = 0.0
-    ext_frequency: float = 0.0
     ext_samples: np.ndarray | None = None
     controller: str = "off"
     gain: float = 0.0
@@ -112,19 +106,13 @@ class SimConfig:
             raise ConfigError("duration must be finite and > 0")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
-        if self.external not in ("none", "sine", "samples"):
-            raise ConfigError(f"unknown external force mode {self.external!r}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller mode {self.controller!r}")
         if self.controller == "derivative" and not self.gain >= 0.0:
             raise ConfigError("gain must be >= 0")
-        if self.external == "samples" and self.ext_samples is None:
-            raise ConfigError("ext_samples required for external = 'samples'")
         # a non-finite input would spoil a whole block of the recursion
-        for name in ("x0", "ext_amplitude", "ext_frequency"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.x0):
+            raise ConfigError(f"x0 must be finite, got {self.x0!r}")
         if (self.ext_samples is not None
                 and not np.all(np.isfinite(self.ext_samples))):
             raise ConfigError("ext_samples must be finite")
@@ -155,7 +143,6 @@ class SimTrace:
     feedback_force: np.ndarray       # N
     control_voltage: np.ndarray | None  # V (chain controller only)
     power: np.ndarray | None         # W (chain controller only)
-    seed: int
     config: SimConfig
 
     @property
@@ -163,12 +150,9 @@ class SimTrace:
         return 1.0 / (self.t[1] - self.t[0])
 
 
-def _external_force(cfg: SimConfig, n: int, dt: float) -> np.ndarray:
-    if cfg.external == "none":
+def _external_force(cfg: SimConfig, n: int) -> np.ndarray:
+    if cfg.ext_samples is None:
         return np.zeros(n)
-    if cfg.external == "sine":
-        t = dt * np.arange(n)
-        return cfg.ext_amplitude * np.sin(TWO_PI * cfg.ext_frequency * t)
     samples = np.asarray(cfg.ext_samples, dtype=float)
     if samples.size < n:
         raise ConfigError(
@@ -225,13 +209,11 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 
     Raises ``ConfigError`` when the derivative loop is unstable, and
     ``DivergenceError`` when |x| exceeds one million times the initial bound
-    (largest of |x0|, the equilibrium thermal rms, and the resonant response
-    to the sine drive).
+    (the larger of |x0| and the equilibrium thermal rms).
     """
     dt = cfg.resolve_dt(res)
     n = int(round(cfg.duration / dt))
     m = res.mass
-    w2 = res.omega0 ** 2
     gamma = res.gamma0
     fs = 1.0 / dt
 
@@ -249,13 +231,10 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         noise_y = stream_rng(cfg.seed, STREAM_IMPRECISION).standard_normal(n) * sigma_y
     else:
         noise_y = np.zeros(n)
-    f_in = f_th + _external_force(cfg, n, dt)
+    f_in = f_th + _external_force(cfg, n)
 
     thermal_rms = math.sqrt(open_loop_thermal_variance(res))
-    drive_rms = 0.0
-    if cfg.external == "sine":
-        drive_rms = abs(cfg.ext_amplitude) * res.quality_factor() / (m * w2)
-    bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, drive_rms, 1.0e-12)
+    bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, 1.0e-12)
 
     if cfg.controller == "chain":
         x_out, f_out, v_out, p_out = _chain_loop(
@@ -288,8 +267,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 
     t = dt * np.arange(n)
     return SimTrace(t=t, x=x_out, y=x_out + noise_y, feedback_force=f_out,
-                    control_voltage=v_out, power=p_out,
-                    seed=cfg.seed, config=cfg)
+                    control_voltage=v_out, power=p_out, config=cfg)
 
 
 def _chain_loop(cfg: SimConfig, res: MechanicalResonator,

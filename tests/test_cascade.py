@@ -245,6 +245,9 @@ class TestPlanCascade:
             CascadeConfig(initial_span=1e-4, termination="sometimes")
         with pytest.raises(DomainError, match="power must be > 0"):
             CascadeConfig(initial_span=1e-4, power=0.0)
+        for field in ("power", "n_settle", "safety_factor", "initial_span"):
+            with pytest.raises(DomainError, match=f"^{field} must be finite"):
+                CascadeConfig(**{"initial_span": 1e-4, field: math.inf})
 
 
     @pytest.mark.parametrize("target", [0.0, -5.0, math.nan, math.inf])

@@ -296,8 +296,17 @@ class TestRefusedValues:
         ("safety_factor", "0.5", "must be >= 1", "0.5"),
         ("initial_span", "0 m", "must be > 0", "0.0"),
         ("power", "0 W", "must be > 0", "0.0"),
+        # these ran on: a one-stage schedule from zero variance, a
+        # zero-transduction or modulator DomainError, a non-finite duration
+        ("safety_factor", "inf", "must be finite", "inf"),
+        ("initial_span", "inf m", "must be finite", "inf"),
+        ("n_settle", "inf", "must be finite", "inf"),
+        ("power", "inf W", "must be finite", "inf"),
+        ("power", "1 W", "must be <= chain.damage_threshold = 0.1", "1.0"),
     ], ids=["target_gain", "n_settle", "n_settle-nan", "max_stages",
-            "safety_factor", "initial_span", "power"])
+            "safety_factor", "initial_span", "power", "safety_factor-inf",
+            "initial_span-inf", "n_settle-inf", "power-inf",
+            "power-over-damage-threshold"])
     def test_bad_cascade_value(self, tmp_path, capsys, key, value, reason,
                                shown):
         cfg = _config(tmp_path, **{key: value})

@@ -26,6 +26,11 @@ def f0_of(res):
     return res.omega0 / TWO_PI
 
 
+def sine_samples(amplitude, frequency, dt, n):
+    """A sine drive as the force series ``ext_samples``, N."""
+    return amplitude * np.sin(TWO_PI * frequency * (dt * np.arange(n)))
+
+
 class TestReproducibility:
     def test_bit_exact_same_seed(self, q100):
         cfg = SimConfig(duration=30.0, seed=42)
@@ -86,10 +91,11 @@ class TestIntegrator:
         # driven on resonance, amplitude ratio (g=100)/(g=0) = 1/101
         res = q100.with_temperature(0.0)
         f0 = f0_of(res)
+        dt = SimConfig(duration=120.0).resolve_dt(res)
+        drive = sine_samples(1e-9, f0, dt, int(round(120.0 / dt)))
 
         def amp(g):
-            cfg = SimConfig(duration=120.0, seed=2, external="sine",
-                            ext_amplitude=1e-9, ext_frequency=f0,
+            cfg = SimConfig(duration=120.0, seed=2, ext_samples=drive,
                             controller="derivative" if g else "off", gain=g)
             tr = simulate(cfg, res)
             tail = tr.x[int(0.7 * tr.x.size):]
@@ -100,15 +106,16 @@ class TestIntegrator:
     def test_divergence_guard(self, q100):
         res = q100.with_temperature(0.0)
         n = int(30.0 * 100 * f0_of(res))
-        cfg = SimConfig(duration=30.0, seed=1, external="samples",
+        cfg = SimConfig(duration=30.0, seed=1,
                         ext_samples=np.full(n, 1.0))  # 1 N static shove
         with pytest.raises(DivergenceError, match="step"):
             simulate(cfg, res)
 
     def test_external_sine_present(self, q100):
         res = q100.with_temperature(0.0)
-        cfg = SimConfig(duration=40.0, seed=1, external="sine",
-                        ext_amplitude=1e-9, ext_frequency=f0_of(res))
+        dt = SimConfig(duration=40.0).resolve_dt(res)
+        cfg = SimConfig(duration=40.0, seed=1, ext_samples=sine_samples(
+            1e-9, f0_of(res), dt, int(round(40.0 / dt))))
         tr = simulate(cfg, res)
         assert float(np.max(np.abs(tr.x))) > 1e-10
 
@@ -233,8 +240,7 @@ class TestValidation:
             simulate(cfg, q100)
 
     def test_samples_too_short(self, q100):
-        cfg = SimConfig(duration=30.0, external="samples",
-                        ext_samples=np.zeros(10))
+        cfg = SimConfig(duration=30.0, ext_samples=np.zeros(10))
         with pytest.raises(ConfigError, match="samples"):
             simulate(cfg, q100)
 
@@ -267,11 +273,7 @@ class TestValidation:
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(duration=1.0, external="wind")
-        with pytest.raises(ConfigError):
             SimConfig(duration=1.0, controller="pid")
-        with pytest.raises(ConfigError):
-            SimConfig(duration=1.0, external="samples")
         with pytest.raises(ConfigError):
             SimConfig(duration=1.0, controller="derivative", gain=math.nan)
 
@@ -360,10 +362,7 @@ def _stepped_loop(cfg, res, hli):
     fs = 1.0 / dt
     sigma_f = math.sqrt(res.thermal_force_psd(res.omega0) * fs / 2.0)
     f_in = stream_rng(cfg.seed, 0).standard_normal(n) * sigma_f
-    if cfg.external == "sine":
-        f_in = f_in + cfg.ext_amplitude * np.sin(
-            TWO_PI * cfg.ext_frequency * dt * np.arange(n))
-    elif cfg.external == "samples":
+    if cfg.ext_samples is not None:
         f_in = f_in + np.asarray(cfg.ext_samples[:n], dtype=float)
     sigma_y = math.sqrt(hli.imprecision_asd ** 2 * fs / 2.0)
     noise_y = stream_rng(cfg.seed, 1).standard_normal(n) * sigma_y
@@ -418,10 +417,12 @@ class TestBlockRecursion:
         f0 = f0_of(res)
         dt = 1.0 / (per_period * f0)
         n = int(round(duration / dt))
-        samples = 1e-10 * np.random.default_rng(5).standard_normal(n)
+        if drive == "sine":
+            samples = sine_samples(1e-11, 0.9 * f0, dt, n)
+        else:
+            samples = 1e-10 * np.random.default_rng(5).standard_normal(n)
         return SimConfig(duration=duration, dt=dt, seed=31, x0=2e-9,
-                         external=drive, ext_amplitude=1e-11,
-                         ext_frequency=0.9 * f0, ext_samples=samples,
+                         ext_samples=samples,
                          controller="derivative" if gain else "off",
                          gain=gain, bandpass_quality=quality)
 
@@ -496,16 +497,14 @@ class TestLoopStability:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("field, value", [
-        ("x0", math.nan), ("x0", math.inf), ("ext_amplitude", math.inf),
-        ("ext_amplitude", math.nan), ("ext_frequency", math.nan),
-        ("ext_frequency", -math.inf)])
+        ("x0", math.nan), ("x0", math.inf)])
     def test_scalar_refused(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be finite"):
-            SimConfig(duration=30.0, external="sine", **{field: value})
+            SimConfig(duration=30.0, **{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_samples_refused(self, value):
         samples = np.zeros(20000)
         samples[123] = value
         with pytest.raises(ConfigError, match="^ext_samples must be finite"):
-            SimConfig(duration=30.0, external="samples", ext_samples=samples)
+            SimConfig(duration=30.0, ext_samples=samples)
