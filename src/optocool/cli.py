@@ -112,13 +112,13 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
     else:
         gains = np.logspace(0, 5, 51).tolist()
     if args.noise is not None:
-        key, noises = "--noise", _parse_float_list(args.noise, "--noise")
+        noises = _parse_float_list(args.noise, "--noise")
+        bad = [asd for asd in noises if not math.isfinite(asd * asd)]
+        if bad:
+            raise ConfigError(f"--noise: an ASD must have a finite square, "
+                              f"got {bad[0]!r}")
     else:
-        key, noises = "hli.imprecision_asd", [cfg.get("hli", "imprecision_asd")]
-    bad = [asd for asd in noises if not math.isfinite(asd * asd)]
-    if bad:
-        raise ConfigError(f"{key}: an ASD must have a finite square, "
-                          f"got {bad[0]!r}")
+        noises = [cfg.get("hli", "imprecision_asd")]
     external = cfg.external_force_psd()
     for asd in noises:
         nums = [closed_loop_variance(CoolingSetup(

@@ -56,7 +56,8 @@ _SENTINELS = ("auto", "none")
 @dataclass(frozen=True)
 class _Key:
     kind: str          # a _UNITS kind, "number", "gain", "integer", or
-                       # "choice"; gains and noise densities are finite, >= 0
+                       # "choice"; gains and noise densities are finite, >= 0,
+                       # and an ASD's square is finite
     default: str       # exactly as DEFAULT_CONFIG writes it
     choices: tuple = ()
     required: bool = False
@@ -168,6 +169,8 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
     if (spec.kind in ("gain", "displacement_asd", "frequency_asd", "force_psd")
             and not 0.0 <= value < math.inf):
         raise ConfigError(f"{path}: {spec.kind} must be finite and >= 0, got {raw!r}")
+    if spec.kind.endswith("_asd") and not math.isfinite(value * value):
+        raise ConfigError(f"{path}: an ASD must have a finite square, got {raw!r}")
     return value
 
 

@@ -47,10 +47,6 @@ class Eoam:
         if not 0.0 <= self.bias_angle <= math.pi / 2.0:
             raise DomainError("bias_angle must be in [0, pi/2]")
 
-    def power(self, v: float) -> float:
-        """Transmitted power P0 cos^2(pi V / Vpi) at drive voltage v, W."""
-        return self.max_power * math.cos(math.pi * v / self.half_wave_voltage) ** 2
-
     def gain(self) -> float:
         """|dP/dV| at the bias point, (pi P0 / Vpi) sin(2 theta), W/V."""
         return (math.pi * self.max_power / self.half_wave_voltage

@@ -13,7 +13,6 @@ from .constants import TWO_PI
 from .errors import ConfigError
 from .spectrum import KIND_PSD, SpectrumRecord
 
-HANN_ENBW_BINS = 1.5  # equivalent noise bandwidth of the Hann window
 _BLOCK = 32  # steps per block of lifted_response
 _STACK = 8   # blocks per forced- or free-response product, see _stacked_matmul
 _SERIAL_MNK = 2 ** 18  # m*n*k of the largest scan product, see _stacked_matmul
@@ -24,9 +23,8 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
     """Welch-averaged single-sided PSD with a Hann window.
 
     ``overlap`` is the segment overlap fraction. The record's ``meta``
-    carries the segment count, the window's equivalent noise bandwidth in
-    bins, and the Parseval ratio (integrated PSD over series variance,
-    close to 1 for well-resolved spectra).
+    carries the segment count and the Parseval ratio (integrated PSD over
+    series variance, close to 1 for well-resolved spectra).
     """
     x = np.asarray(x, dtype=float)
     if segment_length < 2:
@@ -50,7 +48,6 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
     second_moment = float(np.mean(x ** 2))
     meta = {
         "segments": len(segments),
-        "enbw_bins": HANN_ENBW_BINS,
         "parseval_ratio": power / second_moment if second_moment > 0 else float("nan"),
     }
     keep = freqs > 0.0

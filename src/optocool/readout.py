@@ -25,13 +25,6 @@ from .resonator import MechanicalResonator
 from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup
 
 
-def _squared(asd):
-    """A flat ASD squared into a PSD value; None and records pass through."""
-    if asd is None or isinstance(asd, SpectrumRecord):
-        return asd
-    return float(asd) ** 2
-
-
 @dataclass(frozen=True)
 class FpiReadout:
     """Fabry-Perot frequency readout.
@@ -40,15 +33,15 @@ class FpiReadout:
     wavelength    : mean laser wavelength, m
     tuning_range  : laser frequency tuning range, Hz
     finesse       : cavity finesse (only the capture range consumes it)
-    readout_noise : frequency noise floor nu_n; flat value in Hz/rtHz,
-                    a SpectrumRecord, or None for noiseless
+    readout_noise : flat frequency noise floor nu_n, Hz/rtHz, or None for
+                    noiseless
     """
 
     cavity_length: float
     wavelength: float
     tuning_range: float
     finesse: float = 1000.0
-    readout_noise: float | SpectrumRecord | None = None
+    readout_noise: float | None = None
 
     def __post_init__(self):
         if not self.cavity_length > 0.0:
@@ -59,10 +52,9 @@ class FpiReadout:
             raise DomainError("tuning_range must be > 0")
         if not self.finesse > 1.0:
             raise DomainError("finesse must be > 1")
-        noise = self.readout_noise
-        if (noise is not None and not isinstance(noise, SpectrumRecord)
-                and not noise >= 0.0):
-            raise DomainError("readout_noise must be >= 0")
+        if (self.readout_noise is not None
+                and not 0.0 <= self.readout_noise < math.inf):
+            raise DomainError("readout_noise must be finite and >= 0")
         if self.capture_range() >= self.dynamic_range():
             raise DomainError(
                 "capture range wavelength/finesse must be below the dynamic range")
@@ -87,28 +79,25 @@ class FpiReadout:
         return rms_x < self.capture_range()
 
     def noise_asd(self, omega) -> np.ndarray:
-        """Readout frequency noise nu_n(omega), Hz/rtHz."""
-        return np.sqrt(psd_lookup(_squared(self.readout_noise), "readout_noise")(omega))
+        """Readout frequency noise nu_n at each omega, Hz/rtHz."""
+        return np.full_like(np.asarray(omega, dtype=float),
+                            self.readout_noise or 0.0)
 
-    def output_spectrum(self, res: MechanicalResonator, g: float, omega,
-                        external_accel: SpectrumRecord | None = None
-                        ) -> SpectrumRecord:
+    def output_spectrum(self, res: MechanicalResonator, g: float,
+                        omega) -> SpectrumRecord:
         """ASD of the detected laser frequency, Hz/rtHz.
 
-        External and thermal acceleration drive the mass through the
-        closed-loop response m |chi_eff(omega)| of derivative feedback at
-        gain g (the open-loop response at g = 0); the readout noise passes
-        straight through. Statistically independent terms combine as the
-        root sum of squares.
+        Thermal acceleration drives the mass through the closed-loop
+        response m |chi_eff(omega)| of derivative feedback at gain g (the
+        open-loop response at g = 0); the readout noise passes straight
+        through. The two independent terms combine as the root sum of
+        squares.
         """
         omega = np.asarray(omega, dtype=float)
         accel_to_freq = (self.displacement_to_frequency * res.mass
                          * np.abs(effective_susceptibility(res, g, omega)))
-
-        s_ext = psd_lookup(external_accel, "external_accel")(omega)
         psd = (self.noise_asd(omega) ** 2
-               + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2
-               + accel_to_freq ** 2 * s_ext)
+               + (accel_to_freq * res.thermal_accel_asd(omega)) ** 2)
         return SpectrumRecord(omega, np.sqrt(psd), KIND_ASD, "Hz/rtHz")
 
     def acceleration_equivalent(self, res: MechanicalResonator) -> dict:
@@ -136,24 +125,20 @@ class HliReadout:
     """Heterodyne laser interferometer (long-range readout).
 
     wavelength           : m
-    imprecision_asd      : displacement noise floor, m/rtHz (flat value or
-                           a SpectrumRecord for a shaped measured floor)
+    imprecision_asd      : flat displacement noise floor, m/rtHz
     lpf_corner           : phasemeter low-pass corner, Hz
     heterodyne_frequency : beat note frequency, Hz
     """
 
     wavelength: float
-    imprecision_asd: float | SpectrumRecord
+    imprecision_asd: float
     lpf_corner: float = 500.0
     heterodyne_frequency: float = 1.0e4
 
     def __post_init__(self):
         if not self.wavelength > 0.0:
             raise DomainError("wavelength must be > 0")
-        if isinstance(self.imprecision_asd, SpectrumRecord):
-            if not np.all(self.imprecision_asd.values > 0.0):
-                raise DomainError("imprecision ASD must be > 0 everywhere")
-        elif not self.imprecision_asd > 0.0:
+        if not self.imprecision_asd > 0.0:
             raise DomainError("imprecision ASD must be > 0")
         if not self.lpf_corner > 0.0:
             raise DomainError("lpf_corner must be > 0")
@@ -162,7 +147,7 @@ class HliReadout:
 
     def imprecision_psd_at(self, omega) -> np.ndarray:
         """Imprecision PSD S_xx^n at omega, m^2/Hz."""
-        return psd_lookup(_squared(self.imprecision_asd), "imprecision_asd")(omega)
+        return psd_lookup(self.imprecision_asd ** 2, "imprecision_asd")(omega)
 
 
 class Phasemeter:

@@ -50,7 +50,6 @@ from .feedback import FeedbackChain, actuator_gain
 from .psd import lifted_response
 from .readout import HliReadout
 from .resonator import MechanicalResonator
-from .spectrum import SpectrumRecord
 
 STREAM_THERMAL = 0
 STREAM_IMPRECISION = 1
@@ -163,10 +162,7 @@ def _external_force(cfg: SimConfig, n: int) -> np.ndarray:
 def _imprecision_sigma(hli: HliReadout | None, sample_rate: float) -> float:
     if hli is None:
         return 0.0
-    if isinstance(hli.imprecision_asd, SpectrumRecord):
-        raise ConfigError(
-            "time-domain runs need a flat (white) imprecision ASD")
-    return math.sqrt(float(hli.imprecision_asd) ** 2 * sample_rate / 2.0)
+    return math.sqrt(hli.imprecision_asd ** 2 * sample_rate / 2.0)
 
 
 def _bandpass(res: MechanicalResonator, cfg: SimConfig, dt: float):

@@ -385,6 +385,36 @@ class TestCli:
         assert err.startswith("error: config: hli.imprecision_asd:")
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("fpi", "readout_noise_asd", "1e160 Hz/rtHz", ["noise-budget"]),
+        ("hli", "imprecision_asd", "1e160 m/rtHz", ["cool", "optimum"]),
+        ("cascade", "fpi_imprecision_asd", "1e160 m/rtHz",
+         ["cascade", "run"])])
+    def test_overflowing_asd_refused_at_parse(self, tmp_path, capsys, section,
+                                              key, value, command):
+        # a finite ASD whose square overflows is refused before any command
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(key, value).replace(
+            "termination = gain", "termination = handover"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: config: {section}.{key}: an ASD must have a "
+                       f"finite square, got {value!r}")
+        assert not out.exists()
+
+    def test_tiny_readout_noise_reaches_noise_budget(self, tmp_path):
+        # 1e-170 Hz/rtHz squares to 0; its column must not read 0
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("readout_noise_asd",
+                                          "1e-170 Hz/rtHz"))
+        run_command(["--config", str(cfg_path), "--out", str(tmp_path),
+                     "noise-budget"])
+        _, readout = read_columns(tmp_path / "noise_budget.csv",
+                                  ("freq_hz", "readout_hz_rthz"))
+        assert np.all(readout == 1e-170)
+
     @pytest.mark.parametrize("command", [["cool", "optimum"], ["paper-report"],
                                          ["cascade", "run"]])
     def test_zero_hli_imprecision_refused(self, tmp_path, capsys, command):

@@ -5,9 +5,9 @@ import pytest
 from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
-                      HliReadout, MechanicalResonator, Phasemeter,
-                      SpectrumRecord, closed_loop_psd,
-                      effective_susceptibility, noise_temperature)
+                      MechanicalResonator, Phasemeter, SpectrumRecord,
+                      closed_loop_psd, effective_susceptibility,
+                      noise_temperature)
 from optocool.simulate import stream_rng
 
 TWO_PI = 2 * math.pi
@@ -90,15 +90,6 @@ class TestFpiOutputSpectrum:
         closed = fpi.output_spectrum(resonator, g, omega=w0).values[0]
         assert closed == pytest.approx(open_loop / (1.0 + g), rel=1e-9)
 
-    def test_external_off_resonance(self, fpi, resonator):
-        # analytic oracle: flat 1e-9 m s^-2/rtHz at 2 w0 through 1/(3 w0^2)
-        omega = np.array([2 * resonator.omega0])
-        ext = SpectrumRecord(np.array([0.1, 100.0]) * resonator.omega0,
-                             np.array([1e-9, 1e-9]), "asd", "m s^-2/rtHz")
-        cold = resonator.with_temperature(0.0)
-        rec = fpi.output_spectrum(cold, 0.0, omega=omega, external_accel=ext)
-        assert rec.values[0] == pytest.approx(2135.7188556187457, rel=1e-2)
-
     def test_readout_noise_passes_through(self, resonator, fpi):
         noisy = FpiReadout(fpi.cavity_length, fpi.wavelength,
                            fpi.tuning_range, fpi.finesse, readout_noise=5.0)
@@ -112,6 +103,19 @@ class TestFpiOutputSpectrum:
         with pytest.raises(DomainError, match="readout_noise"):
             FpiReadout(fpi.cavity_length, fpi.wavelength, fpi.tuning_range,
                        fpi.finesse, readout_noise=-5.0)
+
+    @pytest.mark.parametrize("noise", [math.inf, math.nan])
+    def test_non_finite_readout_noise_rejected(self, fpi, noise):
+        with pytest.raises(DomainError,
+                           match=r"^readout_noise must be finite and >= 0$"):
+            FpiReadout(fpi.cavity_length, fpi.wavelength, fpi.tuning_range,
+                       fpi.finesse, readout_noise=noise)
+
+    def test_tiny_readout_noise_kept(self, fpi):
+        # 1e-170 squares to 0; the ASD itself must not be read back as 0
+        tiny = FpiReadout(fpi.cavity_length, fpi.wavelength,
+                          fpi.tuning_range, fpi.finesse, readout_noise=1e-170)
+        assert np.all(tiny.noise_asd(np.array([1.0, 30.0])) == 1e-170)
 
     def test_rss_combination(self, fpi, resonator):
         omega = np.logspace(-0.5, 0.5, 11) * resonator.omega0
@@ -149,32 +153,13 @@ class TestHli:
         var = np.var(draws)
         assert var == pytest.approx(hli.imprecision_asd ** 2 * fs / 2, rel=0.05)
 
-    def test_shaped_noise_lookup(self):
-        rec = SpectrumRecord(np.array([1.0, 100.0]), np.array([1e-12, 3e-12]),
-                             "asd", "m/rtHz")
-        hli = HliReadout(wavelength=1064e-9, imprecision_asd=rec)
-        assert hli.imprecision_psd_at(1.0) == pytest.approx(1e-24)
-
-    def test_non_finite_record_refused(self):
-        omega = np.array([1.0, 100.0])
-        nan_rec = SpectrumRecord(omega, np.array([math.nan, 3e-12]),
-                                 "asd", "m/rtHz")
-        with pytest.raises(DomainError):
-            HliReadout(wavelength=1064e-9, imprecision_asd=nan_rec)
-        inf_rec = SpectrumRecord(omega, np.array([math.inf, 3e-12]),
-                                 "asd", "m/rtHz")
-        hli = HliReadout(wavelength=1064e-9, imprecision_asd=inf_rec)
-        with pytest.raises(DomainError, match="imprecision_asd"):
-            hli.imprecision_psd_at(1.0)
-
     def test_shaped_noise_matches_cooling(self, resonator):
-        # readout, noise temperature and closed-loop PSD read one S_n(omega0)
+        # noise temperature and closed-loop PSD read one S_n(omega0)
         w0 = resonator.omega0
         rec = SpectrumRecord(np.array([0.5, 0.9, 1.3, 2.0]) * w0,
                              np.array([4e-12, 1e-11, 2e-12, 5e-12]),
                              "asd", "m/rtHz")
-        s_n = float(HliReadout(wavelength=1064e-9,
-                               imprecision_asd=rec).imprecision_psd_at(w0))
+        s_n = float(rec.to_psd().interp(w0))
         assert noise_temperature(resonator, rec) == pytest.approx(
             noise_temperature(resonator, s_n), rel=1e-12)
         cold = resonator.with_temperature(0.0)

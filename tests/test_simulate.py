@@ -9,7 +9,7 @@ from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DivergenceError, Eoam,
                       FeedbackChain, HliReadout, KB, MechanicalResonator,
-                      SimConfig, SpectrumRecord, closed_loop_variance,
+                      SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
 from optocool.simulate import _linear_step, stream_rng
@@ -243,13 +243,6 @@ class TestValidation:
         cfg = SimConfig(duration=30.0, ext_samples=np.zeros(10))
         with pytest.raises(ConfigError, match="samples"):
             simulate(cfg, q100)
-
-    def test_shaped_imprecision_rejected(self, q100):
-        rec = SpectrumRecord(np.array([1.0, 10.0]), np.array([1e-12, 1e-12]),
-                             "asd", "m/rtHz")
-        hli = HliReadout(wavelength=1064e-9, imprecision_asd=rec)
-        with pytest.raises(ConfigError, match="flat"):
-            simulate(SimConfig(duration=30.0), q100, hli=hli)
 
     @pytest.mark.parametrize("quality", [0.0, -1.0, math.inf, math.nan])
     def test_bad_bandpass_quality_refused(self, quality):

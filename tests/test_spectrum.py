@@ -153,8 +153,8 @@ def test_psd_lookup_refuses_non_finite_density(bad):
     # 1e200 is a finite ASD whose square overflows
     omega = 2 * math.pi * np.array([0.1, 1.0, 10.0])
     rec = SpectrumRecord(omega, np.array([1.0, bad, 1.0]), "asd", "m/rtHz")
-    with pytest.raises(DomainError, match="external_accel"):
-        psd_lookup(rec, "external_accel")
+    with pytest.raises(DomainError, match="imprecision_psd"):
+        psd_lookup(rec, "imprecision_psd")
 
 
 def test_psd_lookup_refuses_infinite_flat_density():
