@@ -70,19 +70,17 @@ class CascadeConfig:
                           power that realizes g0 at the initial span
     n_settle            : variance e-folds per stage before advancing
     safety_factor       : span estimate is 2 * safety_factor * rms
-    termination         : "gain" (run to target_gain) or "handover" (stop
-                          once rms falls inside the Fabry-Perot capture range)
+    termination         : "gain" (run to target_gain) or "handover" (once
+                          rms falls inside the Fabry-Perot capture range,
+                          go on with that readout's `imprecision_psd` to its
+                          optimal gain, or stop if it is noiseless)
     max_stages          : hard stage cap
     initial_span        : starting peak-to-peak displacement, m (required)
     target_gain         : final gain; None means the optimal gain for the
                           long-range readout's imprecision
-    fpi_imprecision_psd : optional displacement imprecision of the
-                          Fabry-Perot readout, m^2/Hz; with termination
-                          "handover" the cascade then continues on the new
-                          readout to its recomputed optimal gain
 
-    A refused value raises ``DomainError("<field> <reason>")``; each checked
-    field has the name of its ``[cascade]`` config key.
+    A refused value raises ``DomainError("<field> <reason>")``; each field
+    has the name of its ``[cascade]`` config key.
     """
 
     initial_gain: float = 1.0
@@ -93,7 +91,6 @@ class CascadeConfig:
     max_stages: int = 64
     initial_span: float | None = None
     target_gain: float | None = None
-    fpi_imprecision_psd: float | None = None
 
     def __post_init__(self):
         if not self.initial_gain > 0.0:
@@ -166,6 +163,23 @@ class CascadeSchedule:
         return max(float(_relaxation(stage.gain, stage.variance_in,
                                      self.gamma_m, tau)), stage.variance_floor)
 
+    def compare_single_step(self, g_target: float, cfg: CascadeConfig,
+                            chain: FeedbackChain,
+                            res: MechanicalResonator) -> SingleStepComparison:
+        """This schedule against one step at ``g_target`` from cfg's span."""
+        dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength,
+                            cfg.initial_span)
+        single_power = chain.with_dac_gain(dac0).required_power(res, g_target)
+        single_time = cfg.n_settle / ((1.0 + g_target) * self.gamma_m)
+        power_ratio = self.power / single_power
+        time_ratio = self.total_time / single_time
+        return SingleStepComparison(
+            single_power=single_power, single_time=single_time,
+            single_exceeds_threshold=single_power > chain.eoam.damage_threshold,
+            cascade_power=self.power, cascade_time=self.total_time,
+            power_ratio=power_ratio, time_ratio=time_ratio,
+            reciprocity=power_ratio * time_ratio)
+
 
 def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
                  res: MechanicalResonator, hli: HliReadout,
@@ -179,10 +193,10 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     gamma = res.gamma0
     teff_scale = res.mass * res.omega0 ** 2 / KB
 
-    hli_psd = float(hli.imprecision_psd_at(res.omega0))
+    noise_psd = hli.imprecision_psd
     target = cfg.target_gain
     if target is None:
-        target = optimal_gain(res, hli_psd).closed_form
+        target = optimal_gain(res, noise_psd).closed_form
 
     capped = chain.with_dac_gain(max_dac_gain(
         chain.eoam.half_wave_voltage, chain.wavelength, cfg.initial_span))
@@ -201,9 +215,7 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     gain_per_dac = powered.with_dac_gain(1.0).gain_factor(res)
     g = cfg.initial_gain
     dac = g / gain_per_dac
-    noise_psd = hli_psd
     readout = "hli"
-    switched = False
 
     stages = []
     rms = cfg.initial_span / (2.0 * cfg.safety_factor)
@@ -231,11 +243,10 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
             termination = REASON_TARGET
             break
         if (cfg.termination == TERMINATE_HANDOVER and stage.handover
-                and not switched):
-            if cfg.fpi_imprecision_psd is not None:
-                switched = True
+                and readout == "hli"):
+            if fpi.imprecision_psd > 0.0:
                 readout = "fpi"
-                noise_psd = cfg.fpi_imprecision_psd
+                noise_psd = fpi.imprecision_psd
                 target = optimal_gain(res, noise_psd).closed_form
                 at_target = g >= target / _REL_TOL
             else:
@@ -268,13 +279,11 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
 class SingleStepComparison:
     """Cascade vs single-step cooling to the same target gain."""
 
-    target_gain: float
     single_power: float            # W needed in one step
     single_time: float             # s to settle in one step
     single_exceeds_threshold: bool
     cascade_power: float           # W, fixed cascade power
     cascade_time: float            # s, total schedule time
-    cascade_stages: int
     power_ratio: float             # cascade / single (fold reduction < 1)
     time_ratio: float              # cascade / single (fold increase > 1)
     reciprocity: float             # power_ratio * time_ratio
@@ -283,22 +292,7 @@ class SingleStepComparison:
 def compare_single_step(g_target: float, cfg: CascadeConfig,
                         chain: FeedbackChain, res: MechanicalResonator,
                         hli: HliReadout, fpi: FpiReadout) -> SingleStepComparison:
-    """Compare one-step cooling at ``g_target`` against the cascade."""
-    gamma = res.gamma0
-    dac0 = max_dac_gain(chain.eoam.half_wave_voltage, chain.wavelength,
-                        cfg.initial_span)
-    single_power = chain.with_dac_gain(dac0).required_power(res, g_target)
-    single_time = cfg.n_settle / ((1.0 + g_target) * gamma)
-
+    """Compare one-step cooling at ``g_target`` against a cascade to it."""
     schedule = plan_cascade(replace(cfg, target_gain=g_target),
                             chain, res, hli, fpi)
-    power_ratio = schedule.power / single_power
-    time_ratio = schedule.total_time / single_time
-    return SingleStepComparison(
-        target_gain=g_target,
-        single_power=single_power, single_time=single_time,
-        single_exceeds_threshold=single_power > chain.eoam.damage_threshold,
-        cascade_power=schedule.power, cascade_time=schedule.total_time,
-        cascade_stages=len(schedule.stages),
-        power_ratio=power_ratio, time_ratio=time_ratio,
-        reciprocity=power_ratio * time_ratio)
+    return schedule.compare_single_step(g_target, cfg, chain, res)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import compare_single_step, plan_cascade
+from .cascade import plan_cascade
 from .config import ExperimentConfig, load_config
 from .constants import TWO_PI
 from .cooling import (CoolingSetup, closed_loop_variance,
@@ -176,8 +176,8 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
         yield (f"cascade_g{tag}_timeseries.csv", header,
                {"t_s": times, "x2_m2": x2, "teff_K": schedule.teff_scale * x2})
 
-        comparison = compare_single_step(
-            schedule.stages[-1].gain, ccfg, chain, res, hli, fpi)
+        comparison = schedule.compare_single_step(
+            schedule.stages[-1].gain, ccfg, chain, res)
         body = [
             ("initial_gain", g0),
             ("optical_power_W", schedule.power),

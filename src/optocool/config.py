@@ -10,7 +10,9 @@ SI values are echoed into every output artifact.
 
 ``_SCHEMA`` is the one statement of each key, its default and its allowed
 words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
-is parsed from its schema default exactly like a value from a file.
+is parsed from its schema default exactly like a value from a file. The
+keys of ``[hli]`` and ``[cascade]`` are the fields of `HliReadout` and
+`CascadeConfig`, which are built from those sections as they stand.
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ _SCHEMA = {
         "max_stages": _Key("integer", "64"),
         "initial_span": _Key("length", "200 um"),
         "target_gain": _Key("gain", "auto"),
-        "fpi_imprecision_asd": _Key("displacement_asd", "0 m/rtHz"),
     },
     "sim": {
         "preset": _Key("choice", "q100", (*PRESET_QUALITIES, "none")),
@@ -202,6 +203,17 @@ class ExperimentConfig:
 
     # -- model builders -------------------------------------------------
 
+    def _build(self, section: str, cls):
+        """cls of the section's values, whose keys are its fields; its refusal
+        ``DomainError("<field> <reason>")`` becomes one ``ConfigError``."""
+        fields = self.values[section]
+        try:
+            return cls(**fields)
+        except DomainError as exc:
+            key, reason = str(exc).split(" ", 1)
+            raise ConfigError(
+                f"{section}.{key}: {reason}, got {fields[key]!r}") from exc
+
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]
         if r["q_internal"] == math.inf and r["viscous_rate"] == 0.0:
@@ -214,18 +226,14 @@ class ExperimentConfig:
 
     def fpi(self) -> FpiReadout:
         f = self.values["fpi"]
-        noise = f["readout_noise_asd"] or None
         return FpiReadout(cavity_length=f["cavity_length"],
                           wavelength=f["wavelength"],
                           tuning_range=f["tuning_range"],
-                          finesse=f["finesse"], readout_noise=noise)
+                          finesse=f["finesse"],
+                          readout_noise=f["readout_noise_asd"])
 
     def hli(self) -> HliReadout:
-        h = self.values["hli"]
-        hli = HliReadout(wavelength=h["wavelength"],
-                         imprecision_asd=self._imprecision_asd(),
-                         lpf_corner=h["lpf_corner"],
-                         heterodyne_frequency=h["heterodyne_frequency"])
+        hli = self._build("hli", HliReadout)
         corner_ratio = hli.lpf_corner / (self.get("resonator", "frequency") / TWO_PI)
         if corner_ratio < 100.0:
             raise ConfigError(
@@ -246,35 +254,14 @@ class ExperimentConfig:
         return FeedbackChain(eoam=eoam, dac_gain=dac,
                              wavelength=self.get("hli", "wavelength"))
 
-    def _imprecision_asd(self) -> float:
-        asd = self.get("hli", "imprecision_asd")
-        if not asd > 0.0:
-            raise ConfigError(f"hli.imprecision_asd: must be > 0, got {asd!r}")
-        return asd
-
     def imprecision_psd(self) -> float:
-        return self._imprecision_asd() ** 2
+        return self.hli().imprecision_psd
 
     def external_force_psd(self):
-        val = self.get("cooling", "external_force_psd")
-        return val if val > 0.0 else None
+        return self.get("cooling", "external_force_psd")
 
     def cascade_config(self) -> CascadeConfig:
-        c = self.values["cascade"]
-        fpi_psd = c["fpi_imprecision_asd"] ** 2 or None
-        try:
-            cascade = CascadeConfig(
-                initial_gain=c["initial_gain"],
-                power=c["power"],
-                n_settle=c["n_settle"], safety_factor=c["safety_factor"],
-                termination=c["termination"], max_stages=c["max_stages"],
-                initial_span=c["initial_span"],
-                target_gain=c["target_gain"],
-                fpi_imprecision_psd=fpi_psd)
-        except DomainError as exc:  # "<field> <reason>", field = config key
-            key, reason = str(exc).split(" ", 1)
-            raise ConfigError(
-                f"cascade.{key}: {reason}, got {c[key]!r}") from exc
+        cascade = self._build("cascade", CascadeConfig)
         # the planner re-powers the chain's modulator at cascade.power
         threshold = self.get("chain", "damage_threshold")
         if cascade.power is not None and cascade.power > threshold:

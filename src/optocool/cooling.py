@@ -165,14 +165,17 @@ def _band_edges(setup: CoolingSetup) -> np.ndarray:
     return np.unique(edges[(edges >= lo) & (edges <= hi)])
 
 
-def _integrate_band(parts, edges) -> list:
-    """Integrals of each row of parts(omega)/(2 pi) over the panels."""
+def _integrate_band(parts, edges, g: float) -> list:
+    """Integrals of each row of parts(omega)/(2 pi) over the panels at gain g."""
     half = 0.5 * np.diff(edges)[:, None]
-    values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
     integrals = []
     for what, row in zip(("thermal", "feedthrough", "external"), values):
         i16 = float(np.sum(row[:, :16] * _W16))
         i8 = float(np.sum(row[:, 16:] * _W8))
+        if not (math.isfinite(i16) and math.isfinite(i8)):
+            raise NumericalError(f"{what} integral is not finite at g = {g:g}")
         if not abs(i16 - i8) <= INTEGRAL_RTOL * abs(i16):
             raise NumericalError(
                 f"{what} integral did not reach rtol {INTEGRAL_RTOL:g}: "
@@ -224,7 +227,7 @@ def closed_loop_variance(setup: CoolingSetup) -> ClosedLoopVariance:
     """
     res, g = setup.res, setup.gain
     s_n, parts = _parts(setup)
-    thermal_num, feed_num, ext = _integrate_band(parts, _band_edges(setup))
+    thermal_num, feed_num, ext = _integrate_band(parts, _band_edges(setup), g)
 
     s_n0 = float(s_n(res.omega0))
     scale = res.mass * res.omega0 ** 2 / KB

@@ -22,7 +22,7 @@ from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError
 from .psd import lifted_response
 from .resonator import MechanicalResonator
-from .spectrum import KIND_ASD, SpectrumRecord, psd_lookup
+from .spectrum import KIND_ASD, SpectrumRecord
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class FpiReadout:
     wavelength    : mean laser wavelength, m
     tuning_range  : laser frequency tuning range, Hz
     finesse       : cavity finesse (only the capture range consumes it)
-    readout_noise : flat frequency noise floor nu_n, Hz/rtHz, or None for
+    readout_noise : flat frequency noise floor nu_n, Hz/rtHz; None or 0 for
                     noiseless
     """
 
@@ -52,8 +52,7 @@ class FpiReadout:
             raise DomainError("tuning_range must be > 0")
         if not self.finesse > 1.0:
             raise DomainError("finesse must be > 1")
-        if (self.readout_noise is not None
-                and not 0.0 <= self.readout_noise < math.inf):
+        if not 0.0 <= (self.readout_noise or 0.0) < math.inf:
             raise DomainError("readout_noise must be finite and >= 0")
         if self.capture_range() >= self.dynamic_range():
             raise DomainError(
@@ -63,6 +62,12 @@ class FpiReadout:
     def displacement_to_frequency(self) -> float:
         """c / (wavelength * cavity_length), Hz per m."""
         return C_LIGHT / (self.wavelength * self.cavity_length)
+
+    @property
+    def imprecision_psd(self) -> float:
+        """Displacement floor (nu_n / displacement_to_frequency)^2, m^2/Hz."""
+        return ((self.readout_noise or 0.0)
+                / self.displacement_to_frequency) ** 2
 
     def dynamic_range(self) -> float:
         """Largest trackable length change, wavelength*length*tuning/c, m."""
@@ -125,9 +130,12 @@ class HliReadout:
     """Heterodyne laser interferometer (long-range readout).
 
     wavelength           : m
-    imprecision_asd      : flat displacement noise floor, m/rtHz
+    imprecision_asd      : flat displacement noise floor, m/rtHz; its
+                           square `imprecision_psd` must lie in (0, inf)
     lpf_corner           : phasemeter low-pass corner, Hz
     heterodyne_frequency : beat note frequency, Hz
+
+    A refused value raises ``DomainError("<field> <reason>")``.
     """
 
     wavelength: float
@@ -138,16 +146,27 @@ class HliReadout:
     def __post_init__(self):
         if not self.wavelength > 0.0:
             raise DomainError("wavelength must be > 0")
-        if not self.imprecision_asd > 0.0:
-            raise DomainError("imprecision ASD must be > 0")
+        try:
+            psd = self.imprecision_psd
+        except OverflowError:  # the float power of a finite ASD
+            psd = math.inf
+        if not (self.imprecision_asd > 0.0 and 0.0 < psd < math.inf):
+            raise DomainError(
+                "imprecision_asd must be > 0 with a finite, nonzero square")
         if not self.lpf_corner > 0.0:
             raise DomainError("lpf_corner must be > 0")
         if not self.heterodyne_frequency > 0.0:
             raise DomainError("heterodyne_frequency must be > 0")
 
+    @property
+    def imprecision_psd(self) -> float:
+        """Flat imprecision PSD S_xx^n, m^2/Hz."""
+        return self.imprecision_asd ** 2
+
     def imprecision_psd_at(self, omega) -> np.ndarray:
-        """Imprecision PSD S_xx^n at omega, m^2/Hz."""
-        return psd_lookup(self.imprecision_asd ** 2, "imprecision_asd")(omega)
+        """`imprecision_psd` at each omega, m^2/Hz."""
+        return np.full_like(np.asarray(omega, dtype=float),
+                            self.imprecision_psd)
 
 
 class Phasemeter:

@@ -159,12 +159,6 @@ def _external_force(cfg: SimConfig, n: int) -> np.ndarray:
     return samples[:n]
 
 
-def _imprecision_sigma(hli: HliReadout | None, sample_rate: float) -> float:
-    if hli is None:
-        return 0.0
-    return math.sqrt(hli.imprecision_asd ** 2 * sample_rate / 2.0)
-
-
 def _bandpass(res: MechanicalResonator, cfg: SimConfig, dt: float):
     """RBJ constant-peak-gain bandpass at omega0: (b0, b2, a1, a2)."""
     w = res.omega0 * dt
@@ -203,6 +197,8 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
              hli: HliReadout | None = None) -> SimTrace:
     """Integrate the loop and return the trace.
 
+    The apparent position carries white imprecision of density
+    ``hli.imprecision_psd``; without ``hli`` the readout is noiseless.
     Raises ``ConfigError`` when the derivative loop is unstable, and
     ``DivergenceError`` when |x| exceeds one million times the initial bound
     (the larger of |x0| and the equilibrium thermal rms).
@@ -222,8 +218,8 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         f_th = stream_rng(cfg.seed, STREAM_THERMAL).standard_normal(n) * sigma_f
     else:
         f_th = np.zeros(n)
-    sigma_y = _imprecision_sigma(hli, fs)
-    if sigma_y > 0.0:
+    if hli is not None:
+        sigma_y = math.sqrt(hli.imprecision_psd * fs / 2.0)
         noise_y = stream_rng(cfg.seed, STREAM_IMPRECISION).standard_normal(n) * sigma_y
     else:
         noise_y = np.zeros(n)

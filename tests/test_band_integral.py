@@ -78,7 +78,7 @@ def test_one_panel_raises_naming_the_part(resonator):
     _, parts = _parts(setup)
     edges = np.array([0.1, 10.0]) * resonator.omega0
     with pytest.raises(NumericalError, match="thermal"):
-        _integrate_band(parts, edges)
+        _integrate_band(parts, edges, 100.0)
 
 
 def test_lossless_resonator_refused():

@@ -176,9 +176,10 @@ class TestPlanCascade:
 
     def test_post_handover_continuation(self, chain, resonator, hli, fpi):
         fpi_psd = (2e-13) ** 2
-        cfg = paper_cascade_config(termination="handover",
-                                   fpi_imprecision_psd=fpi_psd)
-        schedule = plan_cascade(cfg, chain, resonator, hli, fpi)
+        noisy = replace(fpi,
+                        readout_noise=2e-13 * fpi.displacement_to_frequency)
+        cfg = paper_cascade_config(termination="handover")
+        schedule = plan_cascade(cfg, chain, resonator, hli, noisy)
         assert schedule.termination == "reached_target_gain"
         readouts = [s.readout for s in schedule.stages]
         assert readouts[0] == "hli"
@@ -199,14 +200,17 @@ class TestPlanCascade:
         vals = [schedule.variance_at(ti) for ti in t]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"initial_gain": 0.5},
-        {"termination": "handover", "fpi_imprecision_psd": (2e-13) ** 2}],
+    @pytest.mark.parametrize("overrides, fpi_asd", [
+        ({}, None), ({"initial_gain": 0.5}, None),
+        ({"termination": "handover"}, 2e-13)],
         ids=["default", "g0-0.5", "handover-fpi"])
     def test_variance_at_bit_for_bit(self, chain, resonator, hli, fpi,
-                                     overrides):
+                                     overrides, fpi_asd):
         # reference: the first stage ending after t, else the last stage,
         # through the checked variance_evolution
+        if fpi_asd is not None:
+            fpi = replace(fpi,
+                          readout_noise=fpi_asd * fpi.displacement_to_frequency)
         schedule = plan_cascade(paper_cascade_config(**overrides), chain,
                                 resonator, hli, fpi)
         stages = schedule.stages

@@ -6,6 +6,8 @@ import inspect
 import math
 import numbers
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -432,3 +434,35 @@ def test_every_numeric_column_is_an_array(tmp_path):
                         if name.startswith("_cmd_")}
     assert ("cascade_g1.csv", "stage", "i") in arrays
     assert {kind for _, _, kind in arrays} == {"i", "f", "c"}
+
+
+def test_cascade_summary_compares_the_written_schedule(tmp_path):
+    # g0 = 1e-9 stops at its imprecision floor after one stage, so the
+    # cascade it writes is the single step itself
+    assert main(["--out", str(tmp_path), "cascade", "run",
+                 "--g0", "1e-9"]) == 0
+    text = (tmp_path / "cascade_g1e-09.txt").read_text()
+    summary = dict(line.split(" = ", 1) for line in text.splitlines()
+                   if not line.startswith("#"))
+    assert (summary["stages"], summary["termination"]) == (
+        "1", "imprecision_floor")
+    ratio = (float(summary["total_time_s"])
+             / float(summary["single_step_time_s"]))
+    assert float(summary["time_ratio_cascade_over_single"]) == ratio == 1.0
+
+
+def test_overflowing_band_integral_fails_in_one_line(tmp_path):
+    # at g = 1e300 the feedthrough integrand overflows; no numpy warning
+    # may reach stderr before the one error line
+    def run(gains):
+        return subprocess.run(
+            [sys.executable, "-m", "optocool", "--out", str(tmp_path),
+             "cool", "sweep", "--gains", gains],
+            capture_output=True, text=True)
+
+    failed = run("1e300")
+    assert failed.returncode == 1
+    assert failed.stderr.splitlines() == [
+        "error: NumericalError: feedthrough integral is not finite at "
+        "g = 1e+300"]
+    assert run("1e150").returncode == 0

@@ -11,9 +11,8 @@ from optocool.cli import main, run_command
 from optocool.config import DEFAULT_CONFIG, load_config, parse_config
 from optocool.spectrum import read_columns, read_rows
 
-# the four noise-density keys, each with its unit
+# the three noise-density keys, each with its unit
 DENSITY_KEYS = [("hli", "imprecision_asd", "m/rtHz"),
-                ("cascade", "fpi_imprecision_asd", "m/rtHz"),
                 ("cooling", "external_force_psd", "N^2/Hz"),
                 ("fpi", "readout_noise_asd", "Hz/rtHz")]
 
@@ -311,13 +310,13 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value, command", [
         ("imprecision_asd", "-5e-12 m/rtHz", ["cool", "optimum"]),
-        ("fpi_imprecision_asd", "-2e-13 m/rtHz", ["cascade", "run"]),
+        ("readout_noise_asd", "-3 Hz/rtHz", ["cascade", "run"]),
         ("external_force_psd", "-1e-30 N^2/Hz",
          ["cool", "sweep", "--gains", "1,10"]),
         ("readout_noise_asd", "-3 Hz/rtHz", ["noise-budget"])])
     def test_negative_density_refused(self, tmp_path, capsys, key, value,
                                       command):
-        # with handover termination the cascade reads the FPI imprecision
+        # with handover termination the cascade reads the FPI readout noise
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with(key, value).replace(
             "termination = gain", "termination = handover"))
@@ -387,15 +386,12 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value, command", [
         ("fpi", "readout_noise_asd", "1e160 Hz/rtHz", ["noise-budget"]),
-        ("hli", "imprecision_asd", "1e160 m/rtHz", ["cool", "optimum"]),
-        ("cascade", "fpi_imprecision_asd", "1e160 m/rtHz",
-         ["cascade", "run"])])
+        ("hli", "imprecision_asd", "1e160 m/rtHz", ["cool", "optimum"])])
     def test_overflowing_asd_refused_at_parse(self, tmp_path, capsys, section,
                                               key, value, command):
         # a finite ASD whose square overflows is refused before any command
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(_default_with(key, value).replace(
-            "termination = gain", "termination = handover"))
+        cfg_path.write_text(_default_with(key, value))
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out),
                      *command]) == 2
@@ -427,6 +423,31 @@ class TestCli:
         assert err.startswith("error: config: hli.imprecision_asd:")
         assert "\n" not in err
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", [["cool", "optimum"], ["paper-report"],
+                                         ["cascade", "run"], ["simulate"]])
+    def test_underflowing_hli_imprecision_refused(self, tmp_path, capsys,
+                                                  command):
+        # 1e-170 m/rtHz squares to a zero PSD; HliReadout refuses it
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("imprecision_asd", "1e-170 m/rtHz"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: config: hli.imprecision_asd: must be > 0 with "
+                       "a finite, nonzero square, got 1e-170")
+        assert not out.exists()
+
+    def test_removed_fpi_imprecision_key_refused(self, tmp_path, capsys):
+        # the Fabry-Perot floor is [fpi] readout_noise_asd, converted
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(DEFAULT_CONFIG.replace(
+            "[sim]", "fpi_imprecision_asd = 2e-13 m/rtHz\n\n[sim]"))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "cascade", "run"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: config: unknown key cascade.fpi_imprecision_asd")
 
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

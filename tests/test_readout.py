@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
-                      MechanicalResonator, Phasemeter, SpectrumRecord,
-                      closed_loop_psd, effective_susceptibility,
-                      noise_temperature)
+                      HliReadout, MechanicalResonator, Phasemeter,
+                      SpectrumRecord, closed_loop_psd,
+                      effective_susceptibility, noise_temperature)
 from optocool.simulate import stream_rng
 
 TWO_PI = 2 * math.pi
@@ -31,6 +32,18 @@ class TestFpiConversion:
         x = 8.13e-8
         nu = x * fpi.displacement_to_frequency
         assert nu / fpi.displacement_to_frequency == pytest.approx(x, rel=1e-12)
+
+    def test_imprecision_psd_is_readout_noise_in_metres(self, fpi):
+        # direct evaluation oracle: (nu_n wavelength L / c)^2
+        noisy = replace(fpi, readout_noise=1e3)
+        x_n = 1e3 * fpi.wavelength * fpi.cavity_length / 299792458.0
+        assert noisy.imprecision_psd == pytest.approx(x_n ** 2, rel=1e-12)
+        assert math.sqrt(noisy.imprecision_psd) == pytest.approx(
+            1.7746e-13, rel=1e-4)
+
+    @pytest.mark.parametrize("noise", [None, 0.0])
+    def test_noiseless_imprecision_psd_is_zero(self, fpi, noise):
+        assert replace(fpi, readout_noise=noise).imprecision_psd == 0.0
 
 
 class TestFpiDynamicRange:
@@ -145,6 +158,18 @@ class TestFpiOutputSpectrum:
 
 
 class TestHli:
+    @pytest.mark.parametrize("asd", [math.inf, math.nan, 1e160, 1e-170])
+    def test_imprecision_square_refused(self, asd):
+        # the PSD, asd ** 2, must lie in (0, inf): 1e160 overflows, 1e-170
+        # underflows to 0
+        with pytest.raises(DomainError, match=r"^imprecision_asd "):
+            HliReadout(wavelength=1064e-9, imprecision_asd=asd)
+
+    def test_imprecision_psd_is_the_square(self, hli):
+        assert hli.imprecision_psd == 5e-12 ** 2
+        assert np.all(hli.imprecision_psd_at(np.array([1.0, 30.0]))
+                      == hli.imprecision_psd)
+
     def test_white_noise_discretization(self, hli):
         # single-sided convention: sample variance = S * fs / 2
         fs = 1000.0

@@ -30,13 +30,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "artifact_digests.json"
 
-# config file name -> (text of DEFAULT_CONFIG, what replaces it)
+# config file name -> the (text of DEFAULT_CONFIG, what replaces it) edits
 CONFIGS = {
-    "derivative.ini": ("controller = off\ngain = 0\n",
-                       "controller = derivative\ngain = 15\n"),
-    "chain.ini": ("controller = off\n", "controller = chain\n"),
-    "noisy.ini": ("readout_noise_asd = 0 Hz/rtHz",
-                  "readout_noise_asd = 1e3 Hz/rtHz"),
+    "derivative.ini": [("controller = off\ngain = 0\n",
+                        "controller = derivative\ngain = 15\n")],
+    "chain.ini": [("controller = off\n", "controller = chain\n")],
+    "noisy.ini": [("readout_noise_asd = 0 Hz/rtHz",
+                   "readout_noise_asd = 1e3 Hz/rtHz")],
+    # the cascade goes on after handover on the Fabry-Perot readout's floor
+    "handover.ini": [("readout_noise_asd = 0 Hz/rtHz",
+                      "readout_noise_asd = 1e3 Hz/rtHz"),
+                     ("termination = gain", "termination = handover")],
 }
 
 RUNS = [
@@ -54,6 +58,7 @@ RUNS = [
     ["--out", "derivative", "--config", "derivative.ini", "simulate"],
     ["--out", "chain", "--config", "chain.ini", "simulate"],
     ["--out", "noisy", "--config", "noisy.ini", "noise-budget"],
+    ["--out", "handover", "--config", "handover.ini", "cascade", "run"],
     ["--out", "ringdown", "ringdown-fit", "--input", "decay.csv"],
 ]
 
@@ -71,9 +76,12 @@ def _write_inputs():
 
     from optocool.config import DEFAULT_CONFIG
 
-    for name, (old, new) in CONFIGS.items():
-        assert old in DEFAULT_CONFIG, old
-        Path(name).write_text(DEFAULT_CONFIG.replace(old, new, 1))
+    for name, edits in CONFIGS.items():
+        text = DEFAULT_CONFIG
+        for old, new in edits:
+            assert old in text, old
+            text = text.replace(old, new, 1)
+        Path(name).write_text(text)
     # a 4.72 Hz decay with Q = 50, sampled at 200 Hz for 20 s
     t = np.arange(4000) / 200.0
     x = np.exp(-np.pi * 4.72 / 50.0 * t) * np.cos(2.0 * np.pi * 4.72 * t)
