@@ -7,6 +7,10 @@ then creates the out directory, writes each under a temporary name there,
 renames them all and prints one ``wrote <path>`` line per file, so a command
 that fails writes nothing, and a write that fails leaves no temporary file.
 A command that yields one file name twice is refused the same way.
+Artifacts are made again from the config and the seed, so nothing is
+flushed for a power loss: an existing file is unlinked just before its new
+text is renamed over the name, as a rename over it would flush the new data
+first, and a crash during the renames can leave a file missing.
 
 `build_parser` builds the parser once per process, and it dispatches by
 name: the ``_cmd_*`` function is looked up on this module when the command
@@ -113,12 +117,13 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
         gains = np.logspace(0, 5, 51).tolist()
     if args.noise is not None:
         noises = _parse_float_list(args.noise, "--noise")
-        bad = [asd for asd in noises if not math.isfinite(asd * asd)]
+        bad = [asd for asd in noises
+               if not (0.0 < asd * asd < math.inf or asd == 0.0)]
         if bad:
-            raise ConfigError(f"--noise: an ASD must have a finite square, "
-                              f"got {bad[0]!r}")
+            raise ConfigError(f"--noise: an ASD must be 0 or have a finite, "
+                              f"nonzero square, got {bad[0]!r}")
     else:
-        noises = [cfg.get("hli", "imprecision_asd")]
+        noises = [cfg.hli().imprecision_asd]
     external = cfg.external_force_psd()
     for asd in noises:
         nums = [closed_loop_variance(CoolingSetup(
@@ -426,6 +431,7 @@ def run_command(argv) -> int:
             with open(temps[path], "w", newline="") as fh:
                 fh.write(text)
         for path, temp in temps.items():
+            path.unlink(missing_ok=True)  # a rename over it would flush
             temp.replace(path)
     finally:
         for temp in temps.values():

@@ -203,16 +203,22 @@ class ExperimentConfig:
 
     # -- model builders -------------------------------------------------
 
-    def _build(self, section: str, cls):
-        """cls of the section's values, whose keys are its fields; its refusal
-        ``DomainError("<field> <reason>")`` becomes one ``ConfigError``."""
-        fields = self.values[section]
+    def _build(self, section: str, cls, **fields):
+        """cls of the section's values, each passed as the field its key
+        names, or as ``fields[key]`` where the two differ. A refusal
+        ``DomainError("<field> <reason>")`` becomes one ``ConfigError``
+        naming the key; one that names no key passes through."""
+        values = self.values[section]
         try:
-            return cls(**fields)
+            return cls(**{fields.get(key, key): value
+                          for key, value in values.items()})
         except DomainError as exc:
-            key, reason = str(exc).split(" ", 1)
+            field, reason = str(exc).split(" ", 1)
+            key = {v: k for k, v in fields.items()}.get(field, field)
+            if key not in values:
+                raise
             raise ConfigError(
-                f"{section}.{key}: {reason}, got {fields[key]!r}") from exc
+                f"{section}.{key}: {reason}, got {values[key]!r}") from exc
 
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]
@@ -225,12 +231,8 @@ class ExperimentConfig:
             temperature=r["temperature"], loss_exponent=r["loss_exponent"])
 
     def fpi(self) -> FpiReadout:
-        f = self.values["fpi"]
-        return FpiReadout(cavity_length=f["cavity_length"],
-                          wavelength=f["wavelength"],
-                          tuning_range=f["tuning_range"],
-                          finesse=f["finesse"],
-                          readout_noise=f["readout_noise_asd"])
+        return self._build("fpi", FpiReadout,
+                           readout_noise_asd="readout_noise")
 
     def hli(self) -> HliReadout:
         hli = self._build("hli", HliReadout)

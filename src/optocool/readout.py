@@ -34,7 +34,8 @@ class FpiReadout:
     tuning_range  : laser frequency tuning range, Hz
     finesse       : cavity finesse (only the capture range consumes it)
     readout_noise : flat frequency noise floor nu_n, Hz/rtHz; None or 0 for
-                    noiseless
+                    noiseless, else large enough that `imprecision_psd`
+                    does not underflow to 0
     """
 
     cavity_length: float
@@ -54,6 +55,9 @@ class FpiReadout:
             raise DomainError("finesse must be > 1")
         if not 0.0 <= (self.readout_noise or 0.0) < math.inf:
             raise DomainError("readout_noise must be finite and >= 0")
+        if self.readout_noise and not self.imprecision_psd > 0.0:
+            raise DomainError("readout_noise must be 0 or give a nonzero "
+                              "imprecision_psd, not one that underflows to 0")
         if self.capture_range() >= self.dynamic_range():
             raise DomainError(
                 "capture range wavelength/finesse must be below the dynamic range")

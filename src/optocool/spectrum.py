@@ -10,14 +10,20 @@ Conventions used throughout the toolkit:
 
 Every artifact is formatted by `format_artifact` and written by
 `cli.run_command`. An artifact is ``# `` header lines, then ``key = value``
-lines or a CSV table. Floats and complex values are written by ``repr``,
-and a non-finite one is refused with a `DomainError` naming the file, the
-column (or key) and the value of the first one in row order, so no file
-full of ``nan`` is ever written. A table is a dict of columns, formatted in
-blocks of `ROW_BLOCK` rows: a float64 or complex128 array gets one finite
-check and one ``repr`` pass, any other column (a list, an integer array) is
-written cell by cell as `csv.writer` writes it, and columns of unequal
-length are refused.
+lines or a CSV table. Floats and complex values are written as ``repr``
+writes them, and a non-finite one is refused with a `DomainError` naming
+the file, the column (or key) and the value of the first one in row order,
+so no file full of ``nan`` is ever written. A table is a dict of columns,
+formatted in blocks of `ROW_BLOCK` rows, and columns of unequal length are
+refused. Each column of a block becomes a byte matrix of UTF-8 cells padded
+with `_PAD` (0xFF, a byte UTF-8 never uses); the matrices are joined with
+``,`` and line breaks, and one ``bytes.replace`` drops the padding. A
+float64 array gets one finite check and `_float_bytes`, a vectorised kernel
+whose text is ``repr``'s byte for byte; it hands a power of two, an |x|
+outside [1e-270, 1e270] but 0, and a cell within 1e-9 of a rounding tie or
+of its rounding interval's edge to ``repr`` itself. A complex128 array is
+written by ``repr``, and any other column (a list, an integer array) cell
+by cell as `csv.writer` writes it.
 
 The one input the CLI reads is a sampled trace, and `read_columns` is the
 only code that turns its cells into numbers. Its header is the first row
@@ -37,9 +43,10 @@ import csv
 import io
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -151,37 +158,41 @@ def format_artifact(where, header_lines, body) -> str:
     lengths = {name: len(cells) for name, cells in body.items()}
     if len(set(lengths.values())) > 1:
         raise DomainError(f"{where}: columns of unequal length {lengths}")
-    buf.write(_lines([[_text(name)] for name in body]))
+    buf.write(_rows([_encoded([_text(name)]) for name in body]))
     labels = [f"{where}: column {name}" for name in body]
     for start in range(0, max(lengths.values(), default=0), ROW_BLOCK):
         block = [cells[start:start + ROW_BLOCK] for cells in body.values()]
-        texts = list(map(_column, block))
-        if None in texts:
+        columns = list(map(_column, block))
+        if any(cells is None for cells in columns):
             for row in zip(*block):
                 list(map(_cell, row, labels))  # raises at the first bad cell
-        buf.write(_lines(texts))
+        buf.write(_rows(columns))
     return buf.getvalue()
 
 
 def _column(cells):
-    """Texts of one column's cells, or None if one is a non-finite number.
+    """One column's cells as a `_PAD`-padded byte matrix, or None if one is
+    a non-finite number.
 
-    A float64 or complex128 ndarray is checked by one `np.isfinite` and
-    written by ``repr``; any other column goes through `_cell` and `_text`,
-    each distinct ``str`` cell (a spectrum's repeated unit) once. Numbers
-    are never keys: ``0.0 == -0.0 == False`` would share one text.
+    A float64 ndarray is checked by one `np.isfinite` and written by
+    `_float_bytes`, a complex128 one by ``repr``; any other column goes
+    through `_cell` and `_text`, each distinct ``str`` cell (a spectrum's
+    repeated unit) once. Numbers are never keys: ``0.0 == -0.0 == False``
+    would share one text.
     """
-    if not (isinstance(cells, np.ndarray)
-            and cells.dtype.type in (np.float64, np.complex128)):
-        texts = {s: _text(s) for s in {c for c in cells if type(c) is str}}
-        try:
-            return [texts[cell] if type(cell) is str
-                    else _text(_cell(cell, "")) for cell in cells]
-        except DomainError:
+    if isinstance(cells, np.ndarray) and cells.dtype.type in (np.float64,
+                                                               np.complex128):
+        if not np.isfinite(cells).all():
             return None
-    if not np.isfinite(cells).all():
+        if cells.dtype.type is np.float64:
+            return _float_bytes(cells)
+        return _encoded(list(map(repr, cells.tolist())))
+    texts = {s: _text(s) for s in {c for c in cells if type(c) is str}}
+    try:
+        return _encoded([texts[cell] if type(cell) is str
+                         else _text(_cell(cell, "")) for cell in cells])
+    except DomainError:
         return None
-    return list(map(repr, cells.tolist()))
 
 
 def _text(value) -> str:
@@ -198,11 +209,30 @@ def _text(value) -> str:
     return text
 
 
-def _lines(columns) -> str:
-    """CSV lines of text columns; one empty cell alone is ``""`` as in csv."""
+def _encoded(texts) -> np.ndarray:
+    """Texts as the rows of a byte matrix: UTF-8, padded with `_PAD`."""
+    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    width = max(map(len, data), default=0)
+    padded = b"".join([cell.ljust(width, _PAD_BYTE) for cell in data])
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width)
+
+
+def _rows(columns) -> str:
+    """CSV lines of byte-matrix columns; one empty cell alone is ``""`` as
+    in csv. The padding goes in one `bytes.replace`."""
+    n = len(columns[0]) if columns else 0
     if len(columns) == 1:
-        columns = [[text or '""' for text in columns[0]]]
-    return "".join([",".join(row) + "\n" for row in zip(*columns)])
+        cells = columns[0]
+        empty = ~(cells[:, :1] != _PAD).any(axis=1)
+        if empty.any():
+            cells = np.pad(cells, ((0, 0), (0, 2)), constant_values=_PAD)
+            cells[empty, :2] = np.frombuffer(b'""', np.uint8)
+            columns = [cells]
+    comma = np.full((n, 1), ord(","), np.uint8)
+    parts = [part for cells in columns for part in (cells, comma)]
+    parts[-1:] = [np.full((n, 1), ord("\n"), np.uint8)]
+    text = np.concatenate(parts, axis=1).tobytes().replace(_PAD_BYTE, b"")
+    return text.decode("utf-8", "surrogatepass")
 
 
 def _cell(value, where: str):
@@ -218,6 +248,212 @@ def _cell(value, where: str):
     if not cmath.isfinite(value):
         raise DomainError(f"{where}: non-finite value {value!r}")
     return repr(value)
+
+
+# -- float cells: ``repr``'s shortest round-trip digits, a block at once --
+#
+# A cell's digits are made as a 17-digit integer with the position of its
+# decimal point; its text is a gather of the digit bytes and of constant
+# bytes (a sign, the point, an exponent) through one layout row per
+# distinct (point position, digit count, sign) key. A cell whose digits
+# are not certain here is written by ``repr`` itself.
+
+_PAD = 0xFF  # pads every cell to its column's width; UTF-8 never uses it
+_PAD_BYTE = bytes([_PAD])
+_POWERS = range(-256, 289)  # the powers of ten in the tables, 10**p
+_MADE = (1e-270, 1e270)  # the |x| whose digits are made here
+_MARGIN = 1e-9  # a cell this close to a tie or to its rounding interval's
+#                 edge, in units of its 17th digit, is left to repr
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double in halves
+_WIDE = 24  # the longest repr of a float: -2.2250738585072014e-308
+# The source block holds the bytes a layout gathers, word by word: word w
+# of row i is at byte 4 * (w * ROW_BLOCK + i). Words 0-3 are digits 1-16,
+# word 4 is digit 17 then "-.e", words 5-8 are "+0123456789" and padding.
+_CONSTANTS = b"-.e+0123456789"
+_SOURCE_WORDS = 9
+
+
+def _source(byte: int) -> int:
+    """Offset in the source block of row 0's byte ``byte``: 0-16 are the
+    digits, 17 on the constants."""
+    return 4 * (byte // 4 * ROW_BLOCK) + byte % 4
+
+
+@cache
+def _tables():
+    """10**p for p in `_POWERS` as double-doubles (hi, lo), hi split in
+    halves; the ASCII text and trailing zero count of each 4-digit group;
+    digit 17's word; the source block's constant words."""
+    hi, lo = [], []
+    for p in _POWERS:
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        high = num / den  # correctly rounded
+        top, bottom = high.as_integer_ratio()
+        hi.append(high)
+        lo.append((num * bottom - top * den) / (den * bottom))
+    hi = np.array(hi)
+    split = _SPLIT * hi
+    hi_high = split - (split - hi)
+    places = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    texts = (places + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = (places[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+    last = np.zeros((10, 4), np.uint8)
+    last[:, 0] = np.arange(ord("0"), ord("9") + 1)
+    last[:, 1:] = np.frombuffer(_CONSTANTS[:3], np.uint8)
+    constants = np.frombuffer(_CONSTANTS[3:].ljust(16, _PAD_BYTE), np.uint32)
+    return (hi, np.array(lo), hi_high, hi - hi_high, texts, zeros,
+            last.view(np.uint32).ravel(), constants)
+
+
+def _layout(key: int) -> list:
+    """Source offsets of one key's text, laid out as ``repr`` does: with an
+    exponent if the point position ``decpt`` is <= -4 or > 16, else fixed,
+    with a leading ``0.`` or a trailing ``.0`` where needed."""
+    decpt, digits, negative = key // 36 - 300, key % 36 // 2, key % 2
+    minus, point, e, plus, zero = map(_source, range(17, 22))
+    text = list(map(_source, range(digits)))
+    if decpt <= -4 or decpt > 16:
+        exponent = [_source(21 + int(c)) for c in f"{abs(decpt - 1):02d}"]
+        text[1:1] = [point] if digits > 1 else []
+        text += [e, minus if decpt < 1 else plus] + exponent
+    elif decpt <= 0:
+        text = [zero, point] + [zero] * -decpt + text
+    elif decpt < digits:
+        text.insert(decpt, point)
+    else:
+        text += [zero] * (decpt - digits) + [point, zero]
+    return [minus] * negative + text
+
+
+_KEY_ROW = np.full(36 * 600, -1, np.intp)  # key -> its layout row, or -1
+_KEY_ROW[0] = 0  # key 0 is a repr cell; layout row 0 is all padding
+_LAYOUTS = [np.full((1, _WIDE), _source(31), np.intp), np.zeros(1, np.intp)]
+_MAKING = threading.Lock()
+
+
+def _layout_rows(keys):
+    """The layout row of each key, made at the key's first use.
+
+    Rows are only appended, and a key's row number is stored after the
+    table holding its row, so a thread that reads the number finds the row.
+    """
+    rows = _KEY_ROW.take(keys)
+    if rows.min() < 0:
+        with _MAKING:
+            table, widths = _LAYOUTS
+            new = sorted(set(keys[_KEY_ROW.take(keys) < 0].tolist()))
+            made = list(map(_layout, new))
+            pad = [_source(31)] * _WIDE
+            _LAYOUTS[:] = [
+                np.vstack([table] + [text + pad[len(text):] for text in made]),
+                np.append(widths, list(map(len, made)))]
+            _KEY_ROW[new] = np.arange(len(table), len(table) + len(new))
+        rows = _KEY_ROW.take(keys)
+    return rows
+
+
+def _scaled(a, at, hi, lo, hi_high, hi_low):
+    """a * 10**p, with p at index ``at`` of the tables, as its floor and
+    fraction: Dekker's exact product of a and hi, plus a * lo. The floor
+    is exact and the fraction good to about 1e-14."""
+    split = _SPLIT * a
+    a_high = split - (split - a)
+    a_low = a - a_high
+    product = a * hi.take(at)
+    error = a_high * hi_high.take(at) - product
+    error += a_high * hi_low.take(at)
+    error += a_low * hi_high.take(at)
+    error += a_low * hi_low.take(at)
+    error += a * lo.take(at)
+    floor = np.floor(error)
+    error -= floor
+    return product.astype(np.int64) + floor.astype(np.int64), error
+
+
+def _float_bytes(x) -> np.ndarray:
+    """``repr`` of each cell of a finite float64 block of at most
+    `ROW_BLOCK` cells, as a `_PAD`-padded byte matrix.
+
+    For |x| in `_MADE` whose mantissa field is not zero, |x| * 10**(16 - e)
+    is formed as a double-double with e its decade, so that its floor f17
+    has 17 digits. ``repr`` is the nearest 15-digit decimal, f17 // 100
+    rounded and stripped of trailing zeros, if it lies strictly inside x's
+    rounding interval (half an ulp either side); else the nearest 16-digit
+    one if that is inside; else the nearest 17-digit one. A decimal of at
+    most 15 digits that rounds to x is its nearest one, and the interval is
+    symmetric, so the nearest candidate is inside whenever any is. A power
+    of two (its interval is lopsided), any other |x| but 0 and a cell within
+    `_MARGIN` of a tie or of the interval's edge go to ``repr``.
+    """
+    hi, lo, hi_high, hi_low, texts, zeros, last, constants = _tables()
+    n = x.size
+    a = np.abs(x)
+    made = (a >= _MADE[0]) & (a <= _MADE[1])
+    made &= x.view(np.uint64) << np.uint64(12) != 0
+    a[~made] = 1.0
+    at = 16 - np.floor(np.log10(a)).astype(np.int64) - _POWERS.start
+    f17, frac = _scaled(a, at, hi, lo, hi_high, hi_low)
+    moved = np.flatnonzero((f17 < 10 ** 16) | (f17 >= 10 ** 17))
+    if moved.size:  # log10 rounded across a power of ten
+        at[moved] += np.where(f17[moved] < 10 ** 16, 1, -1)
+        f17[moved], frac[moved] = _scaled(a[moved], at[moved], hi, lo,
+                                          hi_high, hi_low)
+    ulp = (a.view(np.uint64) & np.uint64(0x7FF << 52)) - np.uint64(52 << 52)
+    half = 0.5 * ulp.view(np.float64) * hi.take(at)
+    f16 = f17 // 10
+    f15 = f16 // 10
+    # |x| above f16 * 10 and f15 * 100, and to the nearest candidates
+    rest16 = (f17 - 10 * f16) + frac
+    rest15 = (f16 - 10 * f15) * 10 + rest16
+    off15 = np.minimum(rest15, 100.0 - rest15)
+    off16 = np.minimum(rest16, 10.0 - rest16)
+    off17 = np.minimum(frac, 1.0 - frac)
+    inside15 = off15 < half - _MARGIN
+    inside16 = off16 < half - _MARGIN
+    unsure = inside15 != (off15 < half + _MARGIN)
+    unsure |= inside16 != (off16 < half + _MARGIN)
+    unsure |= off17 >= half - _MARGIN
+    unsure |= off16 > 5.0 - _MARGIN  # ties
+    unsure |= off17 > 0.5 - _MARGIN
+    digits17 = np.where(inside15, (f15 + (rest15 > 50.0)) * 100,
+                        np.where(inside16, (f16 + (rest16 > 5.0)) * 10,
+                                 f17 + (frac > 0.5)))
+    carry = digits17 >= 10 ** 17  # rounded up to the next power of ten
+    digits17[carry] = 10 ** 16
+    zero = x == 0.0
+    digits17[zero] = 0
+    decpt = 17 - _POWERS.start + carry - at
+    decpt[zero] = 1
+    upper = digits17 // 10 ** 9
+    lower = digits17 - upper * 10 ** 9
+    g0 = upper // 10 ** 4
+    g1 = upper - g0 * 10 ** 4
+    tens = lower // 10
+    g2 = tens // 10 ** 4
+    g3 = tens - g2 * 10 ** 4
+    d17 = lower - tens * 10
+    source = np.empty((_SOURCE_WORDS, ROW_BLOCK), np.uint32)
+    for word, group in enumerate((g0, g1, g2, g3)):
+        texts.take(group, out=source[word, :n])
+    last.take(d17, out=source[4, :n])
+    source[5:] = constants[:, None]
+    trailing = zeros.take(g1) + (g1 == 0) * zeros.take(g0)
+    trailing = zeros.take(g2) + (g2 == 0) * trailing
+    trailing = zeros.take(g3) + (g3 == 0) * trailing
+    digits = 17 - (d17 == 0) * (1 + trailing)
+    digits[zero] = 1
+    keys = (decpt + 300) * 36 + digits * 2 + np.signbit(x)
+    keys[unsure | ~(made | zero)] = 0
+    rows = _layout_rows(keys)
+    table, widths = _LAYOUTS
+    slow = np.flatnonzero(rows == 0)
+    fallback = _encoded(list(map(repr, x.take(slow).tolist())))
+    width = max(int(widths.take(rows).max(initial=0)), fallback.shape[1])
+    offsets = table[:, :width].take(rows, axis=0)
+    offsets += 4 * np.arange(n)[:, None]
+    cells = source.view(np.uint8).ravel().take(offsets)
+    cells[slow, :fallback.shape[1]] = fallback
+    return cells
 
 
 def read_rows(path):

@@ -13,6 +13,8 @@ import inspect
 import io
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optocool import cli
+from optocool import cli, spectrum
 from optocool.config import DEFAULT_CONFIG, load_config
 from optocool.errors import DomainError
 from optocool.spectrum import ROW_BLOCK, format_artifact
@@ -139,12 +141,91 @@ def test_table_matches_oracle(columns, repeat):
     ({"x": np.array([-0.0, 5e-324, 1e16, 1e-5])},
      "x\n-0.0\n5e-324\n1e+16\n1e-05\n"),
     ({"u": ['a,"b"'], "v": ["x\ny"]}, 'u,v\n"a,""b""","x\ny"\n'),
+    ({"u": ["x\x00y", "é"], "v": np.array([1.5, -2.0])},
+     "u,v\nx\x00y,1.5\né,-2.0\n"),
 ], ids=["lone-empty-cell", "two-empty-cells", "empty-body", "floats",
-        "quoted-text"])
+        "quoted-text", "nul-and-utf8-text"])
 def test_edge_tables(table, text):
     expected = ("# optocool test\n" + text).splitlines(keepends=True)
     assert _outcome(format_artifact, table) == expected
     assert _outcome(_oracle, table) == expected
+
+
+# -- float cells: the vectorised digits against repr itself ----------------
+
+def _float_lines(values):
+    """The data lines of a one-column float table."""
+    cells = np.asarray(values, dtype=float)
+    return format_artifact(WHERE, [], {"x": cells}).splitlines()[1:]
+
+
+def _reprs(values):
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def test_float_edges_match_repr():
+    # powers of two have a lopsided rounding interval, powers of ten and
+    # their neighbours sit on each decimal point position's boundary (the
+    # exponent form starts at 1e-05 and at 1e+16)
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    values = np.concatenate([
+        [0.0, 5e-324, np.finfo(float).smallest_normal, 1e16, 1e-16, 1e-4,
+         1e-5, 9.999999999999999e-06, 0.30000000000000004,
+         1.7976931348623157e308, 0.1, 1.5, 123456789012345678.0],
+        2.0 ** np.arange(-1074, 1024), tens, np.nextafter(tens, 0.0),
+        np.nextafter(tens, np.inf)[:-1]])
+    values = np.concatenate([values, -values])
+    assert _float_lines(values) == _reprs(values)
+
+
+def test_random_floats_match_repr():
+    rng = np.random.default_rng(28)
+    bits = np.frombuffer(rng.bytes(8 * 210_000), np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],  # every exponent, mostly 17 digits
+        rng.normal(size=50_000) * 1e-7,  # a trace's scale
+        np.round(rng.normal(size=50_000) * 1e4, 3),  # few digits
+        np.arange(50_000) * 1e-3])
+    assert values.size > 350_000
+    assert _float_lines(values) == _reprs(values)
+
+
+def test_threads_make_layout_rows_alike(monkeypatch):
+    # a text's layout row is made at its key's first use in the process;
+    # threads that format new keys at once must each get their own rows
+    rng = np.random.default_rng(7)
+    blocks = [rng.random(ROW_BLOCK) * 10.0 ** rng.integers(-3 * i - 3, 3 * i)
+              for i in range(8)]
+    fresh = (np.where(spectrum._KEY_ROW > 0, -1, spectrum._KEY_ROW),
+             [table[:1] for table in spectrum._LAYOUTS])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(spectrum, "_KEY_ROW", fresh[0].copy())
+            monkeypatch.setattr(spectrum, "_LAYOUTS", list(fresh[1]))
+            lines = [None] * len(blocks)
+
+            def format_block(i):
+                lines[i] = _float_lines(blocks[i])
+
+            threads = [threading.Thread(target=format_block, args=(i,))
+                       for i in range(len(blocks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert lines == list(map(_reprs, blocks))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_seeded_trace_columns_match_repr():
+    args = cli.build_parser().parse_args(["--seed", "7", "simulate"])
+    (_, _, table), _ = args.func(args, load_config(None))
+    for name, cells in table.items():
+        assert _float_lines(cells) == _reprs(cells), name
 
 
 # -- traffic: every command's real output formats as the oracle does -------

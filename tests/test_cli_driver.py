@@ -88,6 +88,18 @@ class TestAllOrNothing:
         assert all(path.parent == out for path in opened)
         assert list(out.iterdir()) == []
 
+    def test_rerun_replaces_every_file(self, tmp_path):
+        # the rerun unlinks each old file before its rename: every file is
+        # the new text, whatever was there, and no temporary file is left
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "cascade", "run", "--g0", "1,0.5"]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for path in out.iterdir():
+            path.write_text("stale\n")
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
 
 class TestPsdHeader:
     def test_header_carries_segments_and_parseval_ratio(self, tmp_path):
@@ -277,6 +289,28 @@ class TestRefusedValues:
         self._refused(capsys, command + ["--input", str(path)],
                       tmp_path / "out",
                       f"{path}: field larger than field limit ({limit})")
+
+    def test_underflowing_sweep_floor_refused(self, tmp_path, capsys):
+        # the sweep read the key raw and wrote feedthrough_m2 = 0.0 rows
+        cfg = _config(tmp_path, imprecision_asd="1e-170 m/rtHz")
+        self._refused(capsys, ["--config", str(cfg), "cool", "sweep"],
+                      tmp_path / "out",
+                      "hli.imprecision_asd: must be > 0 with a finite, "
+                      "nonzero square, got 1e-170")
+
+    def test_underflowing_sweep_noise_refused(self, tmp_path, capsys):
+        self._refused(capsys, ["cool", "sweep", "--noise", "5e-12,1e-170"],
+                      tmp_path / "out",
+                      "--noise: an ASD must be 0 or have a finite, nonzero "
+                      "square, got 1e-170")
+
+    def test_zero_sweep_noise_is_a_noiseless_readout(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "cool", "sweep", "--gains", "1,10",
+                     "--noise", "0"]) == 0
+        _, feedthrough = read_columns(out / "cool_sweep_noise0.csv",
+                                      ("g", "feedthrough_m2"))
+        assert np.all(feedthrough == 0.0)
 
     @pytest.mark.parametrize("g0", ["0", "1,0", "-0"])
     def test_zero_g0_refused(self, tmp_path, capsys, g0):

@@ -400,16 +400,24 @@ class TestCli:
                        f"finite square, got {value!r}")
         assert not out.exists()
 
-    def test_tiny_readout_noise_reaches_noise_budget(self, tmp_path):
-        # 1e-170 Hz/rtHz squares to 0; its column must not read 0
+    @pytest.mark.parametrize("command", [["noise-budget"],
+                                         ["cascade", "run"]])
+    def test_underflowing_readout_noise_refused(self, tmp_path, capsys,
+                                                command):
+        # 1e-170 Hz/rtHz is a displacement floor whose square underflows to
+        # 0; a handover cascade stopped at the handover as if noiseless
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(_default_with("readout_noise_asd",
-                                          "1e-170 Hz/rtHz"))
-        run_command(["--config", str(cfg_path), "--out", str(tmp_path),
-                     "noise-budget"])
-        _, readout = read_columns(tmp_path / "noise_budget.csv",
-                                  ("freq_hz", "readout_hz_rthz"))
-        assert np.all(readout == 1e-170)
+        cfg_path.write_text(_default_with(
+            "readout_noise_asd", "1e-170 Hz/rtHz").replace(
+            "termination = gain", "termination = handover"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: config: fpi.readout_noise_asd: must be 0 or "
+                       "give a nonzero imprecision_psd, not one that "
+                       "underflows to 0, got 1e-170")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["cool", "optimum"], ["paper-report"],
                                          ["cascade", "run"]])

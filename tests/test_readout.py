@@ -124,11 +124,21 @@ class TestFpiOutputSpectrum:
             FpiReadout(fpi.cavity_length, fpi.wavelength, fpi.tuning_range,
                        fpi.finesse, readout_noise=noise)
 
-    def test_tiny_readout_noise_kept(self, fpi):
-        # 1e-170 squares to 0; the ASD itself must not be read back as 0
-        tiny = FpiReadout(fpi.cavity_length, fpi.wavelength,
-                          fpi.tuning_range, fpi.finesse, readout_noise=1e-170)
-        assert np.all(tiny.noise_asd(np.array([1.0, 30.0])) == 1e-170)
+    def test_underflowing_readout_noise_refused(self, fpi):
+        # 1e-170 Hz/rtHz is 1.8e-186 m/rtHz, whose square underflows to 0:
+        # a handover cascade would read it as a noiseless readout
+        with pytest.raises(DomainError, match=r"^readout_noise must be 0 or "
+                                              r"give a nonzero imprecision_psd"):
+            FpiReadout(fpi.cavity_length, fpi.wavelength, fpi.tuning_range,
+                       fpi.finesse, readout_noise=1e-170)
+
+    def test_tiny_readout_noise_with_nonzero_square_kept(self, fpi):
+        # a floor whose square in m^2/Hz is tiny but nonzero is kept as is
+        small = 1e-146 * fpi.displacement_to_frequency
+        kept = FpiReadout(fpi.cavity_length, fpi.wavelength,
+                          fpi.tuning_range, fpi.finesse, readout_noise=small)
+        assert kept.imprecision_psd > 0.0
+        assert np.all(kept.noise_asd(np.array([1.0, 30.0])) == small)
 
     def test_rss_combination(self, fpi, resonator):
         omega = np.logspace(-0.5, 0.5, 11) * resonator.omega0

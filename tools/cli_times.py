@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Wall time of each default CLI command, each run in a fresh process.
+
+    python3 tools/cli_times.py [--checkout .] [--runs 15] [--out FILE]
+
+Runs ``python -m optocool`` from ``<checkout>/src`` for every command that
+needs no argument, with the built-in config, and for ``psd`` of the default
+``simulate`` trace, which it writes once first. Every run writes into a new
+directory under one temporary directory, removed at the end, and is timed
+from the start of its process to its exit. The commands take turns, so a
+slow spell of the host is spread over all of them. It prints, and writes to
+``--out`` if given, one JSON object: per command the median and quartiles
+of its times in ms, and the number of runs. A command that exits nonzero
+stops the script with its stderr. Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = {
+    "susceptibility": ["susceptibility"],
+    "noise-budget": ["noise-budget"],
+    "cool sweep": ["cool", "sweep"],
+    "cool optimum": ["cool", "optimum"],
+    "cascade run": ["cascade", "run"],
+    "simulate": ["simulate"],
+    "psd": ["psd", "--input", "{trace}"],
+    "chain report": ["chain", "report"],
+    "paper-report": ["paper-report"],
+}
+
+
+def run(checkout, argv, out):
+    """Seconds from the start of one ``python -m optocool`` to its exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    env.pop("OPTOCOOL_OUT", None)
+    cmd = [sys.executable, "-m", "optocool", "--out", str(out), *argv]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)}: exit {proc.returncode}: {proc.stderr}")
+    return elapsed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--runs", type=int, default=15)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    if args.runs < 2:
+        parser.error("--runs: quartiles need at least 2 runs")
+
+    times = {name: [] for name in COMMANDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        run(args.checkout, ["simulate"], tmp / "trace")
+        trace = tmp / "trace" / "trace.csv"
+        for i in range(args.runs):
+            for j, (name, command) in enumerate(COMMANDS.items()):
+                command = [a.format(trace=trace) for a in command]
+                out = tmp / f"run{i}" / str(j)
+                times[name].append(run(args.checkout, command, out))
+    summary = {}
+    for name, values in times.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        summary[name] = {"median_ms": 1e3 * median, "q1_ms": 1e3 * q1,
+                         "q3_ms": 1e3 * q3, "runs": len(values)}
+    text = json.dumps({"python": sys.version.split()[0],
+                       "commands": summary}, indent=1)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    main()
