@@ -124,7 +124,7 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
                               f"nonzero square, got {bad[0]!r}")
     else:
         noises = [cfg.hli().imprecision_asd]
-    external = cfg.external_force_psd()
+    external = cfg.get("cooling", "external_force_psd")
     for asd in noises:
         nums = [closed_loop_variance(CoolingSetup(
             res, g, imprecision_psd=asd ** 2,

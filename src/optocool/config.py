@@ -10,9 +10,9 @@ SI values are echoed into every output artifact.
 
 ``_SCHEMA`` is the one statement of each key, its default and its allowed
 words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
-is parsed from its schema default exactly like a value from a file. The
-keys of ``[hli]`` and ``[cascade]`` are the fields of `HliReadout` and
-`CascadeConfig`, which are built from those sections as they stand.
+is parsed from its schema default exactly like a value from a file. Each
+model is built from its section's values by `ExperimentConfig._build`, so
+a value the model refuses reads ``<section>.<key>: <reason>, got <value>``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cascade import TERMINATE_GAIN, TERMINATE_HANDOVER, CascadeConfig
 from .constants import TWO_PI
@@ -203,19 +203,21 @@ class ExperimentConfig:
 
     # -- model builders -------------------------------------------------
 
-    def _build(self, section: str, cls, **fields):
-        """cls of the section's values, each passed as the field its key
-        names, or as ``fields[key]`` where the two differ. A refusal
-        ``DomainError("<field> <reason>")`` becomes one ``ConfigError``
-        naming the key; one that names no key passes through."""
+    def _build(self, section: str, model, **names):
+        """model of the section's values, each passed as the argument its
+        key names, or as ``names[key]`` where the two differ; a key named
+        None is not passed. A refusal ``DomainError("<argument> <reason>")``
+        becomes ``ConfigError("<section>.<key>: <reason>, got <value>")``;
+        one that names no key passes through."""
         values = self.values[section]
+        names = {key: names.get(key, key) for key in values}
         try:
-            return cls(**{fields.get(key, key): value
-                          for key, value in values.items()})
+            return model(**{name: values[key] for key, name in names.items()
+                            if name is not None})
         except DomainError as exc:
             field, reason = str(exc).split(" ", 1)
-            key = {v: k for k, v in fields.items()}.get(field, field)
-            if key not in values:
+            key = next((k for k, name in names.items() if name == field), None)
+            if key is None:
                 raise
             raise ConfigError(
                 f"{section}.{key}: {reason}, got {values[key]!r}") from exc
@@ -225,10 +227,8 @@ class ExperimentConfig:
         if r["q_internal"] == math.inf and r["viscous_rate"] == 0.0:
             raise ConfigError("resonator.q_internal: an infinite Q needs "
                               "viscous_rate > 0, or nothing damps the mass")
-        return MechanicalResonator(
-            mass=r["mass"], omega0=r["frequency"],
-            q_internal=r["q_internal"], gamma_viscous=r["viscous_rate"],
-            temperature=r["temperature"], loss_exponent=r["loss_exponent"])
+        return self._build("resonator", MechanicalResonator,
+                           frequency="omega0", viscous_rate="gamma_viscous")
 
     def fpi(self) -> FpiReadout:
         return self._build("fpi", FpiReadout,
@@ -244,23 +244,20 @@ class ExperimentConfig:
         return hli
 
     def chain(self) -> FeedbackChain:
-        c = self.values["chain"]
-        eoam = Eoam(half_wave_voltage=c["half_wave_voltage"],
-                    max_power=c["max_power"], bias_angle=c["bias_angle"],
-                    damage_threshold=c["damage_threshold"])
-        dac = c["dac_gain"]
-        if dac is None:
-            dac = max_dac_gain(c["half_wave_voltage"],
-                               self.get("hli", "wavelength"),
-                               c["displacement_span"])
-        return FeedbackChain(eoam=eoam, dac_gain=dac,
-                             wavelength=self.get("hli", "wavelength"))
+        wavelength = self.get("hli", "wavelength")
+
+        def build(half_wave_voltage, max_power, bias_angle, damage_threshold,
+                  dac_gain, x_pp):
+            eoam = Eoam(half_wave_voltage, max_power, bias_angle,
+                        damage_threshold)
+            if dac_gain is None:
+                dac_gain = max_dac_gain(half_wave_voltage, wavelength, x_pp)
+            return FeedbackChain(eoam, dac_gain, wavelength)
+
+        return self._build("chain", build, displacement_span="x_pp")
 
     def imprecision_psd(self) -> float:
         return self.hli().imprecision_psd
-
-    def external_force_psd(self):
-        return self.get("cooling", "external_force_psd")
 
     def cascade_config(self) -> CascadeConfig:
         cascade = self._build("cascade", CascadeConfig)
@@ -280,15 +277,8 @@ class ExperimentConfig:
         return preset_resonator(res, PRESET_QUALITIES[preset])
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
-        s = self.values["sim"]
-        return SimConfig(
-            duration=s["duration"],
-            dt=s["dt"],
-            seed=s["seed"] if seed is None else seed,
-            x0=s["initial_position"],
-            controller=s["controller"], gain=s["gain"],
-            bandpass_quality=s["bandpass_quality"],
-            dac_bits=s["dac_bits"])
+        sim = self._build("sim", SimConfig, initial_position="x0", preset=None)
+        return sim if seed is None else replace(sim, seed=seed)
 
 
 def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig:

@@ -59,8 +59,8 @@ class FpiReadout:
             raise DomainError("readout_noise must be 0 or give a nonzero "
                               "imprecision_psd, not one that underflows to 0")
         if self.capture_range() >= self.dynamic_range():
-            raise DomainError(
-                "capture range wavelength/finesse must be below the dynamic range")
+            raise DomainError("finesse must put the capture range "
+                              "wavelength/finesse below the dynamic range")
 
     @property
     def displacement_to_frequency(self) -> float:

@@ -88,6 +88,8 @@ class SimConfig:
     gain            : unitless g of the derivative controller
     bandpass_quality: quality of the velocity-estimate bandpass
     dac_bits        : optional DAC quantization depth for the chain controller
+
+    A refused value raises ``DomainError("<field> <reason>")``.
     """
 
     duration: float
@@ -102,23 +104,23 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
-            raise ConfigError("duration must be finite and > 0")
+            raise DomainError("duration must be finite and > 0")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
+            raise DomainError("dt must be finite and > 0")
         if self.controller not in CONTROLLERS:
-            raise ConfigError(f"unknown controller mode {self.controller!r}")
+            raise DomainError(f"controller must be one of {list(CONTROLLERS)}")
         if self.controller == "derivative" and not self.gain >= 0.0:
-            raise ConfigError("gain must be >= 0")
+            raise DomainError("gain must be >= 0")
         # a non-finite input would spoil a whole block of the recursion
         if not math.isfinite(self.x0):
-            raise ConfigError(f"x0 must be finite, got {self.x0!r}")
+            raise DomainError("x0 must be finite")
         if (self.ext_samples is not None
                 and not np.all(np.isfinite(self.ext_samples))):
-            raise ConfigError("ext_samples must be finite")
+            raise DomainError("ext_samples must be finite")
         if not 0.0 < self.bandpass_quality < math.inf:
-            raise ConfigError("bandpass_quality must be finite and > 0")
+            raise DomainError("bandpass_quality must be finite and > 0")
         if self.dac_bits is not None and not self.dac_bits >= 1:
-            raise ConfigError(f"dac_bits must be >= 1, got {self.dac_bits}")
+            raise DomainError("dac_bits must be >= 1")
 
     def resolve_dt(self, res: MechanicalResonator) -> float:
         f0 = res.omega0 / TWO_PI

@@ -246,7 +246,7 @@ class TestRefusedValues:
         cfg = _config(tmp_path, dt=value)
         self._refused(capsys, ["--config", str(cfg), "simulate"],
                       tmp_path / "out",
-                      f"dt must be finite and > 0, got {shown}")
+                      f"sim.dt: must be finite and > 0, got {shown}")
 
     @pytest.mark.parametrize("value, shown", [
         ("-4.72", "-4.72"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
@@ -348,6 +348,45 @@ class TestRefusedValues:
         cfg = _config(tmp_path, **{key: value})
         self._refused(capsys, ["--config", str(cfg), "cascade", "run"],
                       tmp_path / "out", f"cascade.{key}: {reason}, got {shown}")
+
+    @pytest.mark.parametrize("section, lines, reason, shown", [
+        ("resonator", {"mass": "0 g"}, "must be > 0", "0.0"),
+        ("resonator", {"frequency": "0 Hz"}, "must be > 0", "0.0"),
+        ("resonator", {"temperature": "nan K"}, "must be >= 0", "nan"),
+        ("resonator", {"q_internal": "-1"}, "must be > 0", "-1.0"),
+        ("resonator", {"loss_exponent": "inf"}, "must be finite", "inf"),
+        ("chain", {"half_wave_voltage": "0 V"}, "must be > 0", "0.0"),
+        ("chain", {"max_power": "1 W"},
+         "must be in (0, damage_threshold=0.1 W]", "1.0"),
+        ("chain", {"bias_angle": "100 deg"}, "must be in [0, pi/2]",
+         repr(100 * math.pi / 180)),
+        ("chain", {"dac_gain": "-1 V/rad"}, "must be >= 0", "-1.0"),
+        ("chain", {"displacement_span": "0 um"}, "must be > 0", "0.0"),
+        ("sim", {"duration": "inf s"}, "must be finite and > 0", "inf"),
+        ("sim", {"bandpass_quality": "0"}, "must be finite and > 0", "0.0"),
+        ("sim", {"dac_bits": "0"}, "must be >= 1", "0"),
+        ("sim", {"initial_position": "nan m"}, "must be finite", "nan"),
+        # a capture range wavelength/finesse of 0.53 um tops the 0.18 um
+        # dynamic range of a 1 GHz tuning range
+        ("fpi", {"finesse": "2", "tuning_range": "1 GHz"},
+         "must put the capture range wavelength/finesse below the dynamic "
+         "range", "2.0"),
+    ], ids=["resonator.mass", "resonator.frequency", "resonator.temperature",
+            "resonator.q_internal", "resonator.loss_exponent",
+            "chain.half_wave_voltage", "chain.max_power", "chain.bias_angle",
+            "chain.dac_gain", "chain.displacement_span", "sim.duration",
+            "sim.bandpass_quality", "sim.dac_bits", "sim.initial_position",
+            "fpi.finesse"])
+    def test_bad_model_value(self, tmp_path, capsys, section, lines, reason,
+                             shown):
+        # these exited 1 naming no key, or 2 naming the model's field
+        command = {"resonator": ["chain", "report"],
+                   "chain": ["chain", "report"], "sim": ["simulate"],
+                   "fpi": ["noise-budget"]}[section]
+        key = next(iter(lines))  # the key the model refuses
+        cfg = _config(tmp_path, **lines)
+        self._refused(capsys, ["--config", str(cfg)] + command,
+                      tmp_path / "out", f"{section}.{key}: {reason}, got {shown}")
 
     def test_undecodable_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"

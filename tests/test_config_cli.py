@@ -261,11 +261,11 @@ class TestCli:
                                             "temperature = nan K"))
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out),
-                     "simulate"]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error: DomainError: temperature")
-        assert "\n" not in err
-        assert not (out / "trace.csv").exists()
+                     "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config: resonator.temperature: must be >= 0, "
+                       "got nan\n")
+        assert not out.exists()
 
     def test_infinite_duration_refused(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
@@ -282,7 +282,8 @@ class TestCli:
         ("controller = derivative\ngain = 2000\nbandpass_quality = 0.3\n",
          "derivative loop unstable at gain = 2000, bandpass_quality = 0.3: "
          "spectral radius 1.01786 >= 1"),
-        ("initial_position = nan m\n", "x0 must be finite, got nan")])
+        ("initial_position = nan m\n",
+         "sim.initial_position: must be finite, got nan")])
     def test_bad_sim_run_refused(self, tmp_path, capsys, lines, message):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\n" + lines)
@@ -361,7 +362,7 @@ class TestCli:
         assert main(["--config", str(cfg_path), "--out", str(out),
                      "simulate"]) == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith(f"error: config: {line.split()[0]} must be")
+        assert err.startswith(f"error: config: sim.{line.split()[0]}: must be")
         assert "\n" not in err
         assert list(out.glob("*")) == []
 

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from optocool import (ConfigError, CoolingSetup, DivergenceError, Eoam,
-                      FeedbackChain, HliReadout, KB, MechanicalResonator,
+from optocool import (ConfigError, CoolingSetup, DivergenceError, DomainError,
+                      Eoam, FeedbackChain, HliReadout, KB, MechanicalResonator,
                       SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
@@ -247,27 +247,27 @@ class TestValidation:
     @pytest.mark.parametrize("quality", [0.0, -1.0, math.inf, math.nan])
     def test_bad_bandpass_quality_refused(self, quality):
         # an infinite quality would zero the bandpass and switch feedback off
-        with pytest.raises(ConfigError, match="bandpass_quality must be"):
+        with pytest.raises(DomainError, match="bandpass_quality must be"):
             SimConfig(duration=1.0, controller="derivative", gain=10.0,
                       bandpass_quality=quality)
 
     @pytest.mark.parametrize("dt", [0.0, -0.0, -1.0, math.inf, math.nan])
     def test_bad_dt_refused(self, dt):
         # these failed later: 0 by ZeroDivisionError, nan and -1 by ValueError
-        with pytest.raises(ConfigError, match=r"^dt must be finite and > 0"):
+        with pytest.raises(DomainError, match=r"^dt must be finite and > 0"):
             SimConfig(duration=1.0, dt=dt)
 
     @pytest.mark.parametrize("bits", [0, -3])
     def test_dac_bits_below_one_refused(self, bits):
         # a DAC has at least one bit; at -3 its 8 Vpi step rounds every
         # control voltage to 0
-        with pytest.raises(ConfigError, match="dac_bits must be >= 1"):
+        with pytest.raises(DomainError, match="dac_bits must be >= 1"):
             SimConfig(duration=1.0, controller="chain", dac_bits=bits)
 
     def test_bad_modes_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             SimConfig(duration=1.0, controller="pid")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             SimConfig(duration=1.0, controller="derivative", gain=math.nan)
 
 
@@ -492,12 +492,12 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("field, value", [
         ("x0", math.nan), ("x0", math.inf)])
     def test_scalar_refused(self, field, value):
-        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
             SimConfig(duration=30.0, **{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_samples_refused(self, value):
         samples = np.zeros(20000)
         samples[123] = value
-        with pytest.raises(ConfigError, match="^ext_samples must be finite"):
+        with pytest.raises(DomainError, match="^ext_samples must be finite"):
             SimConfig(duration=30.0, ext_samples=samples)
