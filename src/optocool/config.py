@@ -244,7 +244,7 @@ class ExperimentConfig:
         return hli
 
     def chain(self) -> FeedbackChain:
-        wavelength = self.get("hli", "wavelength")
+        wavelength = self.hli().wavelength
 
         def build(half_wave_voltage, max_power, bias_angle, damage_threshold,
                   dac_gain, x_pp):

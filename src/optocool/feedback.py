@@ -40,6 +40,8 @@ class Eoam:
     def __post_init__(self):
         if not self.half_wave_voltage > 0.0:
             raise DomainError("half_wave_voltage must be > 0")
+        if not 0.0 < self.damage_threshold < math.inf:
+            raise DomainError("damage_threshold must be finite and > 0")
         if not 0.0 < self.max_power <= self.damage_threshold:
             raise DomainError(
                 f"max_power must be in (0, damage_threshold="

@@ -13,17 +13,21 @@ Every artifact is formatted by `format_artifact` and written by
 lines or a CSV table. Floats and complex values are written as ``repr``
 writes them, and a non-finite one is refused with a `DomainError` naming
 the file, the column (or key) and the value of the first one in row order,
-so no file full of ``nan`` is ever written. A table is a dict of columns,
-formatted in blocks of `ROW_BLOCK` rows, and columns of unequal length are
-refused. Each column of a block becomes a byte matrix of UTF-8 cells padded
-with `_PAD` (0xFF, a byte UTF-8 never uses); the matrices are joined with
-``,`` and line breaks, and one ``bytes.replace`` drops the padding. A
-float64 array gets one finite check and `_float_bytes`, a vectorised kernel
-whose text is ``repr``'s byte for byte; it hands a power of two, an |x|
-outside [1e-270, 1e270] but 0, and a cell within 1e-9 of a rounding tie or
-of its rounding interval's edge to ``repr`` itself. A complex128 array is
-written by ``repr``, and any other column (a list, an integer array) cell
-by cell as `csv.writer` writes it.
+so no file full of ``nan`` is ever written. A header or text line holding a
+line break is refused too: it would split into a line that is not a
+comment. A table is a dict of columns, formatted in blocks of `ROW_BLOCK`
+rows, and columns of unequal length are refused. Each column of a block
+becomes a byte matrix of UTF-8 cells padded with `_PAD` (0xFF, a byte UTF-8
+never uses); the matrices are joined with ``,`` and line breaks, and one
+``bytes.replace`` drops the padding. A float64 array gets one finite check
+and `_float_bytes`, a vectorised kernel whose text is ``repr``'s byte for
+byte; it hands a power of two, an |x| outside [1e-270, 1e270] but 0, and a
+cell within 1e-9 of a rounding tie or of its rounding interval's edge to
+``repr`` itself, and lays every other cell out through one fixed table of
+the 816 text shapes ``repr`` writes, built once with its other tables: no
+layout is made at first use, and formatting changes no module state. A
+complex128 array is written by ``repr``, and any other column (a list, an
+integer array) cell by cell as `csv.writer` writes it.
 
 The one input the CLI reads is a sampled trace, and `read_columns` is the
 only code that turns its cells into numbers. Its header is the first row
@@ -43,7 +47,6 @@ import csv
 import io
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -143,17 +146,22 @@ def format_artifact(where, header_lines, body) -> str:
     A dict body is a table, ``{column name: cells}`` with each column's
     cells an ndarray or a list; any other body is text, each item a plain
     line or a ``(key, value)`` pair. ``where`` (the file's path) prefixes
-    the message of a refused non-finite value or unequal column lengths.
+    the message of a refused non-finite value, header or text line holding
+    a line break, or unequal column lengths.
     """
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
+    lines = [f"# {line}" for line in header_lines]
     if not isinstance(body, dict):
         for line in body:
             if not isinstance(line, str):
                 key, value = line
                 line = f"{key} = {_cell(value, f'{where}: {key}')}"
-            buf.write(line + "\n")
+            lines.append(line)
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise DomainError(f"{where}: line break in {line!r}")
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in lines)
+    if not isinstance(body, dict):
         return buf.getvalue()
     lengths = {name: len(cells) for name, cells in body.items()}
     if len(set(lengths.values())) > 1:
@@ -253,10 +261,12 @@ def _cell(value, where: str):
 # -- float cells: ``repr``'s shortest round-trip digits, a block at once --
 #
 # A cell's digits are made as a 17-digit integer with the position of its
-# decimal point; its text is a gather of the digit bytes and of constant
-# bytes (a sign, the point, an exponent) through one layout row per
-# distinct (point position, digit count, sign) key. A cell whose digits
-# are not certain here is written by ``repr`` itself.
+# decimal point, and its source bytes are a row: digits 1-17, ``000``, the
+# four digits of its exponent |point - 1|, ``-.e+`` and padding. Its text is
+# gathered from the row by the layout of its shape: its form (the point
+# position if ``repr`` writes it fixed, else the exponent's sign and digit
+# count), digit count and sign. `_tables` builds every layout once; a cell
+# whose digits are not certain here has shape 0 and is written by repr.
 
 _PAD = 0xFF  # pads every cell to its column's width; UTF-8 never uses it
 _PAD_BYTE = bytes([_PAD])
@@ -266,24 +276,40 @@ _MARGIN = 1e-9  # a cell this close to a tie or to its rounding interval's
 #                 edge, in units of its 17th digit, is left to repr
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double in halves
 _WIDE = 24  # the longest repr of a float: -2.2250738585072014e-308
-# The source block holds the bytes a layout gathers, word by word: word w
-# of row i is at byte 4 * (w * ROW_BLOCK + i). Words 0-3 are digits 1-16,
-# word 4 is digit 17 then "-.e", words 5-8 are "+0123456789" and padding.
-_CONSTANTS = b"-.e+0123456789"
-_SOURCE_WORDS = 9
+_DECPTS = range(-300, 300)  # holds 17 - p and 18 - p for each p in _POWERS
+_SOURCE = 32  # bytes of a cell's source row, 8 words
+# indices in a source row, after digit k at k - 1 for k in 1-17; the
+# exponent's 4 digits end at _MINUS
+_ZERO, _MINUS, _POINT, _E, _PLUS, _BLANK = 17, 24, 25, 26, 27, 28
 
 
-def _source(byte: int) -> int:
-    """Offset in the source block of row 0's byte ``byte``: 0-16 are the
-    digits, 17 on the constants."""
-    return 4 * (byte // 4 * ROW_BLOCK) + byte % 4
+def _layout(decpt: int, digits: int, negative: int) -> list:
+    """Source row indices of a text, laid out as ``repr`` does: with an
+    exponent if the point position ``decpt`` is <= -4 or > 16, else fixed,
+    with a leading ``0.`` or a trailing ``.0`` where needed."""
+    text = list(range(digits))
+    if decpt <= -4 or decpt > 16:
+        text[1:1] = [_POINT] if digits > 1 else []
+        text += [_E, _MINUS if decpt < 1 else _PLUS]
+        text += range(_MINUS - len(f"{abs(decpt - 1):02d}"), _MINUS)
+    elif decpt <= 0:
+        text = [_ZERO, _POINT] + [_ZERO] * -decpt + text
+    elif decpt < digits:
+        text.insert(decpt, _POINT)
+    else:
+        text += [_ZERO] * (decpt - digits) + [_POINT, _ZERO]
+    return [_MINUS] * negative + text
 
 
 @cache
 def _tables():
     """10**p for p in `_POWERS` as double-doubles (hi, lo), hi split in
     halves; the ASCII text and trailing zero count of each 4-digit group;
-    digit 17's word; the source block's constant words."""
+    the source words of ``-.e+`` and padding; per point position in
+    `_DECPTS`, its exponent's source word and 34 * its form - 1, where
+    positions whose 17-digit texts lay out alike share a form; and the
+    layout of each shape 34 form + 2 digits + negative - 1 and of shape 0,
+    padded with `_BLANK`, and its width."""
     hi, lo = [], []
     for p in _POWERS:
         num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
@@ -297,59 +323,21 @@ def _tables():
     places = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
     texts = (places + ord("0")).astype(np.uint8).view(np.uint32).ravel()
     zeros = (places[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
-    last = np.zeros((10, 4), np.uint8)
-    last[:, 0] = np.arange(ord("0"), ord("9") + 1)
-    last[:, 1:] = np.frombuffer(_CONSTANTS[:3], np.uint8)
-    constants = np.frombuffer(_CONSTANTS[3:].ljust(16, _PAD_BYTE), np.uint32)
+    signs = np.frombuffer(b"-.e+".ljust(8, _PAD_BYTE), np.uint32)
+    forms, starts = {}, []  # a form's 17-digit layout -> (form, a decpt)
+    for decpt in _DECPTS:
+        form, _ = forms.setdefault(tuple(_layout(decpt, 17, 0)),
+                                   (len(forms), decpt))
+        starts.append(34 * form - 1)
+    made = [[]] + [_layout(decpt, digits, negative)
+                   for _, decpt in forms.values()
+                   for digits in range(1, 18) for negative in (0, 1)]
+    layouts = np.array([text + [_BLANK] * (_WIDE - len(text))
+                        for text in made])
     return (hi, np.array(lo), hi_high, hi - hi_high, texts, zeros,
-            last.view(np.uint32).ravel(), constants)
-
-
-def _layout(key: int) -> list:
-    """Source offsets of one key's text, laid out as ``repr`` does: with an
-    exponent if the point position ``decpt`` is <= -4 or > 16, else fixed,
-    with a leading ``0.`` or a trailing ``.0`` where needed."""
-    decpt, digits, negative = key // 36 - 300, key % 36 // 2, key % 2
-    minus, point, e, plus, zero = map(_source, range(17, 22))
-    text = list(map(_source, range(digits)))
-    if decpt <= -4 or decpt > 16:
-        exponent = [_source(21 + int(c)) for c in f"{abs(decpt - 1):02d}"]
-        text[1:1] = [point] if digits > 1 else []
-        text += [e, minus if decpt < 1 else plus] + exponent
-    elif decpt <= 0:
-        text = [zero, point] + [zero] * -decpt + text
-    elif decpt < digits:
-        text.insert(decpt, point)
-    else:
-        text += [zero] * (decpt - digits) + [point, zero]
-    return [minus] * negative + text
-
-
-_KEY_ROW = np.full(36 * 600, -1, np.intp)  # key -> its layout row, or -1
-_KEY_ROW[0] = 0  # key 0 is a repr cell; layout row 0 is all padding
-_LAYOUTS = [np.full((1, _WIDE), _source(31), np.intp), np.zeros(1, np.intp)]
-_MAKING = threading.Lock()
-
-
-def _layout_rows(keys):
-    """The layout row of each key, made at the key's first use.
-
-    Rows are only appended, and a key's row number is stored after the
-    table holding its row, so a thread that reads the number finds the row.
-    """
-    rows = _KEY_ROW.take(keys)
-    if rows.min() < 0:
-        with _MAKING:
-            table, widths = _LAYOUTS
-            new = sorted(set(keys[_KEY_ROW.take(keys) < 0].tolist()))
-            made = list(map(_layout, new))
-            pad = [_source(31)] * _WIDE
-            _LAYOUTS[:] = [
-                np.vstack([table] + [text + pad[len(text):] for text in made]),
-                np.append(widths, list(map(len, made)))]
-            _KEY_ROW[new] = np.arange(len(table), len(table) + len(new))
-        rows = _KEY_ROW.take(keys)
-    return rows
+            signs,
+            texts.take(np.abs(np.array(_DECPTS) - 1)), np.array(starts),
+            layouts, np.array(list(map(len, made))))
 
 
 def _scaled(a, at, hi, lo, hi_high, hi_low):
@@ -370,9 +358,9 @@ def _scaled(a, at, hi, lo, hi_high, hi_low):
     return product.astype(np.int64) + floor.astype(np.int64), error
 
 
-def _float_bytes(x) -> np.ndarray:
-    """``repr`` of each cell of a finite float64 block of at most
-    `ROW_BLOCK` cells, as a `_PAD`-padded byte matrix.
+def _digits(x, hi, lo, hi_high, hi_low):
+    """The digits of each cell's ``repr`` as a 17-digit integer, the
+    position of their decimal point, and which cells ``repr`` must write.
 
     For |x| in `_MADE` whose mantissa field is not zero, |x| * 10**(16 - e)
     is formed as a double-double with e its decade, so that its floor f17
@@ -385,8 +373,6 @@ def _float_bytes(x) -> np.ndarray:
     of two (its interval is lopsided), any other |x| but 0 and a cell within
     `_MARGIN` of a tie or of the interval's edge go to ``repr``.
     """
-    hi, lo, hi_high, hi_low, texts, zeros, last, constants = _tables()
-    n = x.size
     a = np.abs(x)
     made = (a >= _MADE[0]) & (a <= _MADE[1])
     made &= x.view(np.uint64) << np.uint64(12) != 0
@@ -424,6 +410,16 @@ def _float_bytes(x) -> np.ndarray:
     digits17[zero] = 0
     decpt = 17 - _POWERS.start + carry - at
     decpt[zero] = 1
+    return digits17, decpt, unsure | ~(made | zero)
+
+
+def _float_bytes(x) -> np.ndarray:
+    """``repr`` of each cell of a finite float64 block of at most
+    `ROW_BLOCK` cells, as a `_PAD`-padded byte matrix: `_digits` laid out
+    by `_tables`, in a call of its own so its arrays go before the gather."""
+    tables = _tables()
+    digits17, decpt, left = _digits(x, *tables[:4])
+    texts, zeros, signs, exponents, starts, layouts, widths = tables[4:]
     upper = digits17 // 10 ** 9
     lower = digits17 - upper * 10 ** 9
     g0 = upper // 10 ** 4
@@ -432,25 +428,23 @@ def _float_bytes(x) -> np.ndarray:
     g2 = tens // 10 ** 4
     g3 = tens - g2 * 10 ** 4
     d17 = lower - tens * 10
-    source = np.empty((_SOURCE_WORDS, ROW_BLOCK), np.uint32)
-    for word, group in enumerate((g0, g1, g2, g3)):
-        texts.take(group, out=source[word, :n])
-    last.take(d17, out=source[4, :n])
-    source[5:] = constants[:, None]
+    at_decpt = decpt - _DECPTS.start
+    source = np.empty((len(x), _SOURCE // 4), np.uint32)
+    for word, group in enumerate((g0, g1, g2, g3, d17 * 1000)):
+        texts.take(group, out=source[:, word])
+    exponents.take(at_decpt, out=source[:, 5])
+    source[:, 6:] = signs
     trailing = zeros.take(g1) + (g1 == 0) * zeros.take(g0)
     trailing = zeros.take(g2) + (g2 == 0) * trailing
     trailing = zeros.take(g3) + (g3 == 0) * trailing
-    digits = 17 - (d17 == 0) * (1 + trailing)
-    digits[zero] = 1
-    keys = (decpt + 300) * 36 + digits * 2 + np.signbit(x)
-    keys[unsure | ~(made | zero)] = 0
-    rows = _layout_rows(keys)
-    table, widths = _LAYOUTS
-    slow = np.flatnonzero(rows == 0)
+    digits = np.maximum(17 - (d17 == 0) * (1 + trailing), 1)  # 0 has 1
+    shapes = starts.take(at_decpt) + 2 * digits + np.signbit(x)
+    shapes[left] = 0
+    slow = np.flatnonzero(left)
     fallback = _encoded(list(map(repr, x.take(slow).tolist())))
-    width = max(int(widths.take(rows).max(initial=0)), fallback.shape[1])
-    offsets = table[:, :width].take(rows, axis=0)
-    offsets += 4 * np.arange(n)[:, None]
+    width = max(int(widths.take(shapes).max(initial=0)), fallback.shape[1])
+    offsets = layouts[:, :width].take(shapes, axis=0)
+    offsets += _SOURCE * np.arange(len(x))[:, None]
     cells = source.view(np.uint8).ravel().take(offsets)
     cells[slow, :fallback.shape[1]] = fallback
     return cells

@@ -190,20 +190,68 @@ def test_random_floats_match_repr():
     assert _float_lines(values) == _reprs(values)
 
 
-def test_threads_make_layout_rows_alike(monkeypatch):
-    # a text's layout row is made at its key's first use in the process;
-    # threads that format new keys at once must each get their own rows
+# each repr shape: the point position if it is written fixed, else the
+# exponent's sign and digit count; each with the exponents that bound it
+_SHAPE_EXPONENTS = {decpt: [decpt - 1] for decpt in range(-3, 17)} | {
+    ("+", 2): [16, 99], ("-", 2): [-5, -99], ("+", 3): [100, 269],
+    ("-", 3): [-100, -269]}
+
+
+def _shape(text):
+    """(form, digit count, sign) of a nonzero float's repr."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    if exponent:
+        form = (exponent[0], len(exponent) - 1)
+    else:
+        form = len(whole) - (len(digits) - len(digits.lstrip("0")))
+    return form, len(digits.strip("0")), text.startswith("-")
+
+
+def test_every_repr_shape_matches_repr(monkeypatch):
+    # one value per shape and exponent, found in a seeded stream of digit
+    # strings, that the kernel lays out itself: a cell it leaves to repr
+    # (a power of two, a near tie) is logged in ``left`` and not taken
+    left = []
+    monkeypatch.setattr(spectrum, "repr", lambda v: left.append(v) or repr(v),
+                        raising=False)
+    rng = np.random.default_rng(30)
+    shapes = [(form, count, negative) for form in _SHAPE_EXPONENTS
+              for count in range(1, 18) for negative in (False, True)]
+    values = []
+    for form, count, negative in shapes:
+        for exponent in _SHAPE_EXPONENTS[form]:
+            for _ in range(1000):
+                digits = rng.integers([1] + [0] * (count - 2) + [1], 10)
+                text = "".join(map(str, digits[-count:]))
+                value = float(f"{'-' * negative}{text[0]}.{text[1:]}"
+                              f"e{exponent}")
+                left.clear()
+                _float_lines([value])
+                if _shape(repr(value)) == (form, count, negative) and not left:
+                    values.append(value)
+                    break
+            else:
+                pytest.fail(f"no value of shape {(form, count, negative)} "
+                            f"and exponent {exponent}")
+    assert len(set(shapes)) == 24 * 17 * 2
+    assert {_shape(text) for text in _reprs(values)} == set(shapes)
+    left.clear()
+    assert _float_lines(values) == _reprs(values)
+    assert not left
+
+
+def test_threads_format_alike():
+    # the layouts are built once; threads that format blocks of many
+    # shapes at once must each get their own text
     rng = np.random.default_rng(7)
     blocks = [rng.random(ROW_BLOCK) * 10.0 ** rng.integers(-3 * i - 3, 3 * i)
               for i in range(8)]
-    fresh = (np.where(spectrum._KEY_ROW > 0, -1, spectrum._KEY_ROW),
-             [table[:1] for table in spectrum._LAYOUTS])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(spectrum, "_KEY_ROW", fresh[0].copy())
-            monkeypatch.setattr(spectrum, "_LAYOUTS", list(fresh[1]))
             lines = [None] * len(blocks)
 
             def format_block(i):

@@ -19,12 +19,14 @@ from optocool.simulate import stream_rng
 from optocool.spectrum import format_artifact, read_columns, uniform_rate
 
 
-def _config(tmp_path, **lines):
-    """DEFAULT_CONFIG with each ``key = value`` line replaced, as a file."""
+def _config(tmp_path, section=None, **lines):
+    """DEFAULT_CONFIG with each ``key = value`` line replaced, as a file:
+    the key's first line, or its first after the ``[section]`` header."""
     text = DEFAULT_CONFIG
+    start = text.index(f"[{section}]") if section else 0
     for key, value in lines.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1,
-                      flags=re.M)
+        text = text[:start] + re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                                     text[start:], count=1, flags=re.M)
     path = tmp_path / "cfg.ini"
     path.write_text(text)
     return path
@@ -362,6 +364,15 @@ class TestRefusedValues:
          repr(100 * math.pi / 180)),
         ("chain", {"dac_gain": "-1 V/rad"}, "must be >= 0", "-1.0"),
         ("chain", {"displacement_span": "0 um"}, "must be > 0", "0.0"),
+        # these blamed max_power, or failed at format time on an inf cell
+        ("chain", {"damage_threshold": "0 W"}, "must be finite and > 0",
+         "0.0"),
+        ("chain", {"damage_threshold": "-1 W"}, "must be finite and > 0",
+         "-1.0"),
+        ("chain", {"damage_threshold": "inf W"}, "must be finite and > 0",
+         "inf"),
+        # the chain read it raw and FeedbackChain refused it naming no key
+        ("hli", {"wavelength": "0 nm"}, "must be > 0", "0.0"),
         ("sim", {"duration": "inf s"}, "must be finite and > 0", "inf"),
         ("sim", {"bandpass_quality": "0"}, "must be finite and > 0", "0.0"),
         ("sim", {"dac_bits": "0"}, "must be >= 1", "0"),
@@ -374,19 +385,25 @@ class TestRefusedValues:
     ], ids=["resonator.mass", "resonator.frequency", "resonator.temperature",
             "resonator.q_internal", "resonator.loss_exponent",
             "chain.half_wave_voltage", "chain.max_power", "chain.bias_angle",
-            "chain.dac_gain", "chain.displacement_span", "sim.duration",
+            "chain.dac_gain", "chain.displacement_span",
+            "chain.damage_threshold", "chain.damage_threshold-negative",
+            "chain.damage_threshold-inf", "hli.wavelength", "sim.duration",
             "sim.bandpass_quality", "sim.dac_bits", "sim.initial_position",
             "fpi.finesse"])
     def test_bad_model_value(self, tmp_path, capsys, section, lines, reason,
                              shown):
         # these exited 1 naming no key, or 2 naming the model's field
-        command = {"resonator": ["chain", "report"],
-                   "chain": ["chain", "report"], "sim": ["simulate"],
-                   "fpi": ["noise-budget"]}[section]
+        commands = {"resonator": [["chain", "report"]],
+                    "chain": [["chain", "report"], ["cascade", "run"]],
+                    "hli": [["chain", "report"], ["cascade", "run"],
+                            ["paper-report"]],
+                    "sim": [["simulate"]], "fpi": [["noise-budget"]]}[section]
         key = next(iter(lines))  # the key the model refuses
-        cfg = _config(tmp_path, **lines)
-        self._refused(capsys, ["--config", str(cfg)] + command,
-                      tmp_path / "out", f"{section}.{key}: {reason}, got {shown}")
+        cfg = _config(tmp_path, section, **lines)
+        for command in commands:
+            self._refused(capsys, ["--config", str(cfg)] + command,
+                          tmp_path / "out",
+                          f"{section}.{key}: {reason}, got {shown}")
 
     def test_undecodable_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
@@ -421,6 +438,34 @@ class TestRefusedValues:
         self._refused(capsys, command, out,
                       f"{out / name}: {shown!r} makes it twice; list values "
                       "equal to 6 digits share a file name")
+
+
+@pytest.mark.parametrize("where", ["psd", "ringdown-fit", "config"])
+def test_line_break_in_a_path_refused(tmp_path, capsys, where):
+    # the path split a header or text line, so the artifact held a line
+    # that was neither a # comment nor data, and could not be read back
+    odd = tmp_path / "a\nb"
+    odd.mkdir()
+    trace = _trace(odd, "t_s,value\n" + "".join(
+        f"{0.1 * i!r},{math.exp(-0.1 * i) * math.cos(3.0 * i)!r}\n"
+        for i in range(64)))
+    cfg = odd / "cfg.ini"
+    cfg.write_text(DEFAULT_CONFIG)
+    argv, name, line = {
+        "psd": (["psd", "--input", str(trace), "--column", "value",
+                 "--segment", "32"], "psd_value.csv",
+                f"# optocool {cli.__version__} psd input={trace} "
+                "column=value segment=32"),
+        "ringdown-fit": (["ringdown-fit", "--input", str(trace)],
+                         "ringdown_fit.txt", f"input = {trace}"),
+        "config": (["--config", str(cfg), "chain", "report"],
+                   "chain_report.txt", f"# config = {cfg}"),
+    }[where]
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: DomainError: {out / name}: line break in {line!r}\n")
+    assert not out.exists()
 
 
 DEFAULT_FILES = [
