@@ -6,7 +6,9 @@ columns, as `format_artifact` takes it. `run_command` formats them all,
 then creates the out directory, writes each under a temporary name there,
 renames them all and prints one ``wrote <path>`` line per file, so a command
 that fails writes nothing, and a write that fails leaves no temporary file.
-A command that yields one file name twice is refused the same way.
+A command that yields one file name twice is refused the same way, and so
+is an out directory whose name holds a line break (it would split a
+``wrote`` line); `main` writes any refusal as one stderr line.
 Artifacts are made again from the config and the seed, so nothing is
 flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
@@ -228,6 +230,9 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
 
 def _cmd_psd(args, cfg: ExperimentConfig):
     t, x = read_columns(args.input, ("t_s", args.column))
+    if not x.any():  # its spectrum is 0 and its Parseval ratio 0 / 0
+        raise ConfigError(f"{args.input}: column {args.column!r} is all "
+                          "zero; it has no spectrum to estimate")
     rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(f"psd input={args.input} column={args.column} "
@@ -412,8 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
+    out = args.out or os.environ.get(OUT_DIR_ENV) or "optocool_out"
+    if "\n" in out or "\r" in out:  # it would split a "wrote" line
+        where = "--out" if args.out else OUT_DIR_ENV
+        raise ConfigError(f"{where}: line break in {out!r}")
     cfg = load_config(args.config)
-    out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "optocool_out")
+    out = Path(out)
     texts = {}
     for name, header, body in args.func(args, cfg):
         path = out / name
@@ -442,14 +451,16 @@ def run_command(argv) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a refusal is one stderr line, its line breaks
+    escaped, and exit 2 for a `ConfigError`, else 1."""
     try:
         return run_command(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # single-line machine-parsable failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        kind = ("config" if isinstance(exc, ConfigError)
+                else type(exc).__name__)
+        text = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {kind}: {text}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

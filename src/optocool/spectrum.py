@@ -33,11 +33,19 @@ The one input the CLI reads is a sampled trace, and `read_columns` is the
 only code that turns its cells into numbers. Its header is the first row
 that is neither blank nor a ``#`` comment, and a missing, undecodable or
 malformed file is refused with a `ConfigError` naming it. Float columns are
-parsed in one C pass, `_read_floats` (`np.loadtxt` over the rows after the
-header, rounding as `float` does); a file that pass might read otherwise
-than the cell-by-cell reader, or that it would refuse, goes to the
-cell-by-cell reader, which alone decides every refusal and its message.
-`uniform_rate` refuses a time column whose steps are not even.
+parsed by one block-wise NumPy pass, `_read_floats`, the inverse of
+`_float_bytes`: it reads the file once, `_CHUNK` bytes at a time, splits
+the rows after the header at every ``,`` and line break, and reads each
+named cell of the form ``[sign] digits [. digits] [e|E [sign] digits]``
+and at most 24 bytes 8 digits a word, rounding M * 10**E as `float` does:
+exactly where M < 2**53 and |E| <= 22, else through the writer's
+double-double powers of ten when that is sure to round alike. Any other
+cell (spaces, ``\xa0``, ``1_0``, a longer one, one within 2**-80 of a
+rounding tie or beyond the power tables) is read by `float` of its text.
+A file that pass might read otherwise than the cell-by-cell reader, or
+that it would refuse, goes to the cell-by-cell reader, which alone decides
+every refusal and its message. `uniform_rate` refuses a time column whose
+steps are not even.
 """
 
 from __future__ import annotations
@@ -47,9 +55,8 @@ import csv
 import io
 import os
 import re
-import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter
 
 import numpy as np
@@ -340,10 +347,9 @@ def _tables():
             layouts, np.array(list(map(len, made))))
 
 
-def _scaled(a, at, hi, lo, hi_high, hi_low):
-    """a * 10**p, with p at index ``at`` of the tables, as its floor and
-    fraction: Dekker's exact product of a and hi, plus a * lo. The floor
-    is exact and the fraction good to about 1e-14."""
+def _product(a, at, hi, lo, hi_high, hi_low):
+    """a * 10**p, with p at index ``at`` of the tables, as a double and its
+    error: Dekker's exact product of a and hi, plus a * lo."""
     split = _SPLIT * a
     a_high = split - (split - a)
     a_low = a - a_high
@@ -353,6 +359,14 @@ def _scaled(a, at, hi, lo, hi_high, hi_low):
     error += a_low * hi_high.take(at)
     error += a_low * hi_low.take(at)
     error += a * lo.take(at)
+    return product, error
+
+
+def _scaled(a, at, hi, lo, hi_high, hi_low):
+    """a * 10**p, with p at index ``at`` of the tables, as its floor and
+    fraction, by `_product`. The floor is exact and the fraction good to
+    about 1e-14."""
+    product, error = _product(a, at, hi, lo, hi_high, hi_low)
     floor = np.floor(error)
     error -= floor
     return product.astype(np.int64) + floor.astype(np.int64), error
@@ -512,50 +526,311 @@ def read_columns(path, names):
 
 
 def _read_floats(path, names):
-    """`read_columns` of float columns by one `np.loadtxt` pass, or None.
+    """`read_columns` of float columns by one block-wise NumPy pass, or None.
 
-    None hands the file to the cell-by-cell reader, which alone decides
-    each refusal and its message. That happens for a file that is not a
-    regular file (a pipe cannot be read twice), that holds a ``"`` anywhere
-    (csv quoting can join lines or cells that this pass splits) or a line
-    that may hold a cell longer than `csv.field_size_limit`, or that has a
-    ``#`` row after the header (the first column is parsed too, so such a
-    row fails), a cell numpy does not parse (``1_0``, which `float` takes),
-    a short row, a non-finite value, fewer than two rows or a first column
-    that does not increase. On any other file both readers split the same
-    cells and round them alike, so the arrays are bit-identical.
+    The file's bytes are read once, `_CHUNK` at a time into one buffer,
+    and a chunk's whole lines are parsed before the next is read, so memory
+    stays flat however long the file. None hands the file to the
+    cell-by-cell reader, which alone decides each refusal and its message.
+    That happens for a file that is not a regular file (a pipe cannot be
+    read twice), that is not text in the locale's encoding, that holds a
+    ``"`` anywhere (csv quoting can join lines or cells that this pass
+    splits), a line of `_CHUNK` bytes or of half `csv.field_size_limit`
+    (it may hold a cell over that limit), or a ``#`` in the first cell of
+    a row after the header (a comment row); and for a short row, a cell
+    `float` refuses, a non-finite value, fewer than two rows or a first
+    column that does not increase. The header is the first row, as `csv` splits it,
+    that is neither blank nor a comment; the rows after it split at every
+    ``,``, ``\\n`` and ``\\r``, as `csv` splits them without quotes, and
+    `_cell_floats` reads each named cell as `float` does, so the arrays are
+    bit-identical to the other reader's.
     """
     if not os.path.isfile(path):
         return None
+    # a line this long may hold a cell over csv's limit, or over a chunk
+    limit = min(csv.field_size_limit() // 2, _CHUNK)
+    # spare zeros, the unfinished line carried over, the chunk, spare zeros
+    buf = np.zeros((3 * _SPARE + limit + _CHUNK) // 8 * 8, np.uint8)
+    indices, blocks, size = None, [], 0
     try:
-        with open(path, "rb") as fh:
-            # a line long enough for a cell over csv's limit holds a whole
-            # chunk of half that limit with no line break in it
-            size = csv.field_size_limit() // 2
-            for chunk in iter(partial(fh.read, size), b""):
-                if b'"' in chunk or not (b"\n" in chunk or b"\r" in chunk):
+        with open(path, newline="") as fh:  # the text reader's encoding
+            encoding = fh.encoding
+            while True:
+                got = fh.buffer.readinto(
+                    memoryview(buf)[_SPARE + size:_SPARE + size + _CHUNK])
+                end = _SPARE + size + got
+                if not got:  # a line break closes the last line
+                    buf[end] = ord("\n")
+                    end += 1
+                text = buf[_SPARE:end]
+                at = np.flatnonzero(text <= ord(","))
+                at += _SPARE
+                byte = buf.take(at)  # separators, " # space + etc.
+                if (byte == ord('"')).any():
                     return None
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row and not row[0].lstrip().startswith("#"):
+                hashes = at[byte == ord("#")]
+                sep = (byte == ord(",")) | (byte == ord("\n")) | (
+                    byte == ord("\r"))
+                if not sep.all():
+                    at, byte = at[sep], byte[sep]
+                breaks = np.flatnonzero(byte != ord(","))
+                if not len(breaks):  # all one unfinished line
+                    if end - _SPARE >= limit:
+                        return None
+                    size = end - _SPARE
+                    continue
+                if text.max() > 127:  # raises if it is not text
+                    str(buf[_SPARE:at[breaks[-1]]], encoding)
+                first = 0
+                if indices is None:  # the header is the first row that is
+                    start = _SPARE   # neither blank nor a comment
+                    for first in breaks:
+                        stop = at[first]
+                        if stop - start >= limit:
+                            return None
+                        row = buf[start] != ord("#") and next(csv.reader(
+                            [str(buf[start:stop], encoding)]), None)
+                        start = stop + 1
+                        if row and not row[0].lstrip().startswith("#"):
+                            header = [cell.strip() for cell in row]
+                            if not set(names) <= set(header):
+                                return None
+                            indices = np.array(list(map(header.index, names)))
+                            break
+                if indices is not None:
+                    lines = at[first:breaks[-1] + 1]
+                    block = _chunk_floats(
+                        buf, lines, breaks[breaks >= first] - first,
+                        hashes[(hashes > lines[0]) & (hashes < lines[-1])],
+                        indices, limit, encoding)
+                    if block is None:
+                        return None
+                    blocks.append(block)
+                # carry the unfinished line, from the line break before it
+                size = end - at[breaks[-1]]
+                if size > limit or not got:
                     break
-            else:
-                return None
-            header = [cell.strip() for cell in row]
-            indices = [header.index(name) for name in names]
-            usecols = list(dict.fromkeys([0, *indices]))
-            with warnings.catch_warnings():  # "no data": refused below
-                warnings.simplefilter("ignore")
-                data = np.loadtxt(fh, delimiter=",", comments=None,
-                                  usecols=usecols, ndmin=2)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+                buf[_SPARE:_SPARE + size] = buf[end - size:end]
+    except (OSError, UnicodeDecodeError, csv.Error):
         return None
-    if len(data) < 2 or not np.isfinite(data).all():
+    if indices is None or size > limit:
         return None
-    columns = np.ascontiguousarray(data.T)[list(map(usecols.index, indices))]
-    if not (np.diff(columns[0]) > 0.0).all():
+    columns = np.concatenate(blocks, axis=1)
+    if columns.shape[1] < 2 or not (np.diff(columns[0]) > 0.0).all():
         return None
     return list(columns)
+
+
+def _chunk_floats(buf, at, breaks, hashes, indices, limit, encoding):
+    """The named cells of whole lines of ``buf`` as a (columns, rows)
+    array, or None for any line `_read_floats` leaves to the other reader.
+    ``at`` holds the positions of their separators, from the line break
+    before them, and ``breaks`` the indices in it of the line breaks; a
+    line's cells end at its separators, and ``hashes`` are the ``#`` in
+    them."""
+    firsts, lasts = breaks[:-1] + 1, breaks[1:]  # each line's cells
+    lengths = at.take(lasts) - at.take(breaks[:-1]) - 1
+    if lengths.max(initial=0) >= limit:
+        return None
+    if not lengths.all():  # blank lines go
+        firsts, lasts = firsts[lengths > 0], lasts[lengths > 0]
+    if (lasts - firsts).min(initial=indices.max()) < indices.max():
+        return None  # a short row
+    rows = np.searchsorted(at.take(lasts), hashes)
+    if (hashes < at.take(firsts.take(rows))).any():
+        return None  # in a first cell: maybe a comment row
+    cells = (firsts + indices[:, None]).ravel()
+    values = _cell_floats(buf, at.take(cells - 1) + 1, at.take(cells),
+                          encoding)
+    return None if values is None else values.reshape(len(indices),
+                                                      len(firsts))
+
+
+# -- float cells read back: the inverse of `_float_bytes` ------------------
+#
+# A cell of the form [sign] digits [. digits] [e|E [sign] digits] is read
+# from the 32 bytes that end at its end, as 4 little-endian words of 8
+# byte lanes (SWAR: SIMD within a register). Its exponent follows the last
+# 'e' of the last word; the 24 lanes that end at its mantissa's end go to
+# words 0-2, and the digits there before its point move one lane up, over
+# it, so that the mantissa's digits M are contiguous. M and the exponent's
+# digits are read 8 digits a word, and M * 10**E is formed exactly and
+# rounded once where that is sure to give `float`'s double; every other
+# cell is read by `float`.
+
+_CHUNK = 1 << 17  # bytes read at a time: some 1,900 rows of a trace
+_CELL = 24  # the widest cell read here; repr's widest is 24 bytes
+_SPARE = 32  # zero bytes before and after the chunk in the buffer
+_ONES = 0x0101010101010101
+_ZEROS = np.uint64(ord("0") * _ONES)
+_WORDS = np.array([[0], [8], [16], [24]])  # the first lane of each word
+
+
+def _cell_floats(buf, starts, stops, encoding):
+    """The value `float` reads from each cell ``buf[start:stop]``, or None
+    if `float` refuses one or one is not finite. ``buf`` is a uint8 array
+    of whole words, with `_SPARE` bytes before the first cell and after
+    the last.
+
+    A cell in the form above, of at most `_CELL` bytes and with M < 2**63,
+    is read here when M * 10**E rounds surely: exactly if M < 2**53 and
+    |E| <= 22 (Clinger), else as M times `_tables`' double-double 10**E,
+    the product by `_product`, when both ends of its error interval round
+    to the same double. Every other cell is read by `float` of its text.
+    The arrays are few and mostly changed in place: their memory is most
+    of the pass's.
+    """
+    length = stops - starts
+    first = buf.take(starts)
+    negative = first == ord("-")
+    start = (negative | (first == ord("+"))).astype(np.int64)
+    # 4 words, the 32 bytes that end at the cell's end; any exponent is in
+    # the last, after its last 'e' or 'E'
+    words = _load(buf.view(np.uint64), stops - 32, 4)
+    end = _last_lane(words[3:] | np.uint64(0x20 * _ONES), "e") - 8 + length
+    has_e = end >= 0
+    # the exponent's sign: a lane of word 3, none from 8 (or < 0) on
+    sign = words[3] >> ((end + 9 - length) << 3).astype(np.uint64)
+    sign &= np.uint64(0xFF)
+    exponent_negative = has_e & (sign == ord("-"))
+    exponent_start = end + 1 + (exponent_negative | (sign == ord("+")))
+    np.copyto(end, length, where=~has_e)  # of the mantissa
+    np.copyto(exponent_start, length, where=~has_e)
+    # the mantissa's last 24 lanes, over words 0-2; its digits before the
+    # point then move one lane up, over it
+    shift = ((length - end) << 3).astype(np.uint64)  # 0 to 64 bits
+    high = words[1:] << shift
+    np.right_shift(words[:3], np.uint64(64) - shift, out=words[:3])
+    mantissa = words[:3]
+    mantissa |= high
+    point = _last_lane(mantissa, ".") - 24 + end
+    dotted = (point >= start) & (point < end)
+    start += dotted
+    high = mantissa << np.uint64(8)
+    high[1:] |= mantissa[:-1] >> np.uint64(56)
+    high ^= mantissa
+    high &= _below(np.where(dotted, point - end + 25, 0) - _WORDS[:3])
+    mantissa ^= high
+    del high
+    digits = _digits8(words, np.stack([start, start, start, exponent_start])
+                      - np.stack([end, end, end, length])
+                      + np.array([[24], [16], [8], [8]]))
+    fast = (digits & (length <= _CELL) & (end > start) & (length - end <= 8)
+            & (words[0] < 922)  # M < 2**63
+            & ((exponent_start < length) | ~has_e))
+    mantissa = np.where(fast, words[2] + words[1] * np.uint64(10 ** 8)
+                        + words[0] * np.uint64(10 ** 16), 1)
+    exponent = words[3].astype(np.int64)
+    del words
+    exponent[exponent_negative] *= -1
+    exponent -= np.where(dotted, end - point - 1, 0)  # the digits after it
+    got, sure = _rounded(mantissa, np.where(fast, exponent, 0))
+    np.negative(got, out=got, where=negative)
+    slow = np.flatnonzero(~(fast & sure))
+    try:
+        got[slow] = [float(str(buf[a:b], encoding)) for a, b in
+                     zip(starts[slow].tolist(), stops[slow].tolist())]
+    except ValueError:
+        return None
+    return got if np.isfinite(got).all() else None
+
+
+def _below(lanes):
+    """Masks of the lanes of a word below each of the int64 ``lanes``, all
+    from 8 on (a shift by 64 or more gives 0), made in their memory."""
+    np.maximum(lanes, 0, out=lanes)
+    lanes <<= 3
+    masks = lanes.view(np.uint64)
+    np.left_shift(np.uint64(1), masks, out=masks)
+    masks -= np.uint64(1)
+    return masks
+
+
+def _load(words, starts, count):
+    """The ``count`` words that start at each byte of ``starts``, as a
+    (count, n) array: lane 0 of word 0 is the byte at the start."""
+    at = (starts >> 3) + np.arange(count + 1)[:, None]
+    shift = ((starts & 7) << 3).astype(np.uint64)
+    loaded = words.take(at)
+    del at
+    got = loaded[1:] << np.uint64(64) - shift
+    got |= loaded[:-1] >> shift
+    return got
+
+
+def _last_lane(words, byte: str):
+    """The last lane of each column of (k, n) words, lane 0 first, that
+    holds ``byte``, or less than -99. A lane of x = words ^ byte is 0
+    exactly where the top bit of ~(((x & 0x7F..) + 0x7F..) | x | 0x7F..)
+    is set, and the highest set bit is read from the exponent of its
+    float."""
+    x = words ^ np.uint64(ord(byte) * _ONES)
+    low = np.uint64(0x7F * _ONES)
+    hits = x & low
+    hits += low
+    hits |= x
+    del x
+    hits |= low
+    np.invert(hits, out=hits)
+    lanes = hits.astype(np.float64).view(np.int64)
+    del hits
+    lanes >>= 52
+    lanes -= 1023 + 7  # a word with no hit: 0 - 1030
+    lanes >>= 3
+    lanes += _WORDS[:len(words)]
+    return lanes.max(axis=0)
+
+
+def _digits8(words, below):
+    """Read (k, n) words of 8 lanes, lane 0 the first digit, as 8-digit
+    numbers in place (Lemire, "Number parsing at a gigabyte per second",
+    2021), the ``below`` lanes at the start of each as '0'; and whether
+    every lane of each column spells a digit."""
+    t = words ^ _ZEROS
+    t &= _below(below)
+    words ^= t
+    lanes = np.uint64(0xF0 * _ONES)
+    np.add(words, np.uint64(6 * _ONES), out=t)
+    t &= lanes
+    t >>= np.uint64(4)
+    t |= words & lanes
+    digits = (t == np.uint64(0x33 * _ONES)).all(axis=0)
+    words -= _ZEROS
+    np.right_shift(words, np.uint64(8), out=t)
+    words *= np.uint64(10)
+    words += t  # 2-digit lanes
+    mask = np.uint64(0x000000FF000000FF)
+    np.right_shift(words, np.uint64(16), out=t)
+    t &= mask
+    t *= np.uint64(1 + (10000 << 32))
+    words &= mask
+    words *= np.uint64(100 + (1000000 << 32))
+    words += t
+    words >>= np.uint64(32)
+    return digits
+
+
+def _rounded(mantissa, exponent):
+    """mantissa * 10**exponent as a double, for a uint64 mantissa < 2**63,
+    and where that is sure to be `float`'s rounding of it."""
+    tables = _tables()
+    hi = tables[0]
+    m = mantissa.astype(np.float64)
+    size = np.abs(exponent)
+    exact = (mantissa < 2 ** 53) & (size <= 22)
+    power = hi.take(np.minimum(size, 22) - _POWERS.start)
+    values = np.where(exponent < 0, m / power, m * power)
+    at = np.minimum(np.maximum(exponent - _POWERS.start, 0), len(_POWERS) - 1)
+    product, error = _product(m, at, *tables[:4])
+    error += (mantissa.view(np.int64) - m.astype(np.int64)) * hi.take(at)
+    # |error| is below 2**-52 of the product and off by at most about
+    # 2**-100 of it, so a value within 2**-80 of the product of the sum
+    # is sure where both ends of that interval round alike
+    margin = product * 2.0 ** -80
+    value = product + (error - margin)
+    sure = value == product + (error + margin)
+    sure &= at == exponent - _POWERS.start
+    return np.where(exact, values, value), exact | sure
 
 
 def uniform_rate(path, t) -> float:

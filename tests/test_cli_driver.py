@@ -118,12 +118,17 @@ class TestPsdHeader:
         _, value = read_columns(path, ("freq_hz", "value"))
         assert value.size == 8
 
-    def test_all_zero_column_has_nan_ratio(self, tmp_path):
+    def test_all_zero_column_refused(self, tmp_path, capsys):
+        # its PSD is all zero and its Parseval ratio 0 / 0: the file held
+        # "# parseval_ratio = nan" over a table of zeros
         trace = _trace(tmp_path, _sine_trace(scale=0.0))
         out = tmp_path / "out"
         assert main(["--out", str(out), "psd", "--input", str(trace),
-                     "--segment", "16"]) == 0
-        assert "# parseval_ratio = nan\n" in (out / "psd_x_m.csv").read_text()
+                     "--segment", "16"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: {trace}: column 'x_m' is all zero; it has no "
+            "spectrum to estimate\n")
+        assert not out.exists()
 
 
 LOSSLESS_COMMANDS = [
@@ -465,6 +470,36 @@ def test_line_break_in_a_path_refused(tmp_path, capsys, where):
     assert main(["--out", str(out)] + argv) == 1
     assert capsys.readouterr().err == (
         f"error: DomainError: {out / name}: line break in {line!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["--out", cli.OUT_DIR_ENV])
+def test_line_break_in_the_out_directory_refused(tmp_path, capsys,
+                                                  monkeypatch, where):
+    # each written path was printed raw: "wrote o" and "x/chain_report.txt"
+    # on two lines
+    monkeypatch.chdir(tmp_path)
+    argv = ["chain", "report"]
+    if where == "--out":
+        argv = ["--out", "o\nx"] + argv
+    else:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, "o\rx")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    text = "'o\\nx'" if where == "--out" else "'o\\rx'"
+    assert captured.err == f"error: config: {where}: line break in {text}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_line_break_in_a_refusal_escaped(tmp_path, capsys):
+    missing = tmp_path / "no\nsuch.csv"
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "psd", "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "\r" not in err
+    assert err == (f"error: config: {tmp_path}/no\\nsuch.csv: "
+                   "No such file or directory\n")
     assert not out.exists()
 
 

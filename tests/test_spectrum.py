@@ -219,11 +219,11 @@ def test_written_float_table_reads_back_bit_identical(tmp_path_factory, t,
     ("t_s,x_m\n0.0,1#0\n1.0,2.0\n", False),
     ("t_s,x_m\n0.0,1.0\n1.0\n", False),
     ("x_m,note,t_s,y\n1.0,a,0.0,5\n2.0,b,1.0,6,7\n", True),
-    ("t_s,x_m\n0.0,1_0\n1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,1_0\n1.0,2.0\n", True),
     (" t_s , x_m \n 0.0 , 1.0 \n\t1.0,\xa02.0\t\n", True),
     ('t_s,x_m,note\n0.0,1.0,"a\n2.0,3.0,b"\n1.0,2.0,c\n', False),
     ("n,t_s,x_m\n1,0.0,1.0\n#2,0.5,9.0\n3,1.0,2.0\n", False),
-    ("t_s,x_m\n0.0,\u0661\n1.0,2.0\n", False),
+    ("t_s,x_m\n0.0,\u0661\n1.0,2.0\n", True),
     ("t_s,x_m\n0.0,nan\n1.0,2.0\n", False),
     ("t_s,x_m\n0.0,1e999\n1.0,2.0\n", False),
     ("t_s,x_m\n1.0,1.0\n0.0,2.0\n", False),
@@ -254,3 +254,100 @@ def test_undecodable_input_refused_as_cell_by_cell(tmp_path):
     assert spectrum._read_floats(path, NAMES) is None
     assert _read(path) == _read(path, c_pass=False)
     assert _read(path)[1].startswith(f"{path}: not utf-8 text")
+
+
+# -- the block pass's number parser against float() -----------------------
+
+_FORMATS = ("{!r}", "%.17g", "%.20e", "%.3g", "%.6f")
+_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),  # any bit pattern, nan and inf too
+    st.integers(0, 2 ** 52 - 1),  # subnormals and +0
+    st.integers(1, 2046).map(lambda e: e << 52),  # powers of two
+    st.sampled_from([1 << 63] + [
+        int(np.float64(x).view(np.int64)) + d
+        for x in spectrum._MADE for d in (-1, 0, 1)]))  # -0, _MADE's ends
+
+
+def _text(bits, form, sign):
+    value = float(np.int64(bits - (bits >> 63 << 64)).view(np.float64))
+    value = math.copysign(value, -1.0) if sign else value
+    return form.format(value) if form[0] == "{" else form % value
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(_BITS, st.sampled_from(_FORMATS),
+                                st.booleans()), min_size=2, max_size=60))
+def test_every_cell_reads_as_float_reads_it(tmp_path_factory, cells):
+    texts = [_text(*cell) for cell in cells]
+    path = tmp_path_factory.mktemp("cells") / "input.csv"
+    path.write_text("t_s,x_m\n" + "".join(
+        f"{i}.0,{text}\n" for i, text in enumerate(texts)))
+    got = _read(path)
+    assert got == _read(path, c_pass=False)
+    finite = all(math.isfinite(float(text)) for text in texts)
+    assert (spectrum._read_floats(path, NAMES) is not None) == finite
+    if finite:
+        assert got[1] == [np.float64(float(text)).view(np.int64).item()
+                          for text in texts]
+
+
+@pytest.mark.parametrize("cell", [
+    "9007199254740993",  # a tie: 2**53 + 1 rounds to even, 2**53
+    "9007199254740995",  # a tie: 2**53 + 3 rounds to even, 2**53 + 4
+    "2.4703282292062328e-324",  # just above half the least subnormal
+    "1.7976931348623158e308",  # rounds down to the largest double
+    "-0.0", "5.", "-.5", "1E+05",
+    "1.7976931348623159e308",  # rounds to inf: both readers refuse
+])
+def test_edge_cells_read_as_float_reads_them(tmp_path, cell):
+    path = tmp_path / "input.csv"
+    path.write_text(f"t_s,x_m\n0.0,{cell}\n1.0,2.0\n")
+    got = _read(path)
+    assert got == _read(path, c_pass=False)
+    if math.isfinite(float(cell)):
+        assert got[1][0] == np.float64(float(cell)).view(np.int64).item()
+        assert spectrum._read_floats(path, NAMES) is not None
+    else:
+        assert got[1].endswith(f"column 'x_m' (non-finite value)")
+        assert spectrum._read_floats(path, NAMES) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.floats(-1e6, 1e6), st.sampled_from(["", "a", "µm", "été"]),
+    st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])),
+    min_size=2, max_size=80), chunk=st.sampled_from([16, 23, 64, 100]))
+def test_chunks_split_anywhere(tmp_path_factory, rows, chunk):
+    # lines, line breaks and UTF-8 characters cross the chunk boundaries
+    path = tmp_path_factory.mktemp("chunks") / "input.csv"
+    text = "# a comment\r\nx_m,t_s,note\n" + "".join(
+        f"{x!r},{float(i)!r},{note}{eol}"
+        for i, (x, note, eol) in enumerate(rows))
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(spectrum, "_CHUNK", chunk):
+        got = _read(path)
+        fast = spectrum._read_floats(path, NAMES) is not None
+    assert got == _read(path, c_pass=False)
+    longest = max(map(len, text.encode("utf-8").splitlines()))
+    assert fast == (longest < chunk)
+
+
+def test_written_cells_read_without_float(tmp_path, monkeypatch):
+    # the pass itself reads repr's and printf's cells of ordinary values;
+    # only near-ties, cells over 24 bytes and powers of ten past the
+    # writer's tables go to float
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-20, 20, 400)
+    texts = [form.format(x) if form[0] == "{" else form % x
+             for form in ("{!r}", "%.17g", "%.6e", "%.9g", "%.15g")
+             for x in values.tolist()]
+    path = tmp_path / "input.csv"
+    path.write_text("t_s,x_m\n" + "".join(
+        f"{i}.0,{text}\n" for i, text in enumerate(texts)))
+    read = []
+    monkeypatch.setattr(spectrum, "float", lambda text: read.append(text),
+                        raising=False)
+    columns = spectrum._read_floats(path, NAMES)
+    monkeypatch.undo()
+    assert read == []
+    assert columns[1].tolist() == list(map(float, texts))
