@@ -35,13 +35,15 @@ that is neither blank nor a ``#`` comment, and a missing, undecodable or
 malformed file is refused with a `ConfigError` naming it. Float columns are
 parsed by one block-wise NumPy pass, `_read_floats`, the inverse of
 `_float_bytes`: it reads the file once, `_CHUNK` bytes at a time, splits
-the rows after the header at every ``,`` and line break, and reads each
-named cell of the form ``[sign] digits [. digits] [e|E [sign] digits]``
-and at most 24 bytes 8 digits a word, rounding M * 10**E as `float` does:
-exactly where M < 2**53 and |E| <= 22, else through the writer's
-double-double powers of ten when that is sure to round alike. Any other
-cell (spaces, ``\xa0``, ``1_0``, a longer one, one within 2**-80 of a
-rounding tie or beyond the power tables) is read by `float` of its text.
+the rows after the header at every ``,`` and line break, cuts the spaces
+off each named cell's ends, and reads a cell of the form ``[sign] digits
+[. digits] [e|E [sign] digits]`` whose mantissa takes at most 24 bytes
+and exponent 8 (``repr``, ``%.17g``, np.savetxt's ``%.18e``, ``%.20e``)
+8 digits a word, rounding M * 10**E as `float` does: M, cut below 2**63
+if larger, times the writer's double-double powers of ten, when that is
+sure to round alike. Any other cell (``\t``, ``\xa0``, ``1_0``, a
+longer one, one within 2**-80 of a rounding tie or beyond the power
+tables) is read by `float` of its text.
 A file that pass might read otherwise than the cell-by-cell reader, or
 that it would refuse, goes to the cell-by-cell reader, which alone decides
 every refusal and its message. `uniform_rate` refuses a time column whose
@@ -353,11 +355,12 @@ def _product(a, at, hi, lo, hi_high, hi_low):
     split = _SPLIT * a
     a_high = split - (split - a)
     a_low = a - a_high
+    high, low = hi_high.take(at), hi_low.take(at)
     product = a * hi.take(at)
-    error = a_high * hi_high.take(at) - product
-    error += a_high * hi_low.take(at)
-    error += a_low * hi_high.take(at)
-    error += a_low * hi_low.take(at)
+    error = a_high * high - product
+    error += a_high * low
+    error += a_low * high
+    error += a_low * low
     error += a * lo.take(at)
     return product, error
 
@@ -539,11 +542,12 @@ def _read_floats(path, names):
     (it may hold a cell over that limit), or a ``#`` in the first cell of
     a row after the header (a comment row); and for a short row, a cell
     `float` refuses, a non-finite value, fewer than two rows or a first
-    column that does not increase. The header is the first row, as `csv` splits it,
-    that is neither blank nor a comment; the rows after it split at every
-    ``,``, ``\\n`` and ``\\r``, as `csv` splits them without quotes, and
-    `_cell_floats` reads each named cell as `float` does, so the arrays are
-    bit-identical to the other reader's.
+    column that does not increase. The header is the first row, as `csv`
+    splits it, that is neither blank nor a comment; the rows after it split
+    at every ``,``, ``\\n`` and ``\\r``, as `csv` splits them without
+    quotes, and `_cell_floats` reads each named cell, less the spaces at
+    its ends, as `float` does, so the arrays are bit-identical to the other
+    reader's.
     """
     if not os.path.isfile(path):
         return None
@@ -563,9 +567,12 @@ def _read_floats(path, names):
                     buf[end] = ord("\n")
                     end += 1
                 text = buf[_SPARE:end]
-                at = np.flatnonzero(text <= ord(","))
+                hit = text <= ord(",")  # separators, " # + etc.
+                hit &= text != ord(" ")  # many in padded tables
+                at = np.flatnonzero(hit)
+                del hit
                 at += _SPARE
-                byte = buf.take(at)  # separators, " # space + etc.
+                byte = buf.take(at)
                 if (byte == ord('"')).any():
                     return None
                 hashes = at[byte == ord("#")]
@@ -636,8 +643,8 @@ def _chunk_floats(buf, at, breaks, hashes, indices, limit, encoding):
         firsts, lasts = firsts[lengths > 0], lasts[lengths > 0]
     if (lasts - firsts).min(initial=indices.max()) < indices.max():
         return None  # a short row
-    rows = np.searchsorted(at.take(lasts), hashes)
-    if (hashes < at.take(firsts.take(rows))).any():
+    if len(hashes) and (hashes < at.take(firsts.take(np.searchsorted(
+            at.take(lasts), hashes)))).any():
         return None  # in a first cell: maybe a comment row
     cells = (firsts + indices[:, None]).ravel()
     values = _cell_floats(buf, at.take(cells - 1) + 1, at.take(cells),
@@ -648,22 +655,25 @@ def _chunk_floats(buf, at, breaks, hashes, indices, limit, encoding):
 
 # -- float cells read back: the inverse of `_float_bytes` ------------------
 #
-# A cell of the form [sign] digits [. digits] [e|E [sign] digits] is read
-# from the 32 bytes that end at its end, as 4 little-endian words of 8
-# byte lanes (SWAR: SIMD within a register). Its exponent follows the last
-# 'e' of the last word; the 24 lanes that end at its mantissa's end go to
-# words 0-2, and the digits there before its point move one lane up, over
-# it, so that the mantissa's digits M are contiguous. M and the exponent's
-# digits are read 8 digits a word, and M * 10**E is formed exactly and
-# rounded once where that is sure to give `float`'s double; every other
-# cell is read by `float`.
+# A cell of the form [sign] digits [. digits] [e|E [sign] digits], less any
+# spaces at its ends, is read from the 32 bytes that end at its end, as 4
+# little-endian words of 8 byte lanes (SWAR: SIMD within a register). Its
+# exponent follows the last 'e' of the last word; the 24 lanes that end at
+# its mantissa's end go to words 0-2, and the digits there before its point
+# move one lane up, over it, so that the mantissa's digits M are
+# contiguous. M and the exponent's digits are read 8 digits a word, M is
+# cut below 2**63 if it is larger, and M * 10**E is formed and rounded
+# once where that is sure to give `float`'s double; every other cell is
+# read by `float`.
 
 _CHUNK = 1 << 17  # bytes read at a time: some 1,900 rows of a trace
-_CELL = 24  # the widest cell read here; repr's widest is 24 bytes
 _SPARE = 32  # zero bytes before and after the chunk in the buffer
 _ONES = 0x0101010101010101
 _ZEROS = np.uint64(ord("0") * _ONES)
+_SPACES = np.uint64(ord(" ") * _ONES)
+_TOPS = np.uint64(0x80 * _ONES)  # the top bit of each lane
 _WORDS = np.array([[0], [8], [16], [24]])  # the first lane of each word
+_TENS = 10 ** np.arange(17, dtype=np.uint64)
 
 
 def _cell_floats(buf, starts, stops, encoding):
@@ -672,14 +682,16 @@ def _cell_floats(buf, starts, stops, encoding):
     of whole words, with `_SPARE` bytes before the first cell and after
     the last.
 
-    A cell in the form above, of at most `_CELL` bytes and with M < 2**63,
-    is read here when M * 10**E rounds surely: exactly if M < 2**53 and
-    |E| <= 22 (Clinger), else as M times `_tables`' double-double 10**E,
-    the product by `_product`, when both ends of its error interval round
-    to the same double. Every other cell is read by `float` of its text.
-    The arrays are few and mostly changed in place: their memory is most
-    of the pass's.
+    A cell in the form above whose mantissa, point included, takes at most
+    24 bytes and whose exponent at most 8 is read here when M * 10**E
+    rounds surely: M (from 2**63 on, its first 18 or 19 digits and the
+    rest as a fraction) times `_tables`' double-double 10**E, the product by
+    `_product`, when both ends of its error interval round to the same
+    double. Every other cell is read by `float` of its text. The arrays
+    are few and mostly changed in place: their memory is most of the
+    pass's.
     """
+    _unpadded(buf, starts, stops)
     length = stops - starts
     first = buf.take(starts)
     negative = first == ord("-")
@@ -690,7 +702,7 @@ def _cell_floats(buf, starts, stops, encoding):
     end = _last_lane(words[3:] | np.uint64(0x20 * _ONES), "e") - 8 + length
     has_e = end >= 0
     # the exponent's sign: a lane of word 3, none from 8 (or < 0) on
-    sign = words[3] >> ((end + 9 - length) << 3).astype(np.uint64)
+    sign = words[3] >> ((end + 9 - length) << 3).view(np.uint64)
     sign &= np.uint64(0xFF)
     exponent_negative = has_e & (sign == ord("-"))
     exponent_start = end + 1 + (exponent_negative | (sign == ord("+")))
@@ -698,13 +710,14 @@ def _cell_floats(buf, starts, stops, encoding):
     np.copyto(exponent_start, length, where=~has_e)
     # the mantissa's last 24 lanes, over words 0-2; its digits before the
     # point then move one lane up, over it
-    shift = ((length - end) << 3).astype(np.uint64)  # 0 to 64 bits
+    shift = ((length - end) << 3).view(np.uint64)  # 0 to 64 bits
     high = words[1:] << shift
     np.right_shift(words[:3], np.uint64(64) - shift, out=words[:3])
     mantissa = words[:3]
     mantissa |= high
     point = _last_lane(mantissa, ".") - 24 + end
     dotted = (point >= start) & (point < end)
+    fast = end - start <= 24  # all of the mantissa is in words 0-2
     start += dotted
     high = mantissa << np.uint64(8)
     high[1:] |= mantissa[:-1] >> np.uint64(56)
@@ -712,27 +725,62 @@ def _cell_floats(buf, starts, stops, encoding):
     high &= _below(np.where(dotted, point - end + 25, 0) - _WORDS[:3])
     mantissa ^= high
     del high
-    digits = _digits8(words, np.stack([start, start, start, exponent_start])
-                      - np.stack([end, end, end, length])
-                      + np.array([[24], [16], [8], [8]]))
-    fast = (digits & (length <= _CELL) & (end > start) & (length - end <= 8)
-            & (words[0] < 922)  # M < 2**63
-            & ((exponent_start < length) | ~has_e))
-    mantissa = np.where(fast, words[2] + words[1] * np.uint64(10 ** 8)
-                        + words[0] * np.uint64(10 ** 16), 1)
-    exponent = words[3].astype(np.int64)
-    del words
-    exponent[exponent_negative] *= -1
+    below = np.empty(words.shape, np.int64)  # lanes before the digits
+    np.subtract(start, end, out=below[3])
+    np.add(below[3], [[24], [16], [8]], out=below[:3])
+    np.subtract(exponent_start, length, out=below[3])
+    below[3] += 8
+    digits = _digits8(words, below)
+    del below
+    # an exponent of 8 lanes at most was in word 3 (a cell of 137 bytes or
+    # more may seem to have an 'e' in none)
+    fast &= (digits & (end > start) & (length - end <= 8)
+             & ((exponent_start < length) | ~has_e))
+    mantissa = np.where(fast, words[2] + words[1] * _TENS[8]
+                        + words[0] * _TENS[16], 0).view(np.int64)
+    exponent = words[3].view(np.int64)
+    exponent = np.where(exponent_negative, 0 - exponent, exponent)
     exponent -= np.where(dotted, end - point - 1, 0)  # the digits after it
-    got, sure = _rounded(mantissa, np.where(fast, exponent, 0))
-    np.negative(got, out=got, where=negative)
+    # from 2**63 (922e16) on: M's first 18 or 19 digits, the k digits cut
+    # off as a fraction of a unit
+    cut = np.flatnonzero(fast & (words[0] >= 922))
+    fraction = 0.0
+    if cut.size:
+        w0, w1, w2 = words[:3].take(cut, axis=1)
+        k = np.searchsorted(922 * _TENS[:6], w0, side="right")  # T < 922e16
+        scale = _TENS.take(k)
+        mantissa[cut] = (w0 * _TENS.take(16 - k) + w1 * _TENS.take(8 - k)
+                         + w2 // scale).view(np.int64)
+        exponent[cut] += k
+        fraction = (w2 % scale) / scale
+    del words
+    got, sure = _rounded(mantissa, exponent, cut, fraction)
+    got *= np.where(negative, -1.0, 1.0)
     slow = np.flatnonzero(~(fast & sure))
+    text = memoryview(buf)
     try:
-        got[slow] = [float(str(buf[a:b], encoding)) for a, b in
-                     zip(starts[slow].tolist(), stops[slow].tolist())]
+        got[slow] = [float(str(text[a:b], encoding)) for a, b in zip(
+            starts.take(slow).tolist(), stops.take(slow).tolist())]
     except ValueError:
         return None
     return got if np.isfinite(got).all() else None
+
+
+def _unpadded(buf, starts, stops):
+    """Move each cell's ``starts`` and ``stops`` in place past the spaces
+    at its ends, which `float` ignores, 8 lanes at a time. The ends move
+    first, so that a cell of spaces closes at its start."""
+    words = buf.view(np.uint64)
+    while (pad := np.flatnonzero(buf.take(stops - 1) == ord(" "))).size:
+        filled = _zero_lanes(_load(words, stops.take(pad) - 8, 1)[0]
+                             ^ _SPACES) ^ _TOPS  # lanes that are not spaces
+        stops[pad] -= np.minimum(7 - _top_lane(filled), 8)
+    while (pad := np.flatnonzero(buf.take(starts) == ord(" "))).size:
+        filled = _load(words, starts.take(pad), 1)[0]
+        filled ^= _SPACES
+        filled &= -filled  # its lowest bit, in the first lane not a space
+        lanes = _top_lane(filled, 0).view(np.uint64)  # huge if none
+        starts[pad] += np.minimum(lanes, np.uint64(8)).view(np.int64)
 
 
 def _below(lanes):
@@ -749,34 +797,43 @@ def _below(lanes):
 def _load(words, starts, count):
     """The ``count`` words that start at each byte of ``starts``, as a
     (count, n) array: lane 0 of word 0 is the byte at the start."""
-    at = (starts >> 3) + np.arange(count + 1)[:, None]
-    shift = ((starts & 7) << 3).astype(np.uint64)
-    loaded = words.take(at)
-    del at
-    got = loaded[1:] << np.uint64(64) - shift
-    got |= loaded[:-1] >> shift
+    at = starts // 8
+    shift = ((starts - at * 8) * 8).view(np.uint64)
+    loaded = words.take(at + np.arange(count + 1)[:, None])
+    high = loaded[1:] << np.uint64(64) - shift
+    got = loaded[:-1]
+    got >>= shift
+    got |= high
     return got
 
 
-def _last_lane(words, byte: str):
-    """The last lane of each column of (k, n) words, lane 0 first, that
-    holds ``byte``, or less than -99. A lane of x = words ^ byte is 0
-    exactly where the top bit of ~(((x & 0x7F..) + 0x7F..) | x | 0x7F..)
-    is set, and the highest set bit is read from the exponent of its
-    float."""
-    x = words ^ np.uint64(ord(byte) * _ONES)
+def _zero_lanes(x):
+    """The top bit of each lane of the words ``x`` that is 0: the lanes of
+    ((x & 0x7F..) + 0x7F..) | x whose top bit is clear."""
     low = np.uint64(0x7F * _ONES)
     hits = x & low
     hits += low
     hits |= x
-    del x
-    hits |= low
-    np.invert(hits, out=hits)
+    hits &= _TOPS
+    hits ^= _TOPS
+    return hits
+
+
+def _top_lane(hits, bit=7):
+    """The lane of the highest set bit of each word whose set bits are all
+    bit ``bit`` of their lanes, or less than -99 where none is set, read
+    from the exponent of its float."""
     lanes = hits.astype(np.float64).view(np.int64)
-    del hits
     lanes >>= 52
-    lanes -= 1023 + 7  # a word with no hit: 0 - 1030
+    lanes -= 1023 + bit  # a word with no hit: 0 - 1023 - bit
     lanes >>= 3
+    return lanes
+
+
+def _last_lane(words, byte: str):
+    """The last lane of each column of (k, n) words, lane 0 first, that
+    holds ``byte``, or less than -99."""
+    lanes = _top_lane(_zero_lanes(words ^ np.uint64(ord(byte) * _ONES)))
     lanes += _WORDS[:len(words)]
     return lanes.max(axis=0)
 
@@ -785,17 +842,18 @@ def _digits8(words, below):
     """Read (k, n) words of 8 lanes, lane 0 the first digit, as 8-digit
     numbers in place (Lemire, "Number parsing at a gigabyte per second",
     2021), the ``below`` lanes at the start of each as '0'; and whether
-    every lane of each column spells a digit."""
-    t = words ^ _ZEROS
-    t &= _below(below)
-    words ^= t
-    lanes = np.uint64(0xF0 * _ONES)
-    np.add(words, np.uint64(6 * _ONES), out=t)
-    t &= lanes
-    t >>= np.uint64(4)
-    t |= words & lanes
-    digits = (t == np.uint64(0x33 * _ONES)).all(axis=0)
-    words -= _ZEROS
+    every lane of each column spells a digit. A lane x ^ '0' is a digit
+    exactly where neither it nor (x ^ '0') + 0x76 has its top bit set."""
+    words ^= _ZEROS
+    np.maximum(below, 0, out=below)
+    below <<= 3
+    shift = below.view(np.uint64)  # a shift by 64 or more gives 0
+    words >>= shift
+    words <<= shift
+    t = words + np.uint64(0x76 * _ONES)
+    t |= words
+    t &= _TOPS
+    digits = ~t.any(axis=0)
     np.right_shift(words, np.uint64(8), out=t)
     words *= np.uint64(10)
     words += t  # 2-digit lanes
@@ -810,19 +868,17 @@ def _digits8(words, below):
     return digits
 
 
-def _rounded(mantissa, exponent):
-    """mantissa * 10**exponent as a double, for a uint64 mantissa < 2**63,
-    and where that is sure to be `float`'s rounding of it."""
+def _rounded(mantissa, exponent, cut, fraction):
+    """mantissa * 10**exponent as a double, for int64 mantissas from 0 up
+    to below 2**63 and ``fraction`` added to those at ``cut``, and where
+    that is sure to be `float`'s rounding of it."""
     tables = _tables()
-    hi = tables[0]
     m = mantissa.astype(np.float64)
-    size = np.abs(exponent)
-    exact = (mantissa < 2 ** 53) & (size <= 22)
-    power = hi.take(np.minimum(size, 22) - _POWERS.start)
-    values = np.where(exponent < 0, m / power, m * power)
-    at = np.minimum(np.maximum(exponent - _POWERS.start, 0), len(_POWERS) - 1)
+    at = np.clip(exponent - _POWERS.start, 0, len(_POWERS) - 1)
     product, error = _product(m, at, *tables[:4])
-    error += (mantissa.view(np.int64) - m.astype(np.int64)) * hi.take(at)
+    rest = (mantissa - m.astype(np.int64)).astype(np.float64)  # exact
+    rest[cut] += fraction  # below 2**-59 of M when M is cut
+    error += rest * tables[0].take(at)
     # |error| is below 2**-52 of the product and off by at most about
     # 2**-100 of it, so a value within 2**-80 of the product of the sum
     # is sure where both ends of that interval round alike
@@ -830,7 +886,7 @@ def _rounded(mantissa, exponent):
     value = product + (error - margin)
     sure = value == product + (error + margin)
     sure &= at == exponent - _POWERS.start
-    return np.where(exact, values, value), exact | sure
+    return value, sure
 
 
 def uniform_rate(path, t) -> float:
