@@ -103,9 +103,9 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig):
     g = cfg.get("cooling", "gain")
     omega = _gain_grid(res, g)
     quiet = replace(fpi, readout_noise=None)
+    total = fpi.output_spectrum(res, g, omega=omega).values
     thermal = quiet.output_spectrum(res, g, omega=omega).values
     readout = fpi.noise_asd(omega)
-    total = np.sqrt(thermal ** 2 + readout ** 2)
     yield ("noise_budget.csv", _header_lines("noise-budget", cfg),
            {"freq_hz": omega / TWO_PI, "total_hz_rthz": total,
             "thermal_hz_rthz": thermal, "readout_hz_rthz": readout})

@@ -6,8 +6,16 @@ loop one with gamma_m replaced by (1+g) gamma_m. The price is that readout
 imprecision is fed back as a real force; balancing the two yields an optimal
 gain and a floor on the reachable effective temperature.
 
-This module is the one home of the closed-loop model: one function gives the
-thermal, feedthrough and external parts of the closed-loop spectrum as rows;
+This module is the one home of the response model: `effective_susceptibility`
+is the only susceptibility expression, in the positive-real-at-DC sign
+convention
+
+    chi_eff(omega) = 1 / ( m * (omega0^2 - omega^2 + i (1+g) gamma_m(omega) omega) ),
+
+whose g = 0 case is the resonator's own chi_m, and `acceleration_transfer`
+is -m chi_m, the one place the sign of displacement against frame
+acceleration flips. One function gives the thermal, feedthrough and
+external parts of the closed-loop spectrum as rows;
 `closed_loop_psd` is their sum and `closed_loop_variance` integrates all
 three in one pass, so they share one evaluation per node. The readout output
 spectrum composes `effective_susceptibility`, and the cascade planner's
@@ -68,6 +76,14 @@ def effective_susceptibility(res: MechanicalResonator, g: float, omega,
     gm = res.damping_rate(omega) if gm is None else gm
     return 1.0 / (res.mass * (res.omega0 ** 2 - omega ** 2
                               + 1j * (1.0 + g) * gm * omega))
+
+
+def acceleration_transfer(res: MechanicalResonator, omega):
+    """x(omega)/a(omega) for frame acceleration a, complex s^2.
+
+    Equals -mass * chi_m: the test mass lags the accelerated frame.
+    """
+    return -res.mass * effective_susceptibility(res, 0.0, omega)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,11 @@ A suspended test mass with internal (structural) loss and optional viscous
 
 with loss coefficient ``phi(omega) = (1/Q_int) * (omega/omega0)**p``; the
 default exponent p = 0 is the constant structural loss typical of fused
-silica flexures. The force susceptibility follows the positive-real-at-DC
-sign convention,
-
-    chi_m(omega) = 1 / ( m * (omega0^2 - omega^2 + i gamma_m(omega) omega) ),
-
-and the sign flip of displacement against frame acceleration lives only in
-`acceleration_transfer`. Every frequency-domain method goes through
-`damping_rate`, the one place that validates omega (finite and > 0);
-`gamma0` is its value at omega0, computed once per resonator.
+silica flexures. The resonator's responses are not stated here: its force
+susceptibility chi_m is `cooling.effective_susceptibility` at g = 0, and
+`cooling.acceleration_transfer` is -m chi_m. Every frequency-domain method
+goes through `damping_rate`, the one place that validates omega (finite and
+> 0); `gamma0` is its value at omega0, computed once per resonator.
 """
 
 from __future__ import annotations
@@ -84,21 +80,6 @@ class MechanicalResonator:
 
     def with_temperature(self, temperature: float) -> "MechanicalResonator":
         return replace(self, temperature=temperature)
-
-    # -- response ------------------------------------------------------
-
-    def force_susceptibility(self, omega):
-        """chi_m(omega), displacement per unit force, complex m/N."""
-        omega = np.asarray(omega, dtype=float)
-        gm = self.damping_rate(omega)
-        return 1.0 / (self.mass * (self.omega0 ** 2 - omega ** 2 + 1j * gm * omega))
-
-    def acceleration_transfer(self, omega):
-        """x(omega)/a(omega) for frame acceleration a, complex s^2.
-
-        Equals -mass * chi_m: the test mass lags the accelerated frame.
-        """
-        return -self.mass * self.force_susceptibility(omega)
 
     # -- thermal noise (single-sided) -----------------------------------
 

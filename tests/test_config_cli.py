@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optocool import ConfigError
-from optocool.cli import main, run_command
+from optocool.cli import _gain_grid, main, run_command
 from optocool.config import DEFAULT_CONFIG, load_config, parse_config
 from optocool.spectrum import read_columns, read_rows
 
@@ -563,6 +563,23 @@ class TestCli:
         top = np.argmax(freq)
         assert thermal[top] < 1.0
         assert total[top] == pytest.approx(1e3, rel=1e-3)
+
+    def test_noise_budget_total_is_the_noisy_output_spectrum(self, tmp_path):
+        # bit for bit: the readout alone combines its noise terms
+        config = tmp_path / "noisy.ini"
+        config.write_text(MINIMAL.replace(
+            "tuning_range = 10 GHz\n",
+            "tuning_range = 10 GHz\nreadout_noise_asd = 370 Hz/rtHz\n")
+            + "\n[cooling]\ngain = 15\n")
+        run_command(["--config", str(config), "--out", str(tmp_path),
+                     "noise-budget"])
+        _, total = read_columns(tmp_path / "noise_budget.csv",
+                                ("freq_hz", "total_hz_rthz"))
+        cfg = load_config(config)
+        res, g = cfg.resonator(), cfg.get("cooling", "gain")
+        noisy = cfg.fpi().output_spectrum(res, g, omega=_gain_grid(res, g))
+        assert (cfg.fpi().readout_noise, g) == (370.0, 15.0)
+        assert np.array_equal(total, noisy.values)
 
     def test_headers_embed_config(self, tmp_path):
         run_command(["--out", str(tmp_path), "noise-budget"])

@@ -9,6 +9,7 @@ from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
                       HliReadout, MechanicalResonator, Phasemeter,
                       SpectrumRecord, closed_loop_psd,
                       effective_susceptibility, noise_temperature)
+from optocool.cooling import acceleration_transfer
 from optocool.simulate import stream_rng
 
 TWO_PI = 2 * math.pi
@@ -92,7 +93,7 @@ class TestFpiOutputSpectrum:
         omega = np.logspace(-1, 1, 101) * resonator.omega0
         rec = fpi.output_spectrum(resonator, g=0.0, omega=omega)
         expected = (fpi.displacement_to_frequency
-                    * np.abs(resonator.acceleration_transfer(omega))
+                    * np.abs(acceleration_transfer(resonator, omega))
                     * resonator.thermal_accel_asd(omega))
         assert np.allclose(rec.values, expected, rtol=1e-9)
 

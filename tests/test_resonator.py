@@ -10,6 +10,7 @@ from optocool import (CascadeConfig, CoolingSetup, DomainError, FitError, KB,
                       MechanicalResonator, closed_loop_psd,
                       closed_loop_variance, compare_single_step,
                       fit_q_from_ringdown, plan_cascade)
+from optocool.cooling import acceleration_transfer, effective_susceptibility
 from optocool.resonator import extract_envelope
 
 W0 = 2 * math.pi * 4.72
@@ -22,74 +23,87 @@ def eq_19a_open_loop(res, omega):
     return 1.0 / (res.mass * (res.omega0 ** 2 - omega ** 2 + 1j * gm * omega))
 
 
+def chi_m(res, omega):
+    # the resonator's own susceptibility is the closed loop's at g = 0
+    return effective_susceptibility(res, 0.0, omega)
+
+
 class TestSusceptibility:
     def test_static_spring_limit(self, resonator):
-        val = resonator.force_susceptibility(resonator.omega0 * 1e-6)
+        val = chi_m(resonator, resonator.omega0 * 1e-6)
         assert abs(val) == pytest.approx(0.4373034645248734, rel=1e-6)
 
     def test_resonance_value(self, resonator):
-        val = resonator.force_susceptibility(resonator.omega0)
+        val = chi_m(resonator, resonator.omega0)
         oracle = eq_19a_open_loop(resonator, resonator.omega0)
         assert val == pytest.approx(oracle, rel=1e-12)
         assert val.real == pytest.approx(0.0, abs=1e-12)
         assert val.imag == pytest.approx(-2.0859375257836463e5, rel=1e-9)
 
     def test_free_mass_limit(self, resonator):
-        val = abs(resonator.force_susceptibility(10 * resonator.omega0))
+        val = abs(chi_m(resonator, 10 * resonator.omega0))
         expected = 1.0 / (99 * resonator.mass * resonator.omega0 ** 2)
         assert val == pytest.approx(expected, rel=1e-3)
 
     def test_matches_direct_substitution_on_grid(self, resonator):
         omega = np.logspace(-2, 2, 201) * resonator.omega0
-        assert np.allclose(resonator.force_susceptibility(omega),
+        assert np.allclose(chi_m(resonator, omega),
                            eq_19a_open_loop(resonator, omega), rtol=1e-12)
 
     def test_passive_dissipation(self, resonator):
         omega = np.logspace(-3, 3, 301) * resonator.omega0
-        assert np.all(resonator.force_susceptibility(omega).imag < 0.0)
+        assert np.all(chi_m(resonator, omega).imag < 0.0)
 
     def test_resonance_magnitude_identity(self, resonator):
         # |chi_m(w0)| m w0^2 = Q for structural-only damping
-        val = abs(resonator.force_susceptibility(resonator.omega0))
+        val = abs(chi_m(resonator, resonator.omega0))
         prod = val * resonator.mass * resonator.omega0 ** 2
         assert prod == pytest.approx(resonator.q_internal, rel=1e-9)
 
     def test_rejects_bad_omega(self, resonator):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                resonator.force_susceptibility(bad)
+                chi_m(resonator, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("method", [
         "damping_rate", "force_susceptibility", "acceleration_transfer",
         "thermal_force_psd", "thermal_accel_asd", "closed_loop_psd"])
     def test_every_method_rejects_bad_omega(self, resonator, method, bad):
-        # damping_rate is the one omega check; every method goes through it
-        if method == "closed_loop_psd":
-            setup = CoolingSetup(resonator, 10.0, imprecision_psd=1e-24,
-                                 external_force_psd=1e-30)
-            call = functools.partial(closed_loop_psd, setup)
-        else:
-            call = getattr(resonator, method)
+        # damping_rate is the one omega check; every response goes through it
+        setup = CoolingSetup(resonator, 10.0, imprecision_psd=1e-24,
+                             external_force_psd=1e-30)
+        call = {"force_susceptibility": functools.partial(chi_m, resonator),
+                "acceleration_transfer": functools.partial(
+                    acceleration_transfer, resonator),
+                "closed_loop_psd": functools.partial(closed_loop_psd, setup),
+                }.get(method) or getattr(resonator, method)
         with pytest.raises(DomainError):
             call(bad)
 
 
 class TestAccelerationTransfer:
     def test_dc_limit(self, resonator):
-        val = resonator.acceleration_transfer(resonator.omega0 * 1e-6)
+        val = acceleration_transfer(resonator, resonator.omega0 * 1e-6)
         assert val.real == pytest.approx(-1.0 / resonator.omega0 ** 2, rel=1e-6)
 
     def test_resonance_magnitude(self, resonator):
-        val = abs(resonator.acceleration_transfer(resonator.omega0))
+        val = abs(acceleration_transfer(resonator, resonator.omega0))
         expected = resonator.q_internal / resonator.omega0 ** 2
         assert val == pytest.approx(expected, rel=1e-9)
 
     def test_is_minus_mass_times_susceptibility(self, resonator):
         omega = np.logspace(-2, 2, 101) * resonator.omega0
-        lhs = resonator.acceleration_transfer(omega)
-        rhs = -resonator.mass * resonator.force_susceptibility(omega)
+        lhs = acceleration_transfer(resonator, omega)
+        rhs = -resonator.mass * chi_m(resonator, omega)
         assert np.array_equal(lhs, rhs)
+
+    def test_pinned_with_viscous_and_shaped_loss(self, resonator):
+        res = replace(resonator, gamma_viscous=1e-3, loss_exponent=0.5)
+        omega = np.logspace(-3, 3, 20001) * res.omega0
+        assert np.array_equal(acceleration_transfer(res, omega),
+                              -res.mass * effective_susceptibility(res, 0.0,
+                                                                   omega))
 
 
 class TestThermalNoise:
