@@ -8,7 +8,8 @@ renames them all and prints one ``wrote <path>`` line per file, so a command
 that fails writes nothing, and a write that fails leaves no temporary file.
 A command that yields one file name twice is refused the same way, and so
 is an out directory whose name holds a line break (it would split a
-``wrote`` line); `main` writes any refusal as one stderr line.
+``wrote`` line); `main` writes any refusal, a usage error included, as
+one stderr line.
 Artifacts are made again from the config and the seed, so nothing is
 flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
@@ -43,7 +44,7 @@ from .cooling import (CoolingSetup, closed_loop_variance,
                       effective_susceptibility, effective_temperature,
                       effective_temperature_floor, noise_temperature,
                       optimal_gain)
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .feedback import actuator_gain
 from .psd import estimate_psd
 from .resonator import fit_q_from_ringdown
@@ -316,6 +317,10 @@ def _paper_report_rows(cfg: ExperimentConfig) -> list:
 def _cmd_paper_report(args, cfg: ExperimentConfig):
     body = ["quantity | unit | computed | reference | ratio | flag"]
     for name, unit, computed, reference, ratio, flag in _paper_report_rows(cfg):
+        if not math.isfinite(ratio):  # computed is not, or it overflows
+            raise DomainError(f"paper_report.txt: {name}: computed "
+                              f"{computed!r} and ratio {ratio!r} must be "
+                              "finite")
         body.append(f"{name} | {unit} | {computed!r} | {reference!r} | "
                     f"{ratio!r} | {flag}")
     yield "paper_report.txt", _header_lines("paper-report", cfg), body
@@ -345,9 +350,17 @@ def _by_name(name: str):
     return command
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise `ConfigError`, so that `main`
+    writes them as its one stderr line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optocool",
         description="Feedback-cooling toolkit for a low-frequency "
                     "optomechanical inertial sensor")

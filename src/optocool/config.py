@@ -277,8 +277,15 @@ class ExperimentConfig:
         return preset_resonator(res, PRESET_QUALITIES[preset])
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
+        """The [sim] run; ``seed`` (the CLI's ``--seed``) overrides it."""
         sim = self._build("sim", SimConfig, initial_position="x0", preset=None)
-        return sim if seed is None else replace(sim, seed=seed)
+        if seed is None:
+            return sim
+        try:
+            return replace(sim, seed=seed)
+        except DomainError as exc:
+            reason = str(exc).split(" ", 1)[1]
+            raise ConfigError(f"--seed: {reason}, got {seed!r}") from exc
 
 
 def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig:

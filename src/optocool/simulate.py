@@ -70,8 +70,7 @@ def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for an independent stream of a seeded run."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                   dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -81,7 +80,7 @@ class SimConfig:
 
     duration        : s
     dt              : s; None picks 1/(100 f0)
-    seed            : 64-bit stream seed
+    seed            : stream seed, an integer in [0, 2**64)
     x0              : initial position, m (the mass starts at rest)
     ext_samples     : external force on each step, N; None means no drive
     controller      : "off", "derivative", or "chain"
@@ -119,8 +118,13 @@ class SimConfig:
             raise DomainError("ext_samples must be finite")
         if not 0.0 < self.bandpass_quality < math.inf:
             raise DomainError("bandpass_quality must be finite and > 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError("seed must be in [0, 2**64)")
         if self.dac_bits is not None and not self.dac_bits >= 1:
             raise DomainError("dac_bits must be >= 1")
+        if self.dac_bits is not None and self.dac_bits > 1023:
+            raise DomainError("dac_bits must be <= 1023, so that 2**dac_bits "
+                              "is a finite float")
 
     def resolve_dt(self, res: MechanicalResonator) -> float:
         f0 = res.omega0 / TWO_PI

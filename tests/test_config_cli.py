@@ -283,7 +283,13 @@ class TestCli:
          "derivative loop unstable at gain = 2000, bandpass_quality = 0.3: "
          "spectral radius 1.01786 >= 1"),
         ("initial_position = nan m\n",
-         "sim.initial_position: must be finite, got nan")])
+         "sim.initial_position: must be finite, got nan"),
+        ("seed = -5\n", "sim.seed: must be in [0, 2**64), got -5"),
+        (f"seed = {2 ** 64}\n",
+         f"sim.seed: must be in [0, 2**64), got {2 ** 64}"),
+        ("controller = chain\ndac_bits = 1100\n",  # was an OverflowError
+         "sim.dac_bits: must be <= 1023, so that 2**dac_bits is a finite "
+         "float, got 1100")])
     def test_bad_sim_run_refused(self, tmp_path, capsys, lines, message):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\n" + lines)
@@ -293,6 +299,38 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err == f"error: config: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_out_of_range_refused(self, tmp_path, capsys, seed):
+        # masked to 64 bits, these ran as seeds 2**64 - 1 and 0
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", str(seed),
+                     "simulate"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: --seed: must be in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["psd"], "optocool psd: the following arguments are required: "
+                  "--input"),
+        (["psd", "--input", "trace.csv", "--segment", "x"],
+         "optocool psd: argument --segment: invalid int value: 'x'"),
+        (["frobnicate"], "optocool: argument command: invalid choice: "
+                         "'frobnicate' (choose from ")],
+        ids=["missing-input", "bad-segment", "unknown-command"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["psd", "--help"])
+        assert exc.value.code == 0
+        assert "--input" in capsys.readouterr().out
 
     @pytest.mark.parametrize("section, key, command", [
         ("cooling", "gain", ["noise-budget"]),
@@ -560,26 +598,14 @@ class TestCli:
         assert np.all(readout == 1e3)
         np.testing.assert_allclose(total, np.hypot(thermal, readout),
                                    rtol=1e-12)
+        # bit for bit the noisy readout's own sum of its noise terms
+        cfg = load_config(config)
+        res = cfg.resonator()
+        noisy = cfg.fpi().output_spectrum(res, 0.0, _gain_grid(res, 0.0))
+        assert np.array_equal(total, noisy.values)
         top = np.argmax(freq)
         assert thermal[top] < 1.0
         assert total[top] == pytest.approx(1e3, rel=1e-3)
-
-    def test_noise_budget_total_is_the_noisy_output_spectrum(self, tmp_path):
-        # bit for bit: the readout alone combines its noise terms
-        config = tmp_path / "noisy.ini"
-        config.write_text(MINIMAL.replace(
-            "tuning_range = 10 GHz\n",
-            "tuning_range = 10 GHz\nreadout_noise_asd = 370 Hz/rtHz\n")
-            + "\n[cooling]\ngain = 15\n")
-        run_command(["--config", str(config), "--out", str(tmp_path),
-                     "noise-budget"])
-        _, total = read_columns(tmp_path / "noise_budget.csv",
-                                ("freq_hz", "total_hz_rthz"))
-        cfg = load_config(config)
-        res, g = cfg.resonator(), cfg.get("cooling", "gain")
-        noisy = cfg.fpi().output_spectrum(res, g, omega=_gain_grid(res, g))
-        assert (cfg.fpi().readout_noise, g) == (370.0, 15.0)
-        assert np.array_equal(total, noisy.values)
 
     def test_headers_embed_config(self, tmp_path):
         run_command(["--out", str(tmp_path), "noise-budget"])
@@ -628,6 +654,25 @@ class TestArtifactFormat:
         assert "cool_optimum.txt" in err
         assert "\n" not in err
         assert not (out / "cool_optimum.txt").exists()
+
+    @pytest.mark.parametrize("fpi", [
+        {"tuning_range = 10 GHz": "tuning_range = 1e300 GHz"},  # parses to inf
+        {"cavity_length = 50 mm": "cavity_length = 1e100 m",
+         "tuning_range = 10 GHz": "tuning_range = 1e299 GHz"}])
+    def test_infinite_dynamic_range_refused(self, tmp_path, capsys, fpi):
+        # the report formats its own rows, so format_artifact never saw inf
+        text = MINIMAL
+        for old, new in fpi.items():
+            text = text.replace(old, new)
+        config = tmp_path / "wide.ini"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "paper-report"]) == 1
+        assert capsys.readouterr().err == (
+            "error: DomainError: paper_report.txt: dynamic_range: computed "
+            "inf and ratio inf must be finite\n")
+        assert not out.exists()
 
     def test_comments_between_rows_psd(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

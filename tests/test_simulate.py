@@ -264,6 +264,29 @@ class TestValidation:
         with pytest.raises(DomainError, match="dac_bits must be >= 1"):
             SimConfig(duration=1.0, controller="chain", dac_bits=bits)
 
+    @pytest.mark.parametrize("bits", [1024, 1100])
+    def test_dac_bits_past_a_float_refused(self, bits):
+        # 2 ** 1024 does not convert to a float: the LSB would raise
+        # OverflowError at the first step
+        with pytest.raises(DomainError, match="dac_bits must be <= 1023"):
+            SimConfig(duration=1.0, controller="chain", dac_bits=bits)
+
+    def test_deepest_dac_runs(self, q100):
+        chain = TestChainController()._chain(q100, 150.0)
+        cfg = SimConfig(duration=2.0, controller="chain", dac_bits=1023)
+        tr = simulate(cfg, q100, chain=chain, hli=TestControllerOracle.HLI)
+        assert np.all(np.isfinite(tr.control_voltage))
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 64 + 7])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # masked to 64 bits, these ran as 2**64 - 1, 2**64 - 5, 0 and 7
+        with pytest.raises(DomainError, match=r"^seed must be in \[0, 2"):
+            SimConfig(duration=1.0, seed=seed)
+
+    def test_widest_seed_runs(self, q100):
+        cfg = SimConfig(duration=2.0, seed=2 ** 64 - 1)
+        assert simulate(cfg, q100).x.size > 0
+
     def test_bad_modes_rejected(self):
         with pytest.raises(DomainError):
             SimConfig(duration=1.0, controller="pid")

@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Wall time of each default CLI command, each run in a fresh process.
 
-    python3 tools/cli_times.py [--checkout .] [--runs 15] [--out FILE]
+    python3 tools/cli_times.py [--checkout DIR ...] [--runs 15] [--out FILE]
 
 Runs ``python -m optocool`` from ``<checkout>/src`` for every command that
 needs no argument, with the built-in config, and for ``psd`` of the default
-``simulate`` trace, which it writes once first. Every run writes into a new
-directory under one temporary directory, removed at the end, and is timed
-from the start of its process to its exit. The commands take turns, so a
-slow spell of the host is spread over all of them. It prints, and writes to
-``--out`` if given, one JSON object: per command the median and quartiles
-of its times in ms, and the number of runs. A command that exits nonzero
-stops the script with its stderr. Only the standard library is used.
+``simulate`` trace, which the first checkout writes once first and every
+checkout reads. ``--checkout`` may be given more than once to compare
+checkouts (default: this one). Each round runs every command once in every
+checkout: the commands take turns, each command runs in all checkouts back
+to back, and the checkout that runs first moves on by one each round, so a
+slow spell of the host falls on all of them alike rather than on one
+checkout. Every run writes into a new directory under one temporary
+directory, removed at the end, and is timed from the start of its process
+to its exit. It prints, and writes to ``--out`` if given, one JSON object:
+per checkout and per command the median and quartiles of its times in ms,
+and the number of runs. A command that exits nonzero stops the script with
+its stderr. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -50,36 +55,50 @@ def run(checkout, argv, out):
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
-        sys.exit(f"{' '.join(argv)}: exit {proc.returncode}: {proc.stderr}")
+        sys.exit(f"{checkout}: {' '.join(argv)}: exit {proc.returncode}: "
+                 f"{proc.stderr}")
     return elapsed
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--checkout", type=Path, action="append",
+                        help="checkout to time; repeat to compare several")
     parser.add_argument("--runs", type=int, default=15)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs: quartiles need at least 2 runs")
+    checkouts = args.checkout or [ROOT]
+    labels = [str(c) for c in checkouts]
+    if len(set(labels)) < len(labels):
+        parser.error("--checkout: each checkout once")
 
-    times = {name: [] for name in COMMANDS}
+    times = {label: {name: [] for name in COMMANDS} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        run(args.checkout, ["simulate"], tmp / "trace")
+        run(checkouts[0], ["simulate"], tmp / "trace")
         trace = tmp / "trace" / "trace.csv"
         for i in range(args.runs):
+            first = i % len(checkouts)
+            order = list(range(first, len(checkouts))) + list(range(first))
             for j, (name, command) in enumerate(COMMANDS.items()):
                 command = [a.format(trace=trace) for a in command]
-                out = tmp / f"run{i}" / str(j)
-                times[name].append(run(args.checkout, command, out))
+                for k in order:
+                    out = tmp / f"run{i}" / str(j) / str(k)
+                    times[labels[k]][name].append(
+                        run(checkouts[k], command, out))
     summary = {}
-    for name, values in times.items():
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        summary[name] = {"median_ms": 1e3 * median, "q1_ms": 1e3 * q1,
-                         "q3_ms": 1e3 * q3, "runs": len(values)}
+    for label, commands in times.items():
+        summary[label] = {}
+        for name, values in commands.items():
+            q1, median, q3 = statistics.quantiles(values, n=4,
+                                                  method="inclusive")
+            summary[label][name] = {"median_ms": 1e3 * median,
+                                    "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3,
+                                    "runs": len(values)}
     text = json.dumps({"python": sys.version.split()[0],
-                       "commands": summary}, indent=1)
+                       "checkouts": summary}, indent=1)
     print(text)
     if args.out is not None:
         args.out.write_text(text + "\n")
