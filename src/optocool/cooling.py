@@ -6,21 +6,21 @@ loop one with gamma_m replaced by (1+g) gamma_m. The price is that readout
 imprecision is fed back as a real force; balancing the two yields an optimal
 gain and a floor on the reachable effective temperature.
 
-This module is the one home of the response model: `effective_susceptibility`
-is the only susceptibility expression, in the positive-real-at-DC sign
-convention
+This module is the one home of the response model. `effective_susceptibility`
+holds its only susceptibility expression, in the positive-real-at-DC sign
+convention,
 
-    chi_eff(omega) = 1 / ( m * (omega0^2 - omega^2 + i (1+g) gamma_m(omega) omega) ),
+    chi_eff = 1 / (m (omega0^2 - omega^2 + i (1+g) gamma_m(omega) omega)),
 
-whose g = 0 case is the resonator's own chi_m, and `acceleration_transfer`
-is -m chi_m, the one place the sign of displacement against frame
-acceleration flips. One function gives the thermal, feedthrough and
-external parts of the closed-loop spectrum as rows;
-`closed_loop_psd` is their sum and `closed_loop_variance` integrates all
-three in one pass, so they share one evaluation per node. The readout output
-spectrum composes `effective_susceptibility`, and the cascade planner's
-per-stage floor is `analytic_variance`. Only the time-domain simulator keeps
-its own (viscous-equivalent) feedback rate.
+whose g = 0 case is the resonator's own chi_m; `acceleration_transfer`,
+-m chi_m, is the one place displacement flips sign against frame
+acceleration. One function gives the thermal, feedthrough and external
+parts of the closed-loop spectrum as rows; `closed_loop_psd` is their sum
+and `closed_loop_variance` integrates all three in one pass, so they share
+one evaluation per node. The readout output spectrum composes
+`effective_susceptibility`, and the cascade planner's per-stage floor is
+`analytic_variance`. Only the time-domain simulator keeps its own
+(viscous-equivalent) feedback rate.
 
 Variance integrals run over omega in [omega0/10, 10 omega0] with a fixed
 composite rule: 16-point Gauss-Legendre on panels whose edges are a log
