@@ -465,9 +465,11 @@ def run_command(argv) -> int:
 
 def main(argv=None) -> int:
     """Run one command; a refusal is one stderr line, its line breaks
-    escaped, and exit 2 for a `ConfigError`, else 1."""
+    escaped, and exit 2 for a `ConfigError`, else 1. NumPy does not warn,
+    which would add lines: the writer refuses a non-finite cell."""
     try:
-        return run_command(sys.argv[1:] if argv is None else argv)
+        with np.errstate(all="ignore"):
+            return run_command(sys.argv[1:] if argv is None else argv)
     except Exception as exc:  # single-line machine-parsable failure
         kind = ("config" if isinstance(exc, ConfigError)
                 else type(exc).__name__)

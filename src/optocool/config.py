@@ -6,7 +6,7 @@ value in a config file must carry a unit suffix from the key's allowed set
 frequencies convert to angular units internally; plain-frequency keys
 (corners, tuning ranges) stay in Hz. Unknown sections or keys are rejected
 and missing required keys are reported with their full path. The resolved
-SI values are echoed into every output artifact.
+SI values, finite but for an infinite Q, are echoed into every artifact.
 
 ``_SCHEMA`` is the one statement of each key, its default and its allowed
 words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
@@ -63,13 +63,14 @@ class _Key:
     default: str       # exactly as DEFAULT_CONFIG writes it
     choices: tuple = ()
     required: bool = False
+    infinite: bool = False  # whether inf is a value (a loss-free Q)
 
 
 _SCHEMA = {
     "resonator": {
         "mass": _Key("mass", "2.6 g", required=True),
         "frequency": _Key("angular_frequency", "4.72 Hz", required=True),
-        "q_internal": _Key("number", "4.77e5", required=True),
+        "q_internal": _Key("number", "4.77e5", required=True, infinite=True),
         "viscous_rate": _Key("angular_frequency", "0 rad/s"),
         "temperature": _Key("temperature", "300 K", required=True),
         "loss_exponent": _Key("number", "0"),
@@ -186,11 +187,16 @@ class ExperimentConfig:
         return self.values[section][key]
 
     def echo(self) -> list:
-        """Deterministic 'section.key = value unit' lines for artifact headers."""
+        """Deterministic 'section.key = value unit' lines for artifact
+        headers; a nan or infinite value, but an infinite Q, is refused."""
         lines = [f"config = {self.source}"]
         for section in _SCHEMA:
             for key, spec in _SCHEMA[section].items():
                 val = self.values[section][key]
+                if isinstance(val, float) and not (math.isfinite(val) or (
+                        spec.infinite and val == math.inf)):
+                    raise ConfigError(
+                        f"{section}.{key}: must be finite, got {val!r}")
                 if val is None:
                     rendered = spec.default
                 elif spec.kind in _UNITS:

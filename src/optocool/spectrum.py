@@ -34,9 +34,10 @@ only code that turns its cells into numbers. Its header is the first row
 that is neither blank nor a ``#`` comment, and a missing, undecodable or
 malformed file is refused with a `ConfigError` naming it. Float columns are
 parsed by one block-wise NumPy pass, `_read_floats`, the inverse of
-`_float_bytes`: it reads the file once, `_CHUNK` bytes at a time, splits
-the rows after the header at every ``,`` and line break, cuts the spaces
-off each named cell's ends, and reads a cell of the form ``[sign] digits
+`_float_bytes`: it reads the header as text, then `_CHUNK` bytes at a
+time (a chunk's unfinished line again with the next), splits the rows at
+every ``,`` and line break, cuts the spaces off each named cell's ends,
+and reads a cell of the form ``[sign] digits
 [. digits] [e|E [sign] digits]`` whose mantissa takes at most 24 bytes
 and exponent 8 (``repr``, ``%.17g``, np.savetxt's ``%.18e``, ``%.20e``)
 8 digits a word, rounding M * 10**E as `float` does: M, cut below 2**63
@@ -531,46 +532,57 @@ def read_columns(path, names):
 def _read_floats(path, names):
     """`read_columns` of float columns by one block-wise NumPy pass, or None.
 
-    The file's bytes are read once, `_CHUNK` at a time into one buffer,
-    and a chunk's whole lines are parsed before the next is read, so memory
-    stays flat however long the file. None hands the file to the
-    cell-by-cell reader, which alone decides each refusal and its message.
-    That happens for a file that is not a regular file (a pipe cannot be
-    read twice), that is not text in the locale's encoding, that holds a
-    ``"`` anywhere (csv quoting can join lines or cells that this pass
-    splits), a line of `_CHUNK` bytes or of half `csv.field_size_limit`
-    (it may hold a cell over that limit), or a ``#`` in the first cell of
-    a row after the header (a comment row); and for a short row, a cell
-    `float` refuses, a non-finite value, fewer than two rows or a first
-    column that does not increase. The header is the first row, as `csv`
-    splits it, that is neither blank nor a comment; the rows after it split
-    at every ``,``, ``\\n`` and ``\\r``, as `csv` splits them without
-    quotes, and `_cell_floats` reads each named cell, less the spaces at
-    its ends, as `float` does, so the arrays are bit-identical to the other
-    reader's.
+    The header, the first row that `csv` splits to neither blank nor a
+    comment, is read as text; the bytes after it `_CHUNK` at a time, just
+    after a line break in one buffer. A chunk's whole lines are parsed and
+    the file is sought back to its unfinished line, so the file position
+    is all that one chunk leaves the next. None hands the file to the
+    cell-by-cell reader, which alone decides each refusal and its message:
+    for a file that is not a regular file (a pipe cannot be read twice),
+    not text in the locale's encoding, or holds a ``"`` (csv quoting can
+    join lines or cells this pass splits), a line of `_CHUNK` or half
+    `csv.field_size_limit` (it may hold a cell over that limit; characters
+    up to the header, then bytes), a ``#`` in the first cell of a row after
+    the header (a comment row), a short row, a cell `float` refuses, a
+    non-finite value, fewer than two rows or a first column that does not
+    increase. Rows split at every ``,``, ``\\n`` and ``\\r``, as `csv`
+    splits them without quotes, and `_cell_floats` reads each named cell,
+    less the spaces at its ends, as `float` does: bit-identical arrays.
     """
     if not os.path.isfile(path):
         return None
     # a line this long may hold a cell over csv's limit, or over a chunk
     limit = min(csv.field_size_limit() // 2, _CHUNK)
-    # spare zeros, the unfinished line carried over, the chunk, spare zeros
-    buf = np.zeros((3 * _SPARE + limit + _CHUNK) // 8 * 8, np.uint8)
-    indices, blocks, size = None, [], 0
+    # spare zeros, a line break, the chunk, spare zeros
+    buf = np.zeros((2 * _SPARE + _CHUNK + 8) // 8 * 8, np.uint8)
+    buf[_SPARE] = ord("\n")
+    blocks, offset = [], 0
     try:
         with open(path, newline="") as fh:  # the text reader's encoding
             encoding = fh.encoding
             while True:
+                line = fh.readline(limit)
+                if '"' in line or not line.endswith(("\n", "\r")):
+                    return None  # quoted, too long, or the file ends
+                offset += len(line.encode(encoding))
+                row = next(csv.reader([line]), None)
+                if row and not row[0].lstrip().startswith("#"):
+                    break
+            header = [cell.strip() for cell in row]
+            indices = np.array(list(map(header.index, names)))
+            fh.buffer.seek(offset)  # tell() may be a decoder cookie
+            got = _CHUNK
+            while got == _CHUNK:  # readinto fills it unless the file ends
                 got = fh.buffer.readinto(
-                    memoryview(buf)[_SPARE + size:_SPARE + size + _CHUNK])
-                end = _SPARE + size + got
-                if not got:  # a line break closes the last line
-                    buf[end] = ord("\n")
-                    end += 1
-                text = buf[_SPARE:end]
-                hit = text <= ord(",")  # separators, " # + etc.
-                hit &= text != ord(" ")  # many in padded tables
-                at = np.flatnonzero(hit)
-                del hit
+                    memoryview(buf)[_SPARE + 1:_SPARE + 1 + _CHUNK])
+                end = _SPARE + 1 + got
+                # a line break ends the last line if the file ends, else the
+                # unfinished one, to check its length: it is read again
+                buf[end] = ord("\n")
+                text = buf[_SPARE:end + 1]
+                at = text <= ord(",")  # separators, " # + etc.
+                at &= text != ord(" ")  # many in padded tables
+                at = np.flatnonzero(at)
                 at += _SPARE
                 byte = buf.take(at)
                 if (byte == ord('"')).any():
@@ -581,46 +593,25 @@ def _read_floats(path, names):
                 if not sep.all():
                     at, byte = at[sep], byte[sep]
                 breaks = np.flatnonzero(byte != ord(","))
-                if not len(breaks):  # all one unfinished line
-                    if end - _SPARE >= limit:
-                        return None
-                    size = end - _SPARE
-                    continue
+                ends = at.take(breaks)
+                lengths = ends[1:] - ends[:-1] - 1  # the unfinished one's too
+                if lengths.max() >= limit:
+                    return None
+                whole = len(breaks) - (got == _CHUNK)  # breaks of whole lines
+                last = ends[whole - 1]
                 if text.max() > 127:  # raises if it is not text
-                    str(buf[_SPARE:at[breaks[-1]]], encoding)
-                first = 0
-                if indices is None:  # the header is the first row that is
-                    start = _SPARE   # neither blank nor a comment
-                    for first in breaks:
-                        stop = at[first]
-                        if stop - start >= limit:
-                            return None
-                        row = buf[start] != ord("#") and next(csv.reader(
-                            [str(buf[start:stop], encoding)]), None)
-                        start = stop + 1
-                        if row and not row[0].lstrip().startswith("#"):
-                            header = [cell.strip() for cell in row]
-                            if not set(names) <= set(header):
-                                return None
-                            indices = np.array(list(map(header.index, names)))
-                            break
-                if indices is not None:
-                    lines = at[first:breaks[-1] + 1]
-                    block = _chunk_floats(
-                        buf, lines, breaks[breaks >= first] - first,
-                        hashes[(hashes > lines[0]) & (hashes < lines[-1])],
-                        indices, limit, encoding)
-                    if block is None:
-                        return None
-                    blocks.append(block)
-                # carry the unfinished line, from the line break before it
-                size = end - at[breaks[-1]]
-                if size > limit or not got:
-                    break
-                buf[_SPARE:_SPARE + size] = buf[end - size:end]
-    except (OSError, UnicodeDecodeError, csv.Error):
-        return None
-    if indices is None or size > limit:
+                    str(buf[_SPARE:last], encoding)
+                block = _chunk_floats(buf, at[:breaks[whole - 1] + 1],
+                                      breaks[:whole], lengths[:whole - 1],
+                                      hashes[hashes < last], indices,
+                                      encoding)
+                if block is None:
+                    return None
+                blocks.append(block)
+                # back to the unfinished line's first byte (one past the
+                # end once the file ends, where the loop stops)
+                fh.buffer.seek(last + 1 - end, os.SEEK_CUR)
+    except (OSError, ValueError, csv.Error):  # a missing name, not text
         return None
     columns = np.concatenate(blocks, axis=1)
     if columns.shape[1] < 2 or not (np.diff(columns[0]) > 0.0).all():
@@ -628,17 +619,14 @@ def _read_floats(path, names):
     return list(columns)
 
 
-def _chunk_floats(buf, at, breaks, hashes, indices, limit, encoding):
+def _chunk_floats(buf, at, breaks, lengths, hashes, indices, encoding):
     """The named cells of whole lines of ``buf`` as a (columns, rows)
     array, or None for any line `_read_floats` leaves to the other reader.
     ``at`` holds the positions of their separators, from the line break
-    before them, and ``breaks`` the indices in it of the line breaks; a
-    line's cells end at its separators, and ``hashes`` are the ``#`` in
-    them."""
+    before them, ``breaks`` the indices in it of the line breaks and
+    ``lengths`` the lines' lengths; a line's cells end at its separators,
+    and ``hashes`` are the ``#`` in them."""
     firsts, lasts = breaks[:-1] + 1, breaks[1:]  # each line's cells
-    lengths = at.take(lasts) - at.take(breaks[:-1]) - 1
-    if lengths.max(initial=0) >= limit:
-        return None
     if not lengths.all():  # blank lines go
         firsts, lasts = firsts[lengths > 0], lasts[lengths > 0]
     if (lasts - firsts).min(initial=indices.max()) < indices.max():

@@ -158,7 +158,8 @@ class TestLosslessResonator:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out),
                      "cool", "optimum"]) == 0
-        assert (out / "cool_optimum.txt").exists()
+        text = (out / "cool_optimum.txt").read_text()
+        assert "# resonator.q_internal = inf\n" in text
 
 
 class TestBadTraceInput:
@@ -619,3 +620,25 @@ def test_overflowing_band_integral_fails_in_one_line(tmp_path):
         "error: NumericalError: feedthrough integral is not finite at "
         "g = 1e+300"]
     assert run("1e150").returncode == 0
+
+
+@pytest.mark.parametrize("key, value, command, message", [
+    ("mass", "1e300 kg", "noise-budget",
+     "DomainError: {out}/noise_budget.csv: column total_hz_rthz: "
+     "non-finite value inf"),
+    ("frequency", "1e-300 Hz", "susceptibility",
+     "DomainError: {out}/susceptibility_g0.csv: column value: "
+     "non-finite value (inf+nanj)")], ids=["huge-mass", "tiny-frequency"])
+def test_numpy_warning_never_reaches_stderr(tmp_path, key, value, command,
+                                            message):
+    # NumPy warns of the overflow or division by zero before the writer
+    # refuses the cell; pytest would capture a warning in process
+    out = tmp_path / "out"
+    failed = subprocess.run(
+        [sys.executable, "-m", "optocool", "--config",
+         str(_config(tmp_path, **{key: value})), "--out", str(out), command],
+        capture_output=True, text=True)
+    assert failed.returncode == 1
+    assert failed.stderr.splitlines() == [
+        "error: " + message.format(out=out)]
+    assert not out.exists()

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optocool import ConfigError
@@ -648,12 +648,29 @@ class TestArtifactFormat:
         config.write_text(MINIMAL.replace("mass = 2.6 g", "mass = inf g"))
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out),
-                     "cool", "optimum"]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error: DomainError:")
-        assert "cool_optimum.txt" in err
-        assert "\n" not in err
-        assert not (out / "cool_optimum.txt").exists()
+                     "cool", "optimum"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: resonator.mass: must be finite, got inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, command, message", [
+        ("bias_angle = 45 deg", "bias_angle = nan deg", ["cool", "optimum"],
+         "chain.bias_angle: must be finite, got nan"),
+        ("tuning_range = 10 GHz", "tuning_range = 1e300 GHz",  # overflows
+         ["noise-budget"], "fpi.tuning_range: must be finite, got inf"),
+        ("lpf_corner = 500 Hz", "lpf_corner = inf Hz", ["cool", "optimum"],
+         "hli.lpf_corner: must be finite, got inf")],
+        ids=["nan-bias-angle", "overflowing-tuning-range", "inf-lpf-corner"])
+    def test_non_finite_value_never_echoed(self, tmp_path, capsys, old, new,
+                                           command, message):
+        # each command accepts the value, so only the header could hold it
+        config = tmp_path / "cfg.ini"
+        config.write_text(DEFAULT_CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]
+                    + command) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fpi", [
         {"tuning_range = 10 GHz": "tuning_range = 1e300 GHz"},  # parses to inf
@@ -768,6 +785,9 @@ class TestSchemaDefaults:
                 + f"\n[sim]\nduration = {duration!r} min\ndt = {dt}\n"
                 + f"dac_bits = {dac_bits}\n")
         cfg = parse_config(text)
+        # a finite number can overflow to inf in SI units; echo refuses it
+        assume(all(math.isfinite(value) for keys in cfg.values.values()
+                   for value in keys.values() if isinstance(value, float)))
         again = parse_config(_echo_as_config(cfg))
         assert again.values == cfg.values
         assert again.echo()[1:] == cfg.echo()[1:]

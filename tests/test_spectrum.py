@@ -230,6 +230,7 @@ def test_written_float_table_reads_back_bit_identical(tmp_path_factory, t,
     ("t_s,x_m\n1.0,1.0\n0.0,2.0\n", False),
     ("t_s,x_m\n0.0,1.0\n", False),
     ("t_s,x_m\n", False),
+    ("t_s,x_m\n0.0,1.0\n1.0,2.0", True),
     ("t_s,y_m\n0.0,1.0\n1.0,2.0\n", False),
     ("", False),
     ("t_s,x_m,note\n0.0,1.0,a\n1.0,2.0," + "n" * 140_000 + "\n2.0,3.0,c\n",
@@ -240,8 +241,8 @@ def test_written_float_table_reads_back_bit_identical(tmp_path_factory, t,
         "extra-columns-any-order", "underscore", "space-padded",
         "quoted-line-break", "comment-row-after-numeric-first-column",
         "arabic-indic-digit", "nan", "overflow", "decreasing", "one-row",
-        "header-only", "missing-column", "empty", "over-long-text-cell",
-        "over-long-number"])
+        "header-only", "no-final-line-break", "missing-column", "empty",
+        "over-long-text-cell", "over-long-number"])
 def test_messy_input_reads_as_cell_by_cell(tmp_path, text, c_pass):
     path = tmp_path / "input.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -333,13 +334,20 @@ def test_edge_cells_read_as_float_reads_them(tmp_path, cell):
 @given(rows=st.lists(st.tuples(
     st.floats(-1e6, 1e6), st.sampled_from(["", "a", "µm", "été"]),
     st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])),
-    min_size=2, max_size=80), chunk=st.sampled_from([16, 23, 64, 100]))
-def test_chunks_split_anywhere(tmp_path_factory, rows, chunk):
-    # lines, line breaks and UTF-8 characters cross the chunk boundaries
+    min_size=2, max_size=80), chunk=st.sampled_from([16, 23, 64, 100]),
+    long_comments=st.integers(0, 2), final_break=st.booleans())
+def test_chunks_split_anywhere(tmp_path_factory, rows, chunk, long_comments,
+                               final_break):
+    # lines, line breaks and UTF-8 characters cross the chunk boundaries;
+    # comment lines before the header may be longer than a chunk, and the
+    # last line may have no line break
     path = tmp_path_factory.mktemp("chunks") / "input.csv"
-    text = "# a comment\r\nx_m,t_s,note\n" + "".join(
-        f"{x!r},{float(i)!r},{note}{eol}"
-        for i, (x, note, eol) in enumerate(rows))
+    text = ("# a comment\r\n" + f"# {'-' * 120}\n" * long_comments
+            + "x_m,t_s,note\n" + "".join(
+                f"{x!r},{float(i)!r},{note}{eol}"
+                for i, (x, note, eol) in enumerate(rows)))
+    if not final_break:
+        text = text.rstrip("\r\n")
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(spectrum, "_CHUNK", chunk):
         got = _read(path)
