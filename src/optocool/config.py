@@ -5,8 +5,10 @@ value in a config file must carry a unit suffix from the key's allowed set
 (e.g. ``frequency = 4.72 Hz``, ``mass = 2.6 g``). Resonance and damping
 frequencies convert to angular units internally; plain-frequency keys
 (corners, tuning ranges) stay in Hz. Unknown sections or keys are rejected
-and missing required keys are reported with their full path. The resolved
-SI values, finite but for an infinite Q, are echoed into every artifact.
+and missing required keys are reported with their full path. A value that
+is nan or infinite, also after its conversion to SI units, is refused as
+the file loads, but for an infinite Q. The resolved SI values are echoed
+into every artifact.
 
 ``_SCHEMA`` is the one statement of each key, its default and its allowed
 words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
@@ -173,6 +175,8 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
         raise ConfigError(f"{path}: {spec.kind} must be finite and >= 0, got {raw!r}")
     if spec.kind.endswith("_asd") and not math.isfinite(value * value):
         raise ConfigError(f"{path}: an ASD must have a finite square, got {raw!r}")
+    if not (math.isfinite(value) or (spec.infinite and value == math.inf)):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     return value
 
 
@@ -188,15 +192,11 @@ class ExperimentConfig:
 
     def echo(self) -> list:
         """Deterministic 'section.key = value unit' lines for artifact
-        headers; a nan or infinite value, but an infinite Q, is refused."""
+        headers."""
         lines = [f"config = {self.source}"]
         for section in _SCHEMA:
             for key, spec in _SCHEMA[section].items():
                 val = self.values[section][key]
-                if isinstance(val, float) and not (math.isfinite(val) or (
-                        spec.infinite and val == math.inf)):
-                    raise ConfigError(
-                        f"{section}.{key}: must be finite, got {val!r}")
                 if val is None:
                     rendered = spec.default
                 elif spec.kind in _UNITS:

@@ -20,7 +20,7 @@ import numpy as np
 from .constants import C_LIGHT, G_STANDARD, TWO_PI
 from .cooling import effective_susceptibility
 from .errors import ConfigError, DomainError
-from .psd import lifted_response
+from .psd import LiftedSystem
 from .resonator import MechanicalResonator
 from .spectrum import KIND_ASD, SpectrumRecord
 
@@ -179,9 +179,9 @@ class Phasemeter:
     Demodulates at the heterodyne frequency, low-passes I and Q with the
     bilinear transform of wc/(s + wc), y[n] = p y[n-1] + b (x[n] + x[n-1]),
     takes the four-quadrant angle and unwraps it across calls. Both filters
-    run as one 4-state system (y_I, x_I, y_Q, x_Q) through
-    `psd.lifted_response`, whose state between calls is each filter's last
-    output and input. One instance per stream; the state is not shareable.
+    run as one 4-state `psd.LiftedSystem` (y_I, x_I, y_Q, x_Q), built once
+    per instance, whose state between calls is each filter's last output
+    and input. One instance per stream; the state is not shareable.
     """
 
     def __init__(self, heterodyne_frequency: float, lpf_corner: float,
@@ -201,8 +201,9 @@ class Phasemeter:
         k = 2.0 * sample_rate
         b = wc / (k + wc)
         p = (k - wc) / (k + wc)
-        self._filter = (np.kron(np.eye(2), [[p, b], [0.0, 0.0]]),
-                        np.kron(np.eye(2), [[b], [1.0]]), np.eye(4)[::2])
+        self._filter = LiftedSystem(np.kron(np.eye(2), [[p, b], [0.0, 0.0]]),
+                                    np.kron(np.eye(2), [[b], [1.0]]),
+                                    np.eye(4)[::2])
         self._z = np.zeros(4)
         self._n = 0      # samples consumed
         self._last_phase = None
@@ -221,7 +222,7 @@ class Phasemeter:
         phase_lo = TWO_PI * self.f_het / self.sample_rate * n
         iq_raw = np.stack((2.0 * samples * np.cos(phase_lo),
                            -2.0 * samples * np.sin(phase_lo)))
-        i_f, q_f = lifted_response(*self._filter, self._z, iq_raw).T
+        i_f, q_f = self._filter.response(self._z, iq_raw).T
         self._z = np.array([i_f[-1], iq_raw[0, -1], q_f[-1], iq_raw[1, -1]])
         phase = np.arctan2(q_f, i_f)
         if self._last_phase is not None:

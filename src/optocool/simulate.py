@@ -27,13 +27,24 @@ Semi-implicit Euler stays the defining recursion; only its evaluation
 differs by controller. With the ``off`` and ``derivative`` controllers the
 step is linear, z_{i+1} = A z_i + B [f_in, n]_{i+1}, over the loop's own
 variables (x, v, y_i, y_{i-1}, the two bandpass states and the latched
-force; ``off`` is the same map with zero gain), and `psd.lifted_response`
+force; ``off`` is the same map with zero gain), and `psd.LiftedSystem`
 evaluates it in blocks of 32 steps by matrix products (the lifted
 state-space form of Franklin, Powell & Workman, *Digital Control of Dynamic
 Systems*), carrying the state across the blocks by a doubling scan. A
 derivative loop whose A has spectral radius >= 1 is refused before the
-first step. The ``chain`` controller, whose DAC rounding and cos^2
-modulator are nonlinear, is stepped sample by sample.
+first step.
+
+The ``chain`` controller's cos^2 modulator is memoryless but nonlinear.
+With a smooth DAC (``dac_bits`` None) it runs by waveform relaxation
+(Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD 1, 131
+(1982)): the linear loop at the modulator's bias slope, with the vel of the
+bandpass as an eighth state, takes the modulator's departure from that
+slope as a force input, and whole-trace passes of the block recursion feed
+each pass's vel back through the modulator until the force settles at
+rounding level. Its traces agree with the stepped loop to about 1e-11 of
+their rms. A quantised DAC, a linearised loop with spectral radius >= 1,
+and passes that do not settle quickly run `_chain_loop`, which steps the
+loop sample by sample as before.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from .constants import TWO_PI
 from .cooling import open_loop_thermal_variance
 from .errors import ConfigError, DivergenceError, DomainError
 from .feedback import FeedbackChain, actuator_gain
-from .psd import lifted_response
+from .psd import LiftedSystem
 from .readout import HliReadout
 from .resonator import MechanicalResonator
 
@@ -57,6 +68,9 @@ STREAM_IMPRECISION = 1
 PRESET_QUALITIES = {"q100": 100.0, "q1e3": 1.0e3, "q1e5": 1.0e5}
 CONTROLLERS = ("off", "derivative", "chain")
 _CHAIN_STORE = 4096  # chain steps per store of the listed values to the trace
+_SETTLE = 2.0 ** -40  # chain relaxation stops at this update / force scale
+_CONTRACTION = 0.5    # largest ratio of a relaxation update to the one before
+_MAX_PASSES = 16      # chain relaxation passes before it falls back
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -178,24 +192,26 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
                  force_per_velocity: float):
     """The loop step as z' = A z + B w.
 
-    z = (x, v, y_i, y_{i-1}, s1, s2, F): position, velocity, the last two
-    apparent positions, the bandpass states and the force latched for the
-    next step; w = (f_in, n) of the step. Each statement of the loop is a
-    row over (z, w), so A and B are the loop written as a matrix.
+    z = (x, v, y_i, y_{i-1}, s1, s2, F, vel): position, velocity, the last
+    two apparent positions, the bandpass states, the force latched for the
+    next step and the bandpass output it was set from; w = (f_in, n) of the
+    step. Each statement of the loop is a row over (z, w), so A and B are
+    the loop written as a matrix. The ``off`` and ``derivative`` loops need
+    only the first seven states.
     """
     m = res.mass
     w2 = res.omega0 ** 2
     gamma = res.gamma0
     b0, b2, a1, a2 = _bandpass(res, cfg, dt)
-    x, v, y1, y2, s1, s2, f_fb, f_in, noise = np.eye(9)
+    x, v, y1, y2, s1, s2, f_fb, _, f_in, noise = np.eye(10)
     v = v + dt * ((f_in + f_fb) / m - w2 * x - gamma * v)
     x = x + dt * v
     y = x + noise
     u = (y - y2) / (2.0 * dt)
     vel = b0 * u + s1
     step = np.array([x, v, y, y1, -a1 * vel + s2, b2 * u - a2 * vel,
-                     force_per_velocity * vel])
-    return step[:, :7], step[:, 7:]
+                     force_per_velocity * vel, vel])
+    return step[:, :8], step[:, 8:]
 
 
 def simulate(cfg: SimConfig, res: MechanicalResonator,
@@ -235,12 +251,15 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, 1.0e-12)
 
     if cfg.controller == "chain":
-        x_out, f_out, v_out, p_out = _chain_loop(
-            cfg, res, chain, dt, bound, f_in, noise_y)
+        out = _relaxed_chain(cfg, res, chain, dt, f_in, noise_y)
+        if out is None:
+            out = _chain_loop(cfg, res, chain, dt, bound, f_in, noise_y)
+        x_out, f_out, v_out, p_out = out
     else:
         force_per_velocity = (-m * cfg.gain * gamma
                               if cfg.controller == "derivative" else 0.0)
         a, b = _linear_step(res, cfg, dt, force_per_velocity)
+        a, b = a[:7, :7], b[:7]
         # without feedback A is the bare oscillator: stable when damped and
         # marginal (radius 1) when lossless, a run the recursion still carries
         if force_per_velocity != 0.0:
@@ -253,26 +272,94 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         z0 = (a @ np.array([cfg.x0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
               + b @ np.array([f_in[0], noise_y[0]]))
         z0[3:] = z0[2], 0.0, 0.0, 0.0  # warm-up: y_{-1} = y_0, vel_0 = 0
-        out = lifted_response(a, b, np.eye(7)[[0, 6]], z0,
-                              (f_in[1:], noise_y[1:]))
+        out = LiftedSystem(a, b, np.eye(7)[[0, 6]]).response(
+            z0, (f_in[1:], noise_y[1:]))
         x_out = np.concatenate(([z0[0]], out[:, 0]))
         f_out = np.concatenate(([0.0, z0[-1]], out[:-1, 1]))
         v_out = p_out = None
-        outside = np.flatnonzero(~((-bound < x_out) & (x_out < bound)))
-        if outside.size:
-            raise DivergenceError(
-                f"|x| exceeded {bound:.3g} m at step {outside[0]}")
+    outside = np.flatnonzero(~((-bound < x_out) & (x_out < bound)))
+    if outside.size:
+        raise DivergenceError(
+            f"|x| exceeded {bound:.3g} m at step {outside[0]}")
 
     t = dt * np.arange(n)
     return SimTrace(t=t, x=x_out, y=x_out + noise_y, feedback_force=f_out,
                     control_voltage=v_out, power=p_out, config=cfg)
 
 
+def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
+                   chain: FeedbackChain, dt: float, f_in: np.ndarray,
+                   noise_y: np.ndarray):
+    """The smooth chain loop by waveform relaxation, or None where
+    `_chain_loop` has to step it.
+
+    The loop is the linear one at the modulator's bias slope k, plus a
+    force q = phi(vel) - k vel added to the latched force, where phi is
+    `_chain_loop`'s DAC, cos^2 modulator and radiation pressure. Each pass
+    runs the whole trace through the block recursion with the q of the
+    previous pass's vel (the first with vel = 0), and the passes stop once
+    q moves by at most _SETTLE of the force scale 2 P0 / c. None for a
+    quantised DAC, for a linear loop with spectral radius >= 1, and for
+    passes whose update is not finite, is more than _CONTRACTION of the
+    one before or has not settled in _MAX_PASSES: where the passes
+    converge that slowly, stepping is the faster path.
+    """
+    if cfg.dac_bits is not None:
+        return None
+    volt_per_velocity = (chain.dac_gain * TWO_PI / chain.wavelength
+                         / res.omega0)
+    vpi = chain.eoam.half_wave_voltage
+    theta = chain.eoam.bias_angle
+    p0 = chain.eoam.max_power
+    rp = actuator_gain()
+    slope = -rp * chain.eoam.gain() * volt_per_velocity
+    a, b = _linear_step(res, cfg, dt, slope)
+    if not np.max(np.abs(np.linalg.eigvals(a))) < 1.0:
+        return None
+
+    def power(volt):
+        return p0 * np.cos(theta + np.pi * volt / vpi) ** 2
+
+    z0 = (a @ np.array([cfg.x0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+          + b @ np.array([f_in[0], noise_y[0]]))
+    # warm-up: y_{-1} = y_0, vel_0 = 0, and the force set from it
+    q = rp * (p0 * math.cos(theta) ** 2)
+    z0[3:] = z0[2], 0.0, 0.0, q, 0.0
+    # the passes read only vel; x follows once from the settled q
+    eye = np.eye(8)
+    x_out, vel_free = LiftedSystem(a, b, eye[[0, 7]]).response(
+        z0, (f_in[1:], noise_y[1:])).T
+    to_vel = LiftedSystem(a, eye[:, 6:], eye[7:])
+    start = np.zeros(8)
+    q = np.full(f_in.size - 1, q)
+    tol = _SETTLE * rp * p0
+    last = math.inf
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_PASSES):
+            vel = vel_free + to_vel.response(start, (q,))[:, 0]
+            q_next = rp * power(volt_per_velocity * vel) - slope * vel
+            update = float(np.max(np.abs(q_next - q)))
+            if update <= tol:
+                break
+            if not update <= _CONTRACTION * last:
+                return None
+            last, q = update, q_next
+        else:
+            return None
+    x_out += LiftedSystem(a, eye[:, 6:], eye[:1]).response(start, (q,))[:, 0]
+    volt = volt_per_velocity * np.concatenate(([0.0], vel))
+    p_out = power(volt)
+    # the force set at step i acts during step i + 1
+    f_out = np.concatenate(([0.0], rp * p_out[:-1]))
+    return np.concatenate(([z0[0]], x_out)), f_out, volt, p_out
+
+
 def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
                 chain: FeedbackChain, dt: float, bound: float,
                 f_in: np.ndarray, noise_y: np.ndarray):
-    """Step the chain controller sample by sample: its DAC rounding and
-    cos^2 modulator make the loop nonlinear."""
+    """Step the chain controller sample by sample: the path for a quantised
+    DAC and for the loops `_relaxed_chain` refuses, and the reference its
+    tests compare with."""
     n = f_in.size
     m = res.mass
     w2 = res.omega0 ** 2

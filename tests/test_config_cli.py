@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optocool import ConfigError
+from optocool import ConfigError, cli
 from optocool.cli import _gain_grid, main, run_command
 from optocool.config import DEFAULT_CONFIG, load_config, parse_config
 from optocool.spectrum import read_columns, read_rows
@@ -263,7 +263,7 @@ class TestCli:
         assert main(["--config", str(cfg_path), "--out", str(out),
                      "simulate"]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: config: resonator.temperature: must be >= 0, "
+        assert err == ("error: config: resonator.temperature: must be finite, "
                        "got nan\n")
         assert not out.exists()
 
@@ -672,11 +672,37 @@ class TestArtifactFormat:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("fpi", [
-        {"tuning_range = 10 GHz": "tuning_range = 1e300 GHz"},  # parses to inf
-        {"cavity_length = 50 mm": "cavity_length = 1e100 m",
-         "tuning_range = 10 GHz": "tuning_range = 1e299 GHz"}])
-    def test_infinite_dynamic_range_refused(self, tmp_path, capsys, fpi):
+    def test_non_finite_value_refused_before_the_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        config = tmp_path / "cfg.ini"
+        config.write_text(DEFAULT_CONFIG.replace("finesse = 1000",
+                                                 "finesse = inf"))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "simulate"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: fpi.finesse: must be finite, got inf\n")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fpi, code, message", [
+        # parses to inf, so it is refused as the config loads
+        pytest.param({"tuning_range = 10 GHz": "tuning_range = 1e300 GHz"},
+                     2, "error: config: fpi.tuning_range: must be finite, "
+                     "got inf\n", id="fpi0"),
+        pytest.param({"cavity_length = 50 mm": "cavity_length = 1e100 m",
+                      "tuning_range = 10 GHz": "tuning_range = 1e299 GHz"},
+                     1, "error: DomainError: paper_report.txt: dynamic_range: "
+                     "computed inf and ratio inf must be finite\n", id="fpi1")])
+    def test_infinite_dynamic_range_refused(self, tmp_path, capsys, fpi, code,
+                                            message):
         # the report formats its own rows, so format_artifact never saw inf
         text = MINIMAL
         for old, new in fpi.items():
@@ -685,10 +711,8 @@ class TestArtifactFormat:
         config.write_text(text)
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out),
-                     "paper-report"]) == 1
-        assert capsys.readouterr().err == (
-            "error: DomainError: paper_report.txt: dynamic_range: computed "
-            "inf and ratio inf must be finite\n")
+                     "paper-report"]) == code
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_comments_between_rows_psd(self, tmp_path):
@@ -784,10 +808,12 @@ class TestSchemaDefaults:
                 + f"displacement_span = {span!r} um\n"
                 + f"\n[sim]\nduration = {duration!r} min\ndt = {dt}\n"
                 + f"dac_bits = {dac_bits}\n")
-        cfg = parse_config(text)
-        # a finite number can overflow to inf in SI units; echo refuses it
-        assume(all(math.isfinite(value) for keys in cfg.values.values()
-                   for value in keys.values() if isinstance(value, float)))
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            # a finite number can overflow to inf in SI units: refused
+            assert re.search("must be finite, got -?inf$", str(exc))
+            assume(False)
         again = parse_config(_echo_as_config(cfg))
         assert again.values == cfg.values
         assert again.echo()[1:] == cfg.echo()[1:]

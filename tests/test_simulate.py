@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -12,7 +13,11 @@ from optocool import (ConfigError, CoolingSetup, DivergenceError, DomainError,
                       SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
+from optocool.feedback import actuator_gain
 from optocool.simulate import _linear_step, stream_rng
+
+# the module: the package's ``simulate`` attribute is the function
+simulate_module = importlib.import_module("optocool.simulate")
 
 TWO_PI = 2 * math.pi
 
@@ -172,6 +177,139 @@ class TestChainController:
     def test_chain_requires_chain(self, q100):
         with pytest.raises(ConfigError):
             simulate(SimConfig(duration=30.0, controller="chain"), q100)
+
+
+class TestRelaxedChain:
+    """The smooth chain loop by waveform relaxation against the stepped
+    `_chain_loop`, which simulate runs where the relaxation does not
+    apply."""
+
+    HLI = HliReadout(wavelength=1064e-9, imprecision_asd=1e-12)
+
+    @staticmethod
+    def _run(cfg, res, chain, hli, relax):
+        """simulate with `_relaxed_chain` replaced by ``relax``."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate_module, "_relaxed_chain", relax)
+            return simulate(cfg, res, chain=chain, hli=hli)
+
+    @staticmethod
+    def _spy(relaxed):
+        """`_relaxed_chain`, appending to ``relaxed`` whether it ran."""
+        relax = simulate_module._relaxed_chain
+
+        def spy(*args):
+            out = relax(*args)
+            relaxed.append(out is not None)
+            return out
+        return spy
+
+    def _runs(self, cfg, res, chain, hli):
+        """simulate's trace, whether it relaxed, and the stepped trace."""
+        relaxed = []
+        trace = self._run(cfg, res, chain, hli, self._spy(relaxed))
+        stepped = self._run(cfg, res, chain, hli, lambda *args: None)
+        return trace, relaxed == [True], stepped
+
+    @staticmethod
+    def _fields(trace):
+        return (trace.x, trace.feedback_force, trace.control_voltage,
+                trace.power)
+
+    def _assert_agrees(self, trace, stepped, rel):
+        for got, ref in zip(self._fields(trace), self._fields(stepped)):
+            rms = math.sqrt(float(np.mean(ref ** 2)))
+            assert np.max(np.abs(got - ref)) <= rel * rms
+
+    def _assert_identical(self, trace, stepped):
+        for got, ref in zip(self._fields(trace), self._fields(stepped)):
+            assert np.array_equal(got, ref)
+
+    @staticmethod
+    def _cfg(res, per_period, **kwargs):
+        return SimConfig(duration=20.0, dt=1.0 / (per_period * f0_of(res)),
+                         controller="chain", **kwargs)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("per_period", [100, 200])
+    @pytest.mark.parametrize("quality", [0.3, 10.0])
+    @pytest.mark.parametrize("gain", [5.0, 20.0, 150.0])
+    def test_matches_stepped_loop(self, q100, gain, quality, per_period,
+                                  noisy):
+        chain = TestChainController()._chain(q100, gain)
+        cfg = self._cfg(q100, per_period, seed=51, bandpass_quality=quality)
+        trace, relaxed, stepped = self._runs(cfg, q100, chain,
+                                             self.HLI if noisy else None)
+        # at g = 150 and Q_bp = 0.3 the imprecision drives the modulator
+        # past its linear range, and the passes stop shrinking
+        assert relaxed == (not (gain == 150.0 and quality == 0.3 and noisy))
+        self._assert_agrees(trace, stepped, 1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gain=st.floats(0.5, 300.0), quality=st.floats(0.2, 20.0))
+    def test_matches_stepped_loop_any_gain(self, gain, quality):
+        res = preset_resonator(MechanicalResonator(
+            mass=2.6e-3, omega0=TWO_PI * 4.72, q_internal=4.77e5,
+            temperature=300.0), 100.0)
+        chain = TestChainController()._chain(res, gain)
+        cfg = self._cfg(res, 100, seed=52, bandpass_quality=quality)
+        trace, _, stepped = self._runs(cfg, res, chain, self.HLI)
+        self._assert_agrees(trace, stepped, 1e-10)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_quantised_dac_is_stepped(self, q100, bits):
+        chain = TestChainController()._chain(q100, 20.0)
+        cfg = self._cfg(q100, 100, seed=53, dac_bits=bits)
+        trace, relaxed, stepped = self._runs(cfg, q100, chain, self.HLI)
+        assert not relaxed
+        self._assert_identical(trace, stepped)
+
+    @staticmethod
+    def _radius(res, cfg, chain):
+        """Spectral radius of the loop linearised at the modulator's bias."""
+        per_velocity = chain.dac_gain * TWO_PI / chain.wavelength / res.omega0
+        slope = -actuator_gain() * chain.eoam.gain() * per_velocity
+        a, _ = _linear_step(res, cfg, cfg.resolve_dt(res), slope)
+        return np.max(np.abs(np.linalg.eigvals(a)))
+
+    def test_unstable_linear_loop_is_stepped(self, q100):
+        # the derivative loop at this gain is refused; the chain's cos^2
+        # bounds its force, so it runs
+        chain = TestChainController()._chain(q100, 2000.0)
+        cfg = self._cfg(q100, 100, seed=54, bandpass_quality=0.3)
+        assert self._radius(q100, cfg, chain) >= 1.0
+        trace, relaxed, stepped = self._runs(cfg, q100, chain, self.HLI)
+        assert not relaxed
+        self._assert_identical(trace, stepped)
+
+    @pytest.mark.parametrize("gain, x0", [(150.0, 1e-6), (1000.0, 0.0)])
+    def test_stalled_passes_are_stepped(self, q100, gain, x0):
+        chain = TestChainController()._chain(q100, gain)
+        cfg = self._cfg(q100, 100, seed=55, x0=x0)
+        assert self._radius(q100, cfg, chain) < 1.0
+        trace, relaxed, stepped = self._runs(cfg, q100, chain, self.HLI)
+        assert not relaxed
+        self._assert_identical(trace, stepped)
+
+    # a 1 N shove from mid-run: at g = 20 it drives the modulator far past
+    # its linear range and the passes stop shrinking; at g = 1e-3 they
+    # settle, and the relaxed trace crosses the bound
+    @pytest.mark.parametrize("gain, relaxes", [(20.0, False), (1e-3, True)])
+    def test_divergence_names_the_stepped_step(self, q100, gain, relaxes):
+        chain = TestChainController()._chain(q100, gain)
+        cfg = self._cfg(q100, 100, seed=56)
+        n = int(round(cfg.duration / cfg.resolve_dt(q100)))
+        shove = np.zeros(n)
+        shove[n // 2:] = 1.0
+        cfg = replace(cfg, ext_samples=shove)
+        relaxed = []
+        with pytest.raises(DivergenceError) as got:
+            self._run(cfg, q100, chain, None, self._spy(relaxed))
+        with pytest.raises(DivergenceError) as stepped:
+            self._run(cfg, q100, chain, None, lambda *args: None)
+        assert relaxed == [relaxes]
+        assert str(got.value) == str(stepped.value)
+        assert str(got.value).endswith(f"at step {n // 2}")
 
 
 class TestControllerOracle:

@@ -9,7 +9,9 @@ For every workload and seed it runs ``perfbench/run.py --trace 0`` once in
 each checkout, the parent first on odd pairs and the change first on even
 ones, and keeps each run's JSON result, its failures and its measured times.
 The output file is rewritten after every run, so an interrupted record
-keeps the runs made. Per workload and metric it holds both sides' medians
+keeps the runs made. A run that exits nonzero is recorded with its exit
+code and the last lines of its stderr, and the record stops there with
+one line on stderr. Per workload and metric it holds both sides' medians
 and quartiles, the pairs the change won (ties count for neither side), the
 bound from BENCHMARK.json and whether the change's median is within it,
 and the failed ops per seed. A ``--claim WORKLOAD:METRIC:FRACTION`` is met
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20  # stderr lines kept from a run that exits nonzero
 
 
 def seeds(text):
@@ -37,11 +40,15 @@ def seeds(text):
 
 
 def run_one(checkout, workload, seed, seconds):
-    """One untraced run; its JSON result plus the failure lines."""
+    """One untraced run; its JSON result plus the failure lines, or for a
+    run that exits nonzero only ``error``: its exit code and the last
+    STDERR_TAIL lines of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": {"exit_code": proc.returncode,
+                          "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}}
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     result["failures"] = [ln for ln in lines if ln.startswith("failure [")]
@@ -60,7 +67,7 @@ def summarise(runs, bounds, claims):
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
-            if r["workload"] == workload:
+            if r["workload"] == workload and "error" not in r["result"]:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = {s: p for s, p in pairs.items() if len(p) == 2}
         if not pairs:
@@ -143,12 +150,15 @@ def main(argv=None):
                 record["runs"].append({"order": order, "side": side,
                                        "workload": workload, "seed": seed,
                                        "result": result})
-                print(f"{order} {workload} seed {seed} {side}: "
-                      f"wall_s {result['metrics']['wall_s']['value']:.4g}",
-                      flush=True)
                 record["summary"] = summarise(record["runs"], bounds,
                                               args.claim)
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
+                where = f"{order} {workload} seed {seed} {side}"
+                if "error" in result:
+                    sys.exit(f"{where}: exited {result['error']['exit_code']}"
+                             f"; its stderr tail is in {args.out}")
+                print(f"{where}: wall_s "
+                      f"{result['metrics']['wall_s']['value']:.4g}", flush=True)
 
 
 if __name__ == "__main__":
