@@ -450,7 +450,9 @@ def run_command(argv) -> int:
     try:
         for path, text in texts.items():
             temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(temps[path], "w", newline="") as fh:
+            # UTF-8, and an undecodable byte of a path written back as is
+            with open(temps[path], "w", newline="", encoding="utf-8",
+                      errors="surrogateescape") as fh:
                 fh.write(text)
         for path, temp in temps.items():
             path.unlink(missing_ok=True)  # a rename over it would flush

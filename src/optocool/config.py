@@ -325,7 +325,7 @@ def load_config(path=None) -> ExperimentConfig:
     if path is None:
         return parse_config(DEFAULT_CONFIG, "builtin-default")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

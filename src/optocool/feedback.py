@@ -1,8 +1,8 @@
 """Transduction chain from measured displacement to radiation-pressure force.
 
 The chain composes three stages: digital gain (phase in, volts out),
-electro-optic amplitude modulator (volts in, watts out, P0 cos^2(pi V / Vpi)
-transfer), and radiation-pressure actuator (watts in, newtons out, 2/c for a
+electro-optic amplitude modulator (volts in, watts out, P0 cos^2(theta +
+pi V / Vpi) transfer at the bias angle theta), and radiation-pressure actuator (watts in, newtons out, 2/c for a
 perfectly reflecting mass). All gains are reported as magnitudes; the
 feedback polarity is absorbed into the controller sign.
 """

@@ -21,30 +21,32 @@ the near-resonant filter plus 90 degree shift of the real loop) turns it into
 vel_i, and the force set from vel_i (-m g gamma vel_i, or the chain's DAC,
 cos^2 modulator and radiation pressure) acts from step i + 1: one sample of
 latency. Warm-up: the force during step 0 is 0, vel_0 = 0 without stepping
-the bandpass, and y_{-1} = y_0, so u_1 = (y_1 - y_0) / (2 dt).
+the bandpass, and y_{-1} = y_0, so u_1 = (y_1 - y_0) / (2 dt); the force
+latched for step 1 is the one set from vel_0.
 
 Semi-implicit Euler stays the defining recursion; only its evaluation
-differs by controller. With the ``off`` and ``derivative`` controllers the
-step is linear, z_{i+1} = A z_i + B [f_in, n]_{i+1}, over the loop's own
-variables (x, v, y_i, y_{i-1}, the two bandpass states and the latched
-force; ``off`` is the same map with zero gain), and `psd.LiftedSystem`
-evaluates it in blocks of 32 steps by matrix products (the lifted
-state-space form of Franklin, Powell & Workman, *Digital Control of Dynamic
-Systems*), carrying the state across the blocks by a doubling scan. A
-derivative loop whose A has spectral radius >= 1 is refused before the
-first step.
+differs by controller. A smooth loop is linear, z_{i+1} = A z_i +
+B [f_in, n]_{i+1}, over its own variables (x, v, y_i, y_{i-1}, the two
+bandpass states, the latched force and the vel it was set from), with the
+force a fixed multiple of vel: -m g gamma for ``derivative``, 0 for ``off``
+and the modulator's bias slope for ``chain``. `_linear_step` writes A, B
+and the state after the warm-up step, and `psd.LiftedSystem` evaluates the
+recursion in blocks of 32 steps by matrix products (the lifted state-space
+form of Franklin, Powell & Workman, *Digital Control of Dynamic Systems*),
+carrying the state across the blocks by a doubling scan. A derivative loop
+whose A has spectral radius >= 1 is refused before the first step.
 
 The ``chain`` controller's cos^2 modulator is memoryless but nonlinear.
 With a smooth DAC (``dac_bits`` None) it runs by waveform relaxation
 (Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD 1, 131
-(1982)): the linear loop at the modulator's bias slope, with the vel of the
-bandpass as an eighth state, takes the modulator's departure from that
-slope as a force input, and whole-trace passes of the block recursion feed
-each pass's vel back through the modulator until the force settles at
-rounding level. Its traces agree with the stepped loop to about 1e-11 of
-their rms. A quantised DAC, a linearised loop with spectral radius >= 1,
-and passes that do not settle quickly run `_chain_loop`, which steps the
-loop sample by sample as before.
+(1982)): the linear loop at the bias slope takes the modulator's departure
+from that slope as a force input, and whole-trace passes of the block
+recursion feed each pass's vel back through the modulator until the force
+settles at rounding level. Its traces agree with the stepped loop to about
+1e-11 of their rms. A quantised DAC, a linearised loop with spectral radius
+>= 1, and passes whose update, shrinking by its last ratio on every pass
+left, cannot settle run `_chain_loop`, which steps the loop sample by
+sample.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ PRESET_QUALITIES = {"q100": 100.0, "q1e3": 1.0e3, "q1e5": 1.0e5}
 CONTROLLERS = ("off", "derivative", "chain")
 _CHAIN_STORE = 4096  # chain steps per store of the listed values to the trace
 _SETTLE = 2.0 ** -40  # chain relaxation stops at this update / force scale
-_CONTRACTION = 0.5    # largest ratio of a relaxation update to the one before
 _MAX_PASSES = 16      # chain relaxation passes before it falls back
 
 
@@ -189,15 +190,16 @@ def _bandpass(res: MechanicalResonator, cfg: SimConfig, dt: float):
 
 
 def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
-                 force_per_velocity: float):
-    """The loop step as z' = A z + B w.
+                 force_per_velocity: float, w0: tuple, force: float):
+    """The loop step as z' = A z + B w, and the state z0 after step 0.
 
     z = (x, v, y_i, y_{i-1}, s1, s2, F, vel): position, velocity, the last
     two apparent positions, the bandpass states, the force latched for the
     next step and the bandpass output it was set from; w = (f_in, n) of the
     step. Each statement of the loop is a row over (z, w), so A and B are
-    the loop written as a matrix. The ``off`` and ``derivative`` loops need
-    only the first seven states.
+    the loop written as a matrix. z0 is the warm-up step from rest at x0
+    with the inputs w0, and F = ``force`` latched for step 1 (the force set
+    from vel_0 = 0).
     """
     m = res.mass
     w2 = res.omega0 ** 2
@@ -211,7 +213,23 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
     vel = b0 * u + s1
     step = np.array([x, v, y, y1, -a1 * vel + s2, b2 * u - a2 * vel,
                      force_per_velocity * vel, vel])
-    return step[:, :8], step[:, 8:]
+    a, b = step[:, :8], step[:, 8:]
+    z0 = a[:, 0] * cfg.x0 + b @ w0
+    z0[3:] = z0[2], 0.0, 0.0, force, 0.0  # y_{-1} = y_0, vel_0 = 0
+    return a, b, z0
+
+
+def _spectral_radius(a: np.ndarray) -> float:
+    """Largest |eigenvalue| of the loop matrix A: stable below 1."""
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _chain_map(res: MechanicalResonator, chain: FeedbackChain):
+    """The chain's map of vel to force, 2/c P0 cos^2(theta + pi V / Vpi)
+    with V = vel times volts per vel: (volts per vel, Vpi, theta, P0, 2/c)."""
+    return (chain.dac_gain * TWO_PI / chain.wavelength / res.omega0,
+            chain.eoam.half_wave_voltage, chain.eoam.bias_angle,
+            chain.eoam.max_power, actuator_gain())
 
 
 def simulate(cfg: SimConfig, res: MechanicalResonator,
@@ -227,8 +245,6 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     """
     dt = cfg.resolve_dt(res)
     n = int(round(cfg.duration / dt))
-    m = res.mass
-    gamma = res.gamma0
     fs = 1.0 / dt
 
     if cfg.controller == "chain" and chain is None:
@@ -256,26 +272,23 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
             out = _chain_loop(cfg, res, chain, dt, bound, f_in, noise_y)
         x_out, f_out, v_out, p_out = out
     else:
-        force_per_velocity = (-m * cfg.gain * gamma
+        force_per_velocity = (-res.mass * cfg.gain * res.gamma0
                               if cfg.controller == "derivative" else 0.0)
-        a, b = _linear_step(res, cfg, dt, force_per_velocity)
-        a, b = a[:7, :7], b[:7]
+        a, b, z0 = _linear_step(res, cfg, dt, force_per_velocity,
+                                (f_in[0], noise_y[0]), 0.0)
         # without feedback A is the bare oscillator: stable when damped and
         # marginal (radius 1) when lossless, a run the recursion still carries
         if force_per_velocity != 0.0:
-            radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+            radius = _spectral_radius(a)
             if not radius < 1.0:
                 raise ConfigError(
                     f"derivative loop unstable at gain = {cfg.gain:g}, "
                     f"bandpass_quality = {cfg.bandpass_quality:g}: "
                     f"spectral radius {radius:.6g} >= 1")
-        z0 = (a @ np.array([cfg.x0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-              + b @ np.array([f_in[0], noise_y[0]]))
-        z0[3:] = z0[2], 0.0, 0.0, 0.0  # warm-up: y_{-1} = y_0, vel_0 = 0
-        out = LiftedSystem(a, b, np.eye(7)[[0, 6]]).response(
+        out = LiftedSystem(a, b, np.eye(8)[[0, 6]]).response(
             z0, (f_in[1:], noise_y[1:]))
         x_out = np.concatenate(([z0[0]], out[:, 0]))
-        f_out = np.concatenate(([0.0, z0[-1]], out[:-1, 1]))
+        f_out = np.concatenate(([0.0, z0[6]], out[:-1, 1]))
         v_out = p_out = None
     outside = np.flatnonzero(~((-bound < x_out) & (x_out < bound)))
     if outside.size:
@@ -299,32 +312,23 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     runs the whole trace through the block recursion with the q of the
     previous pass's vel (the first with vel = 0), and the passes stop once
     q moves by at most _SETTLE of the force scale 2 P0 / c. None for a
-    quantised DAC, for a linear loop with spectral radius >= 1, and for
-    passes whose update is not finite, is more than _CONTRACTION of the
-    one before or has not settled in _MAX_PASSES: where the passes
-    converge that slowly, stepping is the faster path.
+    quantised DAC, for a linear loop with spectral radius >= 1, and once an
+    update is not finite, does not shrink, or, shrinking by its ratio to
+    the one before on each pass left of _MAX_PASSES, cannot reach _SETTLE:
+    where the passes converge that slowly, stepping is the faster path.
     """
     if cfg.dac_bits is not None:
         return None
-    volt_per_velocity = (chain.dac_gain * TWO_PI / chain.wavelength
-                         / res.omega0)
-    vpi = chain.eoam.half_wave_voltage
-    theta = chain.eoam.bias_angle
-    p0 = chain.eoam.max_power
-    rp = actuator_gain()
+    volt_per_velocity, vpi, theta, p0, rp = _chain_map(res, chain)
     slope = -rp * chain.eoam.gain() * volt_per_velocity
-    a, b = _linear_step(res, cfg, dt, slope)
-    if not np.max(np.abs(np.linalg.eigvals(a))) < 1.0:
+    q = rp * (p0 * math.cos(theta) ** 2)  # the force set from vel_0 = 0
+    a, b, z0 = _linear_step(res, cfg, dt, slope, (f_in[0], noise_y[0]), q)
+    if not _spectral_radius(a) < 1.0:
         return None
 
     def power(volt):
         return p0 * np.cos(theta + np.pi * volt / vpi) ** 2
 
-    z0 = (a @ np.array([cfg.x0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-          + b @ np.array([f_in[0], noise_y[0]]))
-    # warm-up: y_{-1} = y_0, vel_0 = 0, and the force set from it
-    q = rp * (p0 * math.cos(theta) ** 2)
-    z0[3:] = z0[2], 0.0, 0.0, q, 0.0
     # the passes read only vel; x follows once from the settled q
     eye = np.eye(8)
     x_out, vel_free = LiftedSystem(a, b, eye[[0, 7]]).response(
@@ -335,17 +339,17 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     tol = _SETTLE * rp * p0
     last = math.inf
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_PASSES):
+        for left in reversed(range(_MAX_PASSES)):
             vel = vel_free + to_vel.response(start, (q,))[:, 0]
             q_next = rp * power(volt_per_velocity * vel) - slope * vel
             update = float(np.max(np.abs(q_next - q)))
             if update <= tol:
                 break
-            if not update <= _CONTRACTION * last:
+            # the update, shrinking by its last ratio on each pass left
+            if not (update < last
+                    and update * (update / last) ** left <= tol):
                 return None
             last, q = update, q_next
-        else:
-            return None
     x_out += LiftedSystem(a, eye[:, 6:], eye[:1]).response(start, (q,))[:, 0]
     volt = volt_per_velocity * np.concatenate(([0.0], vel))
     p_out = power(volt)
@@ -361,37 +365,29 @@ def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
     DAC and for the loops `_relaxed_chain` refuses, and the reference its
     tests compare with."""
     n = f_in.size
-    m = res.mass
     w2 = res.omega0 ** 2
     gamma = res.gamma0
     b0, b2, a1, a2 = _bandpass(res, cfg, dt)
     inv_2dt = 1.0 / (2.0 * dt)
-    phase_per_velocity = TWO_PI / chain.wavelength / res.omega0
-    vpi = chain.eoam.half_wave_voltage
-    theta = chain.eoam.bias_angle
-    p0 = chain.eoam.max_power
-    rp = actuator_gain()
+    volt_per_velocity, vpi, theta, p0, rp = _chain_map(res, chain)
     lsb = vpi / 2 ** cfg.dac_bits if cfg.dac_bits is not None else None
 
     f_in_l = f_in.tolist()
     noise_y_l = noise_y.tolist()
-    inv_m = 1.0 / m
+    inv_m = 1.0 / res.mass
     neg_a1 = -a1
-    volt_per_velocity = chain.dac_gain * phase_per_velocity
     cos, pi = math.cos, math.pi
     x = float(cfg.x0)
     v = 0.0
-    f_fb = 0.0
     s1 = s2 = 0.0  # transposed direct form II states
     # step 0 (warm-up): no force yet, vel_0 = 0 without stepping the
     # bandpass, y_{-1} = y_0
-    v += dt * ((f_in_l[0] + f_fb) * inv_m - w2 * x - gamma * v)
+    v += dt * (f_in_l[0] * inv_m - w2 * x - gamma * v)
     x += dt * v
     if not -bound < x < bound:
         raise DivergenceError(f"|x| exceeded {bound:.3g} m at step 0")
     y1 = y2 = x + noise_y_l[0]
-    vel = 0.0
-    volt = volt_per_velocity * vel
+    volt = volt_per_velocity * 0.0
     if lsb is not None:
         volt = round(volt / lsb) * lsb
     power = p0 * cos(theta + pi * volt / vpi) ** 2

@@ -477,7 +477,7 @@ def read_rows(path):
     `csv.field_size_limit`) is a `ConfigError` naming it.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh)
                     if row and not row[0].lstrip().startswith("#")]
     except OSError as exc:
@@ -539,8 +539,8 @@ def _read_floats(path, names):
     is all that one chunk leaves the next. None hands the file to the
     cell-by-cell reader, which alone decides each refusal and its message:
     for a file that is not a regular file (a pipe cannot be read twice),
-    not text in the locale's encoding, or holds a ``"`` (csv quoting can
-    join lines or cells this pass splits), a line of `_CHUNK` or half
+    not UTF-8 text, or holds a ``"`` (csv quoting can join lines or cells
+    this pass splits), a line of `_CHUNK` or half
     `csv.field_size_limit` (it may hold a cell over that limit; characters
     up to the header, then bytes), a ``#`` in the first cell of a row after
     the header (a comment row), a short row, a cell `float` refuses, a
@@ -558,13 +558,12 @@ def _read_floats(path, names):
     buf[_SPARE] = ord("\n")
     blocks, offset = [], 0
     try:
-        with open(path, newline="") as fh:  # the text reader's encoding
-            encoding = fh.encoding
+        with open(path, newline="", encoding="utf-8") as fh:
             while True:
                 line = fh.readline(limit)
                 if '"' in line or not line.endswith(("\n", "\r")):
                     return None  # quoted, too long, or the file ends
-                offset += len(line.encode(encoding))
+                offset += len(line.encode("utf-8"))
                 row = next(csv.reader([line]), None)
                 if row and not row[0].lstrip().startswith("#"):
                     break
@@ -600,11 +599,10 @@ def _read_floats(path, names):
                 whole = len(breaks) - (got == _CHUNK)  # breaks of whole lines
                 last = ends[whole - 1]
                 if text.max() > 127:  # raises if it is not text
-                    str(buf[_SPARE:last], encoding)
+                    str(buf[_SPARE:last], "utf-8")
                 block = _chunk_floats(buf, at[:breaks[whole - 1] + 1],
                                       breaks[:whole], lengths[:whole - 1],
-                                      hashes[hashes < last], indices,
-                                      encoding)
+                                      hashes[hashes < last], indices)
                 if block is None:
                     return None
                 blocks.append(block)
@@ -619,7 +617,7 @@ def _read_floats(path, names):
     return list(columns)
 
 
-def _chunk_floats(buf, at, breaks, lengths, hashes, indices, encoding):
+def _chunk_floats(buf, at, breaks, lengths, hashes, indices):
     """The named cells of whole lines of ``buf`` as a (columns, rows)
     array, or None for any line `_read_floats` leaves to the other reader.
     ``at`` holds the positions of their separators, from the line break
@@ -635,8 +633,7 @@ def _chunk_floats(buf, at, breaks, lengths, hashes, indices, encoding):
             at.take(lasts), hashes)))).any():
         return None  # in a first cell: maybe a comment row
     cells = (firsts + indices[:, None]).ravel()
-    values = _cell_floats(buf, at.take(cells - 1) + 1, at.take(cells),
-                          encoding)
+    values = _cell_floats(buf, at.take(cells - 1) + 1, at.take(cells))
     return None if values is None else values.reshape(len(indices),
                                                       len(firsts))
 
@@ -664,7 +661,7 @@ _WORDS = np.array([[0], [8], [16], [24]])  # the first lane of each word
 _TENS = 10 ** np.arange(17, dtype=np.uint64)
 
 
-def _cell_floats(buf, starts, stops, encoding):
+def _cell_floats(buf, starts, stops):
     """The value `float` reads from each cell ``buf[start:stop]``, or None
     if `float` refuses one or one is not finite. ``buf`` is a uint8 array
     of whole words, with `_SPARE` bytes before the first cell and after
@@ -747,7 +744,7 @@ def _cell_floats(buf, starts, stops, encoding):
     slow = np.flatnonzero(~(fast & sure))
     text = memoryview(buf)
     try:
-        got[slow] = [float(str(text[a:b], encoding)) for a, b in zip(
+        got[slow] = [float(str(text[a:b], "utf-8")) for a, b in zip(
             starts.take(slow).tolist(), stops.take(slow).tolist())]
     except ValueError:
         return None

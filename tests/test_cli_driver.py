@@ -5,6 +5,7 @@ import errno
 import inspect
 import math
 import numbers
+import os
 import re
 import subprocess
 import sys
@@ -644,3 +645,37 @@ def test_numpy_warning_never_reaches_stderr(tmp_path, key, value, command,
     assert failed.stderr.splitlines() == [
         "error: " + message.format(out=out)]
     assert not out.exists()
+
+
+class TestUtf8WhateverTheLocale:
+    """Files are UTF-8 text under an ASCII locale too, where argv holds a
+    non-ASCII path surrogate-escaped."""
+
+    ASCII = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                 PYTHONCOERCECLOCALE="0")
+
+    def _run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "optocool", *argv],
+                              env=self.ASCII, capture_output=True)
+
+    @pytest.mark.parametrize("comment", ["", "# résumé\n"],
+                             ids=["ascii-text", "non-ascii-comment"])
+    def test_non_ascii_config(self, tmp_path, comment):
+        path = os.fsencode(tmp_path) + "/cfg_é.ini".encode()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(comment + DEFAULT_CONFIG)
+        out = tmp_path / "out"
+        done = self._run("--config", path, "--out", str(out), "chain",
+                         "report")
+        assert (done.returncode, done.stderr) == (0, b"")
+        # the header names the file by its own bytes
+        assert (b"# config = " + path + b"\n"
+                in (out / "chain_report.txt").read_bytes())
+
+    def test_non_ascii_cell_in_an_unread_column(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes("".join(line + ",é\n" for line in
+                                  _sine_trace().splitlines()).encode())
+        done = self._run("--out", str(tmp_path / "out"), "psd", "--input",
+                         str(trace), "--segment", "16")
+        assert (done.returncode, done.stderr) == (0, b"")

@@ -119,15 +119,15 @@ def _stepped_response(a, b, c, z0, w):
 
 
 def _derivative_loop(resonator):
-    """The damped 7-state derivative loop (g = 15) of the q100 preset."""
+    """The damped 8-state derivative loop (g = 15) of the q100 preset,
+    read out as (x, F), from its state after the warm-up step."""
     res = preset_resonator(resonator, 100.0)
-    cfg = SimConfig(duration=10.0, controller="derivative", gain=15.0,
-                    bandpass_quality=0.3)
+    cfg = SimConfig(duration=10.0, x0=2e-9, controller="derivative",
+                    gain=15.0, bandpass_quality=0.3)
     gamma = float(res.damping_rate(res.omega0))
-    a, b = _linear_step(res, cfg, cfg.resolve_dt(res),
-                        -res.mass * cfg.gain * gamma)
-    z0 = np.array([2e-9, 1e-9, 2e-9, 2e-9, 0.0, 0.0, 0.0])
-    return a[:7, :7], b[:7], np.eye(7)[[0, 6]], z0
+    a, b, z0 = _linear_step(res, cfg, cfg.resolve_dt(res),
+                            -res.mass * cfg.gain * gamma, (1e-9, 1e-9), 0.0)
+    return a, b, np.eye(8)[[0, 6]], z0
 
 
 def _rotation():

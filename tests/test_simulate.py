@@ -13,8 +13,9 @@ from optocool import (ConfigError, CoolingSetup, DivergenceError, DomainError,
                       SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
-from optocool.feedback import actuator_gain
-from optocool.simulate import _linear_step, stream_rng
+from optocool.psd import LiftedSystem
+from optocool.simulate import (_chain_map, _linear_step, _spectral_radius,
+                               stream_rng)
 
 # the module: the package's ``simulate`` attribute is the function
 simulate_module = importlib.import_module("optocool.simulate")
@@ -267,10 +268,11 @@ class TestRelaxedChain:
     @staticmethod
     def _radius(res, cfg, chain):
         """Spectral radius of the loop linearised at the modulator's bias."""
-        per_velocity = chain.dac_gain * TWO_PI / chain.wavelength / res.omega0
-        slope = -actuator_gain() * chain.eoam.gain() * per_velocity
-        a, _ = _linear_step(res, cfg, cfg.resolve_dt(res), slope)
-        return np.max(np.abs(np.linalg.eigvals(a)))
+        volt_per_velocity, *_, rp = _chain_map(res, chain)
+        slope = -rp * chain.eoam.gain() * volt_per_velocity
+        a, _, _ = _linear_step(res, cfg, cfg.resolve_dt(res), slope,
+                               (0.0, 0.0), 0.0)
+        return _spectral_radius(a)
 
     def test_unstable_linear_loop_is_stepped(self, q100):
         # the derivative loop at this gain is refused; the chain's cos^2
@@ -291,17 +293,21 @@ class TestRelaxedChain:
         assert not relaxed
         self._assert_identical(trace, stepped)
 
-    # a 1 N shove from mid-run: at g = 20 it drives the modulator far past
-    # its linear range and the passes stop shrinking; at g = 1e-3 they
-    # settle, and the relaxed trace crosses the bound
+    def _shoved(self, res):
+        """A run with a 1 N shove from mid-run, and its step count."""
+        cfg = self._cfg(res, 100, seed=56)
+        n = int(round(cfg.duration / cfg.resolve_dt(res)))
+        shove = np.zeros(n)
+        shove[n // 2:] = 1.0
+        return replace(cfg, ext_samples=shove), n
+
+    # the shove: at g = 20 it drives the modulator far past its linear
+    # range and the passes stop shrinking; at g = 1e-3 they settle, and the
+    # relaxed trace crosses the bound
     @pytest.mark.parametrize("gain, relaxes", [(20.0, False), (1e-3, True)])
     def test_divergence_names_the_stepped_step(self, q100, gain, relaxes):
         chain = TestChainController()._chain(q100, gain)
-        cfg = self._cfg(q100, 100, seed=56)
-        n = int(round(cfg.duration / cfg.resolve_dt(q100)))
-        shove = np.zeros(n)
-        shove[n // 2:] = 1.0
-        cfg = replace(cfg, ext_samples=shove)
+        cfg, n = self._shoved(q100)
         relaxed = []
         with pytest.raises(DivergenceError) as got:
             self._run(cfg, q100, chain, None, self._spy(relaxed))
@@ -310,6 +316,25 @@ class TestRelaxedChain:
         assert relaxed == [relaxes]
         assert str(got.value) == str(stepped.value)
         assert str(got.value).endswith(f"at step {n // 2}")
+
+    def test_slow_passes_fall_back_early(self, q100, monkeypatch):
+        # at g = 1 the shove's updates shrink by 0.07-0.4 a pass: too slowly
+        # to settle in the passes left, which the second pass shows
+        passes = []
+
+        class Counted(LiftedSystem):
+            def response(self, z0, w):
+                passes.append(len(w) == 1)  # only the q -> vel kernel
+                return super().response(z0, w)
+
+        monkeypatch.setattr(simulate_module, "LiftedSystem", Counted)
+        chain = TestChainController()._chain(q100, 1.0)
+        relaxed = []
+        with pytest.raises(DivergenceError):
+            self._run(self._shoved(q100)[0], q100, chain, None,
+                      self._spy(relaxed))
+        assert relaxed == [False]
+        assert 1 <= sum(passes) <= 3
 
 
 class TestControllerOracle:
@@ -612,8 +637,9 @@ class TestBlockRecursion:
         cfg = self._cfg(res, 100, 5.0, gain, quality, "samples")
         dt = cfg.resolve_dt(res)
         gamma = float(res.damping_rate(res.omega0))
-        a, _ = _linear_step(res, cfg, dt, -res.mass * gain * gamma)
-        assume(np.max(np.abs(np.linalg.eigvals(a))) < 1.0)
+        a, _, _ = _linear_step(res, cfg, dt, -res.mass * gain * gamma,
+                               (0.0, 0.0), 0.0)
+        assume(_spectral_radius(a) < 1.0)
         self._assert_agrees(cfg, res, 1e-10)
 
     def test_monte_carlo_seeds_are_simulate_runs(self, q100):

@@ -14,9 +14,11 @@ slow spell of the host falls on all of them alike rather than on one
 checkout. Every run writes into a new directory under one temporary
 directory, removed at the end, and is timed from the start of its process
 to its exit. It prints, and writes to ``--out`` if given, one JSON object:
-per checkout and per command the median and quartiles of its times in ms,
-and the number of runs. A command that exits nonzero stops the script with
-its stderr. Only the standard library is used.
+per checkout and per command its times in ms, their median and quartiles,
+and the number of runs. A command that exits nonzero ends the rounds: the
+object then also holds, under ``failed``, its checkout, command, exit code
+and the last lines of its stderr, the times measured before it are kept,
+and the script stops with one line. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20  # stderr lines kept from a command that exits nonzero
 
 COMMANDS = {
     "susceptibility": ["susceptibility"],
@@ -46,8 +49,13 @@ COMMANDS = {
 }
 
 
+class Failed(Exception):
+    """A command that exited nonzero; its one argument is its record."""
+
+
 def run(checkout, argv, out):
-    """Seconds from the start of one ``python -m optocool`` to its exit."""
+    """Seconds from the start of one ``python -m optocool`` to its exit;
+    `Failed` if it exits nonzero."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     env.pop("OPTOCOOL_OUT", None)
     cmd = [sys.executable, "-m", "optocool", "--out", str(out), *argv]
@@ -55,8 +63,9 @@ def run(checkout, argv, out):
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
-        sys.exit(f"{checkout}: {' '.join(argv)}: exit {proc.returncode}: "
-                 f"{proc.stderr}")
+        raise Failed({"checkout": str(checkout), "command": " ".join(argv),
+                      "exit_code": proc.returncode,
+                      "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]})
     return elapsed
 
 
@@ -75,33 +84,44 @@ def main(argv=None):
         parser.error("--checkout: each checkout once")
 
     times = {label: {name: [] for name in COMMANDS} for label in labels}
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        run(checkouts[0], ["simulate"], tmp / "trace")
-        trace = tmp / "trace" / "trace.csv"
-        for i in range(args.runs):
-            first = i % len(checkouts)
-            order = list(range(first, len(checkouts))) + list(range(first))
-            for j, (name, command) in enumerate(COMMANDS.items()):
-                command = [a.format(trace=trace) for a in command]
-                for k in order:
-                    out = tmp / f"run{i}" / str(j) / str(k)
-                    times[labels[k]][name].append(
-                        run(checkouts[k], command, out))
+    failed = None
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            run(checkouts[0], ["simulate"], tmp / "trace")
+            trace = tmp / "trace" / "trace.csv"
+            for i in range(args.runs):
+                first = i % len(checkouts)
+                order = list(range(first, len(checkouts))) + list(range(first))
+                for j, (name, command) in enumerate(COMMANDS.items()):
+                    command = [a.format(trace=trace) for a in command]
+                    for k in order:
+                        out = tmp / f"run{i}" / str(j) / str(k)
+                        times[labels[k]][name].append(
+                            run(checkouts[k], command, out))
+    except Failed as exc:
+        failed = exc.args[0]
     summary = {}
     for label, commands in times.items():
         summary[label] = {}
         for name, values in commands.items():
-            q1, median, q3 = statistics.quantiles(values, n=4,
-                                                  method="inclusive")
-            summary[label][name] = {"median_ms": 1e3 * median,
-                                    "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3,
-                                    "runs": len(values)}
-    text = json.dumps({"python": sys.version.split()[0],
-                       "checkouts": summary}, indent=1)
+            entry = summary[label][name] = {
+                "runs": len(values), "times_ms": [1e3 * v for v in values]}
+            if len(values) >= 2:  # the quartiles need two
+                q1, median, q3 = statistics.quantiles(values, n=4,
+                                                      method="inclusive")
+                entry.update(median_ms=1e3 * median, q1_ms=1e3 * q1,
+                             q3_ms=1e3 * q3)
+    record = {"python": sys.version.split()[0], "checkouts": summary}
+    if failed is not None:
+        record["failed"] = failed
+    text = json.dumps(record, indent=1)
     print(text)
     if args.out is not None:
         args.out.write_text(text + "\n")
+    if failed is not None:
+        sys.exit(f"{failed['checkout']}: {failed['command']}: exited "
+                 f"{failed['exit_code']}; its stderr tail is in the record")
 
 
 if __name__ == "__main__":
