@@ -50,6 +50,10 @@ class MechanicalResonator:
             raise DomainError("mass must be > 0")
         if not self.omega0 > 0.0:
             raise DomainError("omega0 must be > 0")
+        # omega0**2 scales every damping rate: at 1e300 it overflows, and at
+        # 1e-300 it underflows to a zero gamma0
+        if not 0.0 < self.omega0 * self.omega0 < math.inf:
+            raise DomainError("omega0 must have a finite, nonzero square")
         if not self.q_internal > 0.0:
             raise DomainError("q_internal must be > 0")
         if not self.gamma_viscous >= 0.0:

@@ -32,23 +32,16 @@ integer array) cell by cell as `csv.writer` writes it.
 The one input the CLI reads is a sampled trace, and `read_columns` is the
 only code that turns its cells into numbers. Its header is the first row
 that is neither blank nor a ``#`` comment, and a missing, undecodable or
-malformed file is refused with a `ConfigError` naming it. Float columns are
-parsed by one block-wise NumPy pass, `_read_floats`, the inverse of
-`_float_bytes`: it reads the header as text, then `_CHUNK` bytes at a
-time (a chunk's unfinished line again with the next), splits the rows at
-every ``,`` and line break, cuts the spaces off each named cell's ends,
-and reads a cell of the form ``[sign] digits
-[. digits] [e|E [sign] digits]`` whose mantissa takes at most 24 bytes
-and exponent 8 (``repr``, ``%.17g``, np.savetxt's ``%.18e``, ``%.20e``)
-8 digits a word, rounding M * 10**E as `float` does: M, cut below 2**63
-if larger, times the writer's double-double powers of ten, when that is
-sure to round alike. Any other cell (``\t``, ``\xa0``, ``1_0``, a
-longer one, one within 2**-80 of a rounding tie or beyond the power
-tables) is read by `float` of its text.
-A file that pass might read otherwise than the cell-by-cell reader, or
-that it would refuse, goes to the cell-by-cell reader, which alone decides
-every refusal and its message. `uniform_rate` refuses a time column whose
-steps are not even.
+malformed file is refused with a `ConfigError` naming it. Float columns
+are parsed by one `np.loadtxt` call over the rows after the header,
+`_read_floats`, which reads each cell as `float` does. A file it might
+read otherwise, or would refuse, goes cell by cell through `csv` and
+`float`, which alone decide every refusal and its message: one with a
+``"`` anywhere, a ``#`` or a byte 0x1c-0x1f after the header, a line of
+half `csv.field_size_limit`, a cell loadtxt refuses (``1_0``, ``\u0661``,
+a short row), a non-finite value, fewer than two rows or times that do
+not increase. `uniform_rate` refuses a time column whose steps are
+not even.
 """
 
 from __future__ import annotations
@@ -58,8 +51,9 @@ import csv
 import io
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -73,6 +67,9 @@ _KINDS = (KIND_ASD, KIND_PSD)
 
 ROW_BLOCK = 4096  # table rows per join: bounds the cell texts' memory
 _SPECIAL = re.compile(r'[,"\r\n]')  # cells that csv may quote
+# bytes after a trace's header that `_read_floats` leaves to csv and float
+_SCREENED = (b'"', b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_LINE = re.compile(rb"[^\r\n]*")  # a line's bytes before its break
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,9 +347,10 @@ def _tables():
             layouts, np.array(list(map(len, made))))
 
 
-def _product(a, at, hi, lo, hi_high, hi_low):
-    """a * 10**p, with p at index ``at`` of the tables, as a double and its
-    error: Dekker's exact product of a and hi, plus a * lo."""
+def _scaled(a, at, hi, lo, hi_high, hi_low):
+    """a * 10**p, with p at index ``at`` of the tables, as its floor and
+    fraction: Dekker's exact product of a and hi, plus a * lo. The floor
+    is exact and the fraction good to about 1e-14."""
     split = _SPLIT * a
     a_high = split - (split - a)
     a_low = a - a_high
@@ -363,14 +361,6 @@ def _product(a, at, hi, lo, hi_high, hi_low):
     error += a_low * high
     error += a_low * low
     error += a * lo.take(at)
-    return product, error
-
-
-def _scaled(a, at, hi, lo, hi_high, hi_low):
-    """a * 10**p, with p at index ``at`` of the tables, as its floor and
-    fraction, by `_product`. The floor is exact and the fraction good to
-    about 1e-14."""
-    product, error = _product(a, at, hi, lo, hi_high, hi_low)
     floor = np.floor(error)
     error -= floor
     return product.astype(np.int64) + floor.astype(np.int64), error
@@ -530,348 +520,64 @@ def read_columns(path, names):
 
 
 def _read_floats(path, names):
-    """`read_columns` of float columns by one block-wise NumPy pass, or None.
+    """`read_columns` of float columns by one `np.loadtxt` call, or None.
 
     The header, the first row that `csv` splits to neither blank nor a
-    comment, is read as text; the bytes after it `_CHUNK` at a time, just
-    after a line break in one buffer. A chunk's whole lines are parsed and
-    the file is sought back to its unfinished line, so the file position
-    is all that one chunk leaves the next. None hands the file to the
+    comment, is read as text, and the bytes after it are screened
+    `csv.field_size_limit` // 2 at a time. None hands the file to the
     cell-by-cell reader, which alone decides each refusal and its message:
-    for a file that is not a regular file (a pipe cannot be read twice),
-    not UTF-8 text, or holds a ``"`` (csv quoting can join lines or cells
-    this pass splits), a line of `_CHUNK` or half
-    `csv.field_size_limit` (it may hold a cell over that limit; characters
-    up to the header, then bytes), a ``#`` in the first cell of a row after
-    the header (a comment row), a short row, a cell `float` refuses, a
-    non-finite value, fewer than two rows or a first column that does not
-    increase. Rows split at every ``,``, ``\\n`` and ``\\r``, as `csv`
-    splits them without quotes, and `_cell_floats` reads each named cell,
-    less the spaces at its ends, as `float` does: bit-identical arrays.
+    for a file that is not a regular file (a pipe cannot be read twice) or
+    not UTF-8 text, that holds a ``"`` (csv quoting can join lines or cells
+    that loadtxt splits), a ``#`` after the header (a comment row in a
+    column loadtxt does not read), a byte 0x1c-0x1f (loadtxt strips them
+    off a cell, `float` does not) or a line of half the field size limit
+    (it may hold a cell over that limit; characters up to the header,
+    then bytes), and for a cell loadtxt refuses (a short row, ``1_0``,
+    ``\u0661``, which `float` reads), a non-finite value, fewer than two
+    rows or a first column that does not increase. loadtxt reads every
+    other cell, less the whitespace at its ends, as `float` does:
+    bit-identical arrays.
     """
     if not os.path.isfile(path):
         return None
-    # a line this long may hold a cell over csv's limit, or over a chunk
-    limit = min(csv.field_size_limit() // 2, _CHUNK)
-    # spare zeros, a line break, the chunk, spare zeros
-    buf = np.zeros((2 * _SPARE + _CHUNK + 8) // 8 * 8, np.uint8)
-    buf[_SPARE] = ord("\n")
-    blocks, offset = [], 0
+    limit = csv.field_size_limit() // 2
+    skip = offset = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             while True:
                 line = fh.readline(limit)
                 if '"' in line or not line.endswith(("\n", "\r")):
                     return None  # quoted, too long, or the file ends
+                skip += 1
                 offset += len(line.encode("utf-8"))
                 row = next(csv.reader([line]), None)
                 if row and not row[0].lstrip().startswith("#"):
                     break
             header = [cell.strip() for cell in row]
-            indices = np.array(list(map(header.index, names)))
+            usecols = list(map(header.index, names))
             fh.buffer.seek(offset)  # tell() may be a decoder cookie
-            got = _CHUNK
-            while got == _CHUNK:  # readinto fills it unless the file ends
-                got = fh.buffer.readinto(
-                    memoryview(buf)[_SPARE + 1:_SPARE + 1 + _CHUNK])
-                end = _SPARE + 1 + got
-                # a line break ends the last line if the file ends, else the
-                # unfinished one, to check its length: it is read again
-                buf[end] = ord("\n")
-                text = buf[_SPARE:end + 1]
-                at = text <= ord(",")  # separators, " # + etc.
-                at &= text != ord(" ")  # many in padded tables
-                at = np.flatnonzero(at)
-                at += _SPARE
-                byte = buf.take(at)
-                if (byte == ord('"')).any():
+            run = 0  # the bytes of the line the next chunk continues
+            for chunk in iter(partial(fh.buffer.read, limit), b""):
+                if any(byte in chunk for byte in _SCREENED):
                     return None
-                hashes = at[byte == ord("#")]
-                sep = (byte == ord(",")) | (byte == ord("\n")) | (
-                    byte == ord("\r"))
-                if not sep.all():
-                    at, byte = at[sep], byte[sep]
-                breaks = np.flatnonzero(byte != ord(","))
-                ends = at.take(breaks)
-                lengths = ends[1:] - ends[:-1] - 1  # the unfinished one's too
-                if lengths.max() >= limit:
+                if run + _LINE.match(chunk).end() >= limit:
                     return None
-                whole = len(breaks) - (got == _CHUNK)  # breaks of whole lines
-                last = ends[whole - 1]
-                if text.max() > 127:  # raises if it is not text
-                    str(buf[_SPARE:last], "utf-8")
-                block = _chunk_floats(buf, at[:breaks[whole - 1] + 1],
-                                      breaks[:whole], lengths[:whole - 1],
-                                      hashes[hashes < last], indices)
-                if block is None:
-                    return None
-                blocks.append(block)
-                # back to the unfinished line's first byte (one past the
-                # end once the file ends, where the loop stops)
-                fh.buffer.seek(last + 1 - end, os.SEEK_CUR)
-    except (OSError, ValueError, csv.Error):  # a missing name, not text
+                run = len(chunk) - 1 - max(chunk.rfind(b"\n"),
+                                           chunk.rfind(b"\r"))
+        with warnings.catch_warnings():  # "no data": refused below
+            warnings.simplefilter("ignore")
+            columns = np.loadtxt(path, delimiter=",", skiprows=skip,
+                                 usecols=usecols, comments=None,
+                                 quotechar=None, encoding="utf-8", ndmin=2,
+                                 unpack=True)
+    except (OSError, ValueError):  # a missing name, not UTF-8, a bad cell
         return None
-    columns = np.concatenate(blocks, axis=1)
-    if columns.shape[1] < 2 or not (np.diff(columns[0]) > 0.0).all():
+    if (columns.shape[1] < 2 or not np.isfinite(columns).all()
+            or not (np.diff(columns[0]) > 0.0).all()):
         return None
-    return list(columns)
-
-
-def _chunk_floats(buf, at, breaks, lengths, hashes, indices):
-    """The named cells of whole lines of ``buf`` as a (columns, rows)
-    array, or None for any line `_read_floats` leaves to the other reader.
-    ``at`` holds the positions of their separators, from the line break
-    before them, ``breaks`` the indices in it of the line breaks and
-    ``lengths`` the lines' lengths; a line's cells end at its separators,
-    and ``hashes`` are the ``#`` in them."""
-    firsts, lasts = breaks[:-1] + 1, breaks[1:]  # each line's cells
-    if not lengths.all():  # blank lines go
-        firsts, lasts = firsts[lengths > 0], lasts[lengths > 0]
-    if (lasts - firsts).min(initial=indices.max()) < indices.max():
-        return None  # a short row
-    if len(hashes) and (hashes < at.take(firsts.take(np.searchsorted(
-            at.take(lasts), hashes)))).any():
-        return None  # in a first cell: maybe a comment row
-    cells = (firsts + indices[:, None]).ravel()
-    values = _cell_floats(buf, at.take(cells - 1) + 1, at.take(cells))
-    return None if values is None else values.reshape(len(indices),
-                                                      len(firsts))
-
-
-# -- float cells read back: the inverse of `_float_bytes` ------------------
-#
-# A cell of the form [sign] digits [. digits] [e|E [sign] digits], less any
-# spaces at its ends, is read from the 32 bytes that end at its end, as 4
-# little-endian words of 8 byte lanes (SWAR: SIMD within a register). Its
-# exponent follows the last 'e' of the last word; the 24 lanes that end at
-# its mantissa's end go to words 0-2, and the digits there before its point
-# move one lane up, over it, so that the mantissa's digits M are
-# contiguous. M and the exponent's digits are read 8 digits a word, M is
-# cut below 2**63 if it is larger, and M * 10**E is formed and rounded
-# once where that is sure to give `float`'s double; every other cell is
-# read by `float`.
-
-_CHUNK = 1 << 17  # bytes read at a time: some 1,900 rows of a trace
-_SPARE = 32  # zero bytes before and after the chunk in the buffer
-_ONES = 0x0101010101010101
-_ZEROS = np.uint64(ord("0") * _ONES)
-_SPACES = np.uint64(ord(" ") * _ONES)
-_TOPS = np.uint64(0x80 * _ONES)  # the top bit of each lane
-_WORDS = np.array([[0], [8], [16], [24]])  # the first lane of each word
-_TENS = 10 ** np.arange(17, dtype=np.uint64)
-
-
-def _cell_floats(buf, starts, stops):
-    """The value `float` reads from each cell ``buf[start:stop]``, or None
-    if `float` refuses one or one is not finite. ``buf`` is a uint8 array
-    of whole words, with `_SPARE` bytes before the first cell and after
-    the last.
-
-    A cell in the form above whose mantissa, point included, takes at most
-    24 bytes and whose exponent at most 8 is read here when M * 10**E
-    rounds surely: M (from 2**63 on, its first 18 or 19 digits and the
-    rest as a fraction) times `_tables`' double-double 10**E, the product by
-    `_product`, when both ends of its error interval round to the same
-    double. Every other cell is read by `float` of its text. The arrays
-    are few and mostly changed in place: their memory is most of the
-    pass's.
-    """
-    _unpadded(buf, starts, stops)
-    length = stops - starts
-    first = buf.take(starts)
-    negative = first == ord("-")
-    start = (negative | (first == ord("+"))).astype(np.int64)
-    # 4 words, the 32 bytes that end at the cell's end; any exponent is in
-    # the last, after its last 'e' or 'E'
-    words = _load(buf.view(np.uint64), stops - 32, 4)
-    end = _last_lane(words[3:] | np.uint64(0x20 * _ONES), "e") - 8 + length
-    has_e = end >= 0
-    # the exponent's sign: a lane of word 3, none from 8 (or < 0) on
-    sign = words[3] >> ((end + 9 - length) << 3).view(np.uint64)
-    sign &= np.uint64(0xFF)
-    exponent_negative = has_e & (sign == ord("-"))
-    exponent_start = end + 1 + (exponent_negative | (sign == ord("+")))
-    np.copyto(end, length, where=~has_e)  # of the mantissa
-    np.copyto(exponent_start, length, where=~has_e)
-    # the mantissa's last 24 lanes, over words 0-2; its digits before the
-    # point then move one lane up, over it
-    shift = ((length - end) << 3).view(np.uint64)  # 0 to 64 bits
-    high = words[1:] << shift
-    np.right_shift(words[:3], np.uint64(64) - shift, out=words[:3])
-    mantissa = words[:3]
-    mantissa |= high
-    point = _last_lane(mantissa, ".") - 24 + end
-    dotted = (point >= start) & (point < end)
-    fast = end - start <= 24  # all of the mantissa is in words 0-2
-    start += dotted
-    high = mantissa << np.uint64(8)
-    high[1:] |= mantissa[:-1] >> np.uint64(56)
-    high ^= mantissa
-    high &= _below(np.where(dotted, point - end + 25, 0) - _WORDS[:3])
-    mantissa ^= high
-    del high
-    below = np.empty(words.shape, np.int64)  # lanes before the digits
-    np.subtract(start, end, out=below[3])
-    np.add(below[3], [[24], [16], [8]], out=below[:3])
-    np.subtract(exponent_start, length, out=below[3])
-    below[3] += 8
-    digits = _digits8(words, below)
-    del below
-    # an exponent of 8 lanes at most was in word 3 (a cell of 137 bytes or
-    # more may seem to have an 'e' in none)
-    fast &= (digits & (end > start) & (length - end <= 8)
-             & ((exponent_start < length) | ~has_e))
-    mantissa = np.where(fast, words[2] + words[1] * _TENS[8]
-                        + words[0] * _TENS[16], 0).view(np.int64)
-    exponent = words[3].view(np.int64)
-    exponent = np.where(exponent_negative, 0 - exponent, exponent)
-    exponent -= np.where(dotted, end - point - 1, 0)  # the digits after it
-    # from 2**63 (922e16) on: M's first 18 or 19 digits, the k digits cut
-    # off as a fraction of a unit
-    cut = np.flatnonzero(fast & (words[0] >= 922))
-    fraction = 0.0
-    if cut.size:
-        w0, w1, w2 = words[:3].take(cut, axis=1)
-        k = np.searchsorted(922 * _TENS[:6], w0, side="right")  # T < 922e16
-        scale = _TENS.take(k)
-        mantissa[cut] = (w0 * _TENS.take(16 - k) + w1 * _TENS.take(8 - k)
-                         + w2 // scale).view(np.int64)
-        exponent[cut] += k
-        fraction = (w2 % scale) / scale
-    del words
-    got, sure = _rounded(mantissa, exponent, cut, fraction)
-    got *= np.where(negative, -1.0, 1.0)
-    slow = np.flatnonzero(~(fast & sure))
-    text = memoryview(buf)
-    try:
-        got[slow] = [float(str(text[a:b], "utf-8")) for a, b in zip(
-            starts.take(slow).tolist(), stops.take(slow).tolist())]
-    except ValueError:
-        return None
-    return got if np.isfinite(got).all() else None
-
-
-def _unpadded(buf, starts, stops):
-    """Move each cell's ``starts`` and ``stops`` in place past the spaces
-    at its ends, which `float` ignores, 8 lanes at a time. The ends move
-    first, so that a cell of spaces closes at its start."""
-    words = buf.view(np.uint64)
-    while (pad := np.flatnonzero(buf.take(stops - 1) == ord(" "))).size:
-        filled = _zero_lanes(_load(words, stops.take(pad) - 8, 1)[0]
-                             ^ _SPACES) ^ _TOPS  # lanes that are not spaces
-        stops[pad] -= np.minimum(7 - _top_lane(filled), 8)
-    while (pad := np.flatnonzero(buf.take(starts) == ord(" "))).size:
-        filled = _load(words, starts.take(pad), 1)[0]
-        filled ^= _SPACES
-        filled &= -filled  # its lowest bit, in the first lane not a space
-        lanes = _top_lane(filled, 0).view(np.uint64)  # huge if none
-        starts[pad] += np.minimum(lanes, np.uint64(8)).view(np.int64)
-
-
-def _below(lanes):
-    """Masks of the lanes of a word below each of the int64 ``lanes``, all
-    from 8 on (a shift by 64 or more gives 0), made in their memory."""
-    np.maximum(lanes, 0, out=lanes)
-    lanes <<= 3
-    masks = lanes.view(np.uint64)
-    np.left_shift(np.uint64(1), masks, out=masks)
-    masks -= np.uint64(1)
-    return masks
-
-
-def _load(words, starts, count):
-    """The ``count`` words that start at each byte of ``starts``, as a
-    (count, n) array: lane 0 of word 0 is the byte at the start."""
-    at = starts // 8
-    shift = ((starts - at * 8) * 8).view(np.uint64)
-    loaded = words.take(at + np.arange(count + 1)[:, None])
-    high = loaded[1:] << np.uint64(64) - shift
-    got = loaded[:-1]
-    got >>= shift
-    got |= high
-    return got
-
-
-def _zero_lanes(x):
-    """The top bit of each lane of the words ``x`` that is 0: the lanes of
-    ((x & 0x7F..) + 0x7F..) | x whose top bit is clear."""
-    low = np.uint64(0x7F * _ONES)
-    hits = x & low
-    hits += low
-    hits |= x
-    hits &= _TOPS
-    hits ^= _TOPS
-    return hits
-
-
-def _top_lane(hits, bit=7):
-    """The lane of the highest set bit of each word whose set bits are all
-    bit ``bit`` of their lanes, or less than -99 where none is set, read
-    from the exponent of its float."""
-    lanes = hits.astype(np.float64).view(np.int64)
-    lanes >>= 52
-    lanes -= 1023 + bit  # a word with no hit: 0 - 1023 - bit
-    lanes >>= 3
-    return lanes
-
-
-def _last_lane(words, byte: str):
-    """The last lane of each column of (k, n) words, lane 0 first, that
-    holds ``byte``, or less than -99."""
-    lanes = _top_lane(_zero_lanes(words ^ np.uint64(ord(byte) * _ONES)))
-    lanes += _WORDS[:len(words)]
-    return lanes.max(axis=0)
-
-
-def _digits8(words, below):
-    """Read (k, n) words of 8 lanes, lane 0 the first digit, as 8-digit
-    numbers in place (Lemire, "Number parsing at a gigabyte per second",
-    2021), the ``below`` lanes at the start of each as '0'; and whether
-    every lane of each column spells a digit. A lane x ^ '0' is a digit
-    exactly where neither it nor (x ^ '0') + 0x76 has its top bit set."""
-    words ^= _ZEROS
-    np.maximum(below, 0, out=below)
-    below <<= 3
-    shift = below.view(np.uint64)  # a shift by 64 or more gives 0
-    words >>= shift
-    words <<= shift
-    t = words + np.uint64(0x76 * _ONES)
-    t |= words
-    t &= _TOPS
-    digits = ~t.any(axis=0)
-    np.right_shift(words, np.uint64(8), out=t)
-    words *= np.uint64(10)
-    words += t  # 2-digit lanes
-    mask = np.uint64(0x000000FF000000FF)
-    np.right_shift(words, np.uint64(16), out=t)
-    t &= mask
-    t *= np.uint64(1 + (10000 << 32))
-    words &= mask
-    words *= np.uint64(100 + (1000000 << 32))
-    words += t
-    words >>= np.uint64(32)
-    return digits
-
-
-def _rounded(mantissa, exponent, cut, fraction):
-    """mantissa * 10**exponent as a double, for int64 mantissas from 0 up
-    to below 2**63 and ``fraction`` added to those at ``cut``, and where
-    that is sure to be `float`'s rounding of it."""
-    tables = _tables()
-    m = mantissa.astype(np.float64)
-    at = np.clip(exponent - _POWERS.start, 0, len(_POWERS) - 1)
-    product, error = _product(m, at, *tables[:4])
-    rest = (mantissa - m.astype(np.int64)).astype(np.float64)  # exact
-    rest[cut] += fraction  # below 2**-59 of M when M is cut
-    error += rest * tables[0].take(at)
-    # |error| is below 2**-52 of the product and off by at most about
-    # 2**-100 of it, so a value within 2**-80 of the product of the sum
-    # is sure where both ends of that interval round alike
-    margin = product * 2.0 ** -80
-    value = product + (error - margin)
-    sure = value == product + (error + margin)
-    sure &= at == exponent - _POWERS.start
-    return value, sure
+    # contiguous, as the cell-by-cell reader's: BLAS rounds a product of
+    # strided columns otherwise
+    return list(np.ascontiguousarray(columns))
 
 
 def uniform_rate(path, t) -> float:

@@ -352,10 +352,16 @@ class TestCli:
         ("readout_noise_asd", "-3 Hz/rtHz", ["cascade", "run"]),
         ("external_force_psd", "-1e-30 N^2/Hz",
          ["cool", "sweep", "--gains", "1,10"]),
-        ("readout_noise_asd", "-3 Hz/rtHz", ["noise-budget"])])
+        ("readout_noise_asd", "-3 Hz/rtHz", ["noise-budget"]),
+        ("frequency", "1e300 Hz", ["noise-budget"]),
+        ("frequency", "1e300 Hz", ["susceptibility"]),
+        ("frequency", "1e-300 Hz", ["chain", "report"]),
+        ("frequency", "1e-300 Hz", ["cool", "optimum"])])
     def test_negative_density_refused(self, tmp_path, capsys, key, value,
                                       command):
-        # with handover termination the cascade reads the FPI readout noise
+        # with handover termination the cascade reads the FPI readout noise;
+        # a resonance whose square overflows (OverflowError) or underflows
+        # to a zero damping rate (ZeroDivisionError) is refused the same way
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with(key, value).replace(
             "termination = gain", "termination = handover"))

@@ -621,6 +621,18 @@ class TestBlockRecursion:
         cfg = self._cfg(q100, per_period, 30.0, gain, quality, drive)
         self._assert_agrees(cfg, q100, 1e-10)
 
+    @pytest.mark.parametrize("drive", ["sine", "samples"])
+    @pytest.mark.parametrize("gain", [15.0, 1000.0])
+    @pytest.mark.parametrize("quality", [0.3, 10.0])
+    @pytest.mark.parametrize("per_period", [100, 200])
+    def test_matches_stepped_loop_without_long_double(
+            self, q100, monkeypatch, per_period, quality, gain, drive):
+        # where np.longdouble is float64 (MSVC builds, macOS arm64) the
+        # scan squares A^L in float64; the derivative loop must still agree
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        cfg = self._cfg(q100, per_period, 30.0, gain, quality, drive)
+        self._assert_agrees(cfg, q100, 1e-10)
+
     @pytest.mark.parametrize("gain", [0.0, 15.0])
     def test_matches_stepped_loop_finely_sampled(self, q100, gain):
         cfg = self._cfg(q100, 5000, 5.0, gain, 0.3, "sine")
