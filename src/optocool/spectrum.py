@@ -570,7 +570,8 @@ def _read_floats(path, names):
                                  usecols=usecols, comments=None,
                                  quotechar=None, encoding="utf-8", ndmin=2,
                                  unpack=True)
-    except (OSError, ValueError):  # a missing name, not UTF-8, a bad cell
+    # a missing name, not UTF-8, a bad cell; csv refuses NUL before 3.11
+    except (OSError, ValueError, csv.Error):
         return None
     if (columns.shape[1] < 2 or not np.isfinite(columns).all()
             or not (np.diff(columns[0]) > 0.0).all()):
