@@ -23,7 +23,7 @@ from .errors import (ConfigError, DivergenceError, DomainError, FitError,
                      InfeasibleError, NumericalError, PowerLimitError)
 from .feedback import Eoam, FeedbackChain, actuator_gain, max_dac_gain
 from .psd import estimate_psd
-from .readout import FpiReadout, HliReadout, Phasemeter
+from .readout import FpiReadout, HliReadout
 from .resonator import (MechanicalResonator, RingdownFit, extract_envelope,
                         fit_q_from_ringdown)
 from .simulate import (MonteCarloResult, SimConfig, SimTrace,

@@ -30,6 +30,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -231,9 +232,12 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
 
 def _cmd_psd(args, cfg: ExperimentConfig):
     t, x = read_columns(args.input, ("t_s", args.column))
-    if not x.any():  # its spectrum is 0 and its Parseval ratio 0 / 0
-        raise ConfigError(f"{args.input}: column {args.column!r} is all "
-                          "zero; it has no spectrum to estimate")
+    square = float(np.mean(x * x))  # not normal: PSD of 0s, rounding or inf
+    if not sys.float_info.min <= square < math.inf:
+        why = ("is all zero" if not x.any() else
+               f"has mean square {square!r}, not a finite normal double")
+        raise ConfigError(f"{args.input}: column {args.column!r} {why}; it "
+                          "has no spectrum to estimate")
     rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(f"psd input={args.input} column={args.column} "
@@ -468,7 +472,8 @@ def run_command(argv) -> int:
 def main(argv=None) -> int:
     """Run one command; a refusal is one stderr line, its line breaks
     escaped, and exit 2 for a `ConfigError`, else 1. NumPy does not warn,
-    which would add lines: the writer refuses a non-finite cell."""
+    which would add lines: the writer refuses a non-finite cell. A character
+    stderr cannot encode is backslash-escaped, but for a path's own bytes."""
     try:
         with np.errstate(all="ignore"):
             return run_command(sys.argv[1:] if argv is None else argv)
@@ -476,7 +481,14 @@ def main(argv=None) -> int:
         kind = ("config" if isinstance(exc, ConfigError)
                 else type(exc).__name__)
         text = str(exc).replace("\r", "\\r").replace("\n", "\\n")
-        print(f"error: {kind}: {text}", file=sys.stderr)
+        line = f"error: {kind}: {text}\n"
+        if hasattr(sys.stderr, "buffer"):  # a path's undecodable bytes
+            sys.stderr.flush()  # (lone surrogates, the odd parts) as they are
+            line = b"".join(part.encode(sys.stderr.encoding, (
+                "backslashreplace", "surrogateescape")[i % 2]) for i, part
+                in enumerate(re.split("([\udc80-\udcff]+)", line)))
+        getattr(sys.stderr, "buffer", sys.stderr).write(line)
+        sys.stderr.flush()
         return 2 if isinstance(exc, ConfigError) else 1
 
 

@@ -213,20 +213,23 @@ class ExperimentConfig:
         """model of the section's values, each passed as the argument its
         key names, or as ``names[key]`` where the two differ; a key named
         None is not passed. A refusal ``DomainError("<argument> <reason>")``
-        becomes ``ConfigError("<section>.<key>: <reason>, got <value>")``;
-        one that names no key passes through."""
+        becomes ``ConfigError("<section>.<key>: <reason>, got <value>")``,
+        ``"<argument>,<argument> <reason>"`` (a product) names both keys and
+        values; one that names no key passes through."""
         values = self.values[section]
         names = {key: names.get(key, key) for key in values}
         try:
             return model(**{name: values[key] for key, name in names.items()
                             if name is not None})
         except DomainError as exc:
-            field, reason = str(exc).split(" ", 1)
-            key = next((k for k, name in names.items() if name == field), None)
-            if key is None:
+            fields, reason = str(exc).split(" ", 1)
+            keys = [next((k for k, name in names.items() if name == field),
+                         None) for field in fields.split(",")]
+            if None in keys:
                 raise
             raise ConfigError(
-                f"{section}.{key}: {reason}, got {values[key]!r}") from exc
+                ", ".join(f"{section}.{key}" for key in keys) + f": {reason}, "
+                "got " + ", ".join(repr(values[key]) for key in keys)) from exc
 
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]

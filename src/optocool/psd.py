@@ -1,6 +1,5 @@
 """Welch power spectral density estimation (single-sided), in NumPy, and
-`LiftedSystem`, the block recursion of a linear time-invariant system that
-runs the simulator's loops and the phasemeter's filters.
+`LiftedSystem`, the block recursion of the simulator's linear loops.
 It carries the state across its blocks by a doubling scan (Blelloch,
 "Prefix sums and their applications", 1990) in ceil(log2 blocks) products.
 """
@@ -75,8 +74,7 @@ class LiftedSystem:
 
     Built once from (A, B, C): the L-step free response, the forced-response
     kernel of one block and A^L. `response` only applies them, so a system
-    run many times (the phasemeter's chunks, the chain loop's relaxation
-    passes) pays the build once.
+    run many times (the chain loop's relaxation passes) pays the build once.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):

@@ -1,13 +1,11 @@
 """Optical readout models: Fabry-Perot frequency readout and heterodyne
-interferometer with its digital phasemeter.
+interferometer, both analytic (no beat note is demodulated here).
 
 The Fabry-Perot readout converts cavity length change into laser frequency
 shift through nu = x * c / (wavelength * cavity_length); its dynamic range
 is set by the laser tuning range and its capture range by wavelength/finesse.
 The heterodyne interferometer is the long-range readout: apparent position
-is true position plus an imprecision draw, with no range limit. Its
-`Phasemeter` takes beat samples in memory, chunk by chunk; no file is read
-here.
+is true position plus an imprecision draw, with no range limit.
 """
 
 from __future__ import annotations
@@ -17,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, G_STANDARD, TWO_PI
+from .constants import C_LIGHT, G_STANDARD
 from .cooling import effective_susceptibility
-from .errors import ConfigError, DomainError
-from .psd import LiftedSystem
+from .errors import DomainError
 from .resonator import MechanicalResonator
 from .spectrum import KIND_ASD, SpectrumRecord
 
@@ -171,70 +168,4 @@ class HliReadout:
         """`imprecision_psd` at each omega, m^2/Hz."""
         return np.full_like(np.asarray(omega, dtype=float),
                             self.imprecision_psd)
-
-
-class Phasemeter:
-    """Streaming I/Q phasemeter for a heterodyne beat note.
-
-    Demodulates at the heterodyne frequency, low-passes I and Q with the
-    bilinear transform of wc/(s + wc), y[n] = p y[n-1] + b (x[n] + x[n-1]),
-    takes the four-quadrant angle and unwraps it across calls. Both filters
-    run as one 4-state `psd.LiftedSystem` (y_I, x_I, y_Q, x_Q), built once
-    per instance, whose state between calls is each filter's last output
-    and input. One instance per stream; the state is not shareable.
-    """
-
-    def __init__(self, heterodyne_frequency: float, lpf_corner: float,
-                 sample_rate: float, wavelength: float | None = None):
-        if not 4.0 * heterodyne_frequency < sample_rate:
-            raise ConfigError(
-                f"sample_rate {sample_rate:g} Hz must exceed 4 x heterodyne "
-                f"frequency ({4.0 * heterodyne_frequency:g} Hz)")
-        if not 0.0 < lpf_corner < heterodyne_frequency / 2.0:
-            raise ConfigError(
-                f"lpf_corner {lpf_corner:g} Hz must be > 0 and below half the "
-                f"heterodyne frequency ({heterodyne_frequency / 2.0:g} Hz)")
-        self.f_het = heterodyne_frequency
-        self.sample_rate = sample_rate
-        self.wavelength = wavelength
-        wc = TWO_PI * lpf_corner
-        k = 2.0 * sample_rate
-        b = wc / (k + wc)
-        p = (k - wc) / (k + wc)
-        self._filter = LiftedSystem(np.kron(np.eye(2), [[p, b], [0.0, 0.0]]),
-                                    np.kron(np.eye(2), [[b], [1.0]]),
-                                    np.eye(4)[::2])
-        self._z = np.zeros(4)
-        self._n = 0      # samples consumed
-        self._last_phase = None
-
-    def process(self, samples) -> np.ndarray:
-        """Consume beat samples, return the unwrapped phase series, rad.
-
-        An empty chunk returns an empty series and leaves the state as it
-        was.
-        """
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            return np.empty(0)
-        n = np.arange(self._n, self._n + samples.size)
-        self._n += samples.size
-        phase_lo = TWO_PI * self.f_het / self.sample_rate * n
-        iq_raw = np.stack((2.0 * samples * np.cos(phase_lo),
-                           -2.0 * samples * np.sin(phase_lo)))
-        i_f, q_f = self._filter.response(self._z, iq_raw).T
-        self._z = np.array([i_f[-1], iq_raw[0, -1], q_f[-1], iq_raw[1, -1]])
-        phase = np.arctan2(q_f, i_f)
-        if self._last_phase is not None:
-            phase = np.unwrap(np.concatenate(([self._last_phase], phase)))[1:]
-        else:
-            phase = np.unwrap(phase)
-        self._last_phase = float(phase[-1])
-        return phase
-
-    def displacement(self, samples) -> np.ndarray:
-        """Phase converted to displacement, phase * wavelength / 2 pi, m."""
-        if self.wavelength is None:
-            raise ConfigError("wavelength required for displacement output")
-        return self.process(samples) * self.wavelength / TWO_PI
 

@@ -62,6 +62,12 @@ class MechanicalResonator:
             raise DomainError("temperature must be >= 0")
         if not math.isfinite(self.loss_exponent):
             raise DomainError("loss_exponent must be finite")
+        # omega0**2 / Q can underflow to 0 or overflow where omega0**2 does not
+        with np.errstate(over="ignore"):
+            gamma0 = self.gamma0
+        if self.q_internal < math.inf and not 0.0 < gamma0 < math.inf:
+            raise DomainError("omega0,q_internal must give a damping rate at "
+                              "omega0 that is finite and > 0")
 
     # -- damping model -------------------------------------------------
 

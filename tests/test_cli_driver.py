@@ -131,6 +131,22 @@ class TestPsdHeader:
             "spectrum to estimate\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, square", [(1e-165, 0.0), (1e155, math.inf)])
+    def test_mean_square_not_normal_refused(self, tmp_path, capsys, scale,
+                                            square):
+        # squares that underflow wrote "# parseval_ratio = nan" over a table
+        # of zeros and exit 0; squares that overflow reached the writer,
+        # which named the output column "value"
+        trace = _trace(tmp_path, _sine_trace(scale=scale))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", "16"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: {trace}: column 'x_m' has mean square "
+            f"{square!r}, not a finite normal double; it has no spectrum to "
+            "estimate\n")
+        assert not out.exists()
+
 
 LOSSLESS_COMMANDS = [
     (["chain", "report"], "q100"), (["cool", "optimum"], "q100"),
@@ -629,10 +645,10 @@ def test_overflowing_band_integral_fails_in_one_line(tmp_path):
     ("mass", "1e300 kg", "noise-budget",
      "DomainError: {out}/noise_budget.csv: column total_hz_rthz: "
      "non-finite value inf"),
-    # 1e-160 Hz: its square is subnormal, not 0, and gamma0 underflows
-    ("frequency", "1e-160 Hz", "susceptibility",
+    # 1e-155 Hz: gamma0 is > 0, but 1 / (m omega0^2) overflows
+    ("frequency", "1e-155 Hz", "susceptibility",
      "DomainError: {out}/susceptibility_g0.csv: column value: "
-     "non-finite value (inf+nanj)")], ids=["huge-mass", "tiny-frequency"])
+     "non-finite value (inf-infj)")], ids=["huge-mass", "tiny-frequency"])
 def test_numpy_warning_never_reaches_stderr(tmp_path, key, value, command,
                                             message):
     # NumPy warns of the overflow or division by zero before the writer
@@ -672,6 +688,16 @@ class TestUtf8WhateverTheLocale:
         # the header names the file by its own bytes
         assert (b"# config = " + path + b"\n"
                 in (out / "chain_report.txt").read_bytes())
+
+    def test_error_line_names_a_path_by_its_bytes(self, tmp_path):
+        # stderr wrote the surrogate escapes: "n\udcc3\udca9.csv"
+        path = os.fsencode(tmp_path) + "/né.csv".encode()
+        done = self._run("--out", str(tmp_path / "out"), "psd", "--input",
+                         path)
+        assert done.returncode == 2
+        assert done.stderr == (b"error: config: " + path
+                               + b": No such file or directory\n")
+        assert b"n\xc3\xa9.csv" in done.stderr
 
     def test_non_ascii_cell_in_an_unread_column(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -18,9 +18,13 @@ DENSITY_KEYS = [("hli", "imprecision_asd", "m/rtHz"),
 
 
 def _default_with(key: str, value: str) -> str:
-    """DEFAULT_CONFIG with the one line of ``key`` set to ``value``."""
-    return re.sub(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG,
-                  count=1, flags=re.M)
+    """DEFAULT_CONFIG with the one line of ``key`` set to ``value``; a
+    comma-separated ``key`` sets each of its keys to the matching value."""
+    text = DEFAULT_CONFIG
+    for one, setting in zip(key.split(","), value.split(","), strict=True):
+        text = re.sub(rf"^{one} = .*$", f"{one} = {setting}", text, count=1,
+                      flags=re.M)
+    return text
 
 
 MINIMAL = """\
@@ -356,12 +360,18 @@ class TestCli:
         ("frequency", "1e300 Hz", ["noise-budget"]),
         ("frequency", "1e300 Hz", ["susceptibility"]),
         ("frequency", "1e-300 Hz", ["chain", "report"]),
-        ("frequency", "1e-300 Hz", ["cool", "optimum"])])
+        ("frequency", "1e-300 Hz", ["cool", "optimum"]),
+        ("frequency,q_internal", "1e-150 Hz,1e30", ["chain", "report"]),
+        ("frequency,q_internal", "1e-150 Hz,1e30", ["cool", "optimum"]),
+        ("frequency,q_internal", "1e-150 Hz,1e30", ["noise-budget"]),
+        ("frequency,q_internal", "1e-160 Hz,4.77e5", ["susceptibility"])])
     def test_negative_density_refused(self, tmp_path, capsys, key, value,
                                       command):
         # with handover termination the cascade reads the FPI readout noise;
         # a resonance whose square overflows (OverflowError) or underflows
-        # to a zero damping rate (ZeroDivisionError) is refused the same way
+        # to a zero damping rate (ZeroDivisionError) is refused the same way,
+        # and so, naming both keys, is an omega0^2 / Q that underflows to a
+        # zero damping rate although omega0^2 does not
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with(key, value).replace(
             "termination = gain", "termination = handover"))
@@ -370,7 +380,8 @@ class TestCli:
                      *command]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: config: ")
-        assert f".{key}:" in err
+        assert re.search(", ".join(rf"\w+\.{k}" for k in key.split(","))
+                         + ":", err)
         assert "\n" not in err
         assert list(out.glob("*")) == []
 

@@ -155,10 +155,10 @@ class TestLiftedResponse:
     LENGTHS = [1, L - 1, L, L + 1, L * psd._STACK + 1,
                3 * L * psd._STACK - 7]  # 24 blocks: not a power of two
 
-    def _assert_agrees(self, system, n):
+    def _assert_agrees(self, system, n, lifted=None):
         a, b, c, z0 = system
         w = stream_rng(0, 0).standard_normal((b.shape[1], n))
-        got = LiftedSystem(a, b, c).response(z0, tuple(w))
+        got = (lifted or LiftedSystem(a, b, c)).response(z0, tuple(w))
         ref = _stepped_response(a, b, c, z0, w)
         assert got.shape == (n, c.shape[0])
         for col in range(c.shape[0]):
@@ -183,6 +183,17 @@ class TestLiftedResponse:
         a, b, c, z0 = _two_by_two()
         monkeypatch.setattr(psd, "_SERIAL_MNK", 3 * a.size)
         self._assert_agrees((a, b, c, z0), 5 * self.L * psd._STACK + 3)
+
+    def test_one_instance_across_lengths(self, resonator):
+        # 8 blocks take 3 scan passes and 24 take 5: the longer run squares
+        # two more A^(L 2^k) onto the kept list, the short one after it
+        # reads only the first three
+        system = _derivative_loop(resonator)
+        lifted = LiftedSystem(*system[:3])
+        for n, passes in [(self.L + 1, 3), (3 * self.L * psd._STACK - 7, 5),
+                          (self.L + 1, 5)]:
+            self._assert_agrees(system, n, lifted)
+            assert len(lifted._jumps) == passes
 
     def test_empty_series(self, resonator):
         a, b, c, z0 = _derivative_loop(resonator)

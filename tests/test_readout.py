@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from optocool import (ConfigError, CoolingSetup, DomainError, FpiReadout,
-                      HliReadout, MechanicalResonator, Phasemeter,
-                      SpectrumRecord, closed_loop_psd,
+from optocool import (CoolingSetup, DomainError, FpiReadout, HliReadout,
+                      MechanicalResonator, SpectrumRecord, closed_loop_psd,
                       effective_susceptibility, noise_temperature)
 from optocool.cooling import acceleration_transfer
 from optocool.simulate import stream_rng
@@ -204,6 +203,37 @@ class TestHli:
         assert shaped == pytest.approx(flat, rel=1e-12)
 
 
+class _Phasemeter:
+    """Beat-note oracle: a streaming I/Q phasemeter (Heinzel et al., Class.
+    Quantum Grav. 21, S581 (2004)).
+
+    Demodulates at the heterodyne frequency, low-passes I and Q with the
+    bilinear transform of wc/(s + wc), [b, b] / [1, -p], carrying the
+    filters' state from chunk to chunk, and unwraps the four-quadrant angle
+    across chunks. One instance per stream.
+    """
+
+    def __init__(self, f_het, corner, fs):
+        k, wc = 2.0 * fs, TWO_PI * corner
+        self.b, self.a = [wc / (k + wc)] * 2, [1.0, (wc - k) / (k + wc)]
+        self.step = TWO_PI * f_het / fs  # local-oscillator phase per sample
+        self.zi, self.n, self.tail = np.zeros((2, 1)), 0, np.empty(0)
+
+    def process(self, samples):
+        """Consume beat samples, return the unwrapped phase series, rad."""
+        samples = np.asarray(samples, dtype=float)
+        if samples.size == 0:  # lfilter would return an undefined zi
+            return np.empty(0)
+        lo = self.step * np.arange(self.n, self.n + samples.size)
+        self.n += samples.size
+        (i_f, q_f), self.zi = lfilter(
+            self.b, self.a, [2.0 * samples * np.cos(lo),
+                             -2.0 * samples * np.sin(lo)], zi=self.zi)
+        phase = np.unwrap(np.concatenate((self.tail, np.arctan2(q_f, i_f))))
+        self.tail = phase[-1:]
+        return phase[phase.size - samples.size:]
+
+
 class TestPhasemeter:
     FS = 20_000.0
     F_HET = 1000.0
@@ -220,14 +250,14 @@ class TestPhasemeter:
         n = int(30 * tau * self.FS)
         t = np.arange(n) / self.FS
         beat = np.cos(TWO_PI * self.F_HET * t + 0.7)
-        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
+        phase = _Phasemeter(self.F_HET, corner, self.FS).process(beat)
         settled = phase[int(10 * tau * self.FS):]
         assert np.mean(settled) == pytest.approx(0.7, abs=1e-3)
 
     def test_zero_phase(self):
         corner = 20.0
         n = 40_000
-        phase = Phasemeter(self.F_HET, corner, self.FS).process(
+        phase = _Phasemeter(self.F_HET, corner, self.FS).process(
             self._beat(0.0, n))
         assert abs(np.mean(phase[n // 2:])) < 1e-3
 
@@ -239,7 +269,7 @@ class TestPhasemeter:
         t = np.arange(n) / self.FS
         ramp = TWO_PI * 0.1 * t
         beat = np.cos(TWO_PI * self.F_HET * t + ramp)
-        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
+        phase = _Phasemeter(self.F_HET, corner, self.FS).process(beat)
         sel = t > 1.0
         slope = np.polyfit(t[sel], phase[sel], 1)[0]
         assert slope == pytest.approx(TWO_PI * 0.1, rel=5e-3)
@@ -247,8 +277,8 @@ class TestPhasemeter:
     def test_amplitude_invariance(self):
         n = 10_000
         beat = self._beat(0.3, n)
-        a = Phasemeter(self.F_HET, 50.0, self.FS).process(beat)
-        b = Phasemeter(self.F_HET, 50.0, self.FS).process(7.5 * beat)
+        a = _Phasemeter(self.F_HET, 50.0, self.FS).process(beat)
+        b = _Phasemeter(self.F_HET, 50.0, self.FS).process(7.5 * beat)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_unwrap_many_turns(self):
@@ -260,7 +290,7 @@ class TestPhasemeter:
         n = int(duration * self.FS)
         t = np.arange(n) / self.FS
         beat = np.cos(TWO_PI * self.F_HET * t + TWO_PI * slope_hz * t)
-        phase = Phasemeter(self.F_HET, corner, self.FS).process(beat)
+        phase = _Phasemeter(self.F_HET, corner, self.FS).process(beat)
         window = int(0.05 * self.FS)  # integer count of 2 f_het cycles
         i1 = int(1.0 * self.FS)
         i2 = i1 + int(n_turns / slope_hz * self.FS)
@@ -272,64 +302,56 @@ class TestPhasemeter:
     def test_streaming_matches_one_shot(self):
         n = 30_000
         beat = self._beat(1.1, n)
-        whole = Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
-        pm = Phasemeter(self.F_HET, 40.0, self.FS)
+        whole = _Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
+        pm = _Phasemeter(self.F_HET, 40.0, self.FS)
         chunked = np.concatenate([pm.process(beat[:7000]),
                                   pm.process(beat[7000:])])
         assert np.allclose(whole, chunked, atol=1e-12)
 
-    def test_uneven_chunks_match_lfilter(self):
-        # oracle: one lfilter pass over the demodulated I and Q
-        corner = 40.0
-        n = 30_000
-        beat = self._beat(1.1, n) + 0.3 * stream_rng(4, 0).standard_normal(n)
-        phase_lo = TWO_PI * self.F_HET / self.FS * np.arange(n)
-        wc = TWO_PI * corner
-        k = 2.0 * self.FS
-        i_f, q_f = lfilter([wc / (k + wc)] * 2, [1.0, (wc - k) / (k + wc)],
-                           [2.0 * beat * np.cos(phase_lo),
-                            -2.0 * beat * np.sin(phase_lo)])
-        ref = np.unwrap(np.arctan2(q_f, i_f))
-        pm = Phasemeter(self.F_HET, corner, self.FS)
-        cuts = [0, 1, 2, 65, 700, 7001, 7002, 19_999, n]
-        got = np.concatenate([pm.process(beat[start:stop])
-                              for start, stop in zip(cuts, cuts[1:])])
-        rms = math.sqrt(float(np.mean(ref ** 2)))
-        assert np.max(np.abs(got - ref)) <= 1e-12 * rms
-
     @pytest.mark.parametrize("cut", [0, 3001], ids=["first", "between"])
     def test_empty_chunk(self, cut):
         beat = self._beat(1.1, 10_000)
-        whole = Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
-        pm = Phasemeter(self.F_HET, 40.0, self.FS)
+        whole = _Phasemeter(self.F_HET, 40.0, self.FS).process(beat)
+        pm = _Phasemeter(self.F_HET, 40.0, self.FS)
         head = pm.process(beat[:cut])
-        state = (pm._z.copy(), pm._n, pm._last_phase)
+        state = (pm.zi.copy(), pm.n, pm.tail.copy())
         empty = pm.process([])
         assert empty.shape == (0,)
-        assert np.array_equal(pm._z, state[0])
-        assert (pm._n, pm._last_phase) == state[1:]
+        assert np.array_equal(pm.zi, state[0])
+        assert pm.n == state[1]
+        assert np.array_equal(pm.tail, state[2])
         chunked = np.concatenate([head, empty, pm.process(beat[cut:])])
         assert np.allclose(whole, chunked, atol=1e-12)
 
-    def test_nyquist_precondition(self):
-        with pytest.raises(ConfigError):
-            Phasemeter(heterodyne_frequency=6000.0, lpf_corner=10.0,
-                       sample_rate=self.FS)
-        with pytest.raises(ConfigError):
-            Phasemeter(heterodyne_frequency=self.F_HET, lpf_corner=600.0,
-                       sample_rate=self.FS)
-
-    @pytest.mark.parametrize("f_het, corner, fs", [
-        (1e4, -10.0, 1e5), (1e4, 0.0, 1e5), (1e4, math.nan, 1e5),
-        (1e4, 10.0, math.nan), (math.nan, 10.0, 1e5)])
-    def test_bad_filter_rejected(self, f_het, corner, fs):
-        with pytest.raises(ConfigError):
-            Phasemeter(f_het, corner, fs)
-
     def test_displacement_conversion(self):
+        # phase = 2 pi x / wavelength, so x = phase * wavelength / 2 pi
         lam = 1064e-9
-        pm = Phasemeter(self.F_HET, 20.0, self.FS, wavelength=lam)
         n = 40_000
-        disp = pm.displacement(self._beat(0.7, n))
+        phase = _Phasemeter(self.F_HET, 20.0, self.FS).process(
+            self._beat(0.7, n))
+        disp = phase * lam / TWO_PI
         assert np.mean(disp[n // 2:]) == pytest.approx(
             0.7 * lam / TWO_PI, rel=2e-3)
+
+    def test_doppler_tracking_bound(self):
+        """The HLI tracks x = a sin(omega0 t) while its peak Doppler shift
+        a omega0 / wavelength stays below the beat frequency, so up to
+        a_max = f_het wavelength / omega0 (358.8 um at 4.72 Hz), with the
+        phase = 2 pi x / wavelength of a single pass; a double-pass reading
+        4 pi x / wavelength would halve a_max."""
+        fs, f_het, lam, omega0 = 100e3, 10e3, 1064e-9, TWO_PI * 4.72
+        t = np.arange(int(fs)) / fs
+        a_max = f_het * lam / omega0
+
+        def error(a):  # after 50 ms, less its median offset, m
+            x = a * np.sin(omega0 * t)
+            beat = np.cos(TWO_PI * f_het * t + TWO_PI * x / lam)
+            phase = _Phasemeter(f_het, 500.0, fs).process(beat)
+            err = (phase * lam / TWO_PI - x)[int(0.05 * fs):]
+            return err - np.median(err)
+
+        inside = error(0.9 * a_max)  # every sample within half a fringe
+        assert np.max(np.abs(inside)) <= min(2e-3 * 0.9 * a_max, lam / 2)
+        beyond = error(1.1 * a_max)  # slips whole fringes
+        assert np.max(np.abs(beyond)) >= 0.05 * 1.1 * a_max
+        assert np.ptp(beyond) >= lam

@@ -257,6 +257,16 @@ class TestValidation:
             MechanicalResonator(mass=1.0, omega0=W0, q_internal=10.0,
                                 **{field: math.nan})
 
+    @pytest.mark.parametrize("omega0, q", [(2 * math.pi * 1e-150, 1e30),
+                                           (2 * math.pi * 1e-160, 4.77e5),
+                                           (W0, 1e-307)],
+                             ids=["underflow", "subnormal-square", "overflow"])
+    def test_damping_rate_at_omega0_not_finite_and_positive_refused(
+            self, omega0, q):
+        # omega0**2 is finite and > 0, but omega0**2 / Q is 0 or inf
+        with pytest.raises(DomainError, match=r"^omega0,q_internal "):
+            MechanicalResonator(mass=1.0, omega0=omega0, q_internal=q)
+
     def test_infinite_q_allowed(self):
         # the desk-scale presets are purely viscous: q_internal = inf
         res = MechanicalResonator(mass=1.0, omega0=W0, q_internal=math.inf,
@@ -299,7 +309,8 @@ class TestGamma0:
     def test_scalar_damping_rate_once_per_instance(self, resonator, chain,
                                                    hli, fpi, monkeypatch):
         # gamma_m(omega0) is a constant of the resonator: the cascade and
-        # cooling layers read it from the cache, not from damping_rate
+        # cooling layers read it from the cache, not from damping_rate. The
+        # resonator checks it when it is made, so it is made after the patch
         calls = collections.Counter()
         damping_rate = MechanicalResonator.damping_rate
 
@@ -309,6 +320,7 @@ class TestGamma0:
             return damping_rate(self, omega)
 
         monkeypatch.setattr(MechanicalResonator, "damping_rate", counted)
+        resonator = replace(resonator)
         cfg = CascadeConfig(initial_gain=1.0, initial_span=200e-6)
         plan_cascade(cfg, chain, resonator, hli, fpi)
         compare_single_step(50.0, cfg, chain, resonator, hli, fpi)
