@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import plan_cascade
+from .cascade import TERMINATE_HANDOVER, plan_cascade
 from .config import ExperimentConfig, load_config
 from .constants import TWO_PI
 from .cooling import (CoolingSetup, closed_loop_variance,
@@ -83,6 +83,13 @@ def _gain_grid(res, g: float) -> np.ndarray:
     narrow = np.linspace(w0 - half, w0 + half, 1001)
     grid = np.unique(np.concatenate([broad, narrow]))
     return grid[grid > 0.0]
+
+
+def _refuse_cold(res) -> None:
+    """Refuse T = 0 K, where a command would set the optimal gain."""
+    if not res.temperature > 0.0:
+        raise ConfigError("resonator.temperature: must be > 0 for the "
+                          f"optimal gain, got {res.temperature!r}")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -143,6 +150,7 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
 
 def _cmd_cool_optimum(args, cfg: ExperimentConfig):
     res = cfg.resonator()
+    _refuse_cold(res)
     s_n = cfg.imprecision_psd()
     got = optimal_gain(res, s_n)
     t_n = noise_temperature(res, s_n)
@@ -165,6 +173,10 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     hli = cfg.hli()
     fpi = cfg.fpi()
     base = cfg.cascade_config()
+    # the plan sets an optimal gain for target_gain = auto or a noisy FPI
+    if base.target_gain is None or (base.termination == TERMINATE_HANDOVER
+                                    and fpi.imprecision_psd > 0.0):
+        _refuse_cold(res)
     g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
     if 0.0 in g0_list:
@@ -288,6 +300,7 @@ def _cmd_chain_report(args, cfg: ExperimentConfig):
 def _paper_report_rows(cfg: ExperimentConfig) -> list:
     """Computed values against the published reference numbers."""
     res = cfg.resonator()
+    _refuse_cold(res)
     fpi = cfg.fpi()
     chain = cfg.chain()
     s_n = cfg.imprecision_psd()

@@ -68,6 +68,11 @@ class MechanicalResonator:
         if self.q_internal < math.inf and not 0.0 < gamma0 < math.inf:
             raise DomainError("omega0,q_internal must give a damping rate at "
                               "omega0 that is finite and > 0")
+        # every response scales as 1 / (m omega0^2): subnormal at 1e-155 Hz
+        stiffness = self.mass * self.omega0 * self.omega0
+        if not (stiffness > 0.0 and 1.0 / stiffness < math.inf):
+            raise DomainError("mass,omega0 must give a stiffness m omega0^2 "
+                              "that is > 0 with a finite reciprocal")
 
     # -- damping model -------------------------------------------------
 

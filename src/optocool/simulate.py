@@ -30,23 +30,20 @@ B [f_in, n]_{i+1}, over its own variables (x, v, y_i, y_{i-1}, the two
 bandpass states, the latched force and the vel it was set from), with the
 force a fixed multiple of vel: -m g gamma for ``derivative``, 0 for ``off``
 and the modulator's bias slope for ``chain``. `_linear_step` writes A, B
-and the state after the warm-up step, and `psd.LiftedSystem` evaluates the
+and the state after the warm-up step, and `LiftedSystem` evaluates the
 recursion in blocks of 32 steps by matrix products (the lifted state-space
 form of Franklin, Powell & Workman, *Digital Control of Dynamic Systems*),
-carrying the state across the blocks by a doubling scan. A derivative loop
-whose A has spectral radius >= 1 is refused before the first step.
+carrying the state across the blocks by a doubling scan (Blelloch, "Prefix
+sums and their applications", 1990) in ceil(log2 blocks) products. A
+derivative loop whose A has spectral radius >= 1 is refused before the
+first step.
 
 The ``chain`` controller's cos^2 modulator is memoryless but nonlinear.
-With a smooth DAC (``dac_bits`` None) it runs by waveform relaxation
-(Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD 1, 131
-(1982)): the linear loop at the bias slope takes the modulator's departure
-from that slope as a force input, and whole-trace passes of the block
-recursion feed each pass's vel back through the modulator until the force
-settles at rounding level. Its traces agree with the stepped loop to about
-1e-11 of their rms. A quantised DAC, a linearised loop with spectral radius
->= 1, and passes whose update, shrinking by its last ratio on every pass
-left, cannot settle run `_chain_loop`, which steps the loop sample by
-sample.
+With a smooth DAC (``dac_bits`` None), `_relaxed_chain` runs it by waveform
+relaxation (Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD
+1, 131 (1982)) on two lifted systems, and its traces agree with the stepped
+loop to about 1e-11 of their rms; the loops it refuses run `_chain_loop`,
+which steps the loop sample by sample.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from .constants import TWO_PI
 from .cooling import open_loop_thermal_variance
 from .errors import ConfigError, DivergenceError, DomainError
 from .feedback import FeedbackChain, actuator_gain
-from .psd import LiftedSystem
 from .readout import HliReadout
 from .resonator import MechanicalResonator
 
@@ -72,6 +68,9 @@ CONTROLLERS = ("off", "derivative", "chain")
 _CHAIN_STORE = 4096  # chain steps per store of the listed values to the trace
 _SETTLE = 2.0 ** -40  # chain relaxation stops at this update / force scale
 _MAX_PASSES = 16      # chain relaxation passes before it falls back
+_BLOCK = 32  # steps per block of LiftedSystem
+_STACK = 8   # blocks per forced- or free-response product, see _stacked_matmul
+_SERIAL_MNK = 2 ** 18  # m*n*k of the largest scan product, see _stacked_matmul
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -232,6 +231,91 @@ def _chain_map(res: MechanicalResonator, chain: FeedbackChain):
             chain.eoam.max_power, actuator_gain())
 
 
+def _stacked_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, as one product per _STACK rows.
+
+    OpenBLAS threads a product by its m*n*k: on 2 CPUs a (rows x 7)(7 x 7)
+    product ran threaded from 10,700 rows on (2^19), made a 40,000-step run
+    no faster, and left about 7 MB of worker buffers in the peak RSS. So
+    each product stays below that size, and the scan in `LiftedSystem`
+    cuts its own to at most _SERIAL_MNK = 2^18 multiply-adds.
+    """
+    stacks = rows.reshape(-1, _STACK, rows.shape[1])
+    return (stacks @ matrix).reshape(rows.shape[0], matrix.shape[1])
+
+
+class LiftedSystem:
+    """z_{i+1} = A z_i + B w_{i+1}, read out as C z, in blocks of L = _BLOCK
+    steps.
+
+    Built once from (A, B, C): the L-step free response, the forced-response
+    kernel of one block and A^L. `response` only applies them, so a system
+    run many times (the chain loop's relaxation passes) pays the build once.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        size = _BLOCK
+        n_out, nz = c.shape
+        powers = [np.eye(nz)]
+        for _ in range(size):
+            powers.append(a @ powers[-1])
+        powers = np.array(powers)
+        impulse = c @ powers[:size] @ b                   # (L, outputs, inputs)
+        lag = np.arange(size)[:, None] - np.arange(size)[None, :]
+        forced = np.where((lag >= 0)[:, None, :, None],
+                          impulse[np.maximum(lag, 0)].transpose(0, 2, 1, 3), 0.0)
+        carry = (powers[size - 1::-1] @ b).transpose(1, 0, 2).reshape(nz, -1)
+        self._n_in, self._n_out = b.shape[1], n_out
+        self._free = (c @ powers[1:]).reshape(n_out * size, nz).T
+        self._kernel = np.concatenate((forced.reshape(n_out * size, -1), carry)).T
+        # A^L, A^2L, A^4L, ..., one per scan pass, squared as a run first
+        # needs them, the last square in np.longdouble (80-bit on x86-64):
+        # squared in float64 through a non-normal loop matrix, the q100
+        # derivative traces drifted by 6.5e-11 of their rms, not 2.6e-12
+        self._jumps = [powers[size]]
+        self._square = powers[size].astype(np.longdouble)
+
+    def response(self, z0: np.ndarray, w: tuple | np.ndarray) -> np.ndarray:
+        """Rows C z_1 .. C z_N from the start state z0 and w, one series per
+        input.
+
+        The inputs are zero-padded to whole stacks of blocks: one matmul
+        gives every block's forced response and its end-state increment
+        e_k, a doubling scan solves s_{k+1} = A^L s_k + e_k for the block
+        start states, and a second matmul adds each block's free response.
+        """
+        size, n_out = _BLOCK, self._n_out
+        n = len(w[0])
+        blocks = _STACK * -(-n // (size * _STACK))
+        padded = np.zeros((blocks * size, self._n_in))
+        for j, series in enumerate(w):
+            padded[:n, j] = series
+        response = _stacked_matmul(padded.reshape(blocks, -1), self._kernel)
+        del padded  # not held through the scan: it lowers the peak memory
+        # Hillis-Steele scan: after the pass with stride d and J = A^{L d},
+        # column k holds sum_{j > k-2d} A^{L(k-j)} e_j, with e_0 += A^L z0,
+        # so at the end column k is the end state s_{k+1} of block k
+        ends = response[:, n_out * size:].T.copy()
+        ends[:, 0] += self._jumps[0] @ z0
+        chunk = max(1, _SERIAL_MNK // self._square.size)  # columns per product
+        stride = 1
+        for k in range((blocks - 1).bit_length()):
+            if k == len(self._jumps):
+                self._square = self._square @ self._square
+                self._jumps.append(self._square.astype(float))
+            jump = self._jumps[k]
+            # e_k += J e_{k-stride}, a chunk at a time from the last column
+            # down, so each product reads only columns not yet updated
+            for hi in range(blocks, stride, -chunk):
+                lo = max(stride, hi - chunk)
+                ends[:, lo:hi] += jump @ ends[:, lo - stride:hi - stride]
+            stride *= 2
+        starts = np.concatenate((z0[None], ends[:, :-1].T))
+        out = _stacked_matmul(starts, self._free)
+        out += response[:, :n_out * size]
+        return out.reshape(blocks * size, n_out)[:n]
+
+
 def simulate(cfg: SimConfig, res: MechanicalResonator,
              chain: FeedbackChain | None = None,
              hli: HliReadout | None = None) -> SimTrace:
@@ -267,10 +351,11 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, 1.0e-12)
 
     if cfg.controller == "chain":
-        out = _relaxed_chain(cfg, res, chain, dt, f_in, noise_y)
-        if out is None:
-            out = _chain_loop(cfg, res, chain, dt, bound, f_in, noise_y)
-        x_out, f_out, v_out, p_out = out
+        x_out, v_out, p_out = (
+            _relaxed_chain(cfg, res, chain, dt, f_in, noise_y)
+            or _chain_loop(cfg, res, chain, dt, bound, f_in, noise_y))
+        # the force set at step i acts during step i + 1
+        f_out = np.concatenate(([0.0], actuator_gain() * p_out[:-1]))
     else:
         force_per_velocity = (-res.mass * cfg.gain * res.gamma0
                               if cfg.controller == "derivative" else 0.0)
@@ -303,19 +388,20 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
                    chain: FeedbackChain, dt: float, f_in: np.ndarray,
                    noise_y: np.ndarray):
-    """The smooth chain loop by waveform relaxation, or None where
-    `_chain_loop` has to step it.
+    """The smooth chain loop's (x, V, P) by waveform relaxation, or None
+    where `_chain_loop` has to step it.
 
     The loop is the linear one at the modulator's bias slope k, plus a
     force q = phi(vel) - k vel added to the latched force, where phi is
-    `_chain_loop`'s DAC, cos^2 modulator and radiation pressure. Each pass
-    runs the whole trace through the block recursion with the q of the
-    previous pass's vel (the first with vel = 0), and the passes stop once
-    q moves by at most _SETTLE of the force scale 2 P0 / c. None for a
-    quantised DAC, for a linear loop with spectral radius >= 1, and once an
-    update is not finite, does not shrink, or, shrinking by its ratio to
-    the one before on each pass left of _MAX_PASSES, cannot reach _SETTLE:
-    where the passes converge that slowly, stepping is the faster path.
+    `_chain_loop`'s DAC, cos^2 modulator and radiation pressure. One lifted
+    system gives (x, vel) from the inputs, once; each pass adds the other's
+    (x, vel) from the q of the previous pass's vel (the first with vel = 0),
+    until q moves by at most _SETTLE of the force scale 2 P0 / c, and the
+    settling pass's x is the trace's. None for a quantised DAC, for a
+    linear loop with spectral radius >= 1, and once an update is not
+    finite, does not shrink, or, shrinking by its ratio to the one before
+    on each pass left of _MAX_PASSES, cannot reach _SETTLE: where the
+    passes converge that slowly, stepping is the faster path.
     """
     if cfg.dac_bits is not None:
         return None
@@ -329,18 +415,18 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     def power(volt):
         return p0 * np.cos(theta + np.pi * volt / vpi) ** 2
 
-    # the passes read only vel; x follows once from the settled q
+    # each pass reads vel; x is kept from the pass that settles
     eye = np.eye(8)
-    x_out, vel_free = LiftedSystem(a, b, eye[[0, 7]]).response(
+    x_free, vel_free = LiftedSystem(a, b, eye[[0, 7]]).response(
         z0, (f_in[1:], noise_y[1:])).T
-    to_vel = LiftedSystem(a, eye[:, 6:], eye[7:])
-    start = np.zeros(8)
+    from_q = LiftedSystem(a, eye[:, 6:], eye[[0, 7]])
     q = np.full(f_in.size - 1, q)
     tol = _SETTLE * rp * p0
     last = math.inf
     with np.errstate(all="ignore"):
         for left in reversed(range(_MAX_PASSES)):
-            vel = vel_free + to_vel.response(start, (q,))[:, 0]
+            x_q, vel_q = from_q.response(np.zeros(8), (q,)).T
+            vel = vel_free + vel_q
             q_next = rp * power(volt_per_velocity * vel) - slope * vel
             update = float(np.max(np.abs(q_next - q)))
             if update <= tol:
@@ -350,20 +436,16 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
                     and update * (update / last) ** left <= tol):
                 return None
             last, q = update, q_next
-    x_out += LiftedSystem(a, eye[:, 6:], eye[:1]).response(start, (q,))[:, 0]
     volt = volt_per_velocity * np.concatenate(([0.0], vel))
-    p_out = power(volt)
-    # the force set at step i acts during step i + 1
-    f_out = np.concatenate(([0.0], rp * p_out[:-1]))
-    return np.concatenate(([z0[0]], x_out)), f_out, volt, p_out
+    return np.concatenate(([z0[0]], x_free + x_q)), volt, power(volt)
 
 
 def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
                 chain: FeedbackChain, dt: float, bound: float,
                 f_in: np.ndarray, noise_y: np.ndarray):
-    """Step the chain controller sample by sample: the path for a quantised
-    DAC and for the loops `_relaxed_chain` refuses, and the reference its
-    tests compare with."""
+    """Step the chain controller sample by sample into (x, V, P): the path
+    for a quantised DAC and for the loops `_relaxed_chain` refuses, and the
+    reference its tests compare with."""
     n = f_in.size
     w2 = res.omega0 ** 2
     gamma = res.gamma0
@@ -421,9 +503,7 @@ def _chain_loop(cfg: SimConfig, res: MechanicalResonator,
             volts.append(volt)
             powers.append(power)
         x_out[lo:hi], v_out[lo:hi], p_out[lo:hi] = xs, volts, powers
-    # the force set at step i acts during step i + 1
-    f_out = np.concatenate(([0.0], rp * p_out[:-1]))
-    return x_out, f_out, v_out, p_out
+    return x_out, v_out, p_out
 
 
 @dataclass(frozen=True)

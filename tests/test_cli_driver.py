@@ -645,8 +645,9 @@ def test_overflowing_band_integral_fails_in_one_line(tmp_path):
     ("mass", "1e300 kg", "noise-budget",
      "DomainError: {out}/noise_budget.csv: column total_hz_rthz: "
      "non-finite value inf"),
-    # 1e-155 Hz: gamma0 is > 0, but 1 / (m omega0^2) overflows
-    ("frequency", "1e-155 Hz", "susceptibility",
+    # 1e-152 Hz: m omega0^2 is a normal double, but the peak response
+    # Q / (m omega0^2) overflows
+    ("frequency", "1e-152 Hz", "susceptibility",
      "DomainError: {out}/susceptibility_g0.csv: column value: "
      "non-finite value (inf-infj)")], ids=["huge-mass", "tiny-frequency"])
 def test_numpy_warning_never_reaches_stderr(tmp_path, key, value, command,

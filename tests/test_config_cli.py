@@ -364,14 +364,17 @@ class TestCli:
         ("frequency,q_internal", "1e-150 Hz,1e30", ["chain", "report"]),
         ("frequency,q_internal", "1e-150 Hz,1e30", ["cool", "optimum"]),
         ("frequency,q_internal", "1e-150 Hz,1e30", ["noise-budget"]),
-        ("frequency,q_internal", "1e-160 Hz,4.77e5", ["susceptibility"])])
+        ("frequency,q_internal", "1e-160 Hz,4.77e5", ["susceptibility"]),
+        ("mass,frequency", "2.6 g,1e-155 Hz", ["susceptibility"]),
+        ("mass,frequency", "2.6 g,1e-155 Hz", ["noise-budget"])])
     def test_negative_density_refused(self, tmp_path, capsys, key, value,
                                       command):
         # with handover termination the cascade reads the FPI readout noise;
         # a resonance whose square overflows (OverflowError) or underflows
         # to a zero damping rate (ZeroDivisionError) is refused the same way,
-        # and so, naming both keys, is an omega0^2 / Q that underflows to a
-        # zero damping rate although omega0^2 does not
+        # and so, naming both keys, are an omega0^2 / Q that underflows to a
+        # zero damping rate although omega0^2 does not, and a subnormal
+        # stiffness m omega0^2 whose reciprocal overflows
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with(key, value).replace(
             "termination = gain", "termination = handover"))
@@ -384,6 +387,35 @@ class TestCli:
                          + ":", err)
         assert "\n" not in err
         assert list(out.glob("*")) == []
+
+    # the default cascade has target_gain = auto; the handover case re-aims
+    # at the noisy FPI's optimal gain
+    @pytest.mark.parametrize("key, value, command", [
+        ("temperature", "0 K", ["cool", "optimum"]),
+        ("temperature", "0 K", ["paper-report"]),
+        ("temperature", "0 K", ["cascade", "run"]),
+        ("temperature,readout_noise_asd,termination,target_gain",
+         "0 K,3 Hz/rtHz,handover,3e4", ["cascade", "run"])],
+        ids=["cool-optimum", "paper-report", "cascade-auto",
+             "cascade-handover"])
+    def test_zero_temperature_refused_for_optimal_gain(self, tmp_path, capsys,
+                                                       key, value, command):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(key, value))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: config: resonator.temperature: must be > 0 "
+                       "for the optimal gain, got 0.0")
+        assert list(out.glob("*")) == []
+
+    def test_zero_temperature_cascade_to_set_gain_runs(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("temperature,target_gain",
+                                          "0 K,1000"))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "cascade", "run"]) == 0
 
     @pytest.mark.parametrize("noise", ["-5e-12", "5e-12,-5e-12"])
     def test_negative_sweep_noise_refused(self, tmp_path, capsys, noise):

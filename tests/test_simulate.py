@@ -13,9 +13,8 @@ from optocool import (ConfigError, CoolingSetup, DivergenceError, DomainError,
                       SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
                       steady_state_variance)
-from optocool.psd import LiftedSystem
-from optocool.simulate import (_chain_map, _linear_step, _spectral_radius,
-                               stream_rng)
+from optocool.simulate import (LiftedSystem, _chain_map, _linear_step,
+                               _spectral_radius, stream_rng)
 
 # the module: the package's ``simulate`` attribute is the function
 simulate_module = importlib.import_module("optocool.simulate")
@@ -661,6 +660,95 @@ class TestBlockRecursion:
         for k in range(10):
             tr = simulate(replace(cfg, seed=700 + k), q100, hli=self.HLI)
             assert mc.per_seed[k] == steady_state_variance(tr)
+
+
+def _stepped_response(a, b, c, z0, w):
+    """Oracle: C z_1 .. C z_N of z_{i+1} = A z_i + B w_{i+1}, one step at a
+    time."""
+    z = np.array(z0, dtype=float)
+    rows = []
+    for w_i in np.asarray(w).T:
+        z = a @ z + b @ w_i
+        rows.append(c @ z)
+    return np.array(rows).reshape(-1, c.shape[0])
+
+
+def _derivative_loop(resonator):
+    """The damped 8-state derivative loop (g = 15) of the q100 preset,
+    read out as (x, F), from its state after the warm-up step."""
+    res = preset_resonator(resonator, 100.0)
+    cfg = SimConfig(duration=10.0, x0=2e-9, controller="derivative",
+                    gain=15.0, bandpass_quality=0.3)
+    gamma = float(res.damping_rate(res.omega0))
+    a, b, z0 = _linear_step(res, cfg, cfg.resolve_dt(res),
+                            -res.mass * cfg.gain * gamma, (1e-9, 1e-9), 0.0)
+    return a, b, np.eye(8)[[0, 6]], z0
+
+
+def _rotation():
+    """Lossless rotation by 2 pi / 100 per step: |eigenvalues| = 1."""
+    theta = TWO_PI / 100.0
+    a = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    return (a, np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]),
+            np.array([1.0, 0.0]))
+
+
+def _two_by_two():
+    """A stable 3-state system with two inputs and two outputs."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 3))
+    a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+    return (a, rng.standard_normal((3, 2)), rng.standard_normal((2, 3)),
+            rng.standard_normal(3))
+
+
+class TestLiftedResponse:
+    """`LiftedSystem` against the per-step recursion."""
+
+    L, STACK = simulate_module._BLOCK, simulate_module._STACK
+    LENGTHS = [1, L - 1, L, L + 1, L * STACK + 1,
+               3 * L * STACK - 7]  # 24 blocks: not a power of two
+
+    def _assert_agrees(self, system, n, lifted=None):
+        a, b, c, z0 = system
+        w = stream_rng(0, 0).standard_normal((b.shape[1], n))
+        got = (lifted or LiftedSystem(a, b, c)).response(z0, tuple(w))
+        ref = _stepped_response(a, b, c, z0, w)
+        assert got.shape == (n, c.shape[0])
+        for col in range(c.shape[0]):
+            rms = math.sqrt(float(np.mean(ref[:, col] ** 2)))
+            assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-10 * rms
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_damped_loop(self, resonator, n):
+        self._assert_agrees(_derivative_loop(resonator), n)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_marginal_rotation(self, n):
+        self._assert_agrees(_rotation(), n)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_two_inputs_two_outputs(self, n):
+        self._assert_agrees(_two_by_two(), n)
+
+    def test_scan_in_chunks(self, monkeypatch):
+        # scan products of 3 columns: the chunks of each pass overlap the
+        # columns they read
+        a, b, c, z0 = _two_by_two()
+        monkeypatch.setattr(simulate_module, "_SERIAL_MNK", 3 * a.size)
+        self._assert_agrees((a, b, c, z0), 5 * self.L * self.STACK + 3)
+
+    def test_one_instance_across_lengths(self, resonator):
+        # 8 blocks take 3 scan passes and 24 take 5: the longer run squares
+        # two more A^(L 2^k) onto the kept list, the short one after it
+        # reads only the first three
+        system = _derivative_loop(resonator)
+        lifted = LiftedSystem(*system[:3])
+        for n, passes in [(self.L + 1, 3), (3 * self.L * self.STACK - 7, 5),
+                          (self.L + 1, 5)]:
+            self._assert_agrees(system, n, lifted)
+            assert len(lifted._jumps) == passes
 
 
 class TestLoopStability:
