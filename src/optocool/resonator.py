@@ -73,6 +73,13 @@ class MechanicalResonator:
         if not (stiffness > 0.0 and 1.0 / stiffness < math.inf):
             raise DomainError("mass,omega0 must give a stiffness m omega0^2 "
                               "that is > 0 with a finite reciprocal")
+        # the peak response 1 / (m omega0 gamma0) overflows where the
+        # stiffness does not: at 1e-152 Hz with 2.6 g and Q = 4.77e5
+        peak = self.mass * self.omega0 * gamma0
+        if gamma0 > 0.0 and not (peak > 0.0 and 1.0 / peak < math.inf):
+            raise DomainError("mass,omega0,q_internal,gamma_viscous must give "
+                              "a resonant response 1/(m omega0 gamma0) that "
+                              "is finite")
 
     # -- damping model -------------------------------------------------
 

@@ -30,20 +30,21 @@ B [f_in, n]_{i+1}, over its own variables (x, v, y_i, y_{i-1}, the two
 bandpass states, the latched force and the vel it was set from), with the
 force a fixed multiple of vel: -m g gamma for ``derivative``, 0 for ``off``
 and the modulator's bias slope for ``chain``. `_linear_step` writes A, B
-and the state after the warm-up step, and `LiftedSystem` evaluates the
-recursion in blocks of 32 steps by matrix products (the lifted state-space
-form of Franklin, Powell & Workman, *Digital Control of Dynamic Systems*),
-carrying the state across the blocks by a doubling scan (Blelloch, "Prefix
-sums and their applications", 1990) in ceil(log2 blocks) products. A
-derivative loop whose A has spectral radius >= 1 is refused before the
-first step.
+and the state after the warm-up step, and `LiftedSystem`, built once per
+run, evaluates the recursion in blocks of 32 steps by matrix products (the
+lifted state-space form of Franklin, Powell & Workman, *Digital Control of
+Dynamic Systems*), carrying the state across the blocks by a doubling scan
+(Blelloch, "Prefix sums and their applications", 1990) in ceil(log2
+blocks) products. A derivative loop whose A has spectral radius >= 1 is
+refused before the first step.
 
 The ``chain`` controller's cos^2 modulator is memoryless but nonlinear.
 With a smooth DAC (``dac_bits`` None), `_relaxed_chain` runs it by waveform
 relaxation (Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD
-1, 131 (1982)) on two lifted systems, and its traces agree with the stepped
-loop to about 1e-11 of their rms; the loops it refuses run `_chain_loop`,
-which steps the loop sample by sample.
+1, 131 (1982)) on the loop's own lifted system, the modulator's force
+beyond its bias slope entering as an input, and its traces agree with the
+stepped loop to about 1e-11 of their rms; the loops it refuses run
+`_chain_loop`, which steps the loop sample by sample.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _bandpass(res: MechanicalResonator, cfg: SimConfig, dt: float):
 
 
 def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
-                 force_per_velocity: float, w0: tuple, force: float):
+                 force_per_velocity: float, w0: tuple):
     """The loop step as z' = A z + B w, and the state z0 after step 0.
 
     z = (x, v, y_i, y_{i-1}, s1, s2, F, vel): position, velocity, the last
@@ -197,8 +198,8 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
     next step and the bandpass output it was set from; w = (f_in, n) of the
     step. Each statement of the loop is a row over (z, w), so A and B are
     the loop written as a matrix. z0 is the warm-up step from rest at x0
-    with the inputs w0, and F = ``force`` latched for step 1 (the force set
-    from vel_0 = 0).
+    with the inputs w0, and F = 0 latched for step 1 (the force set from
+    vel_0 = 0).
     """
     m = res.mass
     w2 = res.omega0 ** 2
@@ -214,7 +215,7 @@ def _linear_step(res: MechanicalResonator, cfg: SimConfig, dt: float,
                      force_per_velocity * vel, vel])
     a, b = step[:, :8], step[:, 8:]
     z0 = a[:, 0] * cfg.x0 + b @ w0
-    z0[3:] = z0[2], 0.0, 0.0, force, 0.0  # y_{-1} = y_0, vel_0 = 0
+    z0[3], z0[4:] = z0[2], 0.0  # y_{-1} = y_0, vel_0 = 0
     return a, b, z0
 
 
@@ -246,14 +247,15 @@ def _stacked_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 class LiftedSystem:
     """z_{i+1} = A z_i + B w_{i+1}, read out as C z, in blocks of L = _BLOCK
-    steps.
+    steps, for input series of n samples.
 
-    Built once from (A, B, C): the L-step free response, the forced-response
-    kernel of one block and A^L. `response` only applies them, so a system
+    Built once from (A, B, C, n): the L-step free response, the forced-response
+    kernel of one block, and the scan's jumps A^L, A^2L, A^4L, ..., one per
+    pass over the run's blocks. `response` only applies them, so a system
     run many times (the chain loop's relaxation passes) pays the build once.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
         size = _BLOCK
         n_out, nz = c.shape
         powers = [np.eye(nz)]
@@ -265,28 +267,31 @@ class LiftedSystem:
         forced = np.where((lag >= 0)[:, None, :, None],
                           impulse[np.maximum(lag, 0)].transpose(0, 2, 1, 3), 0.0)
         carry = (powers[size - 1::-1] @ b).transpose(1, 0, 2).reshape(nz, -1)
-        self._n_in, self._n_out = b.shape[1], n_out
+        self._n, self._n_in, self._n_out = n, b.shape[1], n_out
+        self._blocks = _STACK * -(-n // (size * _STACK))
         self._free = (c @ powers[1:]).reshape(n_out * size, nz).T
         self._kernel = np.concatenate((forced.reshape(n_out * size, -1), carry)).T
-        # A^L, A^2L, A^4L, ..., one per scan pass, squared as a run first
-        # needs them, the last square in np.longdouble (80-bit on x86-64):
+        # all but the first squared in np.longdouble (80-bit on x86-64):
         # squared in float64 through a non-normal loop matrix, the q100
         # derivative traces drifted by 6.5e-11 of their rms, not 2.6e-12
         self._jumps = [powers[size]]
-        self._square = powers[size].astype(np.longdouble)
+        square = powers[size].astype(np.longdouble)
+        for _ in range(1, (self._blocks - 1).bit_length()):
+            square = square @ square
+            self._jumps.append(square.astype(float))
 
     def response(self, z0: np.ndarray, w: tuple | np.ndarray) -> np.ndarray:
-        """Rows C z_1 .. C z_N from the start state z0 and w, one series per
-        input.
+        """Rows C z_1 .. C z_n from the start state z0 and w, one series of
+        n samples per input.
 
         The inputs are zero-padded to whole stacks of blocks: one matmul
         gives every block's forced response and its end-state increment
         e_k, a doubling scan solves s_{k+1} = A^L s_k + e_k for the block
         start states, and a second matmul adds each block's free response.
         """
-        size, n_out = _BLOCK, self._n_out
-        n = len(w[0])
-        blocks = _STACK * -(-n // (size * _STACK))
+        size, n_out, n, blocks = _BLOCK, self._n_out, self._n, self._blocks
+        if any(len(series) != n for series in w):
+            raise ValueError(f"the system is built for series of {n} samples")
         padded = np.zeros((blocks * size, self._n_in))
         for j, series in enumerate(w):
             padded[:n, j] = series
@@ -297,13 +302,9 @@ class LiftedSystem:
         # so at the end column k is the end state s_{k+1} of block k
         ends = response[:, n_out * size:].T.copy()
         ends[:, 0] += self._jumps[0] @ z0
-        chunk = max(1, _SERIAL_MNK // self._square.size)  # columns per product
+        chunk = max(1, _SERIAL_MNK // self._jumps[0].size)  # columns per product
         stride = 1
-        for k in range((blocks - 1).bit_length()):
-            if k == len(self._jumps):
-                self._square = self._square @ self._square
-                self._jumps.append(self._square.astype(float))
-            jump = self._jumps[k]
+        for jump in self._jumps:
             # e_k += J e_{k-stride}, a chunk at a time from the last column
             # down, so each product reads only columns not yet updated
             for hi in range(blocks, stride, -chunk):
@@ -360,7 +361,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         force_per_velocity = (-res.mass * cfg.gain * res.gamma0
                               if cfg.controller == "derivative" else 0.0)
         a, b, z0 = _linear_step(res, cfg, dt, force_per_velocity,
-                                (f_in[0], noise_y[0]), 0.0)
+                                (f_in[0], noise_y[0]))
         # without feedback A is the bare oscillator: stable when damped and
         # marginal (radius 1) when lossless, a run the recursion still carries
         if force_per_velocity != 0.0:
@@ -370,7 +371,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
                     f"derivative loop unstable at gain = {cfg.gain:g}, "
                     f"bandpass_quality = {cfg.bandpass_quality:g}: "
                     f"spectral radius {radius:.6g} >= 1")
-        out = LiftedSystem(a, b, np.eye(8)[[0, 6]]).response(
+        out = LiftedSystem(a, b, np.eye(8)[[0, 6]], n - 1).response(
             z0, (f_in[1:], noise_y[1:]))
         x_out = np.concatenate(([z0[0]], out[:, 0]))
         f_out = np.concatenate(([0.0, z0[6]], out[:-1, 1]))
@@ -391,53 +392,47 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     """The smooth chain loop's (x, V, P) by waveform relaxation, or None
     where `_chain_loop` has to step it.
 
-    The loop is the linear one at the modulator's bias slope k, plus a
-    force q = phi(vel) - k vel added to the latched force, where phi is
-    `_chain_loop`'s DAC, cos^2 modulator and radiation pressure. One lifted
-    system gives (x, vel) from the inputs, once; each pass adds the other's
-    (x, vel) from the q of the previous pass's vel (the first with vel = 0),
-    until q moves by at most _SETTLE of the force scale 2 P0 / c, and the
-    settling pass's x is the trace's. None for a quantised DAC, for a
-    linear loop with spectral radius >= 1, and once an update is not
-    finite, does not shrink, or, shrinking by its ratio to the one before
-    on each pass left of _MAX_PASSES, cannot reach _SETTLE: where the
+    The loop is the linear one at the modulator's bias slope k, driven by
+    the force q_i = phi(vel_i) - k vel_i beyond that slope, where phi is
+    `_chain_loop`'s DAC, cos^2 modulator and radiation pressure; q_i acts in
+    step i + 1 as f_in does, q_0 = phi(0) from vel_0 = 0. Each pass runs the
+    loop's one lifted system on f_in + q from the previous pass's vel (the
+    first with vel = 0), until q moves by at most _SETTLE of the force scale
+    2 P0 / c, and the settling pass's x is the trace's. None for a quantised
+    DAC, for a linear loop with spectral radius >= 1, and once an update is
+    not finite, does not shrink, or, shrinking by its ratio to the one
+    before on each pass left of _MAX_PASSES, cannot reach _SETTLE: where the
     passes converge that slowly, stepping is the faster path.
     """
     if cfg.dac_bits is not None:
         return None
     volt_per_velocity, vpi, theta, p0, rp = _chain_map(res, chain)
     slope = -rp * chain.eoam.gain() * volt_per_velocity
-    q = rp * (p0 * math.cos(theta) ** 2)  # the force set from vel_0 = 0
-    a, b, z0 = _linear_step(res, cfg, dt, slope, (f_in[0], noise_y[0]), q)
+    a, b, z0 = _linear_step(res, cfg, dt, slope, (f_in[0], noise_y[0]))
     if not _spectral_radius(a) < 1.0:
         return None
 
     def power(volt):
         return p0 * np.cos(theta + np.pi * volt / vpi) ** 2
 
-    # each pass reads vel; x is kept from the pass that settles
-    eye = np.eye(8)
-    x_free, vel_free = LiftedSystem(a, b, eye[[0, 7]]).response(
-        z0, (f_in[1:], noise_y[1:])).T
-    from_q = LiftedSystem(a, eye[:, 6:], eye[[0, 7]])
-    q = np.full(f_in.size - 1, q)
+    system = LiftedSystem(a, b, np.eye(8)[[0, 7]], f_in.size - 1)
+    q = np.full(f_in.size, rp * (p0 * math.cos(theta) ** 2))  # q_i from vel_i
     tol = _SETTLE * rp * p0
     last = math.inf
     with np.errstate(all="ignore"):
         for left in reversed(range(_MAX_PASSES)):
-            x_q, vel_q = from_q.response(np.zeros(8), (q,)).T
-            vel = vel_free + vel_q
+            x, vel = system.response(z0, (f_in[1:] + q[:-1], noise_y[1:])).T
             q_next = rp * power(volt_per_velocity * vel) - slope * vel
-            update = float(np.max(np.abs(q_next - q)))
+            update = float(np.max(np.abs(q_next - q[1:])))
             if update <= tol:
                 break
             # the update, shrinking by its last ratio on each pass left
             if not (update < last
                     and update * (update / last) ** left <= tol):
                 return None
-            last, q = update, q_next
+            last, q[1:] = update, q_next
     volt = volt_per_velocity * np.concatenate(([0.0], vel))
-    return np.concatenate(([z0[0]], x_free + x_q)), volt, power(volt)
+    return np.concatenate(([z0[0]], x)), volt, power(volt)
 
 
 def _chain_loop(cfg: SimConfig, res: MechanicalResonator,

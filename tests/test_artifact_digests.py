@@ -24,6 +24,16 @@ def test_artifacts_match_recorded_digests(tmp_path, monkeypatch):
                     f"{recorded['platform']}, this platform is {here}")
     monkeypatch.chdir(tmp_path)
     got = artifact_digests.artifact_digests()
-    changed = sorted(name for name in got.keys() | recorded["digests"].keys()
-                     if got.get(name) != recorded["digests"].get(name))
+    changed = artifact_digests.differing(recorded["digests"], got)
     assert not changed, f"artifacts differ from the recorded digests: {changed}"
+
+
+def test_tool_prints_the_digests_it_moves(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(artifact_digests, "artifact_digests",
+                        lambda: {"a": "1", "b": "2"})
+    out = tmp_path / "digests.json"
+    out.write_text(json.dumps({"digests": {"a": "1", "b": "0", "c": "3"}}))
+    assert artifact_digests.main(["--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["moved: b",
+                                                        "moved: c"]
+    assert json.loads(out.read_text())["digests"] == {"a": "1", "b": "2"}

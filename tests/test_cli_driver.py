@@ -645,11 +645,11 @@ def test_overflowing_band_integral_fails_in_one_line(tmp_path):
     ("mass", "1e300 kg", "noise-budget",
      "DomainError: {out}/noise_budget.csv: column total_hz_rthz: "
      "non-finite value inf"),
-    # 1e-152 Hz: m omega0^2 is a normal double, but the peak response
-    # Q / (m omega0^2) overflows
-    ("frequency", "1e-152 Hz", "susceptibility",
-     "DomainError: {out}/susceptibility_g0.csv: column value: "
-     "non-finite value (inf-infj)")], ids=["huge-mass", "tiny-frequency"])
+    # 1e-150 Hz: the resonator is built, but the FPI output's thermal term
+    # overflows at resonance
+    ("frequency", "1e-150 Hz", "noise-budget",
+     "DomainError: {out}/noise_budget.csv: column total_hz_rthz: "
+     "non-finite value inf")], ids=["huge-mass", "tiny-frequency"])
 def test_numpy_warning_never_reaches_stderr(tmp_path, key, value, command,
                                             message):
     # NumPy warns of the overflow or division by zero before the writer

@@ -366,7 +366,11 @@ class TestCli:
         ("frequency,q_internal", "1e-150 Hz,1e30", ["noise-budget"]),
         ("frequency,q_internal", "1e-160 Hz,4.77e5", ["susceptibility"]),
         ("mass,frequency", "2.6 g,1e-155 Hz", ["susceptibility"]),
-        ("mass,frequency", "2.6 g,1e-155 Hz", ["noise-budget"])])
+        ("mass,frequency", "2.6 g,1e-155 Hz", ["noise-budget"]),
+        *[("mass,frequency,q_internal,viscous_rate",
+           f"2.6 g,{f} Hz,4.77e5,0 rad/s", [command])
+          for f in ("1e-151", "1e-152", "1e-153")
+          for command in ("susceptibility", "noise-budget")]])
     def test_negative_density_refused(self, tmp_path, capsys, key, value,
                                       command):
         # with handover termination the cascade reads the FPI readout noise;
@@ -374,7 +378,8 @@ class TestCli:
         # to a zero damping rate (ZeroDivisionError) is refused the same way,
         # and so, naming both keys, are an omega0^2 / Q that underflows to a
         # zero damping rate although omega0^2 does not, and a subnormal
-        # stiffness m omega0^2 whose reciprocal overflows
+        # stiffness m omega0^2 whose reciprocal overflows; a peak response
+        # 1 / (m omega0 gamma0) that overflows names the four keys it reads
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with(key, value).replace(
             "termination = gain", "termination = handover"))

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 from dataclasses import replace
@@ -270,7 +271,7 @@ class TestRelaxedChain:
         volt_per_velocity, *_, rp = _chain_map(res, chain)
         slope = -rp * chain.eoam.gain() * volt_per_velocity
         a, _, _ = _linear_step(res, cfg, cfg.resolve_dt(res), slope,
-                               (0.0, 0.0), 0.0)
+                               (0.0, 0.0))
         return _spectral_radius(a)
 
     def test_unstable_linear_loop_is_stepped(self, q100):
@@ -323,7 +324,7 @@ class TestRelaxedChain:
 
         class Counted(LiftedSystem):
             def response(self, z0, w):
-                passes.append(len(w) == 1)  # only the q -> vel kernel
+                passes.append(1)
                 return super().response(z0, w)
 
         monkeypatch.setattr(simulate_module, "LiftedSystem", Counted)
@@ -334,6 +335,24 @@ class TestRelaxedChain:
                       self._spy(relaxed))
         assert relaxed == [False]
         assert 1 <= sum(passes) <= 3
+
+    @pytest.mark.parametrize("controller", ["off", "derivative", "chain"])
+    def test_one_lifted_system_per_run(self, q100, monkeypatch, controller):
+        built = []
+
+        class Counted(LiftedSystem):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulate_module, "LiftedSystem", Counted)
+        chain = TestChainController()._chain(q100, 20.0)
+        cfg = replace(self._cfg(q100, 100, seed=57), controller=controller,
+                      gain=15.0)
+        relaxed = []
+        self._run(cfg, q100, chain, self.HLI, self._spy(relaxed))
+        assert relaxed == ([True] if controller == "chain" else [])
+        assert len(built) == 1
 
 
 class TestControllerOracle:
@@ -649,7 +668,7 @@ class TestBlockRecursion:
         dt = cfg.resolve_dt(res)
         gamma = float(res.damping_rate(res.omega0))
         a, _, _ = _linear_step(res, cfg, dt, -res.mass * gain * gamma,
-                               (0.0, 0.0), 0.0)
+                               (0.0, 0.0))
         assume(_spectral_radius(a) < 1.0)
         self._assert_agrees(cfg, res, 1e-10)
 
@@ -681,7 +700,7 @@ def _derivative_loop(resonator):
                     gain=15.0, bandpass_quality=0.3)
     gamma = float(res.damping_rate(res.omega0))
     a, b, z0 = _linear_step(res, cfg, cfg.resolve_dt(res),
-                            -res.mass * cfg.gain * gamma, (1e-9, 1e-9), 0.0)
+                            -res.mass * cfg.gain * gamma, (1e-9, 1e-9))
     return a, b, np.eye(8)[[0, 6]], z0
 
 
@@ -713,7 +732,7 @@ class TestLiftedResponse:
     def _assert_agrees(self, system, n, lifted=None):
         a, b, c, z0 = system
         w = stream_rng(0, 0).standard_normal((b.shape[1], n))
-        got = (lifted or LiftedSystem(a, b, c)).response(z0, tuple(w))
+        got = (lifted or LiftedSystem(a, b, c, n)).response(z0, tuple(w))
         ref = _stepped_response(a, b, c, z0, w)
         assert got.shape == (n, c.shape[0])
         for col in range(c.shape[0]):
@@ -739,16 +758,28 @@ class TestLiftedResponse:
         monkeypatch.setattr(simulate_module, "_SERIAL_MNK", 3 * a.size)
         self._assert_agrees((a, b, c, z0), 5 * self.L * self.STACK + 3)
 
-    def test_one_instance_across_lengths(self, resonator):
-        # 8 blocks take 3 scan passes and 24 take 5: the longer run squares
-        # two more A^(L 2^k) onto the kept list, the short one after it
-        # reads only the first three
-        system = _derivative_loop(resonator)
-        lifted = LiftedSystem(*system[:3])
-        for n, passes in [(self.L + 1, 3), (3 * self.L * self.STACK - 7, 5),
-                          (self.L + 1, 5)]:
-            self._assert_agrees(system, n, lifted)
+    def test_jumps_built_for_the_run(self, resonator):
+        # 8 blocks take 3 scan passes and 24 take 5, one A^(L 2^k) each
+        for n, passes in [(self.L + 1, 3), (3 * self.L * self.STACK - 7, 5)]:
+            lifted = LiftedSystem(*_derivative_loop(resonator)[:3], n)
             assert len(lifted._jumps) == passes
+
+    def test_response_writes_nothing(self, resonator):
+        system, n = _derivative_loop(resonator), 3 * self.L * self.STACK - 7
+        lifted = LiftedSystem(*system[:3], n)
+        before = copy.deepcopy(vars(lifted))
+        for _ in range(2):
+            self._assert_agrees(system, n, lifted)
+        assert vars(lifted).keys() == before.keys()
+        for name, value in vars(lifted).items():
+            assert np.array_equal(np.asarray(value), np.asarray(before[name]))
+
+    @pytest.mark.parametrize("n", [L, L + 2])
+    def test_other_length_refused(self, resonator, n):
+        a, b, c, z0 = _derivative_loop(resonator)
+        lifted = LiftedSystem(a, b, c, self.L + 1)
+        with pytest.raises(ValueError, match=f"series of {self.L + 1} "):
+            lifted.response(z0, tuple(np.zeros((2, n))))
 
 
 class TestLoopStability:

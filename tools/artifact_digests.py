@@ -7,7 +7,8 @@ Runs each command of `RUNS` in process through `optocool.cli.run_command`
 inside a fresh temporary directory, with relative ``--out``, ``--config``
 and ``--input`` paths, and writes one JSON file: the platform the digests
 were made on (machine, NumPy version, ``np.longdouble`` precision) and the
-SHA-256 of each file, keyed by its relative path.
+SHA-256 of each file, keyed by its relative path. It prints the name of
+each digest that differs from the file it overwrites, one a line.
 `tests/test_artifact_digests.py` reruns the same set and compares, so a
 change that moves any covered byte shows up as a digest change in its diff.
 Regenerate the file only in a change that means to move an artifact, and
@@ -103,6 +104,12 @@ def artifact_digests() -> dict:
             for out in outs for path in sorted(Path(out).iterdir())}
 
 
+def differing(recorded: dict, got: dict) -> list:
+    """Names of the digests that one of the two maps lacks or holds apart."""
+    return sorted(name for name in recorded.keys() | got.keys()
+                  if recorded.get(name) != got.get(name))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=DIGESTS)
@@ -116,6 +123,9 @@ def main(argv=None) -> int:
         finally:
             os.chdir(here)
     record = {"platform": platform_info(), "digests": digests}
+    if out.exists():
+        for name in differing(json.loads(out.read_text())["digests"], digests):
+            print(f"moved: {name}")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {out}")
     return 0
