@@ -223,6 +223,9 @@ def plan_cascade(cfg: CascadeConfig, chain: FeedbackChain,
     t_start = 0.0
     termination = REASON_MAX_STAGES
     for index in range(1, cfg.max_stages + 1):
+        if not math.isfinite(dac):
+            raise InfeasibleError(f"stage {index}: the DAC gain for g = "
+                                  f"{g:g} is {dac!r} V/rad, not finite")
         duration = cfg.n_settle / ((1.0 + g) * gamma)
         decayed = variance_evolution(g, variance, gamma, duration)
         floor = sum(analytic_variance(res, g, noise_psd))

@@ -15,9 +15,9 @@ flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
 first, and a crash during the renames can leave a file missing.
 
-`build_parser` builds the parser once per process, and it dispatches by
-name: the ``_cmd_*`` function is looked up on this module when the command
-runs, so rebinding one (a test's stand-in, a tracer's wrapper) takes effect.
+`build_parser` builds the parser once per process. The parsed command path
+(``cool sweep``) names its ``_cmd_*`` function, looked up on this module when
+it runs so that a test's stand-in takes effect, and heads every artifact.
 
 Every artifact (CSV or structured text) starts with ``#`` header lines
 carrying the command, the fully resolved configuration, and the seed, so a
@@ -62,8 +62,18 @@ _STAGE_COLUMNS = {"stage": "index", "g": "gain", "gdac_v_per_rad": "dac_gain",
                   "x2_exit_m2": "variance_out", "teff_exit_K": "t_eff_out"}
 
 
-def _header_lines(command: str, cfg: ExperimentConfig, seed=None) -> list:
-    lines = [f"optocool {__version__} {command}"]
+def _command_path(args) -> str:
+    """The parsed command, such as ``cool sweep`` or ``noise-budget``."""
+    return f"{args.command} {getattr(args, 'subcommand', '')}".rstrip()
+
+
+def _handler(args):
+    """The parsed command's function: ``cool sweep`` runs `_cmd_cool_sweep`."""
+    return globals()["_cmd_" + re.sub("[ -]", "_", _command_path(args))]
+
+
+def _header_lines(args, cfg: ExperimentConfig, qualifiers="", seed=None):
+    lines = [f"optocool {__version__} {_command_path(args)}{qualifiers}"]
     if seed is not None:
         lines.append(f"seed = {seed}")
     lines.extend(cfg.echo())
@@ -92,6 +102,20 @@ def _refuse_cold(res) -> None:
                           f"optimal gain, got {res.temperature!r}")
 
 
+def _refuse_zero_transduction(chain, dac_gain=True) -> None:
+    """Refuse a bias angle, or a DAC gain the command does not set itself,
+    that zeroes the force per displacement where a command sets a power."""
+    zero = {}
+    if math.sin(2.0 * chain.eoam.bias_angle) == 0.0:
+        zero["chain.bias_angle"] = chain.eoam.bias_angle
+    if dac_gain and chain.dac_gain == 0.0:
+        zero["chain.dac_gain"] = chain.dac_gain
+    if zero:
+        raise ConfigError(f"{', '.join(zero)}: must give a nonzero "
+                          "transduction sin(2 theta) G_DAC, got "
+                          f"{', '.join(map(repr, zero.values()))}")
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -101,7 +125,7 @@ def _cmd_susceptibility(args, cfg: ExperimentConfig):
         omega = _gain_grid(res, g)
         chi = effective_susceptibility(res, g, omega)
         yield (f"susceptibility_g{_format_gain(g)}.csv",
-               _header_lines(f"susceptibility g={g:g}", cfg),
+               _header_lines(args, cfg, f" g={g:g}"),
                {"freq_hz": omega / TWO_PI, "value": chi,
                 "unit": ["m/N"] * chi.size})
 
@@ -115,7 +139,7 @@ def _cmd_noise_budget(args, cfg: ExperimentConfig):
     total = fpi.output_spectrum(res, g, omega=omega).values
     thermal = quiet.output_spectrum(res, g, omega=omega).values
     readout = fpi.noise_asd(omega)
-    yield ("noise_budget.csv", _header_lines("noise-budget", cfg),
+    yield ("noise_budget.csv", _header_lines(args, cfg),
            {"freq_hz": omega / TWO_PI, "total_hz_rthz": total,
             "thermal_hz_rthz": thermal, "readout_hz_rthz": readout})
 
@@ -143,7 +167,7 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
         t_eff, x2, thermal, feedthrough = np.array(
             [(n.t_eff, n.variance, n.thermal, n.feedthrough) for n in nums]).T
         yield (f"cool_sweep_noise{asd:g}.csv",
-               _header_lines(f"cool sweep noise={asd:g}", cfg),
+               _header_lines(args, cfg, f" noise={asd:g}"),
                {"g": np.array(gains), "T_eff_K": t_eff, "x2_m2": x2,
                 "thermal_m2": thermal, "feedthrough_m2": feedthrough})
 
@@ -164,12 +188,13 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig):
         ("t_eff_at_g_opt_K", effective_temperature(res, got.closed_form, t_n)),
         ("t_eff_floor_K", floor),
     ]
-    yield "cool_optimum.txt", _header_lines("cool optimum", cfg), body
+    yield "cool_optimum.txt", _header_lines(args, cfg), body
 
 
 def _cmd_cascade_run(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
+    _refuse_zero_transduction(chain, dac_gain=False)  # the plan sets it
     hli = cfg.hli()
     fpi = cfg.fpi()
     base = cfg.cascade_config()
@@ -185,7 +210,7 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
         ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
         tag = _format_gain(g0)
-        header = _header_lines(f"cascade run g0={g0:g}", cfg)
+        header = _header_lines(args, cfg, f" g0={g0:g}")
         yield (f"cascade_g{tag}.csv", header,
                {name: np.array([getattr(s, field) for s in schedule.stages])
                 for name, field in _STAGE_COLUMNS.items()})
@@ -229,7 +254,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig):
     if trace.control_voltage is not None:
         table.update(v_volt=trace.control_voltage, p_watt=trace.power)
     table["f_fb_newton"] = trace.feedback_force
-    header = _header_lines("simulate", cfg, seed=sim_cfg.seed)
+    header = _header_lines(args, cfg, seed=sim_cfg.seed)
     yield "trace.csv", header, table
 
     variance = steady_state_variance(trace)
@@ -252,8 +277,8 @@ def _cmd_psd(args, cfg: ExperimentConfig):
                           "has no spectrum to estimate")
     rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
                        overlap=args.overlap, unit=f"({args.column})^2/Hz")
-    header = _header_lines(f"psd input={args.input} column={args.column} "
-                           f"segment={args.segment}", cfg)
+    header = _header_lines(args, cfg, f" input={args.input} column="
+                           f"{args.column} segment={args.segment}")
     header += [f"segments = {rec.meta['segments']}",
                f"parseval_ratio = {rec.meta['parseval_ratio']!r}"]
     yield f"psd_{args.column}.csv", header, spectrum_table(rec)
@@ -275,12 +300,13 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
         ("residual_rms", fit.residual_rms),
         ("n_points", fit.n_points),
     ]
-    yield "ringdown_fit.txt", _header_lines("ringdown-fit", cfg), body
+    yield "ringdown_fit.txt", _header_lines(args, cfg), body
 
 
 def _cmd_chain_report(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
+    _refuse_zero_transduction(chain)
     g = chain.gain_factor(res)
     body = [
         "composed feedback chain gains",
@@ -294,7 +320,7 @@ def _cmd_chain_report(args, cfg: ExperimentConfig):
         ("gain_factor", g),
         ("power_for_unity_gain_W", chain.required_power(res, 1.0)),
     ]
-    yield "chain_report.txt", _header_lines("chain report", cfg), body
+    yield "chain_report.txt", _header_lines(args, cfg), body
 
 
 def _paper_report_rows(cfg: ExperimentConfig) -> list:
@@ -303,6 +329,7 @@ def _paper_report_rows(cfg: ExperimentConfig) -> list:
     _refuse_cold(res)
     fpi = cfg.fpi()
     chain = cfg.chain()
+    _refuse_zero_transduction(chain)
     s_n = cfg.imprecision_psd()
 
     g_opt = optimal_gain(res, s_n).closed_form
@@ -340,7 +367,7 @@ def _cmd_paper_report(args, cfg: ExperimentConfig):
                               "finite")
         body.append(f"{name} | {unit} | {computed!r} | {reference!r} | "
                     f"{ratio!r} | {flag}")
-    yield "paper_report.txt", _header_lines("paper-report", cfg), body
+    yield "paper_report.txt", _header_lines(args, cfg), body
 
 
 # -- dispatch ------------------------------------------------------------
@@ -356,15 +383,6 @@ def _parse_float_list(text: str, option: str) -> list:
     if not all(0.0 <= v < math.inf for v in values):
         raise ConfigError(f"{option}: values must be finite and >= 0: {text!r}")
     return values
-
-
-def _by_name(name: str):
-    """A command that runs this module's ``name`` as bound at call time."""
-    def command(args, cfg):
-        return globals()[name](args, cfg)
-
-    command.__name__ = name
-    return command
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,11 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop susceptibility curves")
     p.add_argument("--gains", default="0,2500,5000,10000",
                    help="comma list of gain factors")
-    p.set_defaults(func=_by_name("_cmd_susceptibility"))
 
-    p = sub.add_parser("noise-budget",
-                       help="frequency-readout noise decomposition")
-    p.set_defaults(func=_by_name("_cmd_noise_budget"))
+    sub.add_parser("noise-budget",
+                   help="frequency-readout noise decomposition")
 
     p = sub.add_parser("cool", help="cooling analysis")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -406,42 +422,34 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gains", default=None, help="comma list of gains")
     ps.add_argument("--noise", default=None,
                     help="comma list of imprecision ASDs, m/rtHz")
-    ps.set_defaults(func=_by_name("_cmd_cool_sweep"))
-    po = csub.add_parser("optimum", help="optimal gain summary")
-    po.set_defaults(func=_by_name("_cmd_cool_optimum"))
+    csub.add_parser("optimum", help="optimal gain summary")
 
     p = sub.add_parser("cascade", help="cascaded cooling")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pr = csub.add_parser("run", help="plan a cascade schedule")
     pr.add_argument("--g0", default=None,
                     help="comma list of initial gain factors")
-    pr.set_defaults(func=_by_name("_cmd_cascade_run"))
 
-    p = sub.add_parser("simulate", help="time-domain loop simulation")
-    p.set_defaults(func=_by_name("_cmd_simulate"))
+    sub.add_parser("simulate", help="time-domain loop simulation")
 
     p = sub.add_parser("psd", help="Welch PSD of a trace column")
     p.add_argument("--input", required=True, help="trace CSV path")
     p.add_argument("--column", default="x_m")
     p.add_argument("--segment", type=int, default=4096)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.set_defaults(func=_by_name("_cmd_psd"))
 
     p = sub.add_parser("ringdown-fit", help="fit Q from a decay record")
     p.add_argument("--input", required=True, help="CSV with t_s,value rows")
     p.add_argument("--column", default="value")
     p.add_argument("--frequency", type=float, default=None,
                    help="resonance frequency hint, Hz")
-    p.set_defaults(func=_by_name("_cmd_ringdown_fit"))
 
     p = sub.add_parser("chain", help="feedback chain")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    pc = csub.add_parser("report", help="composed gains with units")
-    pc.set_defaults(func=_by_name("_cmd_chain_report"))
+    csub.add_parser("report", help="composed gains with units")
 
-    p = sub.add_parser("paper-report",
-                       help="computed values against published references")
-    p.set_defaults(func=_by_name("_cmd_paper_report"))
+    sub.add_parser("paper-report",
+                   help="computed values against published references")
     return parser
 
 
@@ -454,13 +462,12 @@ def run_command(argv) -> int:
     cfg = load_config(args.config)
     out = Path(out)
     texts = {}
-    for name, header, body in args.func(args, cfg):
+    for name, header, body in _handler(args)(args, cfg):
         path = out / name
         if path in texts:
-            command = " ".join(filter(None, (
-                args.command, getattr(args, "subcommand", None))))
-            raise ConfigError(f"{path}: {command!r} makes it twice; list "
-                              "values equal to 6 digits share a file name")
+            raise ConfigError(f"{path}: {_command_path(args)!r} makes it "
+                              "twice; list values equal to 6 digits share "
+                              "a file name")
         texts[path] = format_artifact(path, header, body)
     out.mkdir(parents=True, exist_ok=True)
     temps = {}

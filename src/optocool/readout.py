@@ -55,6 +55,10 @@ class FpiReadout:
         if self.readout_noise and not self.imprecision_psd > 0.0:
             raise DomainError("readout_noise must be 0 or give a nonzero "
                               "imprecision_psd, not one that underflows to 0")
+        if not math.isfinite(self.dynamic_range()):
+            raise DomainError("wavelength,cavity_length,tuning_range must "
+                              "give a finite dynamic range "
+                              "wavelength*length*tuning/c")
         if self.capture_range() >= self.dynamic_range():
             raise DomainError("finesse must put the capture range "
                               "wavelength/finesse below the dynamic range")

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optocool
 from optocool import cli, spectrum
 from optocool.config import DEFAULT_CONFIG, load_config
 from optocool.errors import DomainError
@@ -271,7 +272,7 @@ def test_threads_format_alike():
 
 def test_seeded_trace_columns_match_repr():
     args = cli.build_parser().parse_args(["--seed", "7", "simulate"])
-    (_, _, table), _ = args.func(args, load_config(None))
+    (_, _, table), _ = cli._handler(args)(args, load_config(None))
     for name, cells in table.items():
         assert _float_lines(cells) == _reprs(cells), name
 
@@ -307,9 +308,14 @@ def test_every_command_formats_as_oracle(tmp_path):
     commands, traces = set(), []
     for path, argv in runs:
         args = cli.build_parser().parse_args(["--config", path] + argv)
-        commands.add(args.func.__name__)
+        handler = cli._handler(args)
+        commands.add(handler.__name__)
         cfg = load_config(args.config)
-        for name, header, body in args.func(args, cfg):
+        # the parsed path, then only the command's own ``key=value`` words
+        first = re.compile(rf"optocool {re.escape(optocool.__version__)} "
+                           rf"{re.escape(cli._command_path(args))}( \w+=\S+)*")
+        for name, header, body in handler(args, cfg):
+            assert first.fullmatch(header[0]), (name, header[0])
             text = format_artifact(tmp_path / name, header, body)
             want = _oracle(tmp_path / name, header, body)
             assert text.splitlines(True) == want.splitlines(True)

@@ -142,6 +142,14 @@ class TestPlanCascade:
         with pytest.raises(InfeasibleError, match="minimum power"):
             plan_cascade(cfg, chain, resonator, hli, fpi)
 
+    def test_overflowing_dac_gain_infeasible(self, chain, resonator, hli, fpi):
+        # the cap Vpi wavelength / (2 pi span) starts at 1.6e305 V/rad and
+        # overflows as the span shrinks, while the gain stays finite
+        wide = replace(chain, wavelength=1e300)
+        with pytest.raises(InfeasibleError, match=r"^stage \d+: the DAC gain "
+                           r"for g = \S+ is inf V/rad, not finite$"):
+            plan_cascade(paper_cascade_config(), wide, resonator, hli, fpi)
+
     def test_faster_with_larger_initial_gain(self, sturdy_chain, resonator,
                                              hli, fpi):
         # proportionally larger power, fewer stages, shorter total time

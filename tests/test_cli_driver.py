@@ -1,5 +1,6 @@
 """The CLI driver: commands yield artifacts, `run_command` writes all or none."""
 
+import argparse
 import csv
 import errno
 import inspect
@@ -557,6 +558,30 @@ class TestCachedParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_every_leaf_runs_its_command(self):
+        def leaves(parser, path):
+            subs = [action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+            if not subs:
+                yield path
+            for choices in subs:
+                for word, child in choices.items():
+                    yield from leaves(child, path + [word])
+
+        handlers = {}
+        for path in leaves(cli.build_parser(), []):
+            needs = path[0] in ("psd", "ringdown-fit")
+            args = cli.build_parser().parse_args(
+                path + ["--input", "t.csv"] * needs)
+            assert cli._command_path(args) == " ".join(path)
+            handlers[" ".join(path)] = cli._handler(args)
+        assert len(handlers) == 10
+        assert {name: fn.__name__ for name, fn in handlers.items()} == {
+            name: "_cmd_" + re.sub("[ -]", "_", name) for name in handlers}
+        assert set(handlers.values()) == {
+            fn for name, fn in inspect.getmembers(cli, inspect.isfunction)
+            if name.startswith("_cmd_")}
+
     def _header(self, path):
         return [line for line in path.read_text().splitlines()
                 if line.startswith("#")]
@@ -591,8 +616,9 @@ def test_every_numeric_column_is_an_array(tmp_path):
     commands, arrays = set(), []
     for argv in runs:
         args = cli.build_parser().parse_args(argv)
-        commands.add(args.func.__name__)
-        for name, header, body in args.func(args, cfg):
+        handler = cli._handler(args)
+        commands.add(handler.__name__)
+        for name, header, body in handler(args, cfg):
             if name == "trace.csv":
                 trace.write_text(format_artifact(trace, header, body))
             if not isinstance(body, dict):

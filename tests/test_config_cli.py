@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from optocool import ConfigError, cli
 from optocool.cli import _gain_grid, main, run_command
-from optocool.config import DEFAULT_CONFIG, load_config, parse_config
+from optocool.config import (_SCHEMA, _UNITS, DEFAULT_CONFIG, load_config,
+                             parse_config)
 from optocool.spectrum import read_columns, read_rows
 
 # the three noise-density keys, each with its unit
@@ -422,6 +424,45 @@ class TestCli:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "cascade", "run"]) == 0
 
+    # the cascade sets its own DAC gain, so only the bias angle zeroes it
+    @pytest.mark.parametrize("key, value, command, named", [
+        ("bias_angle", "0 deg", ["chain", "report"], "bias_angle"),
+        ("bias_angle", "0 deg", ["paper-report"], "bias_angle"),
+        ("bias_angle", "0 deg", ["cascade", "run"], "bias_angle"),
+        ("dac_gain", "0 V/rad", ["chain", "report"], "dac_gain"),
+        ("dac_gain", "0 V/rad", ["paper-report"], "dac_gain"),
+        ("bias_angle,dac_gain", "0 deg,0 V/rad", ["chain", "report"],
+         "bias_angle,dac_gain"),
+        ("bias_angle,dac_gain", "0 deg,0 V/rad", ["cascade", "run"],
+         "bias_angle")],
+        ids=["bias-chain-report", "bias-paper-report", "bias-cascade",
+             "dac-chain-report", "dac-paper-report", "both-chain-report",
+             "both-cascade"])
+    def test_zero_transduction_names_its_keys(self, tmp_path, capsys, key,
+                                              value, command, named):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(key, value))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     *command]) == 2
+        keys = named.split(",")
+        assert capsys.readouterr().err == (
+            f"error: config: {', '.join('chain.' + k for k in keys)}: must "
+            "give a nonzero transduction sin(2 theta) G_DAC, got "
+            f"{', '.join(['0.0'] * len(keys))}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("dac_gain", "0 V/rad", ["cascade", "run"]),
+        ("bias_angle,controller,duration", "0 deg,chain,10 s", ["simulate"])],
+        ids=["dac-cascade", "bias-simulate"])
+    def test_zero_transduction_runs_without_a_set_power(self, tmp_path, key,
+                                                        value, command):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(key, value))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     *command]) == 0
+
     @pytest.mark.parametrize("noise", ["-5e-12", "5e-12,-5e-12"])
     def test_negative_sweep_noise_refused(self, tmp_path, capsys, noise):
         out = tmp_path / "out"
@@ -688,6 +729,11 @@ def _body(path) -> list:
             if not l.startswith(("#", "input = "))]
 
 
+DYNAMIC_RANGE_REFUSED = (
+    "error: config: fpi.wavelength, fpi.cavity_length, fpi.tuning_range: "
+    "must give a finite dynamic range wavelength*length*tuning/c, got ")
+
+
 class TestArtifactFormat:
     def test_nan_gain_refused(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "susceptibility",
@@ -746,26 +792,35 @@ class TestArtifactFormat:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("fpi, code, message", [
+    @pytest.mark.parametrize("fpi, command, message", [
         # parses to inf, so it is refused as the config loads
         pytest.param({"tuning_range = 10 GHz": "tuning_range = 1e300 GHz"},
-                     2, "error: config: fpi.tuning_range: must be finite, "
-                     "got inf\n", id="fpi0"),
+                     ["paper-report"], "error: config: fpi.tuning_range: "
+                     "must be finite, got inf\n", id="fpi0"),
+        # each key finite, but the product overflows: refused as the
+        # readout builds, naming the three keys, by every command that
+        # builds it
         pytest.param({"cavity_length = 50 mm": "cavity_length = 1e100 m",
                       "tuning_range = 10 GHz": "tuning_range = 1e299 GHz"},
-                     1, "error: DomainError: paper_report.txt: dynamic_range: "
-                     "computed inf and ratio inf must be finite\n", id="fpi1")])
-    def test_infinite_dynamic_range_refused(self, tmp_path, capsys, fpi, code,
-                                            message):
-        # the report formats its own rows, so format_artifact never saw inf
+                     ["paper-report"],
+                     DYNAMIC_RANGE_REFUSED + "1.064e-06, 1e+100, 1e+308\n",
+                     id="fpi1"),
+        *(pytest.param({"wavelength = 1064 nm": "wavelength = 1e300 m"},
+                       command, DYNAMIC_RANGE_REFUSED
+                       + "1e+300, 0.05, 10000000000.0\n",
+                       id="wavelength-" + "-".join(command))
+          for command in (["noise-budget"], ["cascade", "run"],
+                          ["paper-report"]))])
+    def test_infinite_dynamic_range_refused(self, tmp_path, capsys, fpi,
+                                            command, message):
         text = MINIMAL
         for old, new in fpi.items():
-            text = text.replace(old, new)
+            text = text.replace(old, new, 1)  # [fpi] comes before [hli]
         config = tmp_path / "wide.ini"
         config.write_text(text)
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out),
-                     "paper-report"]) == code
+                     *command]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -871,3 +926,55 @@ class TestSchemaDefaults:
         again = parse_config(_echo_as_config(cfg))
         assert again.values == cfg.values
         assert again.echo()[1:] == cfg.echo()[1:]
+
+
+# one key at a time, in its SI unit; each command either runs, or refuses
+# the config naming a key (exit 2), or fails with a named physics error
+CONTRACT_VALUES = [0.0, -1.0, 1e-6, 1e6, 1e-30, 1e30, 1e-300, 1e300,
+                   math.inf, math.nan]
+CONTRACT_COMMANDS = [["chain", "report"], ["paper-report"], ["cascade", "run"]]
+SCHEMA_KEY = "|".join(re.escape(f"{section}.{key}")
+                      for section, keys in _SCHEMA.items() for key in keys)
+PHYSICS_ERROR = ("InfeasibleError|PowerLimitError|DivergenceError|"
+                 "NumericalError")
+
+
+def _contract_broken(rc, err, out):
+    """Why a run breaks the refusal contract, or None if it keeps it."""
+    if rc == 0:
+        return None
+    if out.exists():
+        return "wrote a file"
+    if rc == 2 and re.fullmatch(rf"error: config: ({SCHEMA_KEY})\b.*\n", err):
+        return None
+    if rc == 1 and re.fullmatch(rf"error: ({PHYSICS_ERROR}): .*\n", err):
+        return None
+    return err.strip()
+
+
+def test_every_key_alone_keeps_the_contract(tmp_path, capsys):
+    broken, runs = [], itertools.count()
+    for section, keys in _SCHEMA.items():
+        start = DEFAULT_CONFIG.index(f"[{section}]")
+        for key, spec in keys.items():
+            if spec.kind == "choice":
+                continue
+            unit = next((f" {u}" for u, f in _UNITS.get(spec.kind, {}).items()
+                         if f == 1.0), "")
+            for value in CONTRACT_VALUES:
+                number = (str(int(value)) if spec.kind == "integer"
+                          and value.is_integer() else repr(value))
+                text = DEFAULT_CONFIG[:start] + re.sub(
+                    rf"^{key} = .*$", f"{key} = {number}{unit}",
+                    DEFAULT_CONFIG[start:], count=1, flags=re.M)
+                config = tmp_path / "cfg.ini"
+                config.write_text(text)
+                for command in CONTRACT_COMMANDS:
+                    out = tmp_path / f"out{next(runs)}"
+                    rc = main(["--config", str(config), "--out", str(out)]
+                              + command)
+                    why = _contract_broken(rc, capsys.readouterr().err, out)
+                    if why is not None:
+                        broken.append((f"{section}.{key} = {number}{unit}",
+                                       " ".join(command), why))
+    assert broken == [], "\n".join(map(str, broken))

@@ -65,6 +65,12 @@ class TestFpiDynamicRange:
         assert half.dynamic_range() == pytest.approx(
             fpi.dynamic_range() / 2, rel=1e-12)
 
+    def test_overflowing_product_refused(self, fpi):
+        # wavelength * length * tuning overflows before the division by c
+        with pytest.raises(DomainError, match=r"^wavelength,cavity_length,"
+                           r"tuning_range must give a finite dynamic range"):
+            replace(fpi, wavelength=1e300)
+
 
 class TestCaptureCheck:
     def test_zero_rms(self, fpi):
