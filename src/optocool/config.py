@@ -248,8 +248,9 @@ class ExperimentConfig:
         corner_ratio = hli.lpf_corner / (self.get("resonator", "frequency") / TWO_PI)
         if corner_ratio < 100.0:
             raise ConfigError(
-                "hli.lpf_corner: phasemeter corner must sit at least 100x "
-                f"above the resonance ({corner_ratio:.1f}x configured)")
+                "hli.lpf_corner, resonator.frequency: phasemeter corner must "
+                "sit at least 100x above the resonance "
+                f"({corner_ratio:.1f}x configured)")
         return hli
 
     def chain(self) -> FeedbackChain:

@@ -43,9 +43,8 @@ class Eoam:
         if not 0.0 < self.damage_threshold < math.inf:
             raise DomainError("damage_threshold must be finite and > 0")
         if not 0.0 < self.max_power <= self.damage_threshold:
-            raise DomainError(
-                f"max_power must be in (0, damage_threshold="
-                f"{self.damage_threshold:g} W]")
+            raise DomainError("max_power,damage_threshold must give "
+                              "0 < max_power <= damage_threshold")
         if not 0.0 <= self.bias_angle <= math.pi / 2.0:
             raise DomainError("bias_angle must be in [0, pi/2]")
 

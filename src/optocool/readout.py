@@ -60,8 +60,9 @@ class FpiReadout:
                               "give a finite dynamic range "
                               "wavelength*length*tuning/c")
         if self.capture_range() >= self.dynamic_range():
-            raise DomainError("finesse must put the capture range "
-                              "wavelength/finesse below the dynamic range")
+            raise DomainError("finesse,wavelength,cavity_length,tuning_range "
+                              "must put the capture range wavelength/finesse "
+                              "below the dynamic range")
 
     @property
     def displacement_to_frequency(self) -> float:

@@ -35,8 +35,14 @@ run, evaluates the recursion in blocks of 32 steps by matrix products (the
 lifted state-space form of Franklin, Powell & Workman, *Digital Control of
 Dynamic Systems*), carrying the state across the blocks by a doubling scan
 (Blelloch, "Prefix sums and their applications", 1990) in ceil(log2
-blocks) products. A derivative loop whose A has spectral radius >= 1 is
-refused before the first step.
+blocks) products. The products run over chunks of 32,768 steps, each
+written straight into the run's output and the blocks' end states (8
+doubles per block, 2 bytes per step), and the scan runs once over the
+whole run's end states. With each array dropped once dead, an ``off`` or
+``derivative`` run holds at most 40 bytes per step (the 32 of its trace
+and one more series) plus about 1.1 MB of chunk scratch, and a ``chain``
+run 80. A derivative loop whose A has spectral radius >= 1 is refused
+before the first step.
 
 The ``chain`` controller's cos^2 modulator is memoryless but nonlinear.
 With a smooth DAC (``dac_bits`` None), `_relaxed_chain` runs it by waveform
@@ -71,6 +77,7 @@ _SETTLE = 2.0 ** -40  # chain relaxation stops at this update / force scale
 _MAX_PASSES = 16      # chain relaxation passes before it falls back
 _BLOCK = 32  # steps per block of LiftedSystem
 _STACK = 8   # blocks per forced- or free-response product, see _stacked_matmul
+_CHUNK = 128  # stacks per chunk of LiftedSystem.response: 32,768 steps
 _SERIAL_MNK = 2 ** 18  # m*n*k of the largest scan product, see _stacked_matmul
 
 
@@ -253,6 +260,11 @@ class LiftedSystem:
     kernel of one block, and the scan's jumps A^L, A^2L, A^4L, ..., one per
     pass over the run's blocks. `response` only applies them, so a system
     run many times (the chain loop's relaxation passes) pays the build once.
+    It applies the kernel and the free response over chunks of _CHUNK
+    stacks of blocks, and the scan over all blocks' end states at once: its
+    working memory is the output, the end states (2 bytes per step) and one
+    chunk's scratch. The chunks issue the products an unchunked run would,
+    so the output is bit-identical for any chunk size.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
@@ -284,36 +296,49 @@ class LiftedSystem:
         """Rows C z_1 .. C z_n from the start state z0 and w, one series of
         n samples per input.
 
-        The inputs are zero-padded to whole stacks of blocks: one matmul
-        gives every block's forced response and its end-state increment
-        e_k, a doubling scan solves s_{k+1} = A^L s_k + e_k for the block
-        start states, and a second matmul adds each block's free response.
+        The inputs are zero-padded to whole stacks of blocks and run in
+        chunks of _CHUNK stacks: one matmul per chunk gives its blocks'
+        forced responses, written to the output, and their end-state
+        increments e_k; a doubling scan over the whole run solves
+        s_{k+1} = A^L s_k + e_k for the block start states; and a second
+        matmul per chunk adds each block's free response.
         """
         size, n_out, n, blocks = _BLOCK, self._n_out, self._n, self._blocks
         if any(len(series) != n for series in w):
             raise ValueError(f"the system is built for series of {n} samples")
-        padded = np.zeros((blocks * size, self._n_in))
-        for j, series in enumerate(w):
-            padded[:n, j] = series
-        response = _stacked_matmul(padded.reshape(blocks, -1), self._kernel)
-        del padded  # not held through the scan: it lowers the peak memory
+        chunk = _CHUNK * _STACK  # blocks per chunk
+        out = np.empty((blocks, n_out * size))
+        ends = np.empty((self._free.shape[0], blocks))
+        for lo in range(0, blocks, chunk):
+            hi = min(blocks, lo + chunk)
+            padded = np.zeros(((hi - lo) * size, self._n_in))
+            for j, series in enumerate(w):
+                part = series[lo * size:hi * size]
+                padded[:len(part), j] = part
+            response = _stacked_matmul(padded.reshape(hi - lo, -1),
+                                       self._kernel)
+            out[lo:hi] = response[:, :n_out * size]
+            ends[:, lo:hi] = response[:, n_out * size:].T
+        del padded, response  # not held through the scan
         # Hillis-Steele scan: after the pass with stride d and J = A^{L d},
         # column k holds sum_{j > k-2d} A^{L(k-j)} e_j, with e_0 += A^L z0,
         # so at the end column k is the end state s_{k+1} of block k
-        ends = response[:, n_out * size:].T.copy()
         ends[:, 0] += self._jumps[0] @ z0
-        chunk = max(1, _SERIAL_MNK // self._jumps[0].size)  # columns per product
+        columns = max(1, _SERIAL_MNK // self._jumps[0].size)  # per product
         stride = 1
         for jump in self._jumps:
-            # e_k += J e_{k-stride}, a chunk at a time from the last column
+            # e_k += J e_{k-stride}, `columns` at a time from the last column
             # down, so each product reads only columns not yet updated
-            for hi in range(blocks, stride, -chunk):
-                lo = max(stride, hi - chunk)
+            for hi in range(blocks, stride, -columns):
+                lo = max(stride, hi - columns)
                 ends[:, lo:hi] += jump @ ends[:, lo - stride:hi - stride]
             stride *= 2
-        starts = np.concatenate((z0[None], ends[:, :-1].T))
-        out = _stacked_matmul(starts, self._free)
-        out += response[:, :n_out * size]
+        for lo in range(0, blocks, chunk):
+            hi = min(blocks, lo + chunk)
+            starts = np.empty((hi - lo, z0.size))
+            starts[0] = ends[:, lo - 1] if lo else z0
+            starts[1:] = ends[:, lo:hi - 1].T
+            out[lo:hi] += _stacked_matmul(starts, self._free)
         return out.reshape(blocks * size, n_out)[:n]
 
 
@@ -335,18 +360,21 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     if cfg.controller == "chain" and chain is None:
         raise ConfigError("chain controller requires a FeedbackChain")
 
-    # independent seeded streams, one draw block per stream
+    # independent seeded streams, one draw block per stream, each scaled in
+    # place; every array below is dropped once dead, to bound the memory
     if res.temperature > 0.0:
         sigma_f = math.sqrt(res.thermal_force_psd(res.omega0) * fs / 2.0)
-        f_th = stream_rng(cfg.seed, STREAM_THERMAL).standard_normal(n) * sigma_f
+        f_in = stream_rng(cfg.seed, STREAM_THERMAL).standard_normal(n)
+        f_in *= sigma_f
     else:
-        f_th = np.zeros(n)
+        f_in = np.zeros(n)
     if hli is not None:
         sigma_y = math.sqrt(hli.imprecision_psd * fs / 2.0)
-        noise_y = stream_rng(cfg.seed, STREAM_IMPRECISION).standard_normal(n) * sigma_y
+        noise_y = stream_rng(cfg.seed, STREAM_IMPRECISION).standard_normal(n)
+        noise_y *= sigma_y
     else:
         noise_y = np.zeros(n)
-    f_in = f_th + _external_force(cfg, n)
+    f_in += _external_force(cfg, n)
 
     thermal_rms = math.sqrt(open_loop_thermal_variance(res))
     bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, 1.0e-12)
@@ -355,6 +383,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         x_out, v_out, p_out = (
             _relaxed_chain(cfg, res, chain, dt, f_in, noise_y)
             or _chain_loop(cfg, res, chain, dt, bound, f_in, noise_y))
+        del f_in
         # the force set at step i acts during step i + 1
         f_out = np.concatenate(([0.0], actuator_gain() * p_out[:-1]))
     else:
@@ -373,16 +402,21 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
                     f"spectral radius {radius:.6g} >= 1")
         out = LiftedSystem(a, b, np.eye(8)[[0, 6]], n - 1).response(
             z0, (f_in[1:], noise_y[1:]))
+        del f_in
         x_out = np.concatenate(([z0[0]], out[:, 0]))
         f_out = np.concatenate(([0.0, z0[6]], out[:-1, 1]))
+        del out
         v_out = p_out = None
     outside = np.flatnonzero(~((-bound < x_out) & (x_out < bound)))
     if outside.size:
         raise DivergenceError(
             f"|x| exceeded {bound:.3g} m at step {outside[0]}")
 
-    t = dt * np.arange(n)
-    return SimTrace(t=t, x=x_out, y=x_out + noise_y, feedback_force=f_out,
+    y = noise_y
+    y += x_out
+    t = np.arange(n, dtype=float)
+    t *= dt
+    return SimTrace(t=t, x=x_out, y=y, feedback_force=f_out,
                     control_voltage=v_out, power=p_out, config=cfg)
 
 
@@ -398,11 +432,12 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     step i + 1 as f_in does, q_0 = phi(0) from vel_0 = 0. Each pass runs the
     loop's one lifted system on f_in + q from the previous pass's vel (the
     first with vel = 0), until q moves by at most _SETTLE of the force scale
-    2 P0 / c, and the settling pass's x is the trace's. None for a quantised
-    DAC, for a linear loop with spectral radius >= 1, and once an update is
-    not finite, does not shrink, or, shrinking by its ratio to the one
-    before on each pass left of _MAX_PASSES, cannot reach _SETTLE: where the
-    passes converge that slowly, stepping is the faster path.
+    2 P0 / c, and the settling pass's x and modulator power are the
+    trace's. None for a quantised DAC, for a linear loop with spectral
+    radius >= 1, and once an update is not finite, does not shrink, or,
+    shrinking by its ratio to the one before on each pass left of
+    _MAX_PASSES, cannot reach _SETTLE: where the passes converge that
+    slowly, stepping is the faster path.
     """
     if cfg.dac_bits is not None:
         return None
@@ -421,8 +456,10 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
     last = math.inf
     with np.errstate(all="ignore"):
         for left in reversed(range(_MAX_PASSES)):
+            x = vel = p = q_next = None  # the last pass's, freed first
             x, vel = system.response(z0, (f_in[1:] + q[:-1], noise_y[1:])).T
-            q_next = rp * power(volt_per_velocity * vel) - slope * vel
+            p = power(volt_per_velocity * vel)
+            q_next = rp * p - slope * vel
             update = float(np.max(np.abs(q_next - q[1:])))
             if update <= tol:
                 break
@@ -432,7 +469,8 @@ def _relaxed_chain(cfg: SimConfig, res: MechanicalResonator,
                 return None
             last, q[1:] = update, q_next
     volt = volt_per_velocity * np.concatenate(([0.0], vel))
-    return np.concatenate(([z0[0]], x)), volt, power(volt)
+    return (np.concatenate(([z0[0]], x)), volt,
+            np.concatenate((power(volt[:1]), p)))
 
 
 def _chain_loop(cfg: SimConfig, res: MechanicalResonator,

@@ -385,8 +385,8 @@ class TestRefusedValues:
         ("resonator", {"q_internal": "-1"}, "must be > 0", "-1.0"),
         ("resonator", {"loss_exponent": "inf"}, "must be finite", "inf"),
         ("chain", {"half_wave_voltage": "0 V"}, "must be > 0", "0.0"),
-        ("chain", {"max_power": "1 W"},
-         "must be in (0, damage_threshold=0.1 W]", "1.0"),
+        ("chain", {"max_power": "1 W", "damage_threshold": "100 mW"},
+         "must give 0 < max_power <= damage_threshold", "1.0, 0.1"),
         ("chain", {"bias_angle": "100 deg"}, "must be in [0, pi/2]",
          repr(100 * math.pi / 180)),
         ("chain", {"dac_gain": "-1 V/rad"}, "must be >= 0", "-1.0"),
@@ -405,9 +405,10 @@ class TestRefusedValues:
         ("sim", {"initial_position": "nan m"}, "must be finite", "nan"),
         # a capture range wavelength/finesse of 0.53 um tops the 0.18 um
         # dynamic range of a 1 GHz tuning range
-        ("fpi", {"finesse": "2", "tuning_range": "1 GHz"},
+        ("fpi", {"finesse": "2", "wavelength": "1064 nm",
+                 "cavity_length": "50 mm", "tuning_range": "1 GHz"},
          "must put the capture range wavelength/finesse below the dynamic "
-         "range", "2.0"),
+         "range", "2.0, 1.064e-06, 0.05, 1000000000.0"),
     ], ids=["resonator.mass", "resonator.frequency", "resonator.temperature",
             "resonator.q_internal", "resonator.loss_exponent",
             "chain.half_wave_voltage", "chain.max_power", "chain.bias_angle",
@@ -424,12 +425,12 @@ class TestRefusedValues:
                     "hli": [["chain", "report"], ["cascade", "run"],
                             ["paper-report"]],
                     "sim": [["simulate"]], "fpi": [["noise-budget"]]}[section]
-        key = next(iter(lines))  # the key the model refuses
+        # the keys the model refuses: a relation between keys names each
+        keys = ", ".join(f"{section}.{key}" for key in lines)
         cfg = _config(tmp_path, section, **lines)
         for command in commands:
             self._refused(capsys, ["--config", str(cfg)] + command,
-                          tmp_path / "out",
-                          f"{section}.{key}: {reason}, got {shown}")
+                          tmp_path / "out", f"{keys}: {reason}, got {shown}")
 
     def test_undecodable_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"

@@ -939,13 +939,16 @@ PHYSICS_ERROR = ("InfeasibleError|PowerLimitError|DivergenceError|"
                  "NumericalError")
 
 
-def _contract_broken(rc, err, out):
-    """Why a run breaks the refusal contract, or None if it keeps it."""
+def _contract_broken(rc, err, out, changed):
+    """Why a run breaks the refusal contract, or None if it keeps it: a
+    refusal (exit 2) must name the key that ``changed`` among its keys."""
     if rc == 0:
         return None
     if out.exists():
         return "wrote a file"
-    if rc == 2 and re.fullmatch(rf"error: config: ({SCHEMA_KEY})\b.*\n", err):
+    named = re.fullmatch(rf"error: config: ((?:{SCHEMA_KEY})"
+                         rf"(?:, (?:{SCHEMA_KEY}))*)\b.*\n", err)
+    if rc == 2 and named and changed in named[1].split(", "):
         return None
     if rc == 1 and re.fullmatch(rf"error: ({PHYSICS_ERROR}): .*\n", err):
         return None
@@ -973,7 +976,8 @@ def test_every_key_alone_keeps_the_contract(tmp_path, capsys):
                     out = tmp_path / f"out{next(runs)}"
                     rc = main(["--config", str(config), "--out", str(out)]
                               + command)
-                    why = _contract_broken(rc, capsys.readouterr().err, out)
+                    why = _contract_broken(rc, capsys.readouterr().err, out,
+                                           f"{section}.{key}")
                     if why is not None:
                         broken.append((f"{section}.{key} = {number}{unit}",
                                        " ".join(command), why))

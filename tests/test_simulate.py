@@ -1,6 +1,7 @@
 import copy
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -704,6 +705,20 @@ def _derivative_loop(resonator):
     return a, b, np.eye(8)[[0, 6]], z0
 
 
+def _chain_slope_loop(resonator):
+    """The chain loop's linear system at the modulator's bias slope (g = 20)
+    of the q100 preset, read out as (x, vel) as `_relaxed_chain` runs it."""
+    res = preset_resonator(resonator, 100.0)
+    chain = TestChainController()._chain(res, 20.0)
+    cfg = SimConfig(duration=10.0, x0=2e-9, controller="chain",
+                    bandpass_quality=0.3)
+    volt_per_velocity, _, _, _, rp = _chain_map(res, chain)
+    slope = -rp * chain.eoam.gain() * volt_per_velocity
+    a, b, z0 = _linear_step(res, cfg, cfg.resolve_dt(res), slope,
+                            (1e-9, 1e-9))
+    return a, b, np.eye(8)[[0, 7]], z0
+
+
 def _rotation():
     """Lossless rotation by 2 pi / 100 per step: |eigenvalues| = 1."""
     theta = TWO_PI / 100.0
@@ -758,6 +773,19 @@ class TestLiftedResponse:
         monkeypatch.setattr(simulate_module, "_SERIAL_MNK", 3 * a.size)
         self._assert_agrees((a, b, c, z0), 5 * self.L * self.STACK + 3)
 
+    @pytest.mark.parametrize("loop", [_derivative_loop, _chain_slope_loop])
+    def test_any_chunk_size_is_bit_identical(self, resonator, monkeypatch,
+                                             loop):
+        # 2 whole chunks and 1001 steps: 3 chunks, n not a multiple of L
+        a, b, c, z0 = loop(resonator)
+        n = 2 * self.L * self.STACK * simulate_module._CHUNK + 1001
+        lifted = LiftedSystem(a, b, c, n)
+        w = tuple(stream_rng(0, 0).standard_normal((b.shape[1], n)))
+        ref = lifted.response(z0, w)
+        for stacks in (1, -(-n // (self.L * self.STACK))):  # 1 stack, 1 chunk
+            monkeypatch.setattr(simulate_module, "_CHUNK", stacks)
+            assert np.array_equal(lifted.response(z0, w), ref)
+
     def test_jumps_built_for_the_run(self, resonator):
         # 8 blocks take 3 scan passes and 24 take 5, one A^(L 2^k) each
         for n, passes in [(self.L + 1, 3), (3 * self.L * self.STACK - 7, 5)]:
@@ -780,6 +808,34 @@ class TestLiftedResponse:
         lifted = LiftedSystem(a, b, c, self.L + 1)
         with pytest.raises(ValueError, match=f"series of {self.L + 1} "):
             lifted.response(z0, tuple(np.zeros((2, n))))
+
+
+class TestWorkingMemory:
+    """simulate holds the trace it returns and little more."""
+
+    HLI = HliReadout(wavelength=1064e-9, imprecision_asd=1e-11)
+
+    def _peak(self, res, controller, n):
+        """tracemalloc's peak bytes above the start over one n-step run."""
+        cfg = SimConfig(duration=n / (100.0 * f0_of(res)), seed=3,
+                        controller=controller, gain=15.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            simulate(cfg, res, hli=self.HLI)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("controller", ["off", "derivative"])
+    def test_bytes_per_step(self, q100, controller):
+        # the trace's t, x, y and F are 32 bytes per step; the difference
+        # of two run lengths cancels the fixed scratch of the chunks
+        simulate(SimConfig(duration=10.0, controller=controller), q100)
+        short, long = 200_000, 400_000
+        per_step = ((self._peak(q100, controller, long)
+                     - self._peak(q100, controller, short)) / (long - short))
+        assert per_step <= 40.0
 
 
 class TestLoopStability:

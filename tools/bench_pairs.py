@@ -17,6 +17,12 @@ bound from BENCHMARK.json and whether the change's median is within it,
 and the failed ops per seed. A ``--claim WORKLOAD:METRIC:FRACTION`` is met
 when the change wins nine tenths of the pairs, its median is at least
 FRACTION better, and the medians differ by more than the parent's IQR.
+
+``--control PATH`` adds a third side to every pair: a second copy of the
+parent, run from its own checkout. The three sides rotate which runs
+first, and each metric also holds the control's quartiles, its ratio to
+the parent's median and the pairs it won, so a difference between two
+copies of the same code (checkout bias) reads beside the change's.
 """
 
 from __future__ import annotations
@@ -62,14 +68,14 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarise(runs, bounds, claims):
+def summarise(runs, bounds, claims, sides):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
             if r["workload"] == workload and "error" not in r["result"]:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
-        pairs = {s: p for s, p in pairs.items() if len(p) == 2}
+        pairs = {s: p for s, p in pairs.items() if len(p) == len(sides)}
         if not pairs:
             continue
         entry = {"pairs": len(pairs), "seeds": sorted(pairs)}
@@ -89,12 +95,22 @@ def summarise(runs, bounds, claims):
                 "within_bound": (sign * (c_q["median"] - p_q["median"])
                                  <= spec["bound"] * p_q["median"]),
             }
+            if "control" in sides:
+                ctl = [p["control"]["metrics"][metric]["value"]
+                       for p in pairs.values()]
+                k_q = quartiles(ctl)
+                won = sum(sign * (k - p) < 0 for p, k in zip(par, ctl))
+                entry[metric].update({
+                    "control": k_q,
+                    "control_over_parent": k_q["median"] / p_q["median"] - 1.0,
+                    "control_better_pairs": f"{won}/{len(pairs)}",
+                })
         entry["failed_ops"] = {
             side: {str(s): {"failed": p[side]["failed"],
                             "attempted": p[side]["attempted"],
                             "correct": p[side]["correct"]}
                    for s, p in sorted(pairs.items())}
-            for side in ("parent", "change")}
+            for side in sides}
         summary[workload] = entry
     for claim in claims:
         workload, metric, fraction = claim.split(":")
@@ -118,6 +134,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--control", type=Path,
+                        help="a copy of the parent, run as a third side")
     parser.add_argument("--runs", nargs="+", required=True,
                         help="WORKLOAD:SEEDS, seeds as N or N-M")
     parser.add_argument("--claim", nargs="*", default=[],
@@ -138,20 +156,26 @@ def main(argv=None):
                    "runs from its own checkout"),
         "runs": [], "summary": {},
     }
+    checkouts = {"parent": args.parent, "change": args.change}
+    if args.control is not None:
+        checkouts["control"] = args.control
+        record["design"] = ("parent, change and control (a copy of the "
+                            "parent) rotate which runs first; each side "
+                            "runs from its own checkout")
+    sides = tuple(checkouts)
     order = 0
     for item in args.runs:
         workload, _, seed_text = item.partition(":")
         for i, seed in enumerate(seeds(seed_text)):
-            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in sides:
+            k = i % len(sides)
+            for side in sides[k:] + sides[:k]:
                 order += 1
-                checkout = args.parent if side == "parent" else args.change
-                result = run_one(checkout, workload, seed, args.seconds)
+                result = run_one(checkouts[side], workload, seed, args.seconds)
                 record["runs"].append({"order": order, "side": side,
                                        "workload": workload, "seed": seed,
                                        "result": result})
                 record["summary"] = summarise(record["runs"], bounds,
-                                              args.claim)
+                                              args.claim, sides)
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
                 where = f"{order} {workload} seed {seed} {side}"
                 if "error" in result:
