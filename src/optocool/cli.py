@@ -9,7 +9,9 @@ that fails writes nothing, and a write that fails leaves no temporary file.
 A command that yields one file name twice is refused the same way, and so
 is an out directory whose name holds a line break (it would split a
 ``wrote`` line); `main` writes any refusal, a usage error included, as
-one stderr line.
+one stderr line. A refusal is stated once, in the model that meets it;
+while a command runs, one of a temperature, bias angle or DAC gain names
+its config key (`_RUN_KEYS`) and any other passes through as it is.
 Artifacts are made again from the config and the seed, so nothing is
 flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import TERMINATE_HANDOVER, plan_cascade
+from .cascade import plan_cascade
 from .config import ExperimentConfig, load_config
 from .constants import TWO_PI
 from .cooling import (CoolingSetup, closed_loop_variance,
@@ -56,6 +58,10 @@ from .spectrum import (format_artifact, read_columns, spectrum_table,
 OUT_DIR_ENV = "OPTOCOOL_OUT"
 
 MATCH_TOLERANCE = 0.10  # relative deviation separating MATCH from DEVIATION
+
+# the model fields whose refusal, while a command runs, only one key causes
+_RUN_KEYS = {"temperature": "resonator.temperature",
+             "bias_angle": "chain.bias_angle", "dac_gain": "chain.dac_gain"}
 
 _STAGE_COLUMNS = {"stage": "index", "g": "gain", "gdac_v_per_rad": "dac_gain",
                   "t_start_s": "start", "duration_s": "duration",
@@ -93,27 +99,6 @@ def _gain_grid(res, g: float) -> np.ndarray:
     narrow = np.linspace(w0 - half, w0 + half, 1001)
     grid = np.unique(np.concatenate([broad, narrow]))
     return grid[grid > 0.0]
-
-
-def _refuse_cold(res) -> None:
-    """Refuse T = 0 K, where a command would set the optimal gain."""
-    if not res.temperature > 0.0:
-        raise ConfigError("resonator.temperature: must be > 0 for the "
-                          f"optimal gain, got {res.temperature!r}")
-
-
-def _refuse_zero_transduction(chain, dac_gain=True) -> None:
-    """Refuse a bias angle, or a DAC gain the command does not set itself,
-    that zeroes the force per displacement where a command sets a power."""
-    zero = {}
-    if math.sin(2.0 * chain.eoam.bias_angle) == 0.0:
-        zero["chain.bias_angle"] = chain.eoam.bias_angle
-    if dac_gain and chain.dac_gain == 0.0:
-        zero["chain.dac_gain"] = chain.dac_gain
-    if zero:
-        raise ConfigError(f"{', '.join(zero)}: must give a nonzero "
-                          "transduction sin(2 theta) G_DAC, got "
-                          f"{', '.join(map(repr, zero.values()))}")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -174,7 +159,6 @@ def _cmd_cool_sweep(args, cfg: ExperimentConfig):
 
 def _cmd_cool_optimum(args, cfg: ExperimentConfig):
     res = cfg.resonator()
-    _refuse_cold(res)
     s_n = cfg.imprecision_psd()
     got = optimal_gain(res, s_n)
     t_n = noise_temperature(res, s_n)
@@ -194,14 +178,9 @@ def _cmd_cool_optimum(args, cfg: ExperimentConfig):
 def _cmd_cascade_run(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
-    _refuse_zero_transduction(chain, dac_gain=False)  # the plan sets it
     hli = cfg.hli()
     fpi = cfg.fpi()
     base = cfg.cascade_config()
-    # the plan sets an optimal gain for target_gain = auto or a noisy FPI
-    if base.target_gain is None or (base.termination == TERMINATE_HANDOVER
-                                    and fpi.imprecision_psd > 0.0):
-        _refuse_cold(res)
     g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
     if 0.0 in g0_list:
@@ -306,7 +285,6 @@ def _cmd_ringdown_fit(args, cfg: ExperimentConfig):
 def _cmd_chain_report(args, cfg: ExperimentConfig):
     res = cfg.resonator()
     chain = cfg.chain()
-    _refuse_zero_transduction(chain)
     g = chain.gain_factor(res)
     body = [
         "composed feedback chain gains",
@@ -326,10 +304,8 @@ def _cmd_chain_report(args, cfg: ExperimentConfig):
 def _paper_report_rows(cfg: ExperimentConfig) -> list:
     """Computed values against the published reference numbers."""
     res = cfg.resonator()
-    _refuse_cold(res)
     fpi = cfg.fpi()
     chain = cfg.chain()
-    _refuse_zero_transduction(chain)
     s_n = cfg.imprecision_psd()
 
     g_opt = optimal_gain(res, s_n).closed_form
@@ -462,13 +438,16 @@ def run_command(argv) -> int:
     cfg = load_config(args.config)
     out = Path(out)
     texts = {}
-    for name, header, body in _handler(args)(args, cfg):
-        path = out / name
-        if path in texts:
-            raise ConfigError(f"{path}: {_command_path(args)!r} makes it "
-                              "twice; list values equal to 6 digits share "
-                              "a file name")
-        texts[path] = format_artifact(path, header, body)
+    run_keys = {field: (key, cfg.get(*key.split(".")))
+                for field, key in _RUN_KEYS.items()}
+    with cfg.refusals_named(run_keys):
+        for name, header, body in _handler(args)(args, cfg):
+            path = out / name
+            if path in texts:
+                raise ConfigError(f"{path}: {_command_path(args)!r} makes "
+                                  "it twice; list values equal to 6 digits "
+                                  "share a file name")
+            texts[path] = format_artifact(path, header, body)
     out.mkdir(parents=True, exist_ok=True)
     temps = {}
     try:

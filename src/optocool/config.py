@@ -13,13 +13,16 @@ into every artifact.
 ``_SCHEMA`` is the one statement of each key, its default and its allowed
 words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
 is parsed from its schema default exactly like a value from a file. Each
-model is built from its section's values by `ExperimentConfig._build`, so
-a value the model refuses reads ``<section>.<key>: <reason>, got <value>``.
+model is built from its section's values by `ExperimentConfig._build`, and
+`ExperimentConfig.refusals_named` is the one translation of a model's
+refusal into ``<section>.<key>: <reason>, got <value>``: for each section
+as it builds, for ``--seed``, and in `cli.run_command` while a command runs.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import math
 from dataclasses import dataclass, replace
@@ -209,27 +212,35 @@ class ExperimentConfig:
 
     # -- model builders -------------------------------------------------
 
+    @staticmethod
+    @contextlib.contextmanager
+    def refusals_named(fields: dict):
+        """Name the config keys of a model's refusal. ``fields`` maps a
+        model field to ``(name, value)``; a ``DomainError("<field>[,<field>]
+        <reason>")`` whose every field it maps becomes ``ConfigError("<name>[,
+        <name>]: <reason>, got <value>[, <value>]")``, and one with any other
+        field passes through."""
+        try:
+            yield
+        except DomainError as exc:
+            head, _, reason = str(exc).partition(" ")
+            named = [fields.get(field) for field in head.split(",")]
+            if None in named:
+                raise
+            names, values = zip(*named)
+            raise ConfigError(f"{', '.join(names)}: {reason}, got "
+                              + ", ".join(map(repr, values))) from exc
+
     def _build(self, section: str, model, **names):
         """model of the section's values, each passed as the argument its
         key names, or as ``names[key]`` where the two differ; a key named
-        None is not passed. A refusal ``DomainError("<argument> <reason>")``
-        becomes ``ConfigError("<section>.<key>: <reason>, got <value>")``,
-        ``"<argument>,<argument> <reason>"`` (a product) names both keys and
-        values; one that names no key passes through."""
+        None is not passed. A refusal names its keys by `refusals_named`."""
         values = self.values[section]
-        names = {key: names.get(key, key) for key in values}
-        try:
-            return model(**{name: values[key] for key, name in names.items()
-                            if name is not None})
-        except DomainError as exc:
-            fields, reason = str(exc).split(" ", 1)
-            keys = [next((k for k, name in names.items() if name == field),
-                         None) for field in fields.split(",")]
-            if None in keys:
-                raise
-            raise ConfigError(
-                ", ".join(f"{section}.{key}" for key in keys) + f": {reason}, "
-                "got " + ", ".join(repr(values[key]) for key in keys)) from exc
+        args = {names.get(key, key): key for key in values
+                if names.get(key, key) is not None}
+        with self.refusals_named({arg: (f"{section}.{key}", values[key])
+                                  for arg, key in args.items()}):
+            return model(**{arg: values[key] for arg, key in args.items()})
 
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]
@@ -291,11 +302,8 @@ class ExperimentConfig:
         sim = self._build("sim", SimConfig, initial_position="x0", preset=None)
         if seed is None:
             return sim
-        try:
+        with self.refusals_named({"seed": ("--seed", seed)}):
             return replace(sim, seed=seed)
-        except DomainError as exc:
-            reason = str(exc).split(" ", 1)[1]
-            raise ConfigError(f"--seed: {reason}, got {seed!r}") from exc
 
 
 def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig:

@@ -278,7 +278,7 @@ def optimal_gain(res: MechanicalResonator, imprecision_psd) -> OptimalGain:
     root of x_n2 g^2 + 2 x_n2 g - x_th0 = 0.
     """
     if not res.temperature > 0.0:
-        raise DomainError("temperature must be > 0")
+        raise DomainError("temperature must be > 0 for the optimal gain")
     x_th0 = open_loop_thermal_variance(res)
     x_n2 = imprecision_variance(res, imprecision_psd)
     if not x_n2 > 0.0:

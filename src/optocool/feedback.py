@@ -93,8 +93,12 @@ class FeedbackChain:
         if not g_target > 0.0:
             raise DomainError("g_target must be > 0")
         g = self.gain_factor(res)
-        if g == 0.0:
-            raise DomainError("zero transduction: dac_gain = 0 or sin 2 theta = 0")
+        if g == 0.0:  # the zero factors, or both where the product underflows
+            factors = {"bias_angle": math.sin(2.0 * self.eoam.bias_angle),
+                       "dac_gain": self.dac_gain}
+            zero = [name for name, f in factors.items() if f == 0.0] or factors
+            raise DomainError(f"{','.join(zero)} must give a nonzero "
+                              "transduction sin(2 theta) G_DAC")
         return self.eoam.max_power * g_target / g
 
     def power_for_gain(self, res: MechanicalResonator, g_target: float) -> float:

@@ -175,7 +175,13 @@ def fit_q_from_ringdown(t, series, omega0=None) -> RingdownFit:
     ``series`` is either an amplitude envelope (non-negative samples) or a
     raw oscillating decay, detected by the presence of sign changes. Raises
     ``FitError`` on fewer than 10 envelope points, a non-decaying envelope,
-    or a fitted span below half an e-fold.
+    a fitted span below half an e-fold, or an envelope that is not one
+    exponential: one whose earlier and later halves, each fitted alone,
+    decay at rates apart by more than a tenth of the whole's. A record that
+    runs on into its noise floor ends in a flat envelope, which takes the
+    later half's rate down by tens of percent and the whole's with it; a
+    pure decay sampled 10 or more times a cycle keeps its halves within a
+    few percent, set by where each cycle's largest sample falls.
     """
     t = np.asarray(t, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -201,6 +207,15 @@ def fit_q_from_ringdown(t, series, omega0=None) -> RingdownFit:
         raise FitError(
             f"non-decaying or too-short envelope: slope {slope:.3e} 1/s, "
             f"span {span_efolds:.3f} e-folds")
+
+    half = t_env.size // 2
+    early, late = (np.polyfit(t_env[part], log_amp[part], 1)[0]
+                   for part in (slice(None, half), slice(half, None)))
+    if abs(late - early) > 0.1 * abs(slope):
+        raise FitError(
+            f"not one exponential: the log envelope's halves have slopes "
+            f"{early:.3e} and {late:.3e} 1/s, as when a record runs on "
+            "into its noise floor")
 
     residuals = log_amp - (slope * t_env + intercept)
     gamma = 2.0 * abs(float(slope))

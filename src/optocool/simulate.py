@@ -178,8 +178,6 @@ class SimTrace:
 
 
 def _external_force(cfg: SimConfig, n: int) -> np.ndarray:
-    if cfg.ext_samples is None:
-        return np.zeros(n)
     samples = np.asarray(cfg.ext_samples, dtype=float)
     if samples.size < n:
         raise ConfigError(
@@ -374,7 +372,8 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         noise_y *= sigma_y
     else:
         noise_y = np.zeros(n)
-    f_in += _external_force(cfg, n)
+    if cfg.ext_samples is not None:
+        f_in += _external_force(cfg, n)
 
     thermal_rms = math.sqrt(open_loop_thermal_variance(res))
     bound = 1.0e6 * max(abs(cfg.x0), thermal_rms, 1.0e-12)

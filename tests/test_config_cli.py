@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optocool import ConfigError, cli
+from optocool import ConfigError, DomainError, cli
 from optocool.cli import _gain_grid, main, run_command
-from optocool.config import (_SCHEMA, _UNITS, DEFAULT_CONFIG, load_config,
-                             parse_config)
+from optocool.config import (_SCHEMA, _UNITS, DEFAULT_CONFIG,
+                             ExperimentConfig, load_config, parse_config)
 from optocool.spectrum import read_columns, read_rows
 
 # the three noise-density keys, each with its unit
@@ -316,6 +316,18 @@ class TestCli:
             f"error: config: --seed: must be in [0, 2**64), got {seed}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", [
+        "wavelength must be > 0", "temperature,wavelength must give more",
+        "paper_report.txt: g_opt: computed nan"],
+        ids=["other", "one-of-two", "path"])
+    def test_refusal_naming_an_unmapped_field_passes_through(self, message):
+        refusal = DomainError(message)
+        with pytest.raises(DomainError) as info:
+            with ExperimentConfig.refusals_named(
+                    {"temperature": ("resonator.temperature", 0.0)}):
+                raise refusal
+        assert info.value is refusal
+
     @pytest.mark.parametrize("argv, message", [
         (["psd"], "optocool psd: the following arguments are required: "
                   "--input"),
@@ -421,6 +433,16 @@ class TestCli:
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with("temperature,target_gain",
                                           "0 K,1000"))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "cascade", "run"]) == 0
+
+    def test_zero_temperature_cascade_that_never_hands_over_runs(self,
+                                                                 tmp_path):
+        # one stage ends the plan before the handover would set g_opt
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(
+            "temperature,readout_noise_asd,termination,target_gain,max_stages",
+            "0 K,3 Hz/rtHz,handover,3e4,1"))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "cascade", "run"]) == 0
 
@@ -932,7 +954,9 @@ class TestSchemaDefaults:
 # the config naming a key (exit 2), or fails with a named physics error
 CONTRACT_VALUES = [0.0, -1.0, 1e-6, 1e6, 1e-30, 1e30, 1e-300, 1e300,
                    math.inf, math.nan]
-CONTRACT_COMMANDS = [["chain", "report"], ["paper-report"], ["cascade", "run"]]
+CONTRACT_COMMANDS = [["chain", "report"], ["paper-report"], ["cascade", "run"],
+                     ["cool", "optimum"],
+                     ["cool", "sweep", "--gains", "1,100,1e4"]]
 SCHEMA_KEY = "|".join(re.escape(f"{section}.{key}")
                       for section, keys in _SCHEMA.items() for key in keys)
 PHYSICS_ERROR = ("InfeasibleError|PowerLimitError|DivergenceError|"

@@ -161,6 +161,21 @@ class TestPowerForGain:
             with pytest.raises(DomainError, match="zero transduction"):
                 dead.required_power(resonator, 1.0)
 
+    @pytest.mark.parametrize("bias_angle, dac_gain, named", [
+        (0.0, 0.17, "bias_angle"), (math.pi / 4.0, 0.0, "dac_gain"),
+        (0.0, 0.0, "bias_angle,dac_gain"),
+        (math.pi / 4.0, 5e-324, "bias_angle,dac_gain")],
+        ids=["bias", "dac", "both", "underflow"])
+    def test_zero_transduction_names_its_factors(self, resonator, bias_angle,
+                                                 dac_gain, named):
+        # each zero factor, or both where a product of nonzero ones underflows
+        chain = FeedbackChain(Eoam(200.0, 1.16e-3, bias_angle=bias_angle),
+                              dac_gain=dac_gain, wavelength=1064e-9)
+        with pytest.raises(DomainError) as info:
+            chain.required_power(resonator, 1.0)
+        assert str(info.value) == (f"{named} must give a nonzero "
+                                   "transduction sin(2 theta) G_DAC")
+
 
 class TestMaxDacGain:
     def test_reference_value(self):

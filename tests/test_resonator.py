@@ -213,6 +213,23 @@ class TestRingdownFit:
         assert fit.q == pytest.approx(q, rel=1e-2)
         assert fit.omega0 == pytest.approx(w0, rel=1e-3)
 
+    @pytest.mark.parametrize("duration", [20.0, 60.0])
+    @pytest.mark.parametrize("floor", [0.0, 1e-6, 1e-4, 1e-2])
+    def test_decay_into_a_noise_floor(self, duration, floor):
+        # Q = 50 at 4.72 Hz, 200 Hz sampling, white floor relative to the
+        # start amplitude; a fit past the decay read up to -88% off
+        rate = W0 / 50.0
+        t = np.arange(round(duration * 200.0)) / 200.0
+        x = np.exp(-0.5 * rate * t) * np.cos(W0 * t)
+        x += floor * np.random.default_rng(7).standard_normal(t.size)
+        try:
+            fit = fit_q_from_ringdown(t, x)
+        except FitError as exc:
+            assert "not one exponential" in str(exc)
+            assert floor > 0.0
+        else:
+            assert fit.decay_rate == pytest.approx(rate, rel=0.01)
+
     def test_envelope_extraction_amplitude(self):
         w0 = W0
         fs = 100 * w0 / (2 * math.pi)

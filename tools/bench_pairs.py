@@ -23,6 +23,9 @@ parent, run from its own checkout. The three sides rotate which runs
 first, and each metric also holds the control's quartiles, its ratio to
 the parent's median and the pairs it won, so a difference between two
 copies of the same code (checkout bias) reads beside the change's.
+
+``src_lines`` holds each side's line count of ``src/optocool/*.py`` (the
+sum of ``wc -l``), so the code size reads from the same record as the times.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ def run_one(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     result["failures"] = [ln for ln in lines if ln.startswith("failure [")]
     return result
+
+
+def src_lines(checkout):
+    """``wc -l`` summed over the checkout's ``src/optocool/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "optocool").glob("*.py"))
 
 
 def quartiles(values):
@@ -163,6 +172,8 @@ def main(argv=None):
                             "parent) rotate which runs first; each side "
                             "runs from its own checkout")
     sides = tuple(checkouts)
+    record["src_lines"] = {side: src_lines(path)
+                           for side, path in checkouts.items()}
     order = 0
     for item in args.runs:
         workload, _, seed_text = item.partition(":")
