@@ -24,16 +24,19 @@ one evaluation per node. The readout output spectrum composes
 
 Variance integrals run over omega in [omega0/10, 10 omega0] with a fixed
 composite rule: 16-point Gauss-Legendre on panels whose edges are a log
-backbone over the band, omega0 +- gamma_eff 2^k for k >= -4 (the resonance
-is far too narrow for any uniform grid) and the knots of any density record.
-The 8-point rule on the same panels is the error estimate; an integral whose
-two rules differ by more than INTEGRAL_RTOL raises NumericalError.
+backbone over the band (33 edges, built once per band, read-only), omega0
++- gamma_eff 2^k for k >= -4 (the resonance is far too narrow for any
+uniform grid) and the knots of any density record. The 8-point rule on the
+same panels is the error estimate; an integral whose two rules differ by
+more than INTEGRAL_RTOL raises NumericalError, as does a gamma_eff that
+overflows. One reduction per rule sums all three rows, each row pairwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -166,6 +169,14 @@ def closed_loop_psd(setup: CoolingSetup, omega):
     return np.sum(_parts(setup)[1](omega), axis=0)
 
 
+@lru_cache
+def _backbone(lo: float, hi: float) -> np.ndarray:
+    """The band's 33-edge log backbone, built once per band; read-only."""
+    edges = np.geomspace(lo, hi, 33)
+    edges.flags.writeable = False
+    return edges
+
+
 def _band_edges(setup: CoolingSetup) -> np.ndarray:
     """Panel edges over the analysis band around omega0, rad/s."""
     res, w0 = setup.res, setup.res.omega0
@@ -173,11 +184,13 @@ def _band_edges(setup: CoolingSetup) -> np.ndarray:
     gamma_eff = (1.0 + setup.gain) * res.gamma0
     if not gamma_eff > 0.0:
         raise DomainError("damping rate at omega0 must be > 0")
+    if math.isinf(gamma_eff):
+        raise NumericalError("effective damping (1+g) gamma0 overflows at "
+                             f"g = {setup.gain:g}")
     steps = gamma_eff * 2.0 ** np.arange(-4, math.log2((hi - lo) / gamma_eff))
     knots = [v.omega for v in (setup.imprecision_psd, setup.external_force_psd)
              if isinstance(v, SpectrumRecord)]
-    edges = np.concatenate((np.geomspace(lo, hi, 33), w0 - steps, w0 + steps,
-                            *knots))
+    edges = np.concatenate((_backbone(lo, hi), w0 - steps, w0 + steps, *knots))
     return np.unique(edges[(edges >= lo) & (edges <= hi)])
 
 
@@ -186,10 +199,10 @@ def _integrate_band(parts, edges, g: float) -> list:
     half = 0.5 * np.diff(edges)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
+    i16s = (values[..., :16] * _W16).reshape(3, -1).sum(axis=1).tolist()
+    i8s = (values[..., 16:] * _W8).reshape(3, -1).sum(axis=1).tolist()
     integrals = []
-    for what, row in zip(("thermal", "feedthrough", "external"), values):
-        i16 = float(np.sum(row[:, :16] * _W16))
-        i8 = float(np.sum(row[:, 16:] * _W8))
+    for what, i16, i8 in zip(("thermal", "feedthrough", "external"), i16s, i8s):
         if not (math.isfinite(i16) and math.isfinite(i8)):
             raise NumericalError(f"{what} integral is not finite at g = {g:g}")
         if not abs(i16 - i8) <= INTEGRAL_RTOL * abs(i16):

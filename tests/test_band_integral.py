@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from optocool import (CoolingSetup, DomainError, MechanicalResonator,
                       NumericalError, SpectrumRecord, closed_loop_psd,
                       closed_loop_variance)
-from optocool.cooling import _integrate_band, _parts
+from optocool.cooling import (_NODES, _W8, _W16, INTEGRAL_RTOL, _backbone,
+                              _band_edges, _integrate_band, _parts)
 
 
 def _oracle(setup):
@@ -87,3 +88,90 @@ def test_lossless_resonator_refused():
                               q_internal=math.inf)
     with pytest.raises(DomainError, match="damping rate"):
         closed_loop_variance(CoolingSetup(res, 10.0, 2.5e-23))
+
+
+def _per_row_integrals(parts, edges, g):
+    """The band integral reduced one row at a time, as it was first written."""
+    half = 0.5 * np.diff(edges)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
+    integrals = []
+    for what, row in zip(("thermal", "feedthrough", "external"), values):
+        i16 = float(np.sum(row[:, :16] * _W16))
+        i8 = float(np.sum(row[:, 16:] * _W8))
+        if not (math.isfinite(i16) and math.isfinite(i8)):
+            raise NumericalError(f"{what} integral is not finite at g = {g:g}")
+        if not abs(i16 - i8) <= INTEGRAL_RTOL * abs(i16):
+            raise NumericalError(f"{what} integral did not reach rtol")
+        integrals.append(i16 / (2 * math.pi))
+    return integrals
+
+
+def _fresh_edges(setup):
+    """`_band_edges` with its backbone from a fresh np.geomspace."""
+    res, w0 = setup.res, setup.res.omega0
+    lo, hi = 0.1 * w0, 10.0 * w0
+    gamma_eff = (1.0 + setup.gain) * res.gamma0
+    steps = gamma_eff * 2.0 ** np.arange(-4, math.log2((hi - lo) / gamma_eff))
+    knots = [v.omega for v in (setup.imprecision_psd, setup.external_force_psd)
+             if isinstance(v, SpectrumRecord)]
+    edges = np.concatenate((np.geomspace(lo, hi, 33), w0 - steps, w0 + steps,
+                            *knots))
+    return np.unique(edges[(edges >= lo) & (edges <= hi)])
+
+
+def _setup(resonator, kind, g):
+    if kind == "shaped":
+        return CoolingSetup(resonator, g, _shaped(5.77e-13, resonator.omega0))
+    external = (3.0 * float(resonator.thermal_force_psd(resonator.omega0))
+                if kind == "external" else None)
+    return CoolingSetup(resonator, g, 5.77e-13 ** 2, external)
+
+
+@pytest.mark.parametrize("kind, g", [
+    *((kind, g) for kind in ("flat", "external", "shaped")
+      for g in (0.0, 1.0, 316.0, 1.116e4)),
+    ("flat", 5.051e4), ("external", 5.051e4), ("shaped", 5.051e4)])
+def test_joint_reduction_is_the_per_row_sum_bit_for_bit(resonator, kind, g):
+    setup = _setup(resonator, kind, g)
+    edges = _band_edges(setup)
+    assert edges.tobytes() == _fresh_edges(setup).tobytes()
+    _, parts = _parts(setup)
+    got = _integrate_band(parts, edges, g)
+    want = _per_row_integrals(parts, edges, g)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_backbone_cache_is_read_only_and_not_handed_out(resonator):
+    setup = _setup(resonator, "flat", 100.0)
+    w0 = resonator.omega0
+    backbone = _backbone(0.1 * w0, 10.0 * w0)
+    assert not backbone.flags.writeable
+    with pytest.raises(ValueError):
+        backbone[0] = 0.0
+    edges = _band_edges(setup)
+    assert edges.flags.writeable
+    assert not np.shares_memory(edges, backbone)
+    edges[:] = 0.0
+    assert _band_edges(setup).tobytes() == _fresh_edges(setup).tobytes()
+    assert backbone.tobytes() == np.geomspace(0.1 * w0, 10.0 * w0, 33).tobytes()
+
+
+def test_each_resonance_gets_its_own_band(resonator):
+    other = MechanicalResonator(mass=2.6e-3, omega0=3.0 * resonator.omega0,
+                                q_internal=4.77e5, temperature=300.0)
+    first, second = (_setup(res, "flat", 100.0) for res in (resonator, other))
+    got = [_band_edges(setup) for setup in (first, second, first)]
+    for edges, setup in zip(got, (first, second, first)):
+        assert edges.tobytes() == _fresh_edges(setup).tobytes()
+        w0 = setup.res.omega0
+        assert (edges[0], edges[-1]) == (0.1 * w0, 10.0 * w0)
+
+
+def test_overflowing_effective_damping_names_the_gain():
+    # (1+g) gamma0 overflows before log2 would meet its zero ratio
+    res = MechanicalResonator(mass=2.6e-3, omega0=2 * math.pi * 4.72,
+                              q_internal=4.77e5, gamma_viscous=1e10)
+    with pytest.raises(NumericalError, match=r"^effective damping \(1\+g\) "
+                       r"gamma0 overflows at g = 1e\+300$"):
+        closed_loop_variance(CoolingSetup(res, 1e300, 2.5e-23))

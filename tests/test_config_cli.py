@@ -540,6 +540,18 @@ class TestCli:
         assert err.startswith("error: config: hli.imprecision_asd:")
         assert list(out.glob("*")) == []
 
+    def test_overflowing_effective_damping_refused(self, tmp_path, capsys):
+        # (1+g) gamma0 = 1e310 rad/s overflows; the gain is named
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with("viscous_rate", "1e10 rad/s"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "cool",
+                     "sweep", "--gains", "1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "error: NumericalError: effective damping (1+g) gamma0 overflows "
+            "at g = 1e+300\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value, command", [
         ("fpi", "readout_noise_asd", "1e160 Hz/rtHz", ["noise-budget"]),
         ("hli", "imprecision_asd", "1e160 m/rtHz", ["cool", "optimum"])])

@@ -157,6 +157,17 @@ def test_psd_lookup_refuses_non_finite_density(bad):
         psd_lookup(rec, "imprecision_psd")
 
 
+def test_non_finite_record_is_refused_at_every_lookup():
+    # the record's PSD form is made once; each lookup still refuses it,
+    # under the name its caller gives
+    omega = 2 * math.pi * np.array([0.1, 1.0, 10.0])
+    rec = SpectrumRecord(omega, np.array([1.0, math.nan, 1.0]), "asd", "m/rtHz")
+    for what in ("imprecision_psd", "external_force_psd", "imprecision_psd"):
+        with pytest.raises(DomainError,
+                           match=f"^{what} has a non-finite density$"):
+            psd_lookup(rec, what)
+
+
 def test_psd_lookup_refuses_infinite_flat_density():
     with pytest.raises(DomainError, match="imprecision_psd"):
         psd_lookup(math.inf, "imprecision_psd")

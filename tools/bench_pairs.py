@@ -22,7 +22,9 @@ FRACTION better, and the medians differ by more than the parent's IQR.
 parent, run from its own checkout. The three sides rotate which runs
 first, and each metric also holds the control's quartiles, its ratio to
 the parent's median and the pairs it won, so a difference between two
-copies of the same code (checkout bias) reads beside the change's.
+copies of the same code (checkout bias) reads beside the change's. A claim
+is then met only if the change's relative gap to the parent's median also
+exceeds the control's, ``|control_over_parent|`` (its ``control_spread``).
 
 ``src_lines`` holds each side's line count of ``src/optocool/*.py`` (the
 sum of ``wc -l``), so the code size reads from the same record as the times.
@@ -129,11 +131,13 @@ def summarise(runs, bounds, claims, sides):
         won, n = map(int, got["change_better_pairs"].split("/"))
         p_med, c_med = got["parent"]["median"], got["change"]["median"]
         iqr = got["parent"]["q3"] - got["parent"]["q1"]
+        gap = abs(c_med / p_med - 1.0)
+        spread = abs(got.get("control_over_parent", 0.0))
         got["claim"] = {
             "fraction": float(fraction), "parent_iqr_width": iqr,
-            "median_gap": abs(p_med - c_med),
+            "median_gap": abs(p_med - c_med), "control_spread": spread,
             "met": (won >= 0.9 * n and abs(p_med - c_med) > iqr
-                    and abs(c_med / p_med - 1.0) >= float(fraction)
+                    and gap >= float(fraction) and gap > spread
                     and (c_med < p_med) == (bounds[metric]["better"] == "lower")),
         }
     return summary
