@@ -1,6 +1,7 @@
 """The composite Gauss-Legendre band integral against a quad oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ def test_lossless_resonator_refused():
 
 
 def _per_row_integrals(parts, edges, g):
-    """The band integral reduced one row at a time, as it was first written."""
+    """The band integral reduced one row at a time: the reference that
+    `_integrate_band`'s joint reduction equals bit for bit."""
     half = 0.5 * np.diff(edges)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         values = parts(edges[:-1, None] + half * (1.0 + _NODES)) * half
@@ -168,10 +170,13 @@ def test_each_resonance_gets_its_own_band(resonator):
         assert (edges[0], edges[-1]) == (0.1 * w0, 10.0 * w0)
 
 
-def test_overflowing_effective_damping_names_the_gain():
-    # (1+g) gamma0 overflows before log2 would meet its zero ratio
-    res = MechanicalResonator(mass=2.6e-3, omega0=2 * math.pi * 4.72,
-                              q_internal=4.77e5, gamma_viscous=1e10)
-    with pytest.raises(NumericalError, match=r"^effective damping \(1\+g\) "
-                       r"gamma0 overflows at g = 1e\+300$"):
-        closed_loop_variance(CoolingSetup(res, 1e300, 2.5e-23))
+@pytest.mark.parametrize("omega0, g", [
+    (2 * math.pi * 4.72, 1e300),  # (1+g) gamma0 overflows
+    (1e-150, 1e170)])  # (1+g) gamma0 is finite; the band / it underflows
+def test_overflowing_effective_damping_names_the_gain(omega0, g):
+    # refused before log2 would meet the zero ratio
+    res = MechanicalResonator(mass=2.6e-3, omega0=omega0, q_internal=4.77e5,
+                              gamma_viscous=1e10)
+    message = f"effective damping (1+g) gamma0 overflows the band at g = {g:g}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        closed_loop_variance(CoolingSetup(res, g, 2.5e-23))

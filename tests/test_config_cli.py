@@ -540,16 +540,20 @@ class TestCli:
         assert err.startswith("error: config: hli.imprecision_asd:")
         assert list(out.glob("*")) == []
 
-    def test_overflowing_effective_damping_refused(self, tmp_path, capsys):
-        # (1+g) gamma0 = 1e310 rad/s overflows; the gain is named
+    @pytest.mark.parametrize("frequency, gain", [
+        ("4.72 Hz", "1e300"),  # (1+g) gamma0 = 1e310 rad/s overflows
+        ("1.6e-151 Hz", "1e170")])  # the band / (1+g) gamma0 underflows
+    def test_overflowing_effective_damping_refused(self, tmp_path, capsys,
+                                                   frequency, gain):
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(_default_with("viscous_rate", "1e10 rad/s"))
+        cfg_path.write_text(_default_with("frequency,viscous_rate",
+                                          f"{frequency},1e10 rad/s"))
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out), "cool",
-                     "sweep", "--gains", "1e300"]) == 1
+                     "sweep", "--gains", gain]) == 1
         assert capsys.readouterr().err == (
             "error: NumericalError: effective damping (1+g) gamma0 overflows "
-            "at g = 1e+300\n")
+            f"the band at g = {float(gain):g}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, command", [
