@@ -28,8 +28,9 @@ backbone over the band (33 edges, built once per band, read-only), omega0
 +- gamma_eff 2^k for k >= -4 (the resonance is far too narrow for any
 uniform grid) and the knots of any density record. The 8-point rule on the
 same panels is the error estimate; an integral whose two rules differ by
-more than INTEGRAL_RTOL raises NumericalError, as does a gamma_eff whose
-ratio to the band overflows. One reduction per rule sums all three rows, each row pairwise.
+more than INTEGRAL_RTOL raises NumericalError, as does a gamma_eff too
+large for the band (it overflows, or the band's ratio to it underflows).
+One reduction per rule sums all three rows, each row pairwise.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def _band_edges(setup: CoolingSetup) -> np.ndarray:
         raise DomainError("damping rate at omega0 must be > 0")
     span = (hi - lo) / gamma_eff  # 0 if gamma_eff overflows or dwarfs the band
     if not span > 0.0:
-        raise NumericalError("effective damping (1+g) gamma0 overflows the "
-                             f"band at g = {setup.gain:g}")
+        raise NumericalError("effective damping (1+g) gamma0 is too large "
+                             f"for the band at g = {setup.gain:g}")
     steps = gamma_eff * 2.0 ** np.arange(-4, math.log2(span))
     knots = [v.omega for v in (setup.imprecision_psd, setup.external_force_psd)
              if isinstance(v, SpectrumRecord)]

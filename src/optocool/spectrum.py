@@ -53,7 +53,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -129,23 +129,16 @@ class SpectrumRecord:
         return SpectrumRecord(self.omega, self.values ** 2, KIND_PSD,
                               f"({self.unit})^2", dict(self.meta))
 
-    @cached_property
-    def _psd_form(self) -> tuple["SpectrumRecord", bool]:
-        """`to_psd` and whether its densities are all finite, made once."""
-        psd = self.to_psd()
-        return psd, bool(np.all(np.isfinite(psd.values)))
-
 
 def psd_lookup(value, what: str):
     """Turn None, a flat PSD value or a SpectrumRecord into a PSD of omega.
 
     None reads as zero; densities must be finite and a flat value >= 0.
-    An ASD record is squared once per record, so the callable interpolates
-    in PSD; a non-finite record is refused at every lookup.
+    An ASD record is squared once, here, so the callable interpolates in PSD.
     """
     if isinstance(value, SpectrumRecord):
-        psd, finite = value._psd_form
-        if not finite:
+        psd = value.to_psd()
+        if not np.all(np.isfinite(psd.values)):
             raise DomainError(f"{what} has a non-finite density")
         return psd.interp
     value = 0.0 if value is None else float(value)

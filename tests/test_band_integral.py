@@ -173,10 +173,11 @@ def test_each_resonance_gets_its_own_band(resonator):
 @pytest.mark.parametrize("omega0, g", [
     (2 * math.pi * 4.72, 1e300),  # (1+g) gamma0 overflows
     (1e-150, 1e170)])  # (1+g) gamma0 is finite; the band / it underflows
-def test_overflowing_effective_damping_names_the_gain(omega0, g):
+def test_too_large_effective_damping_names_the_gain(omega0, g):
     # refused before log2 would meet the zero ratio
     res = MechanicalResonator(mass=2.6e-3, omega0=omega0, q_internal=4.77e5,
                               gamma_viscous=1e10)
-    message = f"effective damping (1+g) gamma0 overflows the band at g = {g:g}"
+    message = (f"effective damping (1+g) gamma0 is too large for the band at "
+               f"g = {g:g}")
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
         closed_loop_variance(CoolingSetup(res, g, 2.5e-23))

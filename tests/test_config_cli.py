@@ -543,7 +543,7 @@ class TestCli:
     @pytest.mark.parametrize("frequency, gain", [
         ("4.72 Hz", "1e300"),  # (1+g) gamma0 = 1e310 rad/s overflows
         ("1.6e-151 Hz", "1e170")])  # the band / (1+g) gamma0 underflows
-    def test_overflowing_effective_damping_refused(self, tmp_path, capsys,
+    def test_too_large_effective_damping_refused(self, tmp_path, capsys,
                                                    frequency, gain):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(_default_with("frequency,viscous_rate",
@@ -552,8 +552,8 @@ class TestCli:
         assert main(["--config", str(cfg_path), "--out", str(out), "cool",
                      "sweep", "--gains", gain]) == 1
         assert capsys.readouterr().err == (
-            "error: NumericalError: effective damping (1+g) gamma0 overflows "
-            f"the band at g = {float(gain):g}\n")
+            "error: NumericalError: effective damping (1+g) gamma0 is too "
+            f"large for the band at g = {float(gain):g}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, command", [

@@ -158,14 +158,30 @@ def test_psd_lookup_refuses_non_finite_density(bad):
 
 
 def test_non_finite_record_is_refused_at_every_lookup():
-    # the record's PSD form is made once; each lookup still refuses it,
-    # under the name its caller gives
+    # each lookup refuses it, under the name its caller gives
     omega = 2 * math.pi * np.array([0.1, 1.0, 10.0])
     rec = SpectrumRecord(omega, np.array([1.0, math.nan, 1.0]), "asd", "m/rtHz")
     for what in ("imprecision_psd", "external_force_psd", "imprecision_psd"):
         with pytest.raises(DomainError,
                            match=f"^{what} has a non-finite density$"):
             psd_lookup(rec, what)
+
+
+@pytest.mark.parametrize("kind", ["asd", "psd"])
+def test_lookup_reads_the_record_as_it_is_now(kind):
+    # a density written in place after a lookup is what the next one sees
+    omega = 2 * math.pi * np.array([0.1, 1.0, 10.0])
+    values = np.array([1.0, 2.0, 1.0])
+    rec = SpectrumRecord(omega, values, kind, "m/rtHz")
+    first = float(psd_lookup(rec, "imprecision_psd")(omega[1]))
+    assert first == (4.0 if kind == "asd" else 2.0)
+    values[1] = 3.0
+    second = float(psd_lookup(rec, "imprecision_psd")(omega[1]))
+    assert second == (9.0 if kind == "asd" else 3.0)
+    values[1] = math.nan
+    with pytest.raises(DomainError,
+                       match="^imprecision_psd has a non-finite density$"):
+        psd_lookup(rec, "imprecision_psd")
 
 
 def test_psd_lookup_refuses_infinite_flat_density():
