@@ -9,9 +9,9 @@ that fails writes nothing, and a write that fails leaves no temporary file.
 A command that yields one file name twice is refused the same way, and so
 is an out directory whose name holds a line break (it would split a
 ``wrote`` line); `main` writes any refusal, a usage error included, as
-one stderr line. A refusal is stated once, in the model that meets it;
-while a command runs, one of a temperature, bias angle or DAC gain names
-its config key (`_RUN_KEYS`) and any other passes through as it is.
+one stderr line. A refusal is stated once, in the model that meets it, and
+`refusals_named` names its config key (`_RUN_KEYS`, ``[sim]``) or option
+(``--seed``, ``--segment``, ``--g0``); any other passes through as it is.
 Artifacts are made again from the config and the seed, so nothing is
 flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
@@ -183,10 +183,9 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     base = cfg.cascade_config()
     g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
-    if 0.0 in g0_list:
-        raise ConfigError(f"--g0: initial gains must be > 0: {args.g0!r}")
     for g0 in g0_list:
-        ccfg = replace(base, initial_gain=g0)
+        with cfg.refusals_named({"initial_gain": ("--g0", g0)}):
+            ccfg = replace(base, initial_gain=g0)
         schedule = plan_cascade(ccfg, chain, res, hli, fpi)
         tag = _format_gain(g0)
         header = _header_lines(args, cfg, f" g0={g0:g}")
@@ -225,15 +224,21 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
 
 def _cmd_simulate(args, cfg: ExperimentConfig):
     res = cfg.sim_resonator()
-    sim_cfg = cfg.sim_config(seed=args.seed)
+    sim_cfg = cfg.sim_config()
     chain = cfg.chain() if sim_cfg.controller == "chain" else None
-    trace = simulate(sim_cfg, res, chain=chain, hli=cfg.hli())
+    # a refusal names its [sim] key, --seed or an auto step's frequency
+    fields = {**cfg.fields("sim"), "omega0": cfg.fields("resonator")["omega0"]}
+    if args.seed is not None:
+        fields["seed"] = ("--seed", args.seed)
+    with cfg.refusals_named(fields):
+        trace = simulate(replace(sim_cfg, seed=fields["seed"][1]), res,
+                         chain=chain, hli=cfg.hli())
 
     table = {"t_s": trace.t, "x_m": trace.x, "y_m": trace.y}
     if trace.control_voltage is not None:
         table.update(v_volt=trace.control_voltage, p_watt=trace.power)
     table["f_fb_newton"] = trace.feedback_force
-    header = _header_lines(args, cfg, seed=sim_cfg.seed)
+    header = _header_lines(args, cfg, seed=trace.config.seed)
     yield "trace.csv", header, table
 
     variance = steady_state_variance(trace)
@@ -254,8 +259,10 @@ def _cmd_psd(args, cfg: ExperimentConfig):
                f"has mean square {square!r}, not a finite normal double")
         raise ConfigError(f"{args.input}: column {args.column!r} {why}; it "
                           "has no spectrum to estimate")
-    rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
-                       overlap=args.overlap, unit=f"({args.column})^2/Hz")
+    with cfg.refusals_named({"segment_length": ("--segment", args.segment),
+                             "overlap": ("--overlap", args.overlap)}):
+        rec = estimate_psd(x, uniform_rate(args.input, t), args.segment,
+                           overlap=args.overlap, unit=f"({args.column})^2/Hz")
     header = _header_lines(args, cfg, f" input={args.input} column="
                            f"{args.column} segment={args.segment}")
     header += [f"segments = {rec.meta['segments']}",

@@ -16,7 +16,7 @@ is parsed from its schema default exactly like a value from a file. Each
 model is built from its section's values by `ExperimentConfig._build`, and
 `ExperimentConfig.refusals_named` is the one translation of a model's
 refusal into ``<section>.<key>: <reason>, got <value>``: for each section
-as it builds, for ``--seed``, and in `cli.run_command` while a command runs.
+as it builds, and in `cli` while a command runs and builds its models.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import configparser
 import contextlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cascade import TERMINATE_GAIN, TERMINATE_HANDOVER, CascadeConfig
 from .constants import TWO_PI
@@ -127,6 +127,14 @@ _SCHEMA = {
         "dac_bits": _Key("integer", "none"),
         "initial_position": _Key("length", "0 m"),
     },
+}
+
+# each key's model argument, where the two differ; a key named None is not one
+_ARGS = {
+    "resonator": {"frequency": "omega0", "viscous_rate": "gamma_viscous"},
+    "fpi": {"readout_noise_asd": "readout_noise"},
+    "chain": {"displacement_span": "x_pp"},
+    "sim": {"initial_position": "x0", "preset": None},
 }
 
 DEFAULT_CONFIG = (
@@ -231,28 +239,29 @@ class ExperimentConfig:
             raise ConfigError(f"{', '.join(names)}: {reason}, got "
                               + ", ".join(map(repr, values))) from exc
 
-    def _build(self, section: str, model, **names):
-        """model of the section's values, each passed as the argument its
-        key names, or as ``names[key]`` where the two differ; a key named
-        None is not passed. A refusal names its keys by `refusals_named`."""
-        values = self.values[section]
-        args = {names.get(key, key): key for key in values
+    def fields(self, section: str) -> dict:
+        """`refusals_named`'s map: model argument -> (key path, value)."""
+        names = _ARGS.get(section, {})
+        return {names.get(key, key): (f"{section}.{key}", value)
+                for key, value in self.values[section].items()
                 if names.get(key, key) is not None}
-        with self.refusals_named({arg: (f"{section}.{key}", values[key])
-                                  for arg, key in args.items()}):
-            return model(**{arg: values[key] for arg, key in args.items()})
+
+    def _build(self, section: str, model):
+        """model of the section's values, each passed as its `_ARGS`
+        argument. A refusal names its keys by `refusals_named`."""
+        fields = self.fields(section)
+        with self.refusals_named(fields):
+            return model(**{arg: value for arg, (_, value) in fields.items()})
 
     def resonator(self) -> MechanicalResonator:
         r = self.values["resonator"]
         if r["q_internal"] == math.inf and r["viscous_rate"] == 0.0:
             raise ConfigError("resonator.q_internal: an infinite Q needs "
                               "viscous_rate > 0, or nothing damps the mass")
-        return self._build("resonator", MechanicalResonator,
-                           frequency="omega0", viscous_rate="gamma_viscous")
+        return self._build("resonator", MechanicalResonator)
 
     def fpi(self) -> FpiReadout:
-        return self._build("fpi", FpiReadout,
-                           readout_noise_asd="readout_noise")
+        return self._build("fpi", FpiReadout)
 
     def hli(self) -> HliReadout:
         hli = self._build("hli", HliReadout)
@@ -275,7 +284,7 @@ class ExperimentConfig:
                 dac_gain = max_dac_gain(half_wave_voltage, wavelength, x_pp)
             return FeedbackChain(eoam, dac_gain, wavelength)
 
-        return self._build("chain", build, displacement_span="x_pp")
+        return self._build("chain", build)
 
     def imprecision_psd(self) -> float:
         return self.hli().imprecision_psd
@@ -297,13 +306,8 @@ class ExperimentConfig:
             return res
         return preset_resonator(res, PRESET_QUALITIES[preset])
 
-    def sim_config(self, seed: int | None = None) -> SimConfig:
-        """The [sim] run; ``seed`` (the CLI's ``--seed``) overrides it."""
-        sim = self._build("sim", SimConfig, initial_position="x0", preset=None)
-        if seed is None:
-            return sim
-        with self.refusals_named({"seed": ("--seed", seed)}):
-            return replace(sim, seed=seed)
+    def sim_config(self) -> SimConfig:
+        return self._build("sim", SimConfig)
 
 
 def parse_config(text: str, source: str = "builtin-default") -> ExperimentConfig:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError
+from .errors import DomainError
 from .spectrum import KIND_PSD, SpectrumRecord
 
 
@@ -15,17 +15,17 @@ def estimate_psd(x, sample_rate: float, segment_length: int,
 
     ``overlap`` is the segment overlap fraction. The record's ``meta``
     carries the segment count and the Parseval ratio (integrated PSD over
-    series variance, close to 1 for well-resolved spectra).
+    series variance, close to 1 for well-resolved spectra). A refused
+    argument raises ``DomainError("<argument> <reason>")``.
     """
     x = np.asarray(x, dtype=float)
     if segment_length < 2:
-        raise ConfigError(f"segment length must be >= 2, got {segment_length}")
+        raise DomainError("segment_length must be >= 2")
     if x.size < 2 * segment_length:
-        raise ConfigError(
-            f"series length {x.size} must be at least twice the segment "
-            f"length {segment_length}")
+        raise DomainError(f"segment_length must be at most half the series "
+                          f"length {x.size}")
     if not 0.0 <= overlap < 1.0:
-        raise ConfigError("overlap fraction must be in [0, 1)")
+        raise DomainError("overlap must be in [0, 1)")
     step = segment_length - int(overlap * segment_length)
     window = np.hanning(segment_length + 1)[:-1]  # periodic Hann
     segments = np.lib.stride_tricks.sliding_window_view(

@@ -62,7 +62,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .cooling import open_loop_thermal_variance
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import DivergenceError, DomainError
 from .feedback import FeedbackChain, actuator_gain
 from .readout import HliReadout
 from .resonator import MechanicalResonator
@@ -79,6 +79,14 @@ _BLOCK = 32  # steps per block of LiftedSystem
 _STACK = 8   # blocks per forced- or free-response product, see _stacked_matmul
 _CHUNK = 128  # stacks per chunk of LiftedSystem.response: 32,768 steps
 _SERIAL_MNK = 2 ** 18  # m*n*k of the largest scan product, see _stacked_matmul
+# the most steps a run may take: `simulate` holds at most 80 bytes per step
+# (0.8 GB), and its CLI command, formatting trace.csv, a peak RSS of about
+# 260 (off, derivative) or 450 (chain): 4.5 GB fits an 8 GB host
+MAX_STEPS = 10_000_000
+# the largest |x0|, m: a run inside its divergence bound 1e6 |x0| then sums
+# at most MAX_STEPS squares (x - mean)^2 < (2e6 x0)^2 to a finite variance,
+# for |x0| < sqrt(float max / MAX_STEPS) / 2e6 = 2.1e144 m
+MAX_X0 = 1.0e144
 
 
 def preset_resonator(base: MechanicalResonator, q: float) -> MechanicalResonator:
@@ -110,7 +118,7 @@ class SimConfig:
     bandpass_quality: quality of the velocity-estimate bandpass
     dac_bits        : optional DAC quantization depth for the chain controller
 
-    A refused value raises ``DomainError("<field> <reason>")``.
+    A refused value raises ``DomainError("<field>[,<field>] <reason>")``.
     """
 
     duration: float
@@ -133,8 +141,9 @@ class SimConfig:
         if self.controller == "derivative" and not self.gain >= 0.0:
             raise DomainError("gain must be >= 0")
         # a non-finite input would spoil a whole block of the recursion
-        if not math.isfinite(self.x0):
-            raise DomainError("x0 must be finite")
+        if not abs(self.x0) <= MAX_X0:
+            raise DomainError(f"x0 must be finite and at most {MAX_X0:g} m "
+                              "in magnitude")
         if (self.ext_samples is not None
                 and not np.all(np.isfinite(self.ext_samples))):
             raise DomainError("ext_samples must be finite")
@@ -148,15 +157,24 @@ class SimConfig:
             raise DomainError("dac_bits must be <= 1023, so that 2**dac_bits "
                               "is a finite float")
 
+    @property
+    def _step_fields(self) -> str:
+        """The fields that set the step: dt, or as 1/(100 f0) also omega0."""
+        return "dt" if self.dt is not None else "dt,omega0"
+
     def resolve_dt(self, res: MechanicalResonator) -> float:
         f0 = res.omega0 / TWO_PI
         dt = self.dt if self.dt is not None else 1.0 / (100.0 * f0)
         if dt > 1.0 / (20.0 * f0):
-            raise ConfigError(
-                f"dt = {dt:g} s undersamples the oscillation; need "
-                f"dt <= {1.0 / (20.0 * f0):g} s (20 samples per period)")
-        if self.duration < 100.0 * dt:
-            raise ConfigError("duration must cover at least 100 steps")
+            raise DomainError(
+                f"dt,omega0 give a step that undersamples the oscillation, "
+                f"dt = {dt:g} s; need dt <= {1.0 / (20.0 * f0):g} s (20 "
+                "samples per period)")
+        if not 100.0 * dt <= self.duration <= MAX_STEPS * dt:
+            raise DomainError(
+                f"duration,{self._step_fields} must give at least 100 steps "
+                f"and at most {MAX_STEPS:,} (the most a run may hold) of "
+                f"dt = {dt:g} s")
         return dt
 
 
@@ -180,7 +198,7 @@ class SimTrace:
 def _external_force(cfg: SimConfig, n: int) -> np.ndarray:
     samples = np.asarray(cfg.ext_samples, dtype=float)
     if samples.size < n:
-        raise ConfigError(
+        raise DomainError(
             f"ext_samples has {samples.size} samples, run needs {n}")
     return samples[:n]
 
@@ -347,7 +365,8 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
 
     The apparent position carries white imprecision of density
     ``hli.imprecision_psd``; without ``hli`` the readout is noiseless.
-    Raises ``ConfigError`` when the derivative loop is unstable, and
+    Raises ``DomainError`` for a step or step count `SimConfig.resolve_dt`
+    refuses, before any draw, and for an unstable derivative loop, and
     ``DivergenceError`` when |x| exceeds one million times the initial bound
     (the larger of |x0| and the equilibrium thermal rms).
     """
@@ -356,7 +375,7 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
     fs = 1.0 / dt
 
     if cfg.controller == "chain" and chain is None:
-        raise ConfigError("chain controller requires a FeedbackChain")
+        raise DomainError("chain is required by the chain controller")
 
     # independent seeded streams, one draw block per stream, each scaled in
     # place; every array below is dropped once dead, to bound the memory
@@ -395,10 +414,11 @@ def simulate(cfg: SimConfig, res: MechanicalResonator,
         if force_per_velocity != 0.0:
             radius = _spectral_radius(a)
             if not radius < 1.0:
-                raise ConfigError(
+                raise DomainError(
+                    f"gain,bandpass_quality,{cfg._step_fields} make the "
                     f"derivative loop unstable at gain = {cfg.gain:g}, "
-                    f"bandpass_quality = {cfg.bandpass_quality:g}: "
-                    f"spectral radius {radius:.6g} >= 1")
+                    f"bandpass_quality = {cfg.bandpass_quality:g}, dt = "
+                    f"{dt:g} s: spectral radius {radius:.6g} >= 1")
         out = LiftedSystem(a, b, np.eye(8)[[0, 6]], n - 1).response(
             z0, (f_in[1:], noise_y[1:]))
         del f_in
@@ -571,7 +591,7 @@ def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
     across-seed means at three standard errors.
     """
     if n_seeds < 10:
-        raise ConfigError("n_seeds must be >= 10")
+        raise DomainError("n_seeds must be >= 10")
     gamma = res.gamma0
     if cfg.controller == "derivative":
         g = cfg.gain
@@ -581,7 +601,7 @@ def monte_carlo_variance(cfg: SimConfig, res: MechanicalResonator,
         g = 0.0
     min_duration = 20.0 / ((1.0 + g) * gamma)
     if cfg.duration < min_duration:
-        raise ConfigError(
+        raise DomainError(
             f"duration {cfg.duration:g} s too short for stationarity; "
             f"need >= {min_duration:g} s at g = {g:g}")
 

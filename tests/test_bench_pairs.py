@@ -56,3 +56,22 @@ def test_claim_without_a_control_is_unchanged():
     assert claim["met"]
     assert not _claim(sides, parent=PARENT,
                       change=[v * 0.9 for v in PARENT])["met"]
+
+
+WIDE = [1.0, 1.4, 0.7, 1.3, 0.8, 1.0, 1.2, 0.75, 1.1, 0.9]  # IQR/median 0.35
+
+
+def _resolved(parent, change):
+    summary = bench_pairs.summarise(_runs(parent=parent, change=change),
+                                    BOUNDS, [], ("parent", "change"))
+    return summary["freqdomain"]["op_p50_ms"]["resolved"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    assert _resolved(PARENT, [v * 1.01 for v in PARENT])
+    assert not _resolved(WIDE, [v * 1.01 for v in WIDE])
+    assert not _resolved(WIDE, [v * 0.8 for v in WIDE])  # overlapping runs
+
+
+def test_change_beating_every_parent_run_is_resolved():
+    assert _resolved(WIDE, [v * min(WIDE) / max(WIDE) * 0.99 for v in WIDE])

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from optocool import cli
 from optocool.cli import main
 from optocool.config import DEFAULT_CONFIG, load_config
-from optocool.simulate import stream_rng
+from optocool.simulate import MAX_STEPS, stream_rng
 from optocool.spectrum import format_artifact, read_columns, uniform_rate
 
 
@@ -253,7 +254,21 @@ class TestBadTraceInput:
         assert main(["--out", str(out), "psd", "--input", str(trace),
                      "--segment", segment]) == 2
         assert capsys.readouterr().err.strip() == (
-            f"error: config: segment length must be >= 2, got {segment}")
+            f"error: config: --segment: must be >= 2, got {segment}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--segment", "100000000"), ("--overlap", "1.0"),
+        ("--overlap", "nan"), ("--overlap", "-0.1")])
+    def test_psd_option_refused(self, tmp_path, capsys, option, value):
+        # the 64-sample trace is shorter than two segments of 10**8
+        trace = _trace(tmp_path, _sine_trace())
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "psd", "--input", str(trace),
+                     "--segment", "16", option, value]) == 2
+        assert re.fullmatch(rf"error: config: {option}: must .*, got "
+                            rf"{re.escape(value)}\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -344,7 +359,8 @@ class TestRefusedValues:
     def test_zero_g0_refused(self, tmp_path, capsys, g0):
         self._refused(capsys, ["cascade", "run", "--g0", g0],
                       tmp_path / "out",
-                      f"--g0: initial gains must be > 0: {g0!r}")
+                      "--g0: must be > 0, got "
+                      f"{min(map(float, g0.split(',')))!r}")
 
     def test_zero_configured_initial_gain_refused(self, tmp_path, capsys):
         cfg = _config(tmp_path, initial_gain="0")
@@ -553,6 +569,77 @@ def test_default_commands_write_their_files(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / name}" for name in names]
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+class TestSimulateLimits:
+    """A run the step cap or the position cap refuses names its keys."""
+
+    @pytest.mark.parametrize("lines, names", [
+        ({"duration": "1e6 s"},
+         "sim.duration, sim.dt, resonator.frequency"),
+        ({"dt": "1e-30 s"}, "sim.duration, sim.dt"),
+        ({"duration": "1e300 s", "dt": "1e-300 s"}, "sim.duration, sim.dt")])
+    def test_step_cap_names_its_keys(self, tmp_path, capsys, monkeypatch,
+                                     lines, names):
+        def draw(*args):
+            raise AssertionError("a stream was drawn from")
+
+        monkeypatch.setattr(sys.modules["optocool.simulate"], "stream_rng",
+                            draw)
+        out = tmp_path / "out"
+        assert main(["--config", str(_config(tmp_path, "sim", **lines)),
+                     "--out", str(out), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: {names}: must give at least 100 steps and at "
+            "most 10,000,000 (the most a run may hold)")
+        assert not out.exists()
+
+    def test_run_at_the_step_cap_fits_the_host(self, tmp_path):
+        # traced bytes per step of the chain run, the widest trace.csv, from
+        # the difference of two run lengths; at MAX_STEPS they must stay
+        # within half of an 8 GB host, as the process's RSS reads about 1.4x
+        # them (446 B per step)
+        def peak(steps):
+            out = tmp_path / f"out{steps}"
+            cfg = _config(tmp_path, "sim", duration=f"{steps / 472.0!r} s",
+                          controller="chain")
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(["--config", str(cfg), "--out", str(out),
+                             "simulate"]) == 0
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        per_step = (peak(100_000) - peak(50_000)) / 50_000
+        assert per_step * MAX_STEPS <= 4e9
+
+    @pytest.mark.parametrize("controller", ["off", "derivative", "chain"])
+    def test_too_large_initial_position_refused(self, tmp_path, capsys,
+                                                controller):
+        # the steady-window variance overflowed, named as an output column
+        out = tmp_path / "out"
+        cfg = _config(tmp_path, "sim", duration="3 s", controller=controller,
+                      initial_position="1e300 m")
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "simulate"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: sim.initial_position: must be finite and at most "
+            "1e+144 m in magnitude, got 1e+300\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("controller", ["off", "derivative", "chain"])
+    def test_largest_initial_position_runs(self, tmp_path, controller):
+        out = tmp_path / "out"
+        cfg = _config(tmp_path, "sim", duration="3 s", controller=controller,
+                      initial_position="-1e144 m")
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "simulate"]) == 0
+        body = dict(line.split(" = ") for line in (
+            out / "simulate.txt").read_text().splitlines()
+            if not line.startswith("#") and " = " in line)
+        assert 0.0 < float(body["steady_state_variance_m2"]) < math.inf
 
 
 class TestCachedParser:

@@ -286,8 +286,10 @@ class TestCli:
 
     @pytest.mark.parametrize("lines, message", [
         ("controller = derivative\ngain = 2000\nbandpass_quality = 0.3\n",
-         "derivative loop unstable at gain = 2000, bandpass_quality = 0.3: "
-         "spectral radius 1.01786 >= 1"),
+         "sim.gain, sim.bandpass_quality, sim.dt, resonator.frequency: make "
+         "the derivative loop unstable at gain = 2000, bandpass_quality = "
+         "0.3, dt = 0.00211864 s: spectral radius 1.01786 >= 1, got 2000.0, "
+         "0.3, None, 29.656634649887646"),
         ("initial_position = nan m\n",
          "sim.initial_position: must be finite, got nan"),
         ("seed = -5\n", "sim.seed: must be in [0, 2**64), got -5"),
@@ -972,7 +974,12 @@ CONTRACT_VALUES = [0.0, -1.0, 1e-6, 1e6, 1e-30, 1e30, 1e-300, 1e300,
                    math.inf, math.nan]
 CONTRACT_COMMANDS = [["chain", "report"], ["paper-report"], ["cascade", "run"],
                      ["cool", "optimum"],
-                     ["cool", "sweep", "--gains", "1,100,1e4"]]
+                     ["cool", "sweep", "--gains", "1,100,1e4"], ["simulate"]]
+# simulate runs a short derivative loop at g = 15, where the unstable-loop
+# refusal is met; the other commands read no [sim] key
+CONTRACT_CONFIG = DEFAULT_CONFIG.replace(
+    "duration = 300 s", "duration = 0.25 s").replace(
+    "controller = off\ngain = 0", "controller = derivative\ngain = 15")
 SCHEMA_KEY = "|".join(re.escape(f"{section}.{key}")
                       for section, keys in _SCHEMA.items() for key in keys)
 PHYSICS_ERROR = ("InfeasibleError|PowerLimitError|DivergenceError|"
@@ -998,7 +1005,7 @@ def _contract_broken(rc, err, out, changed):
 def test_every_key_alone_keeps_the_contract(tmp_path, capsys):
     broken, runs = [], itertools.count()
     for section, keys in _SCHEMA.items():
-        start = DEFAULT_CONFIG.index(f"[{section}]")
+        start = CONTRACT_CONFIG.index(f"[{section}]")
         for key, spec in keys.items():
             if spec.kind == "choice":
                 continue
@@ -1007,9 +1014,9 @@ def test_every_key_alone_keeps_the_contract(tmp_path, capsys):
             for value in CONTRACT_VALUES:
                 number = (str(int(value)) if spec.kind == "integer"
                           and value.is_integer() else repr(value))
-                text = DEFAULT_CONFIG[:start] + re.sub(
+                text = CONTRACT_CONFIG[:start] + re.sub(
                     rf"^{key} = .*$", f"{key} = {number}{unit}",
-                    DEFAULT_CONFIG[start:], count=1, flags=re.M)
+                    CONTRACT_CONFIG[start:], count=1, flags=re.M)
                 config = tmp_path / "cfg.ini"
                 config.write_text(text)
                 for command in CONTRACT_COMMANDS:

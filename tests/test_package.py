@@ -136,3 +136,21 @@ def test_only_spectrum_parses_input_files():
                        "config.load_config"}
     assert parsers == {"spectrum.read_rows", "spectrum.read_columns",
                        "spectrum._read_floats"}
+
+
+def test_only_config_cli_and_the_reader_raise_config_error():
+    # a model refuses with DomainError("<field> <reason>"), and the command
+    # running it names the field's key or option through refusals_named
+    src = Path(optocool.__file__).parent
+    raisers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in _functions(tree):
+            if path.stem not in ("config", "cli") and any(
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ConfigError"
+                    for node in ast.walk(fn)):
+                raisers.add(f"{path.stem}.{fn.name}")
+    assert raisers == {"spectrum.read_rows", "spectrum.read_columns",
+                       "spectrum.uniform_rate"}

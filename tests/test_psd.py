@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
 
-from optocool import ConfigError, SimConfig, estimate_psd, preset_resonator, simulate
+from optocool import DomainError, SimConfig, estimate_psd, preset_resonator, simulate
 from optocool.cooling import effective_susceptibility
 from optocool.simulate import stream_rng
 
@@ -71,11 +71,11 @@ class TestThermalClosure:
 
 class TestValidation:
     def test_too_short_series(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             estimate_psd(np.zeros(100), 100.0, 64)
 
     def test_bad_overlap(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             estimate_psd(np.zeros(1000), 100.0, 128, overlap=1.0)
 
     def test_record_shape(self):

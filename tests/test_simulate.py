@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from optocool import (ConfigError, CoolingSetup, DivergenceError, DomainError,
+from optocool import (CoolingSetup, DivergenceError, DomainError,
                       Eoam, FeedbackChain, HliReadout, KB, MechanicalResonator,
                       SimConfig, closed_loop_variance,
                       monte_carlo_variance, preset_resonator, simulate,
@@ -177,7 +177,7 @@ class TestChainController:
                                   coarse.control_voltage)
 
     def test_chain_requires_chain(self, q100):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             simulate(SimConfig(duration=30.0, controller="chain"), q100)
 
 
@@ -412,18 +412,18 @@ class TestControllerOracle:
 class TestValidation:
     def test_dt_too_coarse(self, q100):
         cfg = SimConfig(duration=100.0, dt=1.0)
-        with pytest.raises(ConfigError, match="undersamples"):
+        with pytest.raises(DomainError, match="undersamples"):
             simulate(cfg, q100)
 
     def test_duration_too_short(self, q100):
         f0 = f0_of(q100)
         cfg = SimConfig(duration=0.05, dt=1.0 / (100 * f0))
-        with pytest.raises(ConfigError, match="100 steps"):
+        with pytest.raises(DomainError, match="100 steps"):
             simulate(cfg, q100)
 
     def test_samples_too_short(self, q100):
         cfg = SimConfig(duration=30.0, ext_samples=np.zeros(10))
-        with pytest.raises(ConfigError, match="samples"):
+        with pytest.raises(DomainError, match="samples"):
             simulate(cfg, q100)
 
     @pytest.mark.parametrize("quality", [0.0, -1.0, math.inf, math.nan])
@@ -541,11 +541,11 @@ class TestMonteCarlo:
                 assert 0.5 < ratio < 2.0
 
     def test_too_few_seeds(self, q100):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             monte_carlo_variance(SimConfig(duration=700.0), q100, 5)
 
     def test_duration_guard(self, q100):
-        with pytest.raises(ConfigError, match="stationarity"):
+        with pytest.raises(DomainError, match="stationarity"):
             monte_carlo_variance(SimConfig(duration=10.0), q100, 10)
 
 
@@ -854,7 +854,7 @@ class TestLoopStability:
     def test_unstable_loop_refused(self, q100, quality, gain, radius):
         cfg = SimConfig(duration=30.0, seed=41, controller="derivative",
                         gain=gain, bandpass_quality=quality)
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(DomainError) as info:
             simulate(cfg, q100)
         msg = str(info.value)
         assert f"gain = {gain:g}" in msg
@@ -875,3 +875,49 @@ class TestNonFiniteInput:
         samples[123] = value
         with pytest.raises(DomainError, match="^ext_samples must be finite"):
             SimConfig(duration=30.0, ext_samples=samples)
+
+
+class TestRunLimits:
+    @pytest.mark.parametrize("duration, dt, fields", [
+        (1e6, None, "duration,dt,omega0"),  # 4.72e8 steps
+        (1e30, None, "duration,dt,omega0"), (30.0, 1e-30, "duration,dt"),
+        (1e300, 1e-300, "duration,dt")])
+    def test_step_cap_refused_before_any_draw(self, q100, monkeypatch,
+                                              duration, dt, fields):
+        def draw(*args):
+            raise AssertionError("a stream was drawn from")
+
+        monkeypatch.setattr(simulate_module, "stream_rng", draw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=(
+                    f"^{fields} must give at least 100 steps and at most "
+                    "10,000,000 ")):
+                simulate(SimConfig(duration=duration, dt=dt), q100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_step_cap_is_max_steps(self, q100):
+        dt = 1.0 / (100.0 * f0_of(q100))
+        cap = simulate_module.MAX_STEPS * dt
+        assert SimConfig(duration=cap).resolve_dt(q100) == dt
+        with pytest.raises(DomainError, match="at most 10,000,000"):
+            SimConfig(duration=math.nextafter(cap, math.inf)).resolve_dt(q100)
+
+    @pytest.mark.parametrize("x0", [1e300, -1e300, math.nextafter(1e144, 2e144)])
+    def test_too_large_x0_refused(self, x0):
+        with pytest.raises(DomainError, match=(
+                r"^x0 must be finite and at most 1e\+144 m in magnitude$")):
+            SimConfig(duration=30.0, x0=x0)
+
+    @pytest.mark.parametrize("controller", ["off", "derivative", "chain"])
+    @pytest.mark.parametrize("x0", [1e144, -1e144, 1.0])
+    def test_largest_x0_runs_finite(self, q100, chain, controller, x0):
+        cfg = SimConfig(duration=3.0, x0=x0, controller=controller, gain=15.0)
+        trace = simulate(cfg, q100, chain=chain, hli=HliReadout(
+            wavelength=1064e-9, imprecision_asd=5e-12))
+        for series in (trace.x, trace.y, trace.feedback_force):
+            assert np.all(np.isfinite(series))
+        assert 0.0 < steady_state_variance(trace) < math.inf

@@ -14,9 +14,13 @@ code and the last lines of its stderr, and the record stops there with
 one line on stderr. Per workload and metric it holds both sides' medians
 and quartiles, the pairs the change won (ties count for neither side), the
 bound from BENCHMARK.json and whether the change's median is within it,
-and the failed ops per seed. A ``--claim WORKLOAD:METRIC:FRACTION`` is met
-when the change wins nine tenths of the pairs, its median is at least
-FRACTION better, and the medians differ by more than the parent's IQR.
+and the failed ops per seed. A metric is ``resolved`` unless the parent's
+quartile spread, (q3 - q1) / median, exceeds its bound: then the runs
+cannot tell a change within the bound from none, and it reads unresolved,
+not unchanged, unless every change run beats every parent run. A
+``--claim WORKLOAD:METRIC:FRACTION`` is met when the change wins nine
+tenths of the pairs, its median is at least FRACTION better, and the
+medians differ by more than the parent's IQR.
 
 ``--control PATH`` adds a third side to every pair: a second copy of the
 parent, run from its own checkout. The three sides rotate which runs
@@ -97,6 +101,7 @@ def summarise(runs, bounds, claims, sides):
             won = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
             lost = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
             p_q, c_q = quartiles(par), quartiles(chg)
+            spread = (p_q["q3"] - p_q["q1"]) / p_q["median"]
             entry[metric] = {
                 "unit": spec["unit"], "parent": p_q, "change": c_q,
                 "change_over_parent": c_q["median"] / p_q["median"] - 1.0,
@@ -105,6 +110,8 @@ def summarise(runs, bounds, claims, sides):
                 "bound": spec["bound"],
                 "within_bound": (sign * (c_q["median"] - p_q["median"])
                                  <= spec["bound"] * p_q["median"]),
+                "resolved": (spread <= spec["bound"] or max(
+                    sign * c for c in chg) < min(sign * p for p in par)),
             }
             if "control" in sides:
                 ctl = [p["control"]["metrics"][metric]["value"]
