@@ -10,8 +10,9 @@ A command that yields one file name twice is refused the same way, and so
 is an out directory whose name holds a line break (it would split a
 ``wrote`` line); `main` writes any refusal, a usage error included, as
 one stderr line. A refusal is stated once, in the model that meets it, and
-`refusals_named` names its config key (`_RUN_KEYS`, ``[sim]``) or option
-(``--seed``, ``--segment``, ``--g0``); any other passes through as it is.
+`refusals_named` names its config key (`_RUN_KEYS`, ``[sim]``, the
+planner's ``cascade.power``) or option (``--seed``, ``--segment``,
+``--g0``); any other passes through as it is.
 Artifacts are made again from the config and the seed, so nothing is
 flushed for a power loss: an existing file is unlinked just before its new
 text is renamed over the name, as a rename over it would flush the new data
@@ -183,10 +184,13 @@ def _cmd_cascade_run(args, cfg: ExperimentConfig):
     base = cfg.cascade_config()
     g0_list = (_parse_float_list(args.g0, "--g0") if args.g0 is not None
                else [base.initial_gain])
+    # the planner re-powers the chain's modulator at cascade.power
+    fields = {"max_power": cfg.fields("cascade")["power"],
+              "damage_threshold": cfg.fields("chain")["damage_threshold"]}
     for g0 in g0_list:
-        with cfg.refusals_named({"initial_gain": ("--g0", g0)}):
+        with cfg.refusals_named({**fields, "initial_gain": ("--g0", g0)}):
             ccfg = replace(base, initial_gain=g0)
-        schedule = plan_cascade(ccfg, chain, res, hli, fpi)
+            schedule = plan_cascade(ccfg, chain, res, hli, fpi)
         tag = _format_gain(g0)
         header = _header_lines(args, cfg, f" g0={g0:g}")
         yield (f"cascade_g{tag}.csv", header,

@@ -69,14 +69,17 @@ class _Key:
     choices: tuple = ()
     required: bool = False
     infinite: bool = False  # whether inf is a value (a loss-free Q)
+    arg: str | None = ""    # its model argument, if not the key; None if none
 
 
 _SCHEMA = {
     "resonator": {
         "mass": _Key("mass", "2.6 g", required=True),
-        "frequency": _Key("angular_frequency", "4.72 Hz", required=True),
+        "frequency": _Key("angular_frequency", "4.72 Hz", required=True,
+                          arg="omega0"),
         "q_internal": _Key("number", "4.77e5", required=True, infinite=True),
-        "viscous_rate": _Key("angular_frequency", "0 rad/s"),
+        "viscous_rate": _Key("angular_frequency", "0 rad/s",
+                             arg="gamma_viscous"),
         "temperature": _Key("temperature", "300 K", required=True),
         "loss_exponent": _Key("number", "0"),
     },
@@ -85,12 +88,12 @@ _SCHEMA = {
         "wavelength": _Key("length", "1064 nm", required=True),
         "tuning_range": _Key("plain_frequency", "10 GHz", required=True),
         "finesse": _Key("number", "1000"),
-        "readout_noise_asd": _Key("frequency_asd", "0 Hz/rtHz"),
+        "readout_noise_asd": _Key("frequency_asd", "0 Hz/rtHz",
+                                  arg="readout_noise"),
     },
     "hli": {
         "wavelength": _Key("length", "1064 nm", required=True),
         "imprecision_asd": _Key("displacement_asd", "5e-12 m/rtHz", required=True),
-        "lpf_corner": _Key("plain_frequency", "500 Hz"),
         "heterodyne_frequency": _Key("plain_frequency", "10 kHz"),
     },
     "chain": {
@@ -99,7 +102,7 @@ _SCHEMA = {
         "bias_angle": _Key("angle", "45 deg"),
         "damage_threshold": _Key("power", "100 mW"),
         "dac_gain": _Key("dac_gain", "auto"),
-        "displacement_span": _Key("length", "200 um"),
+        "displacement_span": _Key("length", "200 um", arg="x_pp"),
     },
     "cooling": {
         "gain": _Key("gain", "0"),
@@ -117,7 +120,8 @@ _SCHEMA = {
         "target_gain": _Key("gain", "auto"),
     },
     "sim": {
-        "preset": _Key("choice", "q100", (*PRESET_QUALITIES, "none")),
+        "preset": _Key("choice", "q100", (*PRESET_QUALITIES, "none"),
+                       arg=None),
         "duration": _Key("time", "300 s"),
         "dt": _Key("time", "auto"),
         "seed": _Key("integer", "12345"),
@@ -125,16 +129,8 @@ _SCHEMA = {
         "gain": _Key("gain", "0"),
         "bandpass_quality": _Key("number", "10"),
         "dac_bits": _Key("integer", "none"),
-        "initial_position": _Key("length", "0 m"),
+        "initial_position": _Key("length", "0 m", arg="x0"),
     },
-}
-
-# each key's model argument, where the two differ; a key named None is not one
-_ARGS = {
-    "resonator": {"frequency": "omega0", "viscous_rate": "gamma_viscous"},
-    "fpi": {"readout_noise_asd": "readout_noise"},
-    "chain": {"displacement_span": "x_pp"},
-    "sim": {"initial_position": "x0", "preset": None},
 }
 
 DEFAULT_CONFIG = (
@@ -241,14 +237,14 @@ class ExperimentConfig:
 
     def fields(self, section: str) -> dict:
         """`refusals_named`'s map: model argument -> (key path, value)."""
-        names = _ARGS.get(section, {})
-        return {names.get(key, key): (f"{section}.{key}", value)
-                for key, value in self.values[section].items()
-                if names.get(key, key) is not None}
+        return {spec.arg or key: (f"{section}.{key}",
+                                  self.values[section][key])
+                for key, spec in _SCHEMA[section].items()
+                if spec.arg is not None}
 
     def _build(self, section: str, model):
-        """model of the section's values, each passed as its `_ARGS`
-        argument. A refusal names its keys by `refusals_named`."""
+        """model of the section's values, each passed as its key's `_Key.arg`.
+        A refusal names its keys by `refusals_named`."""
         fields = self.fields(section)
         with self.refusals_named(fields):
             return model(**{arg: value for arg, (_, value) in fields.items()})
@@ -264,14 +260,7 @@ class ExperimentConfig:
         return self._build("fpi", FpiReadout)
 
     def hli(self) -> HliReadout:
-        hli = self._build("hli", HliReadout)
-        corner_ratio = hli.lpf_corner / (self.get("resonator", "frequency") / TWO_PI)
-        if corner_ratio < 100.0:
-            raise ConfigError(
-                "hli.lpf_corner, resonator.frequency: phasemeter corner must "
-                "sit at least 100x above the resonance "
-                f"({corner_ratio:.1f}x configured)")
-        return hli
+        return self._build("hli", HliReadout)
 
     def chain(self) -> FeedbackChain:
         wavelength = self.hli().wavelength
@@ -290,14 +279,7 @@ class ExperimentConfig:
         return self.hli().imprecision_psd
 
     def cascade_config(self) -> CascadeConfig:
-        cascade = self._build("cascade", CascadeConfig)
-        # the planner re-powers the chain's modulator at cascade.power
-        threshold = self.get("chain", "damage_threshold")
-        if cascade.power is not None and cascade.power > threshold:
-            raise ConfigError(
-                "cascade.power: must be <= chain.damage_threshold = "
-                f"{threshold!r}, got {cascade.power!r}")
-        return cascade
+        return self._build("cascade", CascadeConfig)
 
     def sim_resonator(self) -> MechanicalResonator:
         res = self.resonator()

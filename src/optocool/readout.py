@@ -138,7 +138,6 @@ class HliReadout:
     wavelength           : m
     imprecision_asd      : flat displacement noise floor, m/rtHz; its
                            square `imprecision_psd` must lie in (0, inf)
-    lpf_corner           : phasemeter low-pass corner, Hz
     heterodyne_frequency : beat note frequency, Hz
 
     A refused value raises ``DomainError("<field> <reason>")``.
@@ -146,7 +145,6 @@ class HliReadout:
 
     wavelength: float
     imprecision_asd: float
-    lpf_corner: float = 500.0
     heterodyne_frequency: float = 1.0e4
 
     def __post_init__(self):
@@ -159,8 +157,6 @@ class HliReadout:
         if not (self.imprecision_asd > 0.0 and 0.0 < psd < math.inf):
             raise DomainError(
                 "imprecision_asd must be > 0 with a finite, nonzero square")
-        if not self.lpf_corner > 0.0:
-            raise DomainError("lpf_corner must be > 0")
         if not self.heterodyne_frequency > 0.0:
             raise DomainError("heterodyne_frequency must be > 0")
 

@@ -25,7 +25,7 @@ def fpi():
 @pytest.fixture
 def hli():
     return HliReadout(wavelength=1064e-9, imprecision_asd=5e-12,
-                      lpf_corner=500.0, heterodyne_frequency=1e4)
+                      heterodyne_frequency=1e4)
 
 
 @pytest.fixture

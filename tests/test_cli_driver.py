@@ -368,30 +368,36 @@ class TestRefusedValues:
                       tmp_path / "out",
                       "cascade.initial_gain: must be > 0, got 0.0")
 
-    @pytest.mark.parametrize("key, value, reason, shown", [
-        ("target_gain", "0", "must be finite and > 0", "0.0"),
-        ("n_settle", "0.5", "must be >= 1", "0.5"),
-        ("n_settle", "nan", "must be finite", "nan"),  # as the file loads
-        ("max_stages", "0", "must be >= 1", "0"),
-        ("safety_factor", "0.5", "must be >= 1", "0.5"),
-        ("initial_span", "0 m", "must be > 0", "0.0"),
-        ("power", "0 W", "must be > 0", "0.0"),
+    @pytest.mark.parametrize("key, value, message", [
+        ("target_gain", "0",
+         "cascade.target_gain: must be finite and > 0, got 0.0"),
+        ("n_settle", "0.5", "cascade.n_settle: must be >= 1, got 0.5"),
+        # as the file loads
+        ("n_settle", "nan", "cascade.n_settle: must be finite, got nan"),
+        ("max_stages", "0", "cascade.max_stages: must be >= 1, got 0"),
+        ("safety_factor", "0.5",
+         "cascade.safety_factor: must be >= 1, got 0.5"),
+        ("initial_span", "0 m", "cascade.initial_span: must be > 0, got 0.0"),
+        ("power", "0 W", "cascade.power: must be > 0, got 0.0"),
         # these ran on: a one-stage schedule from zero variance, a
         # zero-transduction or modulator DomainError, a non-finite duration
-        ("safety_factor", "inf", "must be finite", "inf"),
-        ("initial_span", "inf m", "must be finite", "inf"),
-        ("n_settle", "inf", "must be finite", "inf"),
-        ("power", "inf W", "must be finite", "inf"),
-        ("power", "1 W", "must be <= chain.damage_threshold = 0.1", "1.0"),
+        ("safety_factor", "inf",
+         "cascade.safety_factor: must be finite, got inf"),
+        ("initial_span", "inf m",
+         "cascade.initial_span: must be finite, got inf"),
+        ("n_settle", "inf", "cascade.n_settle: must be finite, got inf"),
+        ("power", "inf W", "cascade.power: must be finite, got inf"),
+        # the modulator the planner re-powers refuses it, naming both keys
+        ("power", "1 W", "cascade.power, chain.damage_threshold: must give 0 "
+         "< max_power <= damage_threshold, got 1.0, 0.1"),
     ], ids=["target_gain", "n_settle", "n_settle-nan", "max_stages",
             "safety_factor", "initial_span", "power", "safety_factor-inf",
             "initial_span-inf", "n_settle-inf", "power-inf",
             "power-over-damage-threshold"])
-    def test_bad_cascade_value(self, tmp_path, capsys, key, value, reason,
-                               shown):
+    def test_bad_cascade_value(self, tmp_path, capsys, key, value, message):
         cfg = _config(tmp_path, **{key: value})
         self._refused(capsys, ["--config", str(cfg), "cascade", "run"],
-                      tmp_path / "out", f"cascade.{key}: {reason}, got {shown}")
+                      tmp_path / "out", message)
 
     @pytest.mark.parametrize("section, lines, reason, shown", [
         ("resonator", {"mass": "0 g"}, "must be > 0", "0.0"),

@@ -109,13 +109,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cascade.termination"):
             parse_config(MINIMAL + "\n[cascade]\ntermination = never\n")
 
-    def test_lpf_corner_guard(self):
-        low = MINIMAL + "lpf_corner = 50 Hz\n"
-        low = low.replace("imprecision_asd = 5e-12 m/rtHz",
-                          "imprecision_asd = 5e-12 m/rtHz\nlpf_corner = 50 Hz")
-        with pytest.raises(ConfigError, match="lpf_corner"):
-            parse_config(low.replace("\nlpf_corner = 50 Hz\n\n", "\n\n", 1)).hli()
-
     @pytest.mark.parametrize("raw", ["-5", "nan", "inf"])
     @pytest.mark.parametrize("section, key", [
         ("cooling", "gain"), ("cascade", "initial_gain"),
@@ -138,9 +131,9 @@ class TestConfigParsing:
     def test_echo_contains_every_key(self):
         cfg = parse_config(MINIMAL)
         echo = "\n".join(cfg.echo())
-        for path in ("resonator.mass", "fpi.finesse", "hli.lpf_corner",
-                     "chain.dac_gain", "cooling.gain",
-                     "cascade.initial_gain", "sim.seed"):
+        for path in ("resonator.mass", "fpi.finesse",
+                     "hli.heterodyne_frequency", "chain.dac_gain",
+                     "cooling.gain", "cascade.initial_gain", "sim.seed"):
             assert path in echo
 
     def test_load_config_missing_file(self, tmp_path):
@@ -631,6 +624,31 @@ class TestCli:
         assert capsys.readouterr().err.strip() == (
             "error: config: unknown key cascade.fpi_imprecision_asd")
 
+    def test_removed_lpf_corner_key_refused(self, tmp_path, capsys):
+        # the HLI is an imprecision floor: no phasemeter corner is read
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(DEFAULT_CONFIG.replace(
+            "[chain]", "lpf_corner = 500 Hz\n\n[chain]"))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "chain", "report"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: unknown key hli.lpf_corner\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frequency", ["10 Hz", "1000 Hz"])
+    def test_resonance_above_5_hz_runs(self, tmp_path, frequency):
+        # these were refused for a phasemeter corner under 100 f0; the
+        # cascade's power rises as f0^2, past the default damage threshold
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(_default_with(
+            "frequency,damage_threshold,duration",
+            f"{frequency},10 kW,0.2 s"))
+        for command in (["chain", "report"], ["cool", "optimum"],
+                        ["paper-report"], ["cascade", "run"], ["simulate"]):
+            assert main(["--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")] + command) == 0
+
     def test_simulate_and_psd_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(MINIMAL + "\n[sim]\nduration = 40 s\nseed = 7\n")
@@ -798,9 +816,11 @@ class TestArtifactFormat:
          "chain.bias_angle: must be finite, got nan"),
         ("tuning_range = 10 GHz", "tuning_range = 1e300 GHz",  # overflows
          ["noise-budget"], "fpi.tuning_range: must be finite, got inf"),
-        ("lpf_corner = 500 Hz", "lpf_corner = inf Hz", ["cool", "optimum"],
-         "hli.lpf_corner: must be finite, got inf")],
-        ids=["nan-bias-angle", "overflowing-tuning-range", "inf-lpf-corner"])
+        ("heterodyne_frequency = 10 kHz", "heterodyne_frequency = inf kHz",
+         ["cool", "optimum"],
+         "hli.heterodyne_frequency: must be finite, got inf")],
+        ids=["nan-bias-angle", "overflowing-tuning-range",
+             "inf-heterodyne-frequency"])
     def test_non_finite_value_never_echoed(self, tmp_path, capsys, old, new,
                                            command, message):
         # each command accepts the value, so only the header could hold it

@@ -318,6 +318,19 @@ class TestRelaxedChain:
         assert str(got.value) == str(stepped.value)
         assert str(got.value).endswith(f"at step {n // 2}")
 
+    # gamma dt = 2100 and 2.1e27: the Euler step itself grows, |x| turns
+    # inf, and the cos (or the DAC's round) of its volt would raise
+    @pytest.mark.parametrize("dac_bits", [None, 8])
+    @pytest.mark.parametrize("viscous, step", [(1e6, 2), (1e30, 0)])
+    def test_overdamped_step_diverges_by_name(self, viscous, step, dac_bits):
+        res = MechanicalResonator(mass=2.6e-3, omega0=TWO_PI * 4.72,
+                                  q_internal=4.77e5, gamma_viscous=viscous,
+                                  temperature=300.0)
+        chain = TestChainController()._chain(res, 20.0)
+        cfg = SimConfig(duration=3.0, controller="chain", dac_bits=dac_bits)
+        with pytest.raises(DivergenceError, match=f"at step {step}$"):
+            simulate(cfg, res, chain=chain, hli=self.HLI)
+
     def test_slow_passes_fall_back_early(self, q100, monkeypatch):
         # at g = 1 the shove's updates shrink by 0.07-0.4 a pass: too slowly
         # to settle in the passes left, which the second pass shows
@@ -539,6 +552,17 @@ class TestMonteCarlo:
                 ratio = mc.mean / ref
                 print(f"  quality {bpq:5.1f}: variance/band-integral = {ratio:.3f}")
                 assert 0.5 < ratio < 2.0
+
+    @pytest.mark.parametrize("x0", [1e100, 1e144])
+    def test_decaying_start_is_not_stationary(self, q100, x0):
+        # the decay from x0 swamps the thermal draws, so every seed gives
+        # the same variance, whose square would overflow past 1e154 m^2
+        cfg = SimConfig(duration=70.0, x0=x0)
+        with np.errstate(over="raise"):
+            mc = monte_carlo_variance(cfg, q100, 10)
+        assert len(set(mc.per_seed)) == 1
+        assert mc.ci_halfwidth == 0.0
+        assert not mc.stationary
 
     def test_too_few_seeds(self, q100):
         with pytest.raises(DomainError):

@@ -6,9 +6,11 @@
 Runs each command of `RUNS` in process through `optocool.cli.run_command`
 inside a fresh temporary directory, with relative ``--out``, ``--config``
 and ``--input`` paths, and writes one JSON file: the platform the digests
-were made on (machine, NumPy version, ``np.longdouble`` precision) and the
-SHA-256 of each file, keyed by its relative path. It prints the name of
-each digest that differs from the file it overwrites, one a line.
+were made on (machine, NumPy version, ``np.longdouble`` precision), the
+SHA-256 of each file and that of its body, its lines that do not start
+with ``#``, each keyed by the file's relative path. It prints the name of
+each digest that differs from the file it overwrites, one a line, as
+``moved (header only): <name>`` where the body's digest did not move.
 `tests/test_artifact_digests.py` reruns the same set and compares, so a
 change that moves any covered byte shows up as a digest change in its diff.
 Regenerate the file only in a change that means to move an artifact, and
@@ -92,16 +94,23 @@ def _write_inputs():
 
 
 def artifact_digests() -> dict:
-    """Run `RUNS` in the current directory; SHA-256 of each file written."""
+    """Run `RUNS` in the current directory; the SHA-256 of each file written
+    (``digests``) and of its lines that do not start with ``#`` (``bodies``)."""
     from optocool.cli import run_command
 
     _write_inputs()
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in RUNS:
             run_command(argv)
-    outs = dict.fromkeys(argv[1] for argv in RUNS)
-    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
-            for out in outs for path in sorted(Path(out).iterdir())}
+    record = {"digests": {}, "bodies": {}}
+    for out in dict.fromkeys(argv[1] for argv in RUNS):
+        for path in sorted(Path(out).iterdir()):
+            data = path.read_bytes()
+            body = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"#"))
+            record["digests"][str(path)] = hashlib.sha256(data).hexdigest()
+            record["bodies"][str(path)] = hashlib.sha256(body).hexdigest()
+    return record
 
 
 def differing(recorded: dict, got: dict) -> list:
@@ -119,15 +128,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            digests = artifact_digests()
+            record = {"platform": platform_info(), **artifact_digests()}
         finally:
             os.chdir(here)
-    record = {"platform": platform_info(), "digests": digests}
     if out.exists():
-        for name in differing(json.loads(out.read_text())["digests"], digests):
-            print(f"moved: {name}")
+        old = json.loads(out.read_text())
+        bodies = old.get("bodies", {})
+        for name in differing(old["digests"], record["digests"]):
+            header_only = (name in record["bodies"]
+                           and bodies.get(name) == record["bodies"][name])
+            print(f"moved{' (header only)' * header_only}: {name}")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {out}")
+    print(f"wrote {len(record['digests'])} digests to {out}")
     return 0
 
 
