@@ -4,19 +4,19 @@ Unit errors are the dominant failure mode in this domain, so every physical
 value in a config file must carry a unit suffix from the key's allowed set
 (e.g. ``frequency = 4.72 Hz``, ``mass = 2.6 g``). Resonance and damping
 frequencies convert to angular units internally; plain-frequency keys
-(corners, tuning ranges) stay in Hz. Unknown sections or keys are rejected
+(beat note, tuning ranges) stay in Hz. Unknown sections or keys are rejected
 and missing required keys are reported with their full path. A value that
 is nan or infinite, also after its conversion to SI units, is refused as
 the file loads, but for an infinite Q. The resolved SI values are echoed
 into every artifact.
 
-``_SCHEMA`` is the one statement of each key, its default and its allowed
-words; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
-is parsed from its schema default exactly like a value from a file. Each
-model is built from its section's values by `ExperimentConfig._build`, and
-`ExperimentConfig.refusals_named` is the one translation of a model's
-refusal into ``<section>.<key>: <reason>, got <value>``: for each section
-as it builds, and in `cli` while a command runs and builds its models.
+``_SCHEMA`` is the one statement of each key, its default, words and model
+argument; ``DEFAULT_CONFIG`` is generated from it, and a key a file leaves out
+is parsed from its schema default exactly like a value from a file. Each model
+is built from its section's values by `ExperimentConfig._build`, and
+`ExperimentConfig.refusals_named` is the one translation of a model's refusal
+into ``<section>.<key>: <reason>, got <value>``: for each section as it builds,
+and in `cli` while a command runs and builds its models.
 """
 
 from __future__ import annotations

@@ -141,7 +141,8 @@ def test_only_spectrum_parses_input_files():
 def test_only_config_cli_and_the_reader_raise_config_error():
     # a model refuses with DomainError("<field> <reason>"), and the command
     # running it names the field's key or option through refusals_named; in
-    # config, only the parser and the one cross-key check no model makes
+    # config, only the parser, refusals_named and the one cross-key check
+    # no model makes (a lossless resonator, which the library builds)
     src = Path(optocool.__file__).parent
     raisers = set()
     for path in sorted(src.glob("*.py")):

@@ -318,8 +318,9 @@ class TestRelaxedChain:
         assert str(got.value) == str(stepped.value)
         assert str(got.value).endswith(f"at step {n // 2}")
 
-    # gamma dt = 2100 and 2.1e27: the Euler step itself grows, |x| turns
-    # inf, and the cos (or the DAC's round) of its volt would raise
+    # at gamma dt = 2100 the Euler step itself grows, and at 2.1e27 the
+    # thermal force throws x past the bound at once; |x| turns inf, and the
+    # cos (or the DAC's round) of its volt raises inside the stepped loop
     @pytest.mark.parametrize("dac_bits", [None, 8])
     @pytest.mark.parametrize("viscous, step", [(1e6, 2), (1e30, 0)])
     def test_overdamped_step_diverges_by_name(self, viscous, step, dac_bits):

@@ -137,7 +137,8 @@ def main(argv=None) -> int:
         for name in differing(old["digests"], record["digests"]):
             header_only = (name in record["bodies"]
                            and bodies.get(name) == record["bodies"][name])
-            print(f"moved{' (header only)' * header_only}: {name}")
+            print(f"moved (header only): {name}" if header_only
+                  else f"moved: {name}")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record['digests'])} digests to {out}")
     return 0
